@@ -35,22 +35,22 @@ def main():
         show(g.check_bbm_corrected(state, rep, name))
 
         f = g.gaussian_acceptance(1.0)
-        show(g.check_smeared_shannon(state, f, f, rep, label=name))
+        smeared = (g.smear(rep.u_k, f), g.smear(rep.w_x, f))
+        sf = g.s_f(f, params)
+        show(g.check_smeared_shannon(state, f, rep, smeared, sf, name))
 
         pair = g.conjugate_order(2.0)
         show(g.check_beckner(state, pair, rep, name))
-        show(g.check_renyi_smeared(state, f, f, pair, rep, label=name))
+        show(g.check_renyi_smeared(state, f, pair, rep, smeared, sf, name))
 
+        # bin each smeared density once; the binned checks share the result
         rng = np.random.default_rng(3)
-        smeared = (g.smear(rep.u_k, f), g.smear(rep.w_x, f))
         zlo, zhi = _coverage_window(smeared[0])
         xlo, xhi = _coverage_window(smeared[1])
-        bins_z = _random_edges(rng, zlo, zhi, 0.05, 2.0)
-        bins_x = _random_edges(rng, xlo, xhi, 0.05, 2.0)
-        show(g.check_renyi_binned(state, f, f, pair, bins_z, bins_x, rep,
-                                  smeared, label=name))
-        show(g.check_tsallis_binned(state, f, f, pair, bins_z, bins_x, rep,
-                                    smeared, label=name))
+        p_m = g.bin_density(smeared[0], _random_edges(rng, zlo, zhi, 0.05, 2.0))
+        p_n = g.bin_density(smeared[1], _random_edges(rng, xlo, xhi, 0.05, 2.0))
+        show(g.check_renyi_binned(state, f, pair, p_m, p_n, sf, name))
+        show(g.check_tsallis_binned(state, f, pair, p_m, p_n, sf, name))
         print()
 
     print("Beckner constant across conjugate orders:")

@@ -53,14 +53,14 @@ def main():
     print("binned sum bound (coarse bins make it vacuous):")
     f = g.gaussian_acceptance(1.0)
     smeared = (g.smear(rep.u_k, f), g.smear(rep.w_x, f))
+    sf = g.s_f(f, params)
     zlo, zhi = _coverage_window(smeared[0])
     xlo, xhi = _coverage_window(smeared[1])
     for dmin, dmax in ((0.05, 0.2), (1.0, 2.0)):
-        bins_z = _random_edges(rng, zlo, zhi, dmin, dmax)
-        bins_x = _random_edges(rng, xlo, xhi, dmin, dmax)
+        p_m = g.bin_density(smeared[0], _random_edges(rng, zlo, zhi, dmin, dmax))
+        p_n = g.bin_density(smeared[1], _random_edges(rng, xlo, xhi, dmin, dmax))
         pair = g.conjugate_order(2.0)
-        rpt = g.check_tsallis_binned(state, f, f, pair, bins_z, bins_x,
-                                     rep, smeared)[0]
+        rpt = g.check_tsallis_binned(state, f, pair, p_m, p_n, sf)[0]
         print(f"  widths in [{dmin}, {dmax}]: lhs = {rpt.lhs:8.5f}, "
               f"rhs = {rpt.rhs:8.5f}, margin = {rpt.margin:+.5f}")
 

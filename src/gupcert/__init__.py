@@ -15,7 +15,8 @@ from .core import (CATALOG_NAMES, DensityFn, DiscreteDist, Domain, Grid,
                    moment, normalize, rebuild_state)
 from .entropy import (EntropyValue, alpha_log, alpha_norm, bin_density,
                       density_cdf, diff_renyi, diff_shannon, discrete_norm,
-                      discrete_renyi, discrete_tsallis, mc_diff_shannon)
+                      discrete_renyi, discrete_renyi_and_norm, discrete_tsallis,
+                      mc_diff_shannon, renyi_and_norm)
 from .errors import (ConfigError, ContractError, DegenerateStateError,
                      DomainError, GupcertError, InvalidParameterError,
                      MomentDivergenceError, NormDivergenceError,
@@ -24,9 +25,11 @@ from .measurement import (AcceptanceFn, custom_acceptance, gaussian_acceptance,
                           j_profile, s_f, s_f_gaussian_bound, smear, smear_grid)
 from .relations import (LN_E_PI, LinearizationReport, RelationReport,
                         check_bbm_corrected, check_beckner, check_binned_shannon,
-                        check_binning_lemma, check_jensen, check_norm_ordering,
+                        check_binning_lemma, check_correction_term,
+                        check_jensen, check_kappa, check_norm_ordering,
                         check_renyi_binned, check_renyi_smeared,
-                        check_smeared_shannon, check_tsallis_binned,
+                        check_sf_bounds, check_smeared_shannon,
+                        check_tsallis_binned,
                         conjugate_order, correction_linearization_check,
                         correction_term, kappa, robertson_margin)
 from .transform import (RepresentationBundle, bundle, density_q_to_k,

@@ -19,11 +19,10 @@ from enum import Enum
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (ContractError, DegenerateStateError,
                      InvalidParameterError, MomentDivergenceError)
-from .quadrature import symmetric_rule
+from .quadrature import interp_delta, symmetric_rule
 from .tails import TailSide
 
 NORM_TOL = 1e-8          # DensityFn normalization defect tolerance
@@ -132,6 +131,13 @@ class DensityFn:
     @property
     def window(self) -> tuple[float, float]:
         return float(self.grid.nodes[0]), float(self.grid.nodes[-1])
+
+    @property
+    def tail_masses(self) -> tuple[float, float]:
+        """Modelled (left, right) mass beyond the window, 0 without a model."""
+        lo, hi = self.window
+        return (self.tail_left.mass_beyond(abs(lo)) if self.tail_left else 0.0,
+                self.tail_right.mass_beyond(hi) if self.tail_right else 0.0)
 
     def tail_sides(self) -> list[tuple[TailSide, float]]:
         """Usable tail models with the |abscissa| where each one starts."""
@@ -481,26 +487,7 @@ def moment(density: DensityFn, n: int) -> MomentEstimate:
         tail_part += sign * add
         tail_err += 0.3 * abs(add)
 
-    interp_err = _refinement_delta(density, lambda p, x: p * x ** n)
+    f = np.clip(density.values, 0.0, None) * t ** n
+    interp_err = interp_delta(t, f, density.grid.integrate(f))
     return MomentEstimate(value=float(grid_part + tail_part),
                           est_error=float(interp_err + tail_err))
-
-
-def _refinement_delta(density: DensityFn, integrand) -> float:
-    """Difference between the grid rule and a monotone-interpolant integral.
-
-    Serves as an honest resolution-error proxy for integrals of tabulated
-    densities: both estimates converge to the same limit, so their gap bounds
-    the grid contribution at the achieved resolution.
-    """
-    x = density.grid.nodes
-    p = np.clip(density.values, 0.0, None)
-    f = integrand(p, x)
-    try:
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            interp = PchipInterpolator(x, f, extrapolate=False)
-        anti = interp.antiderivative()
-        alt = float(anti(x[-1]) - anti(x[0]))
-    except ValueError:
-        return 0.0
-    return abs(alt - float(density.grid.integrate(f)))

@@ -22,12 +22,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.special import logsumexp
 
 from .core import DensityFn, DiscreteDist
 from .errors import ContractError, InvalidParameterError, NormDivergenceError
-from .quadrature import ENTROPY_FLOOR, entropy_sum, power_sum
+from .quadrature import (ENTROPY_FLOOR, entropy_sum, interp_delta, pchip,
+                         power_sum)
 
 _DENSITY_NORM_TOL = 2e-6  # looser than the construction invariant; guards raw input
 
@@ -53,21 +53,6 @@ def _check_density(density: DensityFn) -> None:
         raise ContractError(f"density is not normalized (mass {total:.8f})")
 
 
-def _pchip(x: np.ndarray, y: np.ndarray, **kw) -> PchipInterpolator:
-    # image grids span many decades; silence spurious overflow in the
-    # monotone slope blend, the interpolant itself stays finite
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return PchipInterpolator(x, y, **kw)
-
-
-def _interp_delta(x: np.ndarray, f: np.ndarray, grid_value: float) -> float:
-    try:
-        anti = _pchip(x, f, extrapolate=False).antiderivative()
-        return abs(float(anti(x[-1]) - anti(x[0])) - grid_value)
-    except ValueError:
-        return 0.0
-
-
 # ---------------------------------------------------------------------------
 # differential entropies
 # ---------------------------------------------------------------------------
@@ -86,13 +71,27 @@ def diff_shannon(density: DensityFn) -> EntropyValue:
     for side, start in density.tail_sides():
         tail += side.entropy_beyond(start)
     f = np.where(p > ENTROPY_FLOOR, -p * np.log(np.clip(p, ENTROPY_FLOOR, None)), 0.0)
-    est = _interp_delta(x, f, core) + 0.03 * abs(tail) + 1e-14
+    est = interp_delta(x, f, core) + 0.03 * abs(tail) + 1e-14
     return EntropyValue(value=core + tail, kind="shannon", differential=True,
                         est_error=est)
 
 
-def _alpha_integral(density: DensityFn, alpha: float) -> tuple[float, float]:
-    """(integral of p**alpha including tails, error estimate)."""
+def renyi_and_norm(density: DensityFn,
+                   alpha: float) -> tuple[EntropyValue, float]:
+    """Renyi entropy and alpha-norm of one order from one integral of p**alpha.
+
+    Both are functions of the same integral (tail models included), so a
+    caller that needs both computes it once.  alpha = 1 gives the Shannon
+    entropy and norm 1.  Raises NormDivergenceError when a tail model makes
+    the integral diverge at a numerically material scale.
+    """
+    if alpha <= 0.0:
+        raise InvalidParameterError("alpha must be positive")
+    if alpha == 1.0:
+        sh = diff_shannon(density)
+        return EntropyValue(value=sh.value, kind="renyi", differential=True,
+                            est_error=sh.est_error, alpha=1.0), 1.0
+    _check_density(density)
     x, w, p = density.grid.nodes, density.grid.weights, density.values
     core = power_sum(w, p, alpha)
     tail = 0.0
@@ -106,36 +105,25 @@ def _alpha_integral(density: DensityFn, alpha: float) -> tuple[float, float]:
                 tail_exponent=side.exponent)
         tail += side.alpha_mass_beyond(alpha, start)
     f = np.where(p > ENTROPY_FLOOR, p ** alpha, 0.0)
-    est = _interp_delta(x, f, core) + 0.05 * tail
-    return core + tail, est
+    err = interp_delta(x, f, core) + 0.05 * tail
+    total = core + tail
+    renyi = EntropyValue(value=math.log(total) / (1.0 - alpha), kind="renyi",
+                         differential=True,
+                         est_error=err / (abs(1.0 - alpha) * max(total, 1e-300)),
+                         alpha=alpha)
+    return renyi, total ** (1.0 / alpha)
 
 
 def alpha_norm(density: DensityFn | DiscreteDist, alpha: float) -> float:
     """(integral or sum of p**alpha)**(1/alpha); equals 1 at alpha = 1."""
-    if alpha <= 0.0:
-        raise InvalidParameterError("alpha must be positive")
     if isinstance(density, DiscreteDist):
         return discrete_norm(density, alpha)
-    if alpha == 1.0:
-        return 1.0
-    total, _ = _alpha_integral(density, alpha)
-    return total ** (1.0 / alpha)
+    return renyi_and_norm(density, alpha)[1]
 
 
 def diff_renyi(density: DensityFn, alpha: float) -> EntropyValue:
     """Differential Renyi entropy ln(integral p**alpha) / (1 - alpha)."""
-    if alpha <= 0.0:
-        raise InvalidParameterError("alpha must be positive")
-    if alpha == 1.0:
-        sh = diff_shannon(density)
-        return EntropyValue(value=sh.value, kind="renyi", differential=True,
-                            est_error=sh.est_error, alpha=1.0)
-    _check_density(density)
-    total, err = _alpha_integral(density, alpha)
-    value = math.log(total) / (1.0 - alpha)
-    return EntropyValue(value=value, kind="renyi", differential=True,
-                        est_error=err / (abs(1.0 - alpha) * max(total, 1e-300)),
-                        alpha=alpha)
+    return renyi_and_norm(density, alpha)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +144,7 @@ def density_cdf(density: DensityFn, points: np.ndarray) -> np.ndarray:
     x, p = density.grid.nodes, density.values
     anti = CubicSpline(x, np.clip(p, 0.0, None)).antiderivative()
     lo, hi = density.window
-    m_left = density.tail_left.mass_beyond(abs(lo)) if density.tail_left else 0.0
-    m_right = density.tail_right.mass_beyond(hi) if density.tail_right else 0.0
+    m_left, m_right = density.tail_masses
     window_mass = float(anti(hi) - anti(lo))
     total = m_left + window_mass + m_right
 
@@ -213,26 +200,34 @@ def _discrete_shannon_value(probs: np.ndarray) -> float:
     return float(-np.sum(p * np.log(p)))
 
 
-def discrete_norm(dist: DiscreteDist, alpha: float) -> float:
-    """||p||_alpha = (sum p_j^alpha)^(1/alpha), computed in log space."""
-    if alpha <= 0.0:
-        raise InvalidParameterError("alpha must be positive")
-    p = dist.probs[dist.probs > 0.0]
-    return float(math.exp(logsumexp(alpha * np.log(p)) / alpha))
+def discrete_renyi_and_norm(dist: DiscreteDist,
+                            alpha: float) -> tuple[EntropyValue, float]:
+    """Renyi entropy and ||p||_alpha of one order from one log-space sum.
 
-
-def discrete_renyi(dist: DiscreteDist, alpha: float) -> EntropyValue:
-    """Renyi entropy of a binned distribution; alpha = 1 gives Shannon."""
+    Both are functions of ln sum_j p_j**alpha.  alpha = 1 gives the Shannon
+    entropy and norm 1.
+    """
     if alpha <= 0.0:
         raise InvalidParameterError("alpha must be positive")
     if alpha == 1.0:
         return EntropyValue(value=_discrete_shannon_value(dist.probs),
                             kind="renyi", differential=False,
-                            est_error=0.0, alpha=1.0)
+                            est_error=0.0, alpha=1.0), 1.0
     p = dist.probs[dist.probs > 0.0]
     log_sum = float(logsumexp(alpha * np.log(p)))
     return EntropyValue(value=log_sum / (1.0 - alpha), kind="renyi",
-                        differential=False, est_error=0.0, alpha=alpha)
+                        differential=False, est_error=0.0,
+                        alpha=alpha), math.exp(log_sum / alpha)
+
+
+def discrete_norm(dist: DiscreteDist, alpha: float) -> float:
+    """||p||_alpha = (sum p_j^alpha)^(1/alpha), computed in log space."""
+    return discrete_renyi_and_norm(dist, alpha)[1]
+
+
+def discrete_renyi(dist: DiscreteDist, alpha: float) -> EntropyValue:
+    """Renyi entropy of a binned distribution; alpha = 1 gives Shannon."""
+    return discrete_renyi_and_norm(dist, alpha)[0]
 
 
 def discrete_tsallis(dist: DiscreteDist, alpha: float) -> EntropyValue:
@@ -279,15 +274,13 @@ def mc_diff_shannon(density: DensityFn, n_samples: int, seed: int) -> EntropyVal
     x, p = density.grid.nodes, np.clip(density.values, 0.0, None)
     # refine the mesh before inverting: the inverse interpolant's implied
     # sampling density then tracks the scored density to higher order
-    shape = _pchip(x, p)
+    shape = pchip(x, p)
     for _ in range(2):
         x = np.sort(np.concatenate([x, 0.5 * (x[:-1] + x[1:])]))
     p = np.clip(shape(x), 0.0, None)
-    anti = _pchip(x, p).antiderivative()
+    anti = pchip(x, p).antiderivative()
     cdf_nodes = anti(x) - anti(x[0])
-    lo, hi = density.window
-    m_left = density.tail_left.mass_beyond(abs(lo)) if density.tail_left else 0.0
-    m_right = density.tail_right.mass_beyond(hi) if density.tail_right else 0.0
+    m_left, m_right = density.tail_masses
     total = m_left + cdf_nodes[-1] + m_right
 
     u = rng.random(n_samples) * total
@@ -302,9 +295,9 @@ def mc_diff_shannon(density: DensityFn, n_samples: int, seed: int) -> EntropyVal
     # inverse interpolant has finite slopes
     cu = m_left + cdf_nodes
     keep = np.concatenate([[True], np.diff(cu) > 1e-14 * total])
-    inv = _pchip(cu[keep], x[keep])
+    inv = pchip(cu[keep], x[keep])
     xs = inv(u[mid])
-    dens = _pchip(x, p)(xs)
+    dens = pchip(x, p)(xs)
     log_p[mid] = np.log(np.clip(dens, ENTROPY_FLOOR, None))
 
     # tail samples: invert the mean-envelope power law analytically

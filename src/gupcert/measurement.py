@@ -146,12 +146,10 @@ def _bulk_window(density: DensityFn) -> tuple[float, float]:
     cum = np.cumsum(masses)
     total = cum[-1]
     x = density.grid.nodes
-    lo_w, hi_w = density.window
-    m_left = density.tail_left.mass_beyond(abs(lo_w)) if density.tail_left else 0.0
-    m_right = density.tail_right.mass_beyond(hi_w) if density.tail_right else 0.0
+    m_left, m_right = density.tail_masses
     grand = total + m_left + m_right
 
-    def pick(side, model_out, leftward: bool) -> float:
+    def pick(side, leftward: bool) -> float:
         def cut_at(frac):
             target = frac * grand
             if leftward:
@@ -172,8 +170,8 @@ def _bulk_window(density: DensityFn) -> tuple[float, float]:
                 return t
         return cut_at(1e-9)
 
-    lo = pick(density.tail_left, m_left, leftward=True)
-    hi = pick(density.tail_right, m_right, leftward=False)
+    lo = pick(density.tail_left, leftward=True)
+    hi = pick(density.tail_right, leftward=False)
     return lo, hi
 
 

@@ -14,18 +14,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import partial
+from typing import Sequence
 
 import numpy as np
 
 from .core import (DensityFn, DiscreteDist, MixedState, OrderPair, PureState,
                    as_mixed, moment, rebuild_state)
-from .entropy import (alpha_log, alpha_norm, bin_density, diff_renyi,
-                      diff_shannon, discrete_norm, discrete_renyi,
-                      discrete_tsallis)
+from .entropy import (alpha_log, alpha_norm, diff_shannon, discrete_norm,
+                      discrete_renyi, discrete_renyi_and_norm,
+                      discrete_tsallis, renyi_and_norm)
 from .errors import (InvalidParameterError, MomentDivergenceError,
                      NormDivergenceError)
-from .measurement import AcceptanceFn, s_f, smear
+from .measurement import AcceptanceFn, s_f_gaussian_bound
 from .transform import RepresentationBundle, bundle
 
 LN_E_PI = 1.0 + math.log(math.pi)
@@ -74,11 +75,6 @@ def _not_applicable(relation_id: str, digest: str) -> RelationReport:
                           inputs_digest=digest)
 
 
-def _rep(state: PureState | MixedState,
-         rep: Optional[RepresentationBundle]) -> RepresentationBundle:
-    return rep if rep is not None else bundle(state)
-
-
 # ---------------------------------------------------------------------------
 # conjugate orders and the Beckner constant
 # ---------------------------------------------------------------------------
@@ -113,12 +109,39 @@ def conjugate_order(alpha: float) -> OrderPair:
     return OrderPair(float(alpha), float(alpha / (2.0 * alpha - 1.0)))
 
 
+def check_kappa(pair: OrderPair, beta: float) -> RelationReport:
+    """The Beckner constant of a pair as a record; beta only tags the row."""
+    return _report("kappa_value", kappa(pair), 0.0, 0.0,
+                   _digest("kappa_value", "-", beta, alpha=pair.alpha,
+                           gamma=pair.gamma))
+
+
+# ---------------------------------------------------------------------------
+# S_f bounds
+# ---------------------------------------------------------------------------
+
+def check_sf_bounds(sf_value: float, sigma: float,
+                    beta: float) -> list[RelationReport]:
+    """S_f <= 1, and S_f <= sqrt(pi / (2 sigma^2 beta)) when beta > 0.
+
+    `sf_value` is S_f of a Gaussian acceptance of width sigma at this beta.
+    """
+    out = [_report("sf_upper_unit", 1.0, sf_value, 1e-12,
+                   _digest("sf_upper_unit", "-", beta, sigma=sigma))]
+    if beta > 0.0:
+        out.append(_report("sf_gaussian_bound",
+                           s_f_gaussian_bound(sigma, beta), sf_value, 1e-12,
+                           _digest("sf_gaussian_bound", "-", beta,
+                                   sigma=sigma)))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the correction term and its bounds
 # ---------------------------------------------------------------------------
 
 def correction_term(state: PureState | MixedState,
-                    rep: Optional[RepresentationBundle] = None) -> float:
+                    rep: RepresentationBundle) -> float:
     """Mean of ln(1 + beta k^2) under the physical wavenumber density.
 
     Nonnegative, zero for beta = 0, and equal to H(K) - H(Q) by the exact
@@ -128,9 +151,18 @@ def correction_term(state: PureState | MixedState,
     mixed = as_mixed(state)
     if not mixed.params.deformed:
         return 0.0
-    u = _rep(mixed, rep).u_k
+    u = rep.u_k
     k = u.grid.nodes
     return float(u.grid.integrate(u.values * np.log1p(mixed.params.beta * k * k)))
+
+
+def check_correction_term(state: PureState | MixedState,
+                          rep: RepresentationBundle,
+                          label: str = "state") -> RelationReport:
+    """The correction term as a record: nonnegative, so rhs is zero."""
+    beta = as_mixed(state).params.beta
+    return _report("correction_term", correction_term(state, rep), 0.0, 1e-10,
+                   _digest("correction_term", label, beta))
 
 
 @dataclass(frozen=True)
@@ -180,11 +212,10 @@ def correction_linearization_check(state: PureState,
 
 
 def check_jensen(state: PureState | MixedState,
-                 rep: Optional[RepresentationBundle] = None,
+                 rep: RepresentationBundle,
                  label: str = "state") -> RelationReport:
     """Concavity bound: correction <= ln(1 + beta <k^2>) when <k^2> exists."""
     mixed = as_mixed(state)
-    rep = _rep(mixed, rep)
     digest = _digest("correction_jensen", label, mixed.params.beta)
     try:
         k2 = moment(rep.u_k, 2)
@@ -202,7 +233,7 @@ def check_jensen(state: PureState | MixedState,
 # ---------------------------------------------------------------------------
 
 def robertson_margin(state: PureState | MixedState,
-                     rep: Optional[RepresentationBundle] = None,
+                     rep: RepresentationBundle,
                      label: str = "state") -> RelationReport:
     """Deformed variance bound: dx dk >= (1 + beta <k^2>) / 2.
 
@@ -210,7 +241,6 @@ def robertson_margin(state: PureState | MixedState,
     which genuinely happens for Cauchy-type wavenumber densities.
     """
     mixed = as_mixed(state)
-    rep = _rep(mixed, rep)
     digest = _digest("robertson_product", label, mixed.params.beta)
     try:
         k1, k2 = moment(rep.u_k, 1), moment(rep.u_k, 2)
@@ -235,7 +265,7 @@ def robertson_margin(state: PureState | MixedState,
 # ---------------------------------------------------------------------------
 
 def check_bbm_corrected(state: PureState | MixedState,
-                        rep: Optional[RepresentationBundle] = None,
+                        rep: RepresentationBundle,
                         label: str = "state") -> list[RelationReport]:
     """Fourier-pair bound and its minimal-length corrected form.
 
@@ -243,7 +273,6 @@ def check_bbm_corrected(state: PureState | MixedState,
     entropy by the physical one adds the correction term to the bound.
     """
     mixed = as_mixed(state)
-    rep = _rep(mixed, rep)
     beta = mixed.params.beta
     hq = diff_shannon(rep.v_q)
     hx = diff_shannon(rep.w_x)
@@ -259,45 +288,44 @@ def check_bbm_corrected(state: PureState | MixedState,
 
 
 def check_smeared_shannon(state: PureState | MixedState, f: AcceptanceFn,
-                          g: AcceptanceFn,
-                          rep: Optional[RepresentationBundle] = None,
-                          smeared: Optional[tuple[DensityFn, DensityFn]] = None,
-                          sf_value: Optional[float] = None,
+                          rep: RepresentationBundle,
+                          smeared: tuple[DensityFn, DensityFn],
+                          sf_value: float,
                           label: str = "state") -> list[RelationReport]:
     """Smeared Shannon sums against the corrected and resolution bounds.
 
-    The corrected bound survives smearing unchanged; the resolution bound
-    replaces it by ln(e pi / S_f), which exceeds ln(e pi) once the momentum
-    acceptance is wide enough that S_f < 1.
+    `smeared` holds the two smeared densities (wavenumber, position) and
+    `sf_value` is S_f of the momentum acceptance f.  The corrected bound
+    survives smearing unchanged; the resolution bound replaces it by
+    ln(e pi / S_f), which exceeds ln(e pi) once the momentum acceptance is
+    wide enough that S_f < 1.
     """
     mixed = as_mixed(state)
-    rep = _rep(mixed, rep)
     beta = mixed.params.beta
-    if smeared is None:
-        smeared = (smear(rep.u_k, f), smear(rep.w_x, g))
     u_s, w_s = smeared
     hm = diff_shannon(u_s)
     hn = diff_shannon(w_s)
     corr = correction_term(mixed, rep)
-    sf = s_f(f, mixed.params) if sf_value is None else sf_value
     err = hm.est_error + hn.est_error
     lhs = hm.value + hn.value
     sig = f.width
-    out = [
+    return [
         _report("shannon_sum_smeared", lhs, LN_E_PI + corr, err,
                 _digest("shannon_sum_smeared", label, beta, sigma=sig)),
-        _report("shannon_sum_smeared_resolution", lhs, LN_E_PI - math.log(sf),
-                err, _digest("shannon_sum_smeared_resolution", label, beta,
-                             sigma=sig)),
+        _report("shannon_sum_smeared_resolution", lhs,
+                LN_E_PI - math.log(sf_value), err,
+                _digest("shannon_sum_smeared_resolution", label, beta,
+                        sigma=sig)),
     ]
-    return out
 
 
-def check_binning_lemma(density: DensityFn, edges: np.ndarray,
+def check_binning_lemma(density: DensityFn, dist: DiscreteDist,
                         beta: float, label: str = "state",
                         axis: str = "k") -> RelationReport:
-    """Discretization lemma: H(p) >= H(density) - ln(max bin width)."""
-    dist = bin_density(density, edges)
+    """Discretization lemma: H(p) >= H(density) - ln(max bin width).
+
+    `dist` is the density binned on some layout.
+    """
     h_cont = diff_shannon(density)
     h_disc = discrete_renyi(dist, 1.0)
     rid = f"binning_lemma_{axis}"
@@ -306,22 +334,22 @@ def check_binning_lemma(density: DensityFn, edges: np.ndarray,
                    h_cont.est_error, _digest(rid, label, beta, **kw))
 
 
-def check_binned_shannon(state: PureState | MixedState, bins_k: np.ndarray,
-                         bins_x: np.ndarray,
-                         rep: Optional[RepresentationBundle] = None,
+def check_binned_shannon(state: PureState | MixedState, p_k: DiscreteDist,
+                         p_x: DiscreteDist, rep: RepresentationBundle,
                          label: str = "state") -> RelationReport:
-    """Binned Shannon sum against ln(e pi / (dk dx)) plus the correction."""
+    """Binned Shannon sum against ln(e pi / (dk dx)) plus the correction.
+
+    `p_k` and `p_x` are the wavenumber and position densities of `rep`
+    binned.
+    """
     mixed = as_mixed(state)
-    rep = _rep(mixed, rep)
     beta = mixed.params.beta
-    pk = bin_density(rep.u_k, bins_k)
-    px = bin_density(rep.w_x, bins_x)
     corr = correction_term(mixed, rep)
-    lhs = discrete_renyi(pk, 1.0).value + discrete_renyi(px, 1.0).value
-    rhs = LN_E_PI - math.log(pk.delta_max * px.delta_max) + corr
+    lhs = discrete_renyi(p_k, 1.0).value + discrete_renyi(p_x, 1.0).value
+    rhs = LN_E_PI - math.log(p_k.delta_max * p_x.delta_max) + corr
     return _report("shannon_sum_binned", lhs, rhs, 1e-10,
                    _digest("shannon_sum_binned", label, beta,
-                           delta_k=pk.delta_max, delta_x=px.delta_max))
+                           delta_k=p_k.delta_max, delta_x=p_x.delta_max))
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +357,7 @@ def check_binned_shannon(state: PureState | MixedState, bins_k: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def check_beckner(state: PureState | MixedState, pair: OrderPair,
-                  rep: Optional[RepresentationBundle] = None,
+                  rep: RepresentationBundle,
                   label: str = "state") -> list[RelationReport]:
     """Conjugate-norm inequalities between the auxiliary and position pair.
 
@@ -338,7 +366,6 @@ def check_beckner(state: PureState | MixedState, pair: OrderPair,
     degenerate (1, 1) pair dispatches to the base Shannon relation.
     """
     mixed = as_mixed(state)
-    rep = _rep(mixed, rep)
     beta = mixed.params.beta
     if pair.degenerate:
         return [check_bbm_corrected(mixed, rep, label)[0]]
@@ -358,127 +385,110 @@ def check_beckner(state: PureState | MixedState, pair: OrderPair,
     return out
 
 
-def _renyi_pair_reports(rid_prefix: str, label: str, beta: float, sigma,
-                        pair: OrderPair, dens_m, dens_n, rhs: float,
-                        renyi_fn, delta_k=None, delta_x=None) -> list[RelationReport]:
-    """Entropy-sum reports for (alpha on M, gamma on N) and the swap."""
+def _renyi_reports(renyi_and_norm_fn, dens_m, dens_n, pair: OrderPair,
+                   scale: float, rid_sum: str, rid_norms: tuple[str, str],
+                   norm_err: float, digest) -> list[RelationReport]:
+    """Renyi sums of (alpha on M, gamma on N), the swap, and their norm forms.
+
+    Every row reads the four (entropy, norm) pairs of `renyi_and_norm_fn`,
+    so each power integral is computed once; a divergent one turns the rows
+    that need it into not-applicable records.  The sums are bounded by
+    ln(kappa pi / scale) and the norm rows are
+    ||.||_alpha <= (scale/(kappa pi))^((1-gamma)/gamma) ||.||_gamma, where
+    `scale` is S_f, times the two bin widths when binned.  The first norm
+    row puts gamma on N, the second on M.
+    """
+    powers = {}
+    for side, dens in (("m", dens_m), ("n", dens_n)):
+        for order in (pair.alpha, pair.gamma):
+            try:
+                powers[side, order] = renyi_and_norm_fn(dens, order)
+            except NormDivergenceError:
+                powers[side, order] = None
+    kp = kappa(pair)
+    expo = (1.0 - pair.gamma) / pair.gamma
+    rhs = math.log(kp * math.pi / scale)
+    shift = expo * math.log(scale / (kp * math.pi))
     out = []
-    for rid, first, second in ((f"{rid_prefix}", dens_m, dens_n),
-                               (f"{rid_prefix}_swapped", dens_n, dens_m)):
-        digest = _digest(rid, label, beta, sigma=sigma, alpha=pair.alpha,
-                         gamma=pair.gamma, delta_k=delta_k, delta_x=delta_x)
-        try:
-            ra = renyi_fn(first, pair.alpha)
-            rg = renyi_fn(second, pair.gamma)
-        except NormDivergenceError:
-            out.append(_not_applicable(rid, digest))
-            continue
-        out.append(_report(rid, ra.value + rg.value, rhs,
-                           ra.est_error + rg.est_error, digest))
+    for rid, first, second, is_sum in (
+            (rid_sum, "m", "n", True), (rid_sum + "_swapped", "n", "m", True),
+            (rid_norms[0], "m", "n", False), (rid_norms[1], "n", "m", False)):
+        pa, pg = powers[first, pair.alpha], powers[second, pair.gamma]
+        if pa is None or pg is None:
+            out.append(_not_applicable(rid, digest(rid)))
+        elif is_sum:
+            ra, rg = pa[0], pg[0]
+            out.append(_report(rid, ra.value + rg.value, rhs,
+                               ra.est_error + rg.est_error, digest(rid)))
+        else:
+            out.append(_report(rid, shift + math.log(pg[1]),
+                               math.log(pa[1]), norm_err, digest(rid)))
     return out
 
 
 def check_renyi_smeared(state: PureState | MixedState, f: AcceptanceFn,
-                        g: AcceptanceFn, pair: OrderPair,
-                        rep: Optional[RepresentationBundle] = None,
-                        smeared: Optional[tuple[DensityFn, DensityFn]] = None,
-                        sf_value: Optional[float] = None,
+                        pair: OrderPair, rep: RepresentationBundle,
+                        smeared: tuple[DensityFn, DensityFn],
+                        sf_value: float,
                         label: str = "state") -> list[RelationReport]:
     """Smeared Renyi sums and the norm-level forms they come from.
 
     R_alpha(M) + R_gamma(N) >= ln(kappa pi / S_f) for conjugate orders, the
     swapped assignment, and the two norm inequalities
     ||U||_alpha <= (S_f/(kappa pi))^((1-gamma)/gamma) ||W||_gamma (and twin).
+    The degenerate pair dispatches to the smeared Shannon relations.
     """
     mixed = as_mixed(state)
-    rep = _rep(mixed, rep)
-    beta = mixed.params.beta
-    if smeared is None:
-        smeared = (smear(rep.u_k, f), smear(rep.w_x, g))
-    u_s, w_s = smeared
-    sf = s_f(f, mixed.params) if sf_value is None else sf_value
     if pair.degenerate:
-        return check_smeared_shannon(mixed, f, g, rep, smeared, sf, label)
-    kp = kappa(pair)
-    rhs = math.log(kp * math.pi / sf)
-    out = _renyi_pair_reports("renyi_sum_smeared", label, beta, f.width, pair,
-                              u_s, w_s, rhs, diff_renyi)
-    expo = (1.0 - pair.gamma) / pair.gamma
-    shift = expo * math.log(sf / (kp * math.pi))
-    for rid, big, small in (("renyi_norm_smeared_uw", w_s, u_s),
-                            ("renyi_norm_smeared_wu", u_s, w_s)):
-        digest = _digest(rid, label, beta, sigma=f.width, alpha=pair.alpha,
-                         gamma=pair.gamma)
-        try:
-            lhs = shift + math.log(alpha_norm(big, pair.gamma))
-            rhs_n = math.log(alpha_norm(small, pair.alpha))
-        except NormDivergenceError:
-            out.append(_not_applicable(rid, digest))
-            continue
-        out.append(_report(rid, lhs, rhs_n, 1e-9, digest))
-    return out
+        return check_smeared_shannon(mixed, f, rep, smeared, sf_value, label)
+    digest = partial(_digest, label=label, beta=mixed.params.beta,
+                     sigma=f.width, alpha=pair.alpha, gamma=pair.gamma)
+    return _renyi_reports(renyi_and_norm, smeared[0], smeared[1], pair,
+                          sf_value, "renyi_sum_smeared",
+                          ("renyi_norm_smeared_uw", "renyi_norm_smeared_wu"),
+                          1e-9, digest)
 
 
 def check_renyi_binned(state: PureState | MixedState, f: AcceptanceFn,
-                       g: AcceptanceFn, pair: OrderPair,
-                       bins_zeta: np.ndarray, bins_xi: np.ndarray,
-                       rep: Optional[RepresentationBundle] = None,
-                       smeared: Optional[tuple[DensityFn, DensityFn]] = None,
-                       sf_value: Optional[float] = None,
+                       pair: OrderPair, p_m: DiscreteDist, p_n: DiscreteDist,
+                       sf_value: float,
                        label: str = "state") -> list[RelationReport]:
-    """Binned Renyi sums against ln(kappa pi / (S_f dzeta dxi)) plus norms."""
-    mixed = as_mixed(state)
-    rep = _rep(mixed, rep)
-    beta = mixed.params.beta
-    if smeared is None:
-        smeared = (smear(rep.u_k, f), smear(rep.w_x, g))
-    p_m = bin_density(smeared[0], bins_zeta)
-    p_n = bin_density(smeared[1], bins_xi)
-    sf = s_f(f, mixed.params) if sf_value is None else sf_value
+    """Binned Renyi sums against ln(kappa pi / (S_f dzeta dxi)) plus norms.
+
+    `p_m` and `p_n` are the smeared wavenumber and position densities
+    binned; `sf_value` is S_f of the momentum acceptance f.
+    """
+    beta = as_mixed(state).params.beta
+    scale = sf_value * p_m.delta_max * p_n.delta_max
     if pair.degenerate:
         lhs = discrete_renyi(p_m, 1.0).value + discrete_renyi(p_n, 1.0).value
-        rhs = LN_E_PI - math.log(sf * p_m.delta_max * p_n.delta_max)
+        rhs = LN_E_PI - math.log(scale)
         return [_report("renyi_sum_binned", lhs, rhs, 1e-10,
                         _digest("renyi_sum_binned", label, beta, sigma=f.width,
                                 alpha=1.0, gamma=1.0, delta_k=p_m.delta_max,
                                 delta_x=p_n.delta_max))]
-    kp = kappa(pair)
-    rhs = math.log(kp * math.pi / (sf * p_m.delta_max * p_n.delta_max))
-    out = _renyi_pair_reports("renyi_sum_binned", label, beta, f.width, pair,
-                              p_m, p_n, rhs, discrete_renyi,
-                              delta_k=p_m.delta_max, delta_x=p_n.delta_max)
-    expo = (1.0 - pair.gamma) / pair.gamma
-    shift = expo * math.log(sf * p_m.delta_max * p_n.delta_max / (kp * math.pi))
-    for rid, big, small in (("renyi_norm_binned_mn", p_n, p_m),
-                            ("renyi_norm_binned_nm", p_m, p_n)):
-        digest = _digest(rid, label, beta, sigma=f.width, alpha=pair.alpha,
-                         gamma=pair.gamma, delta_k=p_m.delta_max,
-                         delta_x=p_n.delta_max)
-        lhs = shift + math.log(discrete_norm(big, pair.gamma))
-        rhs_n = math.log(discrete_norm(small, pair.alpha))
-        out.append(_report(rid, lhs, rhs_n, 1e-12, digest))
-    return out
+    digest = partial(_digest, label=label, beta=beta, sigma=f.width,
+                     alpha=pair.alpha, gamma=pair.gamma,
+                     delta_k=p_m.delta_max, delta_x=p_n.delta_max)
+    return _renyi_reports(discrete_renyi_and_norm, p_m, p_n, pair, scale,
+                          "renyi_sum_binned",
+                          ("renyi_norm_binned_mn", "renyi_norm_binned_nm"),
+                          1e-12, digest)
 
 
 def check_tsallis_binned(state: PureState | MixedState, f: AcceptanceFn,
-                         g: AcceptanceFn, pair: OrderPair,
-                         bins_zeta: np.ndarray, bins_xi: np.ndarray,
-                         rep: Optional[RepresentationBundle] = None,
-                         smeared: Optional[tuple[DensityFn, DensityFn]] = None,
-                         sf_value: Optional[float] = None,
+                         pair: OrderPair, p_m: DiscreteDist, p_n: DiscreteDist,
+                         sf_value: float,
                          label: str = "state") -> list[RelationReport]:
-    """Binned Tsallis sums against the deformed-log bound with nu = max order."""
-    mixed = as_mixed(state)
-    rep = _rep(mixed, rep)
-    beta = mixed.params.beta
-    if smeared is None:
-        smeared = (smear(rep.u_k, f), smear(rep.w_x, g))
-    p_m = bin_density(smeared[0], bins_zeta)
-    p_n = bin_density(smeared[1], bins_xi)
-    sf = s_f(f, mixed.params) if sf_value is None else sf_value
+    """Binned Tsallis sums against the deformed-log bound with nu = max order.
+
+    Inputs as for check_renyi_binned.
+    """
+    beta = as_mixed(state).params.beta
     kp = kappa(pair)
     nu = max(pair.alpha, pair.gamma)
-    rhs = alpha_log(kp * math.pi / (sf * p_m.delta_max * p_n.delta_max), nu)
+    rhs = alpha_log(kp * math.pi / (sf_value * p_m.delta_max * p_n.delta_max),
+                    nu)
     out = []
     for rid, first, second in (("tsallis_sum_binned", p_m, p_n),
                                ("tsallis_sum_binned_swapped", p_n, p_m)):

@@ -22,7 +22,7 @@ from . import relations as rel
 from .core import catalog_state, make_params
 from .entropy import bin_density
 from .errors import ConfigError, GupcertError
-from .measurement import gaussian_acceptance, s_f, s_f_gaussian_bound, smear
+from .measurement import gaussian_acceptance, s_f, smear
 from .transform import bundle
 
 RECORD_FIELDS = ("relation_id", "state", "beta", "sigma", "alpha", "gamma",
@@ -147,17 +147,17 @@ def _coverage_window(density, frac: float = 3e-7) -> tuple[float, float]:
     from .entropy import density_cdf
 
     x = density.grid.nodes
-    lo, hi = density.window
     cdf = density_cdf(density, x)
+    m_left, m_right = density.tail_masses
 
-    side = density.tail_left
-    if side is not None and side.mass_beyond(abs(lo)) > frac:
+    if m_left > frac:
+        side = density.tail_left
         lo = -((side.coeff / ((side.exponent - 1.0) * frac))
                ** (1.0 / (side.exponent - 1.0)))
     else:
         lo = float(x[max(0, np.searchsorted(cdf, frac, side="right") - 1)])
-    side = density.tail_right
-    if side is not None and side.mass_beyond(hi) > frac:
+    if m_right > frac:
+        side = density.tail_right
         hi = ((side.coeff / ((side.exponent - 1.0) * frac))
               ** (1.0 / (side.exponent - 1.0)))
     else:
@@ -209,57 +209,53 @@ def _verify_cell(spec: dict, beta: float, config: RunConfig) -> list[dict]:
     # take tens of millions of bins; skip the binned set for such cells
     bins_ok = (khi - klo) + (xhi - xlo) < 4e6 * (dmin + dmax) / 2.0
     if bins_ok:
-        bins_k = _random_edges(rng, klo, khi, dmin, dmax)
-        bins_x = _random_edges(rng, xlo, xhi, dmin, dmax)
-        lem_k = rel.check_binning_lemma(rep.u_k, bins_k, beta, label, axis="k")
-        lem_x = rel.check_binning_lemma(rep.w_x, bins_x, beta, label, axis="x")
-        binned = rel.check_binned_shannon(state, bins_k, bins_x, rep, label)
-        dk = float(np.max(np.diff(bins_k)))
-        dx = float(np.max(np.diff(bins_x)))
-        out.append(_record(lem_k, label, beta, delta_k=dk))
-        out.append(_record(lem_x, label, beta, delta_x=dx))
-        out.append(_record(binned, label, beta, delta_k=dk, delta_x=dx))
+        p_k = bin_density(rep.u_k, _random_edges(rng, klo, khi, dmin, dmax))
+        p_x = bin_density(rep.w_x, _random_edges(rng, xlo, xhi, dmin, dmax))
+        dk, dx = p_k.delta_max, p_x.delta_max
+        out.append(_record(rel.check_binning_lemma(rep.u_k, p_k, beta, label,
+                                                   axis="k"),
+                           label, beta, delta_k=dk))
+        out.append(_record(rel.check_binning_lemma(rep.w_x, p_x, beta, label,
+                                                   axis="x"),
+                           label, beta, delta_x=dx))
+        out.append(_record(rel.check_binned_shannon(state, p_k, p_x, rep,
+                                                    label),
+                           label, beta, delta_k=dk, delta_x=dx))
 
     for sigma in config.sigma_grid:
         f = gaussian_acceptance(sigma)
-        g = gaussian_acceptance(sigma)
         sf_val = s_f(f, params)
-        smeared = (smear(rep.u_k, f), smear(rep.w_x, g))
-        for rpt in rel.check_smeared_shannon(state, f, g, rep, smeared,
-                                             sf_val, label):
+        smeared = (smear(rep.u_k, f), smear(rep.w_x, f))
+        for rpt in rel.check_smeared_shannon(state, f, rep, smeared, sf_val,
+                                             label):
             out.append(_record(rpt, label, beta, sigma=sigma))
         zlo, zhi = _coverage_window(smeared[0])
         xilo, xihi = _coverage_window(smeared[1])
         smeared_bins_ok = (zhi - zlo) + (xihi - xilo) < 4e6 * (dmin + dmax) / 2.0
         if smeared_bins_ok:
-            bins_z = _random_edges(rng, zlo, zhi, dmin, dmax)
-            bins_xi = _random_edges(rng, xilo, xihi, dmin, dmax)
+            p_m = bin_density(smeared[0],
+                              _random_edges(rng, zlo, zhi, dmin, dmax))
+            p_n = bin_density(smeared[1],
+                              _random_edges(rng, xilo, xihi, dmin, dmax))
         for pair in pairs:
-            for rpt in rel.check_renyi_smeared(state, f, g, pair, rep,
-                                               smeared, sf_val, label):
+            for rpt in rel.check_renyi_smeared(state, f, pair, rep, smeared,
+                                               sf_val, label):
                 out.append(_record(rpt, label, beta, sigma=sigma,
                                    alpha=pair.alpha, gamma=pair.gamma))
             if not smeared_bins_ok:
                 continue
-            for rpt in rel.check_renyi_binned(state, f, g, pair, bins_z,
-                                              bins_xi, rep, smeared, sf_val,
-                                              label):
+            for rpt in (rel.check_renyi_binned(state, f, pair, p_m, p_n,
+                                               sf_val, label)
+                        + rel.check_tsallis_binned(state, f, pair, p_m, p_n,
+                                                   sf_val, label)):
                 out.append(_record(rpt, label, beta, sigma=sigma,
                                    alpha=pair.alpha, gamma=pair.gamma,
-                                   delta_k=float(np.max(np.diff(bins_z))),
-                                   delta_x=float(np.max(np.diff(bins_xi)))))
-            for rpt in rel.check_tsallis_binned(state, f, g, pair, bins_z,
-                                                bins_xi, rep, smeared, sf_val,
-                                                label):
-                out.append(_record(rpt, label, beta, sigma=sigma,
-                                   alpha=pair.alpha, gamma=pair.gamma,
-                                   delta_k=float(np.max(np.diff(bins_z))),
-                                   delta_x=float(np.max(np.diff(bins_xi)))))
-            p_m = bin_density(smeared[0], bins_z)
+                                   delta_k=p_m.delta_max,
+                                   delta_x=p_n.delta_max))
             rpt = rel.check_norm_ordering(p_m, pair, beta, label)
             out.append(_record(rpt, label, beta, sigma=sigma,
                                alpha=pair.alpha, gamma=pair.gamma,
-                               delta_k=float(np.max(np.diff(bins_z)))))
+                               delta_k=p_m.delta_max))
     return out
 
 
@@ -268,17 +264,8 @@ def _sf_records(config: RunConfig) -> list[dict]:
     for beta in config.beta_grid:
         params = make_params(beta)
         for sigma in config.sigma_grid:
-            f = gaussian_acceptance(sigma)
-            val = s_f(f, params)
-            unit = rel._report("sf_upper_unit", 1.0, val, 1e-12,
-                               rel._digest("sf_upper_unit", "-", beta,
-                                           sigma=sigma))
-            out.append(_record(unit, "-", beta, sigma=sigma))
-            if beta > 0.0:
-                bound = s_f_gaussian_bound(sigma, beta)
-                rpt = rel._report("sf_gaussian_bound", bound, val, 1e-12,
-                                  rel._digest("sf_gaussian_bound", "-", beta,
-                                              sigma=sigma))
+            val = s_f(gaussian_acceptance(sigma), params)
+            for rpt in rel.check_sf_bounds(val, sigma, beta):
                 out.append(_record(rpt, "-", beta, sigma=sigma))
     return out
 
@@ -316,9 +303,7 @@ def run_sweep(config: RunConfig, param: str) -> list[dict]:
             except GupcertError:
                 continue
             rep = bundle(state)
-            corr = rel.correction_term(state, rep)
-            rpt = rel._report("correction_term", corr, 0.0, 1e-10,
-                              rel._digest("correction_term", spec["name"], beta))
+            rpt = rel.check_correction_term(state, rep, spec["name"])
             records.append(_record(rpt, spec["name"], beta))
             for r in rel.check_bbm_corrected(state, rep, spec["name"]):
                 records.append(_record(r, spec["name"], beta))
@@ -332,8 +317,10 @@ def run_sweep(config: RunConfig, param: str) -> list[dict]:
             raise ConfigError(f"sweep state unusable at beta={beta}: {exc}")
         for sigma in config.sigma_grid:
             f = gaussian_acceptance(sigma)
-            for r in rel.check_smeared_shannon(state, f, f, rep,
-                                               label=spec["name"]):
+            smeared = (smear(rep.u_k, f), smear(rep.w_x, f))
+            for r in rel.check_smeared_shannon(state, f, rep, smeared,
+                                               s_f(f, state.params),
+                                               spec["name"]):
                 records.append(_record(r, spec["name"], beta, sigma=sigma))
         records.extend(_sf_records(config))
     else:
@@ -345,10 +332,7 @@ def run_sweep(config: RunConfig, param: str) -> list[dict]:
             raise ConfigError(f"sweep state unusable at beta={beta}: {exc}")
         for a in config.alpha_grid:
             pair = rel.conjugate_order(a)
-            kp = rel.kappa(pair)
-            rpt = rel._report("kappa_value", kp, 0.0, 0.0,
-                              rel._digest("kappa_value", "-", beta,
-                                          alpha=pair.alpha, gamma=pair.gamma))
+            rpt = rel.check_kappa(pair, beta)
             records.append(_record(rpt, "-", beta, alpha=pair.alpha,
                                    gamma=pair.gamma))
             for r in rel.check_beckner(state, pair, rep, spec["name"]):

@@ -56,7 +56,7 @@ def test_criterion_01_entropy_identity():
             v = g.q_density(st)
             u = g.density_q_to_k(v, st.params)
             resid = abs(g.diff_shannon(u).value - g.diff_shannon(v).value
-                        - g.correction_term(st))
+                        - g.correction_term(st, _rep(name, beta, shape, seed)))
             worst = max(worst, resid)
     _criterion(1, f"entropy identity residual <= 1e-6 (worst {worst:.2e})",
                worst <= 1e-6)
@@ -122,9 +122,11 @@ def test_criterion_06_binning_lemma_and_binned_bound():
         xlo, xhi = _coverage_window(rep.w_x)
         bins_k = _random_edges(rng, klo, khi, 0.05, 2.0)
         bins_x = _random_edges(rng, xlo, xhi, 0.05, 2.0)
-        lem_k = g.check_binning_lemma(rep.u_k, bins_k, 1.0, name, "k")
-        lem_x = g.check_binning_lemma(rep.w_x, bins_x, 1.0, name, "x")
-        both = g.check_binned_shannon(st, bins_k, bins_x, rep, name)
+        p_k = g.bin_density(rep.u_k, bins_k)
+        p_x = g.bin_density(rep.w_x, bins_x)
+        lem_k = g.check_binning_lemma(rep.u_k, p_k, 1.0, name, "k")
+        lem_x = g.check_binning_lemma(rep.w_x, p_x, 1.0, name, "x")
+        both = g.check_binned_shannon(st, p_k, p_x, rep, name)
         worst = min(worst, lem_k.margin, lem_x.margin, both.margin)
     _criterion(6, f"binning lemma and binned bound margins >= -1e-8 over "
                   f"random layouts (min {worst:.4f})", worst >= -1e-8)
@@ -168,15 +170,16 @@ def test_criterion_09_beckner_and_renyi_relations():
         sf_val = g.s_f(f, st.params)
         zlo, zhi = _coverage_window(smeared[0])
         xilo, xihi = _coverage_window(smeared[1])
-        bins_z = _random_edges(rng, zlo, zhi, 0.05, 2.0)
-        bins_xi = _random_edges(rng, xilo, xihi, 0.05, 2.0)
+        p_m = g.bin_density(smeared[0], _random_edges(rng, zlo, zhi, 0.05, 2.0))
+        p_n = g.bin_density(smeared[1],
+                            _random_edges(rng, xilo, xihi, 0.05, 2.0))
         for alpha in (1.25, 1.5, 2.0, 3.0):
             pair = g.conjugate_order(alpha)
             reports = list(g.check_beckner(st, pair, rep, name))
-            reports += g.check_renyi_smeared(st, f, f, pair, rep, smeared,
+            reports += g.check_renyi_smeared(st, f, pair, rep, smeared,
                                              sf_val, name)
-            reports += g.check_renyi_binned(st, f, f, pair, bins_z, bins_xi,
-                                            rep, smeared, sf_val, name)
+            reports += g.check_renyi_binned(st, f, pair, p_m, p_n, sf_val,
+                                            name)
             for rpt in reports:
                 if rpt.verdict != "not_applicable":
                     worst = min(worst, rpt.margin)
@@ -207,8 +210,8 @@ def test_criterion_10_tsallis_and_norm_ordering():
         p_n = g.bin_density(smeared[1], bins_xi)
         for alpha in (1.25, 1.5, 2.0, 3.0):
             pair = g.conjugate_order(alpha)
-            for rpt in g.check_tsallis_binned(st, f, f, pair, bins_z, bins_xi,
-                                              rep, smeared, sf_val, name):
+            for rpt in g.check_tsallis_binned(st, f, pair, p_m, p_n, sf_val,
+                                              name):
                 worst = min(worst, rpt.margin)
             worst = min(worst, g.check_norm_ordering(p_m, pair, 1.0).margin,
                         g.check_norm_ordering(p_n, pair, 1.0).margin)

@@ -44,8 +44,8 @@ class TestSmear:
         st_ = g.catalog_state("truncated_gaussian_q", params_0, shape_args=[1.0])
         u = g.bundle(st_).u_k
         out = g.smear(u, g.gaussian_acceptance(2e-4 * 60.0))
-        from gupcert.entropy import _pchip
-        interp = _pchip(u.grid.nodes, u.values)
+        from gupcert.quadrature import pchip
+        interp = pchip(u.grid.nodes, u.values)
         lo, hi = u.window
         diff = np.abs(out.values
                       - np.clip(interp(np.clip(out.grid.nodes, lo, hi)), 0, None))

@@ -6,6 +6,11 @@ import pytest
 import gupcert as g
 
 
+def _smeared_cell(state, rep, f):
+    """Both smeared densities and S_f for one acceptance, as a cell has them."""
+    return (g.smear(rep.u_k, f), g.smear(rep.w_x, f)), g.s_f(f, state.params)
+
+
 class TestKappa:
     def test_endpoints(self):
         assert g.kappa(g.OrderPair(math.inf, 0.5)) == pytest.approx(2.0,
@@ -53,13 +58,13 @@ class TestCorrectionTerm:
     def test_uniform_constant(self, beta):
         p = g.make_params(beta)
         st_ = g.catalog_state("uniform_q", p)
-        corr = g.correction_term(st_)
+        corr = g.correction_term(st_, g.bundle(st_))
         assert corr == pytest.approx(2.0 * math.log(2.0), abs=1e-6)
 
     def test_undeformed_zero(self, params_0):
         st_ = g.catalog_state("truncated_gaussian_q", params_0,
                               shape_args=[1.0])
-        assert g.correction_term(st_) == 0.0
+        assert g.correction_term(st_, g.bundle(st_)) == 0.0
 
     @pytest.mark.parametrize("name,shape,seed", [
         ("uniform_q", (), None),
@@ -75,7 +80,7 @@ class TestCorrectionTerm:
         u = g.density_q_to_k(v, p)
         hk = g.diff_shannon(u).value
         hq = g.diff_shannon(v).value
-        corr = g.correction_term(st_)
+        corr = g.correction_term(st_, g.bundle(st_))
         assert abs(hk - hq - corr) < 1e-6
 
     def test_nonnegative(self, random_state, random_rep):
@@ -158,8 +163,9 @@ class TestShannonRelations:
 
     def test_smeared_margins(self, cosine_state, cosine_rep):
         f = g.gaussian_acceptance(1.0)
-        smeared, resolution = g.check_smeared_shannon(cosine_state, f, f,
-                                                      cosine_rep)
+        smeared, resolution = g.check_smeared_shannon(
+            cosine_state, f, cosine_rep,
+            *_smeared_cell(cosine_state, cosine_rep, f))
         assert smeared.margin >= -1e-8
         assert resolution.margin >= -1e-8
 
@@ -167,20 +173,26 @@ class TestShannonRelations:
                                                 cosine_rep):
         f = g.gaussian_acceptance(0.5)
         _, corrected = g.check_bbm_corrected(cosine_state, cosine_rep)
-        smeared, _ = g.check_smeared_shannon(cosine_state, f, f, cosine_rep)
+        smeared, _ = g.check_smeared_shannon(
+            cosine_state, f, cosine_rep,
+            *_smeared_cell(cosine_state, cosine_rep, f))
         assert smeared.margin >= corrected.margin - 1e-8
 
     def test_narrow_acceptance_approaches_unsmeared(self, cosine_state,
                                                     cosine_rep):
         f = g.gaussian_acceptance(0.002)
         _, corrected = g.check_bbm_corrected(cosine_state, cosine_rep)
-        smeared, _ = g.check_smeared_shannon(cosine_state, f, f, cosine_rep)
+        smeared, _ = g.check_smeared_shannon(
+            cosine_state, f, cosine_rep,
+            *_smeared_cell(cosine_state, cosine_rep, f))
         assert abs(smeared.margin - corrected.margin) < 1e-3
 
     def test_wide_acceptance_raises_resolution_bound(self, cosine_state,
                                                      cosine_rep, params_1):
         f = g.gaussian_acceptance(10.0)
-        _, resolution = g.check_smeared_shannon(cosine_state, f, f, cosine_rep)
+        _, resolution = g.check_smeared_shannon(
+            cosine_state, f, cosine_rep,
+            *_smeared_cell(cosine_state, cosine_rep, f))
         assert resolution.rhs > g.LN_E_PI  # S_f < 1 tightens the bound
         assert resolution.margin >= -1e-8
 
@@ -191,13 +203,19 @@ class TestShannonRelations:
         xlo, xhi = _coverage_window(cosine_rep.w_x)
         bins_k = _random_edges(rng, klo, khi, 0.05, 2.0)
         bins_x = _random_edges(rng, xlo, xhi, 0.05, 2.0)
-        rpt = g.check_binned_shannon(cosine_state, bins_k, bins_x, cosine_rep)
+        rpt = g.check_binned_shannon(cosine_state,
+                                     g.bin_density(cosine_rep.u_k, bins_k),
+                                     g.bin_density(cosine_rep.w_x, bins_x),
+                                     cosine_rep)
         assert rpt.margin >= -1e-8
 
     def test_coarse_bins_vacuous(self, cosine_state, cosine_rep):
         bins_k = np.array([-120.0, 0.0, 120.0])
         bins_x = np.array([-60.0, 0.0, 60.0])
-        rpt = g.check_binned_shannon(cosine_state, bins_k, bins_x, cosine_rep)
+        rpt = g.check_binned_shannon(cosine_state,
+                                     g.bin_density(cosine_rep.u_k, bins_k),
+                                     g.bin_density(cosine_rep.w_x, bins_x),
+                                     cosine_rep)
         assert rpt.rhs < 0.0
         assert rpt.margin > 1.0
 
@@ -226,7 +244,9 @@ class TestBecknerAndRenyi:
     def test_renyi_smeared(self, cosine_state, cosine_rep):
         f = g.gaussian_acceptance(1.0)
         pair = g.conjugate_order(2.0)
-        reports = g.check_renyi_smeared(cosine_state, f, f, pair, cosine_rep)
+        reports = g.check_renyi_smeared(
+            cosine_state, f, pair, cosine_rep,
+            *_smeared_cell(cosine_state, cosine_rep, f))
         assert len(reports) == 4
         for rpt in reports:
             assert rpt.margin >= -1e-8
@@ -235,9 +255,11 @@ class TestBecknerAndRenyi:
                                           params_1):
         f = g.gaussian_acceptance(2.0)
         pair = g.conjugate_order(2.0)
-        strict = g.check_renyi_smeared(cosine_state, f, f, pair, cosine_rep)
-        relaxed = g.check_renyi_smeared(cosine_state, f, f, pair, cosine_rep,
-                                        sf_value=1.0)
+        smeared, sf_val = _smeared_cell(cosine_state, cosine_rep, f)
+        strict = g.check_renyi_smeared(cosine_state, f, pair, cosine_rep,
+                                       smeared, sf_val)
+        relaxed = g.check_renyi_smeared(cosine_state, f, pair, cosine_rep,
+                                        smeared, sf_value=1.0)
         assert relaxed[0].margin > strict[0].margin
         assert relaxed[0].margin >= -1e-8
 
@@ -245,20 +267,19 @@ class TestBecknerAndRenyi:
         from gupcert.suite import _coverage_window, _random_edges
         f = g.gaussian_acceptance(1.0)
         pair = g.conjugate_order(2.0)
-        smeared = (g.smear(cosine_rep.u_k, f), g.smear(cosine_rep.w_x, f))
+        smeared, sf_val = _smeared_cell(cosine_state, cosine_rep, f)
         rng = np.random.default_rng(9)
         zlo, zhi = _coverage_window(smeared[0])
         xlo, xhi = _coverage_window(smeared[1])
-        bins_z = _random_edges(rng, zlo, zhi, 0.05, 2.0)
-        bins_x = _random_edges(rng, xlo, xhi, 0.05, 2.0)
-        for rpt in g.check_renyi_binned(cosine_state, f, f, pair, bins_z,
-                                        bins_x, cosine_rep, smeared):
+        p_m = g.bin_density(smeared[0], _random_edges(rng, zlo, zhi, 0.05, 2.0))
+        p_n = g.bin_density(smeared[1], _random_edges(rng, xlo, xhi, 0.05, 2.0))
+        for rpt in g.check_renyi_binned(cosine_state, f, pair, p_m, p_n,
+                                        sf_val):
             assert rpt.margin >= -1e-8
-        for rpt in g.check_tsallis_binned(cosine_state, f, f, pair, bins_z,
-                                          bins_x, cosine_rep, smeared):
+        for rpt in g.check_tsallis_binned(cosine_state, f, pair, p_m, p_n,
+                                          sf_val):
             assert rpt.margin >= -1e-8
-        dist = g.bin_density(smeared[0], bins_z)
-        assert g.check_norm_ordering(dist, pair, 1.0).margin >= -1e-12
+        assert g.check_norm_ordering(p_m, pair, 1.0).margin >= -1e-12
 
     def test_randomized_margins_sweep(self):
         # a slice of the randomized certification: every applicable check
@@ -278,12 +299,12 @@ class TestBecknerAndRenyi:
                 reports.append(g.robertson_margin(st_, rep))
                 smeared = (g.smear(rep.u_k, f), g.smear(rep.w_x, f))
                 sf_val = g.s_f(f, p)
-                reports += g.check_smeared_shannon(st_, f, f, rep, smeared,
+                reports += g.check_smeared_shannon(st_, f, rep, smeared,
                                                    sf_val)
                 for alpha in (1.5, 3.0):
                     pair = g.conjugate_order(alpha)
                     reports += g.check_beckner(st_, pair, rep)
-                    reports += g.check_renyi_smeared(st_, f, f, pair, rep,
+                    reports += g.check_renyi_smeared(st_, f, pair, rep,
                                                      smeared, sf_val)
                 for rpt in reports:
                     if rpt.verdict != "not_applicable":
@@ -295,15 +316,15 @@ class TestBecknerAndRenyi:
         from gupcert.suite import _coverage_window
         f = g.gaussian_acceptance(1.0)
         pair = g.OrderPair(1.0, 1.0)
-        smeared = (g.smear(cosine_rep.u_k, f), g.smear(cosine_rep.w_x, f))
+        smeared, sf_val = _smeared_cell(cosine_state, cosine_rep, f)
         zlo, zhi = _coverage_window(smeared[0])
         xlo, xhi = _coverage_window(smeared[1])
         bins_z = np.linspace(zlo, zhi, int((zhi - zlo) / 0.5) + 2)
         bins_x = np.linspace(xlo, xhi, int((xhi - xlo) / 0.5) + 2)
-        ts = g.check_tsallis_binned(cosine_state, f, f, pair, bins_z, bins_x,
-                                    cosine_rep, smeared)
-        ren = g.check_renyi_binned(cosine_state, f, f, pair, bins_z, bins_x,
-                                   cosine_rep, smeared)
+        p_m = g.bin_density(smeared[0], bins_z)
+        p_n = g.bin_density(smeared[1], bins_x)
+        ts = g.check_tsallis_binned(cosine_state, f, pair, p_m, p_n, sf_val)
+        ren = g.check_renyi_binned(cosine_state, f, pair, p_m, p_n, sf_val)
         # with nu = 1 the deformed log is the log: same bound as Shannon form
         assert ts[0].rhs == pytest.approx(ren[0].rhs, abs=1e-12)
         assert ts[0].lhs == pytest.approx(ren[0].lhs, abs=1e-12)

@@ -158,8 +158,8 @@ class TestFourier:
         st_ = g.catalog_state("truncated_gaussian_q", p_small, shape_args=[1.0])
         v = g.q_density(st_)
         u = g.density_q_to_k(v, p_small)
-        from gupcert.entropy import _pchip
-        interp = _pchip(v.grid.nodes, v.values)
+        from gupcert.quadrature import pchip
+        interp = pchip(v.grid.nodes, v.values)
         sel = np.abs(u.grid.nodes) < 20.0
         diff = np.abs(u.values[sel] - interp(u.grid.nodes[sel]))
         l1 = float(np.trapezoid(diff, u.grid.nodes[sel]))
