@@ -22,7 +22,7 @@ from .errors import (ConfigError, ContractError, DegenerateStateError,
                      MomentDivergenceError, NormDivergenceError,
                      ResolutionError)
 from .measurement import (AcceptanceFn, custom_acceptance, gaussian_acceptance,
-                          j_profile, s_f, s_f_gaussian_bound, smear, smear_grid)
+                          j_profile, s_f, s_f_gaussian_bound, smear)
 from .relations import (LN_E_PI, LinearizationReport, RelationReport,
                         check_bbm_corrected, check_beckner, check_binned_shannon,
                         check_binning_lemma, check_correction_term,

@@ -11,29 +11,29 @@ sub-normalized kernel
 
 and its supremum S_f over zeta quantify how much the minimal length tightens
 smeared entropic bounds.  For a Gaussian acceptance the kernel is a Voigt
-profile, so J is evaluated through the Faddeeva function; custom tabulated
-profiles fall back to adaptive quadrature, and the two routes cross-check
-each other in the tests.
+profile, so J is evaluated through the Faddeeva function.  A tabulated |f|^2
+vanishes off its table, so there J is a finite Gauss-Legendre sum over the
+table intervals; the tests cross-check it against the Voigt form and against
+adaptive quadrature of the same interpolant.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import CubicSpline, PchipInterpolator
 from scipy.optimize import minimize_scalar
 from scipy.special import ndtr, wofz
 
 from .core import DensityFn, Domain, Grid, MinLengthParams
 from .errors import InvalidParameterError, ResolutionError
-from .quadrature import uniform_rule
+from .quadrature import composite_rule, dense_sum
 
 _SMEAR_TAG = {Domain.K: Domain.ZETA, Domain.X: Domain.XI}
+_TABLE_GAUSS = 8  # Gauss nodes per panel of the tabulated-profile J rule
 
 
 @dataclass(frozen=True)
@@ -94,9 +94,14 @@ def gaussian_acceptance(sigma: float) -> AcceptanceFn:
 def custom_acceptance(nodes, values) -> AcceptanceFn:
     """Tabulated |f|^2 profile; renormalized exactly, rejected if far off."""
     nodes = np.asarray(nodes, dtype=float)
-    values = np.clip(np.asarray(values, dtype=float), 0.0, None)
+    values = np.asarray(values, dtype=float)
     if nodes.ndim != 1 or nodes.shape != values.shape or nodes.size < 4:
         raise InvalidParameterError("need matching 1-d tables with >= 4 points")
+    if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(values))):
+        raise InvalidParameterError("table nodes and values must be finite")
+    if np.any(np.diff(nodes) <= 0.0):
+        raise InvalidParameterError("table nodes must be strictly increasing")
+    values = np.clip(values, 0.0, None)
     total = float(np.trapezoid(values, nodes))
     if not 0.5 < total < 2.0:
         raise InvalidParameterError("tabulated profile is too far from normalized")
@@ -116,20 +121,6 @@ def _feature_scale(density: DensityFn) -> float:
     lo = x[np.argmax(above)]
     hi = x[len(x) - 1 - np.argmax(above[::-1])]
     return max(0.5 * (hi - lo), 1e-6)
-
-
-def smear_grid(density: DensityFn, f: AcceptanceFn) -> Grid:
-    """Uniform output grid covering the density bulk broadened by the reach."""
-    scale = _feature_scale(density)
-    h = max(f.width, scale) / 8.0
-    lo, hi = density.window
-    bulk = _bulk_window(density)
-    lo_out = max(lo, bulk[0]) - f.reach - 2.0 * f.width
-    hi_out = min(hi, bulk[1]) + f.reach + 2.0 * f.width
-    n = int((hi_out - lo_out) / h) + 2
-    nodes, weights = uniform_rule(lo_out, hi_out, n)
-    tag = _SMEAR_TAG.get(density.grid.domain_tag, Domain.ZETA)
-    return Grid(nodes=nodes, weights=weights, domain_tag=tag)
 
 
 def _bulk_window(density: DensityFn) -> tuple[float, float]:
@@ -222,57 +213,44 @@ def _lattice_input(density: DensityFn, f: AcceptanceFn):
     return lattice, vals, float(lattice[1] - lattice[0]), out_lo, out_hi
 
 
-def smear(density: DensityFn, f: AcceptanceFn,
-          out_grid: Grid | None = None) -> DensityFn:
+def smear(density: DensityFn, f: AcceptanceFn) -> DensityFn:
     """Convolve a density with |f|^2 on a uniform output lattice.
 
     The output window cannot capture slowly decaying inputs entirely; what
     falls outside is bookkept exactly through the acceptance CDF and modeled
     by the input's tail fit (far from the window the smeared and raw
     densities agree to the order of the tail curvature, so the input model
-    carries over).  When an explicit nonuniform out_grid is given, the sum
-    runs directly over the input grid; resolution is then limited by the
-    input node spacing.
+    carries over).
     """
     from scipy.signal import fftconvolve
 
     tag = _SMEAR_TAG.get(density.grid.domain_tag, Domain.ZETA)
-    if out_grid is None:
-        lattice, lat_vals, h, i_lo, i_hi = _lattice_input(density, f)
-        m = int(math.ceil(f.reach / h)) + 1
-        kernel = f.density(np.arange(-m, m + 1) * h)
-        conv = fftconvolve(lat_vals * h, kernel, mode="full")
+    lattice, lat_vals, h, i_lo, i_hi = _lattice_input(density, f)
+    m = int(math.ceil(f.reach / h)) + 1
+    kernel = f.density(np.arange(-m, m + 1) * h)
+    src_masses = lat_vals * h
+    conv = fftconvolve(src_masses, kernel, mode="full")
 
-        # conv index j + m corresponds to lattice node j.  On a side whose
-        # tail model holds material mass at the cut, the output stops there
-        # and the model takes over (sources extend one reach further to feed
-        # full inflow); otherwise essentially nothing lives beyond the
-        # lattice and the output extends the full kernel reach past it.
-        def _cut(side, position):
-            return side is not None and side.mass_beyond(abs(position)) > 1e-6
+    # conv index j + m corresponds to lattice node j.  On a side whose
+    # tail model holds material mass at the cut, the output stops there
+    # and the model takes over (sources extend one reach further to feed
+    # full inflow); otherwise essentially nothing lives beyond the
+    # lattice and the output extends the full kernel reach past it.
+    def _cut(side, position):
+        return side is not None and side.mass_beyond(abs(position)) > 1e-6
 
-        c_lo = m + i_lo if _cut(density.tail_left, lattice[i_lo]) else 0
-        c_hi = m + i_hi if _cut(density.tail_right, lattice[i_hi - 1]) \
-            else conv.size
-        nodes = lattice[0] + (np.arange(c_lo, c_hi) - m) * h
-        u_out = conv[c_lo:c_hi]
-        w = np.full(nodes.size, h)
-        w[0] = w[-1] = 0.5 * h
-        out_grid = Grid(nodes=nodes, weights=w, domain_tag=tag)
-        src_nodes, src_masses = lattice, lat_vals * h
-    else:
-        k = density.grid.nodes
-        src_nodes, src_masses = k, density.grid.weights * density.values
-        zeta = out_grid.nodes
-        u_out = np.empty(zeta.size)
-        chunk = max(1, int(4_000_000 // max(k.size, 1)))
-        for i in range(0, zeta.size, chunk):
-            block = f.density(zeta[i:i + chunk, None] - k[None, :])
-            u_out[i:i + chunk] = block @ src_masses
+    c_lo = m + i_lo if _cut(density.tail_left, lattice[i_lo]) else 0
+    c_hi = m + i_hi if _cut(density.tail_right, lattice[i_hi - 1]) \
+        else conv.size
+    nodes = lattice[0] + (np.arange(c_lo, c_hi) - m) * h
+    u_out = conv[c_lo:c_hi]
+    w = np.full(nodes.size, h)
+    w[0] = w[-1] = 0.5 * h
+    out_grid = Grid(nodes=nodes, weights=w, domain_tag=tag)
 
     lo, hi = float(out_grid.nodes[0]), float(out_grid.nodes[-1])
     captured = float(np.dot(src_masses,
-                            f.window_mass(lo - src_nodes, hi - src_nodes)))
+                            f.window_mass(lo - lattice, hi - lattice)))
     # sources dropped by the lattice restriction sit beyond the output
     # window's reach, so their in-window contribution is negligible
     tail_mass = max(0.0, 1.0 - captured)
@@ -306,20 +284,29 @@ def _gaussian_j(zeta, sigma: float, beta: float):
     return math.pi / math.sqrt(beta) * voigt
 
 
-def _quad_j(zeta: float, f: AcceptanceFn, beta: float) -> float:
-    lo = min(0.0, zeta) - 1.2 * f.reach
-    hi = max(0.0, zeta) + 1.2 * f.reach
+def _table_j(f: AcceptanceFn, beta: float):
+    """J of a tabulated profile as a function of a zeta array.
 
-    def integrand(k):
-        return float(f.density(zeta - k)) / (1.0 + beta * k * k)
+    |f|^2 vanishes off its table, so J(zeta) is the finite integral of
+    |f(t)|^2 / (1 + beta (zeta - t)^2) over the table.  Each table interval
+    is split into panels no wider than the Lorentzian width 1/sqrt(beta);
+    a Gauss-Legendre rule on those panels integrates the piecewise-cubic
+    |f|^2 times the Lorentzian to near machine precision.  The rule and its
+    |f|^2 masses are built once; every zeta reuses them.
+    """
+    t = f.table_nodes
+    # cumulative panel count at each table node; interpolating positions
+    # against it splits every interval into equal panels
+    per = np.ceil(np.diff(t) * math.sqrt(beta))
+    count = np.concatenate([[0.0], np.cumsum(per)])
+    edges = np.interp(np.arange(count[-1] + 1), count, t)
+    nodes, weights = composite_rule(edges, _TABLE_GAUSS)
+    masses = weights * f.density(nodes)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        parts = [quad(integrand, lo, hi, limit=200, epsabs=1e-11,
-                      epsrel=1e-10)[0]]
-        parts.append(quad(integrand, hi, np.inf, limit=200, epsabs=1e-12)[0])
-        parts.append(quad(integrand, -np.inf, lo, limit=200, epsabs=1e-12)[0])
-    return float(sum(parts))
+    def j(zeta: np.ndarray) -> np.ndarray:
+        return dense_sum(lambda z, s: 1.0 / (1.0 + beta * (z - s) ** 2),
+                         zeta, nodes, masses)
+    return j
 
 
 def j_profile(f: AcceptanceFn, params: MinLengthParams,
@@ -330,7 +317,7 @@ def j_profile(f: AcceptanceFn, params: MinLengthParams,
         return np.ones_like(zeta)
     if f.kind == "gaussian":
         return _gaussian_j(zeta, f.sigma, params.beta)
-    return np.array([_quad_j(z, f, params.beta) for z in zeta])
+    return _table_j(f, params.beta)(zeta)
 
 
 def s_f(f: AcceptanceFn, params: MinLengthParams) -> float:
@@ -339,19 +326,20 @@ def s_f(f: AcceptanceFn, params: MinLengthParams) -> float:
     For a symmetric unimodal |f|^2 the convolution with the even unimodal
     Lorentzian-type factor is itself even and unimodal, so the supremum is
     certified at zeta = 0.  Custom profiles get a coarse scan plus bounded
-    scalar minimization with tolerance 1e-8.
+    scalar minimization with tolerance 1e-8, both on one table rule.
     """
     if not params.deformed:
         return 1.0
     if f.kind == "gaussian":
         return float(_gaussian_j(0.0, f.sigma, params.beta))
+    j = _table_j(f, params.beta)
     span = f.reach + 6.0 * f.width
     zs = np.linspace(-span, span, 241)
-    js = np.array([_quad_j(z, f, params.beta) for z in zs])
+    js = j(zs)
     i = int(np.argmax(js))
     lo = zs[max(i - 1, 0)]
     hi = zs[min(i + 1, zs.size - 1)]
-    res = minimize_scalar(lambda z: -_quad_j(float(z), f, params.beta),
+    res = minimize_scalar(lambda z: -float(j(np.array([z]))[0]),
                           bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-8})
     return float(max(js[i], -res.fun))

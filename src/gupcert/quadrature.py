@@ -17,6 +17,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.special import roots_legendre
 
 ENTROPY_FLOOR = 1e-300  # below this a density value is treated as exact zero
+_BLOCK_ENTRIES = 4_000_000  # kernel matrix entries formed at once by dense_sum
 
 
 @lru_cache(maxsize=128)
@@ -25,20 +26,12 @@ def _gl_rule(n: int):
     return x, w
 
 
-def panel_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights mapped onto the open panel (a, b)."""
-    x, w = _gl_rule(n)
-    half = 0.5 * (b - a)
-    return a + half * (x + 1.0), half * w
-
-
 def composite_rule(breakpoints, n_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = [], []
-    for a, b in zip(breakpoints[:-1], breakpoints[1:]):
-        x, w = panel_nodes(a, b, n_per_panel)
-        nodes.append(x)
-        weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    """Gauss-Legendre rule, n_per_panel nodes on each panel of breakpoints."""
+    edges = np.asarray(breakpoints, dtype=float)
+    x, w = _gl_rule(n_per_panel)
+    a, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
+    return (a + half * (x + 1.0)).ravel(), (half * w).ravel()
 
 
 def interval_breakpoints(half_width: float, scale: float,
@@ -72,14 +65,18 @@ def symmetric_rule(half_width: float, scale: float, n_per_panel: int,
     return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
 
 
-def uniform_rule(lo: float, hi: float, n: int):
-    """Uniform nodes with trapezoid weights."""
-    x = np.linspace(lo, hi, n)
-    h = x[1] - x[0]
-    w = np.full(n, h)
-    w[0] = 0.5 * h
-    w[-1] = 0.5 * h
-    return x, w
+def dense_sum(kernel, targets: np.ndarray, nodes: np.ndarray,
+              coeff: np.ndarray) -> np.ndarray:
+    """sum_j kernel(targets[i], nodes[j]) * coeff[j] for every target i.
+
+    `kernel` is called on broadcast (block, 1) and (1, nodes) arrays; rows are
+    formed in blocks of about _BLOCK_ENTRIES entries, which bounds memory
+    whatever the number of targets.
+    """
+    chunk = max(1, _BLOCK_ENTRIES // max(nodes.size, 1))
+    return np.concatenate([
+        kernel(targets[i:i + chunk, None], nodes[None, :]) @ coeff
+        for i in range(0, targets.size, chunk)])
 
 
 def entropy_sum(weights: np.ndarray, values: np.ndarray) -> float:

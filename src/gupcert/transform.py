@@ -23,7 +23,7 @@ import numpy as np
 from .core import (DensityFn, Domain, Grid, MinLengthParams, MixedState,
                    PureState, as_mixed, normalize)
 from .errors import ContractError, DomainError, ResolutionError
-from .quadrature import composite_rule, symmetric_rule
+from .quadrature import composite_rule, dense_sum
 from .tails import TailSide, fit_power_tail
 
 _X_NODE_BUDGET = 320_000
@@ -162,6 +162,14 @@ def _reeval_source(state: PureState):
     return interp, 1.0
 
 
+def _fourier_sum(targets: np.ndarray, nodes: np.ndarray, coeff: np.ndarray,
+                 sign: float) -> np.ndarray:
+    """(2 pi)^{-1/2} sum_j e^{sign i t n_j} coeff_j at every target t."""
+    out = dense_sum(lambda t, n: np.exp(sign * 1j * t * n),
+                    targets, nodes, coeff)
+    return out / math.sqrt(2.0 * math.pi)
+
+
 def fourier_q_to_x(state: PureState, x_grid: Grid) -> np.ndarray:
     """Evaluate psi on the given X grid by quadrature against e^{iqx}."""
     if abs(state.norm_sq() - 1.0) > 1e-8:
@@ -169,32 +177,15 @@ def fourier_q_to_x(state: PureState, x_grid: Grid) -> np.ndarray:
     x = x_grid.nodes
     x_max = float(max(abs(x[0]), abs(x[-1])))
     q, coeff = _transform_rule(state, x_max)
-    out = np.empty(x.size, dtype=complex)
-    chunk = max(1, int(4_000_000 // max(q.size, 1)))
-    for i in range(0, x.size, chunk):
-        phase = np.exp(1j * x[i:i + chunk, None] * q[None, :])
-        out[i:i + chunk] = phase @ coeff
-    return out / math.sqrt(2.0 * math.pi)
+    return _fourier_sum(x, q, coeff, 1.0)
 
 
 def fourier_x_to_q(psi: np.ndarray, x_grid: Grid, params: MinLengthParams,
-                   q_grid: Grid | None = None) -> PureState:
-    """Inverse transform restricted to (-q0, q0); no renormalization applied."""
-    if q_grid is None:
-        if not math.isfinite(params.q0):
-            raise ContractError("beta = 0 needs an explicit target Q grid")
-        nodes, weights = symmetric_rule(params.q0, params.q0, 32, graded=False)
-        q_grid = Grid(nodes=nodes, weights=weights, domain_tag=Domain.Q)
-    x = x_grid.nodes
+                   q_grid: Grid) -> PureState:
+    """Inverse transform onto q_grid inside (-q0, q0); no renormalization."""
     coeff = x_grid.weights * np.asarray(psi, dtype=complex)
-    q = q_grid.nodes
-    amp = np.empty(q.size, dtype=complex)
-    chunk = max(1, int(4_000_000 // max(x.size, 1)))
-    for i in range(0, q.size, chunk):
-        phase = np.exp(-1j * q[i:i + chunk, None] * x[None, :])
-        amp[i:i + chunk] = phase @ coeff
-    return PureState(grid=q_grid, amplitudes=amp / math.sqrt(2.0 * math.pi),
-                     params=params)
+    amp = _fourier_sum(q_grid.nodes, x_grid.nodes, coeff, -1.0)
+    return PureState(grid=q_grid, amplitudes=amp, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +289,7 @@ def _psi_sq_on(mixed: MixedState, nodes: np.ndarray, x_max: float) -> np.ndarray
     out = np.zeros(nodes.size)
     for lam, comp in mixed.components:
         q, coeff = _transform_rule(comp, x_max)
-        chunk = max(1, int(4_000_000 // max(q.size, 1)))
-        psi = np.empty(nodes.size, dtype=complex)
-        for i in range(0, nodes.size, chunk):
-            phase = np.exp(1j * nodes[i:i + chunk, None] * q[None, :])
-            psi[i:i + chunk] = phase @ coeff
-        out += lam * np.abs(psi / math.sqrt(2.0 * math.pi)) ** 2
+        out += lam * np.abs(_fourier_sum(nodes, q, coeff, 1.0)) ** 2
     return out
 
 
@@ -344,9 +330,9 @@ def x_density(state: PureState | MixedState) -> DensityFn:
             w_vals = _psi_sq_on(mixed, nodes, half_span)
         else:
             grow = (n - w_vals.size) // 2
-            fresh_lo = _psi_sq_on(mixed, nodes[:grow], half_span)
-            fresh_hi = _psi_sq_on(mixed, nodes[-grow:], half_span)
-            w_vals = np.concatenate([fresh_lo, w_vals, fresh_hi])
+            ends = np.concatenate([nodes[:grow], nodes[-grow:]])
+            fresh = _psi_sq_on(mixed, ends, half_span)
+            w_vals = np.concatenate([fresh[:grow], w_vals, fresh[grow:]])
         weights = np.full(n, h)
         weights[0] = weights[-1] = 0.5 * h
         grid = Grid(nodes=nodes, weights=weights, domain_tag=Domain.X)

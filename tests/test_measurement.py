@@ -2,10 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import erfc
 
 import gupcert as g
 from gupcert.measurement import _gaussian_j
+from gupcert.quadrature import pchip
+
+
+def _raised_cosine2():
+    """Raised-cosine-squared |f|^2 table: 513 nodes on [-3, 3], unit mass."""
+    t = np.linspace(-3.0, 3.0, 513)
+    return t, (0.5 * (1.0 + np.cos(math.pi * t / 3.0))) ** 2 / 2.25
 
 
 class TestGaussianAcceptance:
@@ -44,7 +52,6 @@ class TestSmear:
         st_ = g.catalog_state("truncated_gaussian_q", params_0, shape_args=[1.0])
         u = g.bundle(st_).u_k
         out = g.smear(u, g.gaussian_acceptance(2e-4 * 60.0))
-        from gupcert.quadrature import pchip
         interp = pchip(u.grid.nodes, u.values)
         lo, hi = u.window
         diff = np.abs(out.values
@@ -67,12 +74,17 @@ class TestSmear:
         assert hm >= hk - 1e-8
         assert hn >= hx - 1e-8
 
-    def test_narrow_window_raises(self, uniform_rep):
-        nodes, weights = np.linspace(-0.5, 0.5, 51), np.full(51, 0.02)
-        weights[0] = weights[-1] = 0.01
-        tiny = g.Grid(nodes=nodes, weights=weights, domain_tag=g.Domain.ZETA)
-        with pytest.raises(g.ResolutionError):
-            g.smear(uniform_rep.u_k, g.gaussian_acceptance(0.2), out_grid=tiny)
+    def test_narrow_window_raises(self):
+        # mass declared outside the window with no tail model to place it
+        nodes = np.linspace(-8.0, 8.0, 1601)
+        weights = np.full(nodes.size, 0.01)
+        weights[0] = weights[-1] = 0.005
+        grid = g.Grid(nodes=nodes, weights=weights, domain_tag=g.Domain.K)
+        values = np.exp(-0.5 * nodes ** 2)
+        values *= (1.0 - 1e-4) / grid.integrate(values)
+        lossy = g.DensityFn(grid=grid, values=values, tail_mass_bound=1e-4)
+        with pytest.raises(g.ResolutionError, match="no tail model"):
+            g.smear(lossy, g.gaussian_acceptance(0.2))
 
 
 class TestJProfile:
@@ -91,11 +103,43 @@ class TestJProfile:
     def test_subnormalized_and_even(self, params_1):
         grid = g.Grid(nodes=np.linspace(-10, 10, 41), weights=np.full(41, 0.5),
                       domain_tag=g.Domain.ZETA)
-        j = g.j_profile(g.gaussian_acceptance(0.7), params_1, grid)
-        assert np.all(j <= 1.0 + 1e-12)
-        assert np.all(j > 0.0)
-        assert np.allclose(j, j[::-1], atol=1e-12)
-        assert np.argmax(j) == 20  # symmetric unimodal peak at zero
+        table = g.custom_acceptance(*_raised_cosine2())
+        for f in (g.gaussian_acceptance(0.7), table):
+            j = g.j_profile(f, params_1, grid)
+            assert np.all(j <= 1.0 + 1e-12)
+            assert np.all(j > 0.0)
+            assert np.allclose(j, j[::-1], atol=1e-12)
+            assert np.argmax(j) == 20  # symmetric unimodal peak at zero
+
+    @pytest.mark.parametrize("beta", [1.0, 10.0, 1e3])
+    def test_table_matches_quadrature(self, beta):
+        # oracle: adaptive quadrature of the same monotone interpolant, one
+        # table interval at a time so no kink falls inside a quad panel
+        f = g.custom_acceptance(*_raised_cosine2())
+        t = f.table_nodes
+        interp = pchip(t, f.table_values)
+        zetas = np.array([-1.0, 0.0, 2.0])
+        grid = g.Grid(nodes=zetas, weights=np.ones(3), domain_tag=g.Domain.ZETA)
+        j = g.j_profile(f, g.make_params(beta), grid)
+        for z, value in zip(zetas, j):
+            ref = sum(quad(lambda s: interp(s) / (1.0 + beta * (z - s) ** 2),
+                           a, b, epsabs=1e-15, epsrel=1e-13)[0]
+                      for a, b in zip(t[:-1], t[1:]))
+            assert value == pytest.approx(ref, abs=1e-7)
+
+    def test_gaussian_table_matches_voigt(self):
+        for sigma in np.geomspace(0.05, 50.0, 7):
+            nodes = np.linspace(-10.0 * sigma, 10.0 * sigma, 2001)
+            vals = np.exp(-0.5 * (nodes / sigma) ** 2) \
+                / (sigma * math.sqrt(2 * math.pi))
+            f = g.custom_acceptance(nodes, vals)
+            zetas = np.array([-sigma, 0.0, 2.5 * sigma])
+            grid = g.Grid(nodes=zetas, weights=np.ones(3),
+                          domain_tag=g.Domain.ZETA)
+            for beta in np.geomspace(1e-3, 1e3, 7):
+                j = g.j_profile(f, g.make_params(beta), grid)
+                assert np.allclose(j, _gaussian_j(zetas, sigma, beta),
+                                   rtol=0.0, atol=1e-7)
 
 
 class TestSF:
@@ -141,5 +185,16 @@ class TestSF:
         assert sf_custom == pytest.approx(sf_exact, abs=5e-6)
 
     def test_custom_rejects_bad_table(self):
-        with pytest.raises(g.InvalidParameterError):
-            g.custom_acceptance(np.linspace(-1, 1, 16), np.full(16, 40.0))
+        ones = np.full(5, 0.5)
+        bad = [
+            (np.linspace(-1, 1, 16), np.full(16, 40.0)),    # far from normalized
+            (np.array([0.0, 0.0, 1.0, 2.0, 3.0]), ones),    # repeated node
+            (np.array([3.0, 2.0, 1.0, 0.0, -1.0]), ones),   # decreasing
+            (np.array([0.0, 1.0, np.nan, 3.0, 4.0]), ones),
+            (np.array([0.0, 1.0, 2.0, 3.0, np.inf]), ones),
+            (np.arange(5.0), np.array([0.5, 0.5, np.nan, 0.5, 0.5])),
+            (np.arange(5.0), np.array([0.5, 0.5, -np.inf, 0.5, 0.5])),
+        ]
+        for nodes, values in bad:
+            with pytest.raises(g.InvalidParameterError):
+                g.custom_acceptance(nodes, values)

@@ -152,6 +152,23 @@ class TestFourier:
         floor = math.sqrt(max(w.tail_mass_bound, 1e-18))
         assert math.sqrt(err2) < max(8.0 * floor, 1e-6)
 
+    def test_one_evaluation_per_extension_pass(self, uniform_state,
+                                               monkeypatch):
+        # each window pass evaluates only its new nodes, both ends at once
+        from gupcert import transform
+
+        sizes = []
+        real = transform._psi_sq_on
+
+        def spy(mixed, nodes, x_max):
+            sizes.append(nodes.size)
+            return real(mixed, nodes, x_max)
+
+        monkeypatch.setattr(transform, "_psi_sq_on", spy)
+        w = g.x_density(uniform_state)
+        assert len(sizes) == 4
+        assert sum(sizes) == len(w.grid) == 7789
+
     def test_beta_to_zero_continuity(self):
         # narrow state: u at tiny beta agrees with v reinterpreted on one axis
         p_small = g.make_params(1e-6)
