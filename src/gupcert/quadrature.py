@@ -66,17 +66,24 @@ def symmetric_rule(half_width: float, scale: float, n_per_panel: int,
 
 
 def dense_sum(kernel, targets: np.ndarray, nodes: np.ndarray,
-              coeff: np.ndarray) -> np.ndarray:
-    """sum_j kernel(targets[i], nodes[j]) * coeff[j] for every target i.
+              *coeffs: np.ndarray):
+    """sum_j kernel(targets[i], nodes[j]) * c[j] for every target i and c.
 
     `kernel` is called on broadcast (block, 1) and (1, nodes) arrays; rows are
     formed in blocks of about _BLOCK_ENTRIES entries, which bounds memory
-    whatever the number of targets.
+    whatever the number of targets.  Each block serves every c; one gives an
+    array, several a tuple.  A last single row joins the block before it: a
+    one-row product takes a dot kernel that rounds differently.
     """
-    chunk = max(1, _BLOCK_ENTRIES // max(nodes.size, 1))
-    return np.concatenate([
-        kernel(targets[i:i + chunk, None], nodes[None, :]) @ coeff
-        for i in range(0, targets.size, chunk)])
+    def products(block):  # the block is freed before the next is formed
+        return [block @ c for c in coeffs]
+
+    chunk = max(2, _BLOCK_ENTRIES // max(nodes.size, 1))
+    cuts = [*range(0, max(targets.size - 1, 1), chunk), targets.size]
+    rows = [products(kernel(targets[a:b, None], nodes[None, :]))
+            for a, b in zip(cuts, cuts[1:])]
+    sums = tuple(np.concatenate(col) for col in zip(*rows))
+    return sums[0] if len(sums) == 1 else sums
 
 
 def entropy_sum(weights: np.ndarray, values: np.ndarray) -> float:

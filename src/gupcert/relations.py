@@ -387,12 +387,13 @@ def check_beckner(state: PureState | MixedState, pair: OrderPair,
 
 def _renyi_reports(renyi_and_norm_fn, dens_m, dens_n, pair: OrderPair,
                    scale: float, rid_sum: str, rid_norms: tuple[str, str],
-                   norm_err: float, digest) -> list[RelationReport]:
+                   norm_err: float, digest) -> tuple[list[RelationReport], dict]:
     """Renyi sums of (alpha on M, gamma on N), the swap, and their norm forms.
 
     Every row reads the four (entropy, norm) pairs of `renyi_and_norm_fn`,
     so each power integral is computed once; a divergent one turns the rows
-    that need it into not-applicable records.  The sums are bounded by
+    that need it into not-applicable records; the pairs are returned with
+    the rows, keyed by (side, order).  The sums are bounded by
     ln(kappa pi / scale) and the norm rows are
     ||.||_alpha <= (scale/(kappa pi))^((1-gamma)/gamma) ||.||_gamma, where
     `scale` is S_f, times the two bin widths when binned.  The first norm
@@ -423,7 +424,7 @@ def _renyi_reports(renyi_and_norm_fn, dens_m, dens_n, pair: OrderPair,
         else:
             out.append(_report(rid, shift + math.log(pg[1]),
                                math.log(pa[1]), norm_err, digest(rid)))
-    return out
+    return out, powers
 
 
 def check_renyi_smeared(state: PureState | MixedState, f: AcceptanceFn,
@@ -446,7 +447,7 @@ def check_renyi_smeared(state: PureState | MixedState, f: AcceptanceFn,
     return _renyi_reports(renyi_and_norm, smeared[0], smeared[1], pair,
                           sf_value, "renyi_sum_smeared",
                           ("renyi_norm_smeared_uw", "renyi_norm_smeared_wu"),
-                          1e-9, digest)
+                          1e-9, digest)[0]
 
 
 def check_renyi_binned(state: PureState | MixedState, f: AcceptanceFn,
@@ -458,6 +459,14 @@ def check_renyi_binned(state: PureState | MixedState, f: AcceptanceFn,
     `p_m` and `p_n` are the smeared wavenumber and position densities
     binned; `sf_value` is S_f of the momentum acceptance f.
     """
+    return check_binned_orders(state, f, pair, p_m, p_n, sf_value, label)[0]
+
+
+def check_binned_orders(state: PureState | MixedState, f: AcceptanceFn,
+                        pair: OrderPair, p_m: DiscreteDist, p_n: DiscreteDist,
+                        sf_value: float, label: str
+                        ) -> tuple[list[RelationReport], RelationReport]:
+    """check_renyi_binned rows, and the norm ordering of p_m from their sums."""
     beta = as_mixed(state).params.beta
     scale = sf_value * p_m.delta_max * p_n.delta_max
     if pair.degenerate:
@@ -466,14 +475,17 @@ def check_renyi_binned(state: PureState | MixedState, f: AcceptanceFn,
         return [_report("renyi_sum_binned", lhs, rhs, 1e-10,
                         _digest("renyi_sum_binned", label, beta, sigma=f.width,
                                 alpha=1.0, gamma=1.0, delta_k=p_m.delta_max,
-                                delta_x=p_n.delta_max))]
+                                delta_x=p_n.delta_max))], \
+            check_norm_ordering(p_m, pair, beta, label)
     digest = partial(_digest, label=label, beta=beta, sigma=f.width,
                      alpha=pair.alpha, gamma=pair.gamma,
                      delta_k=p_m.delta_max, delta_x=p_n.delta_max)
-    return _renyi_reports(discrete_renyi_and_norm, p_m, p_n, pair, scale,
-                          "renyi_sum_binned",
-                          ("renyi_norm_binned_mn", "renyi_norm_binned_nm"),
-                          1e-12, digest)
+    rows, powers = _renyi_reports(discrete_renyi_and_norm, p_m, p_n, pair,
+                                  scale, "renyi_sum_binned",
+                                  ("renyi_norm_binned_mn",
+                                   "renyi_norm_binned_nm"), 1e-12, digest)
+    return rows, _norm_ordering(lambda order: powers["m", order][1], pair,
+                                beta, label, p_m.delta_max)
 
 
 def check_tsallis_binned(state: PureState | MixedState, f: AcceptanceFn,
@@ -508,12 +520,16 @@ def check_norm_ordering(dist: DiscreteDist, pair: OrderPair, beta: float,
     Both inequalities fold into one report: lhs is the smaller slack of the
     two, rhs is zero.
     """
+    return _norm_ordering(partial(discrete_norm, dist), pair, beta, label,
+                          dist.delta_max)
+
+
+def _norm_ordering(norm_of, pair: OrderPair, beta: float, label: str,
+                   delta: float) -> RelationReport:
+    """The check_norm_ordering row; `norm_of(order)` gives ||p||_order."""
     digest = _digest("discrete_norm_ordering", label, beta,
-                     alpha=pair.alpha, gamma=pair.gamma,
-                     delta_k=dist.delta_max)
+                     alpha=pair.alpha, gamma=pair.gamma, delta_k=delta)
     if pair.degenerate:
         return _report("discrete_norm_ordering", 0.0, 0.0, 0.0, digest)
-    na = discrete_norm(dist, pair.alpha)
-    ng = discrete_norm(dist, pair.gamma)
-    slack = min(1.0 - na, ng - 1.0)
+    slack = min(1.0 - norm_of(pair.alpha), norm_of(pair.gamma) - 1.0)
     return _report("discrete_norm_ordering", slack, 0.0, 1e-13, digest)

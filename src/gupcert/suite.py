@@ -244,16 +244,15 @@ def _verify_cell(spec: dict, beta: float, config: RunConfig) -> list[dict]:
                                    alpha=pair.alpha, gamma=pair.gamma))
             if not smeared_bins_ok:
                 continue
-            for rpt in (rel.check_renyi_binned(state, f, pair, p_m, p_n,
-                                               sf_val, label)
-                        + rel.check_tsallis_binned(state, f, pair, p_m, p_n,
-                                                   sf_val, label)):
+            renyi, ordering = rel.check_binned_orders(state, f, pair, p_m,
+                                                      p_n, sf_val, label)
+            for rpt in renyi + rel.check_tsallis_binned(state, f, pair, p_m,
+                                                        p_n, sf_val, label):
                 out.append(_record(rpt, label, beta, sigma=sigma,
                                    alpha=pair.alpha, gamma=pair.gamma,
                                    delta_k=p_m.delta_max,
                                    delta_x=p_n.delta_max))
-            rpt = rel.check_norm_ordering(p_m, pair, beta, label)
-            out.append(_record(rpt, label, beta, sigma=sigma,
+            out.append(_record(ordering, label, beta, sigma=sigma,
                                alpha=pair.alpha, gamma=pair.gamma,
                                delta_k=p_m.delta_max))
     return out

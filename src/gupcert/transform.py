@@ -10,7 +10,8 @@ equal in floating point.  Position wave functions come from the Fourier pair
     psi(x) = (2 pi)^{-1/2} integral e^{+iqx} phi(q) dq   over (-q0, q0)
     phi(q) = (2 pi)^{-1/2} integral e^{-iqx} psi(x) dx
 
-evaluated by direct quadrature against the compact q interval.
+evaluated by direct quadrature against the compact q interval.  Position
+nodes come in +-x pairs, and one block of e^{iqx} serves both signs.
 """
 
 from __future__ import annotations
@@ -285,11 +286,22 @@ def default_x_grid(state: PureState | MixedState) -> Grid:
 
 
 def _psi_sq_on(mixed: MixedState, nodes: np.ndarray, x_max: float) -> np.ndarray:
-    """Mixture position density at the given nodes (incoherent sum)."""
+    """Mixture position density (incoherent sum) at mirror-symmetric nodes.
+
+    |psi(-x)|^2 = |sum_j e^{iq_j x} conj(c_j)|^2: one kernel block over x >= 0
+    serves both signs, with the floats of a sum over all nodes.
+    """
+    if not np.array_equal(nodes[::-1], -nodes):
+        raise ContractError("x nodes must be mirror-symmetric about 0")
+    k = nodes.size // 2  # nodes below 0; nodes[k:] are the ones >= 0
+    root = math.sqrt(2.0 * math.pi)
     out = np.zeros(nodes.size)
     for lam, comp in mixed.components:
         q, coeff = _transform_rule(comp, x_max)
-        out += lam * np.abs(_fourier_sum(nodes, q, coeff, 1.0)) ** 2
+        plus, minus = dense_sum(lambda t, n: np.exp(1j * t * n), nodes[k:], q,
+                                coeff, np.conj(coeff))
+        out[k:] += lam * np.abs(plus / root) ** 2
+        out[:k] += lam * np.abs(minus[nodes.size % 2:][::-1] / root) ** 2
     return out
 
 

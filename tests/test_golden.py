@@ -1,0 +1,41 @@
+"""Byte-for-byte regression against committed reports.
+
+`tests/data/golden_small.json` holds the `render_json` text of a small
+verify run and a beta sweep.  Optimisations that must not move a single
+float (reordered or shared exponentials, blocked sums) are checked here.
+Regenerate the file only for a change that is meant to alter report bytes:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+import pathlib
+
+from gupcert import suite
+from gupcert.suite import RunConfig
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_small.json"
+
+
+def _reports() -> dict:
+    verify = RunConfig(beta_grid=[0.1, 1.0], sigma_grid=[1.0], alpha_grid=[2.0],
+                       states=[{"name": "raised_cosine_q"},
+                               {"name": "random_fourier_q", "shape_args": [6],
+                                "seed": 11}])
+    sweep = RunConfig(beta_grid=[1e-3, 0.1, 1.0],
+                      states=[{"name": "random_fourier_q", "shape_args": [8],
+                               "seed": 11}])
+    records, _ = suite.run_verify(verify)
+    return {"verify": suite.render_json(records, verify),
+            "sweep_beta": suite.render_json(suite.run_sweep(sweep, "beta"),
+                                            sweep)}
+
+
+def test_reports_match_golden_bytes():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert _reports() == golden
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(_reports(), indent=1, sort_keys=True) + "\n",
+                      encoding="utf-8")

@@ -1,0 +1,59 @@
+import numpy as np
+import pytest
+
+from gupcert import quadrature
+from gupcert.quadrature import dense_sum
+
+
+def _wave(t, n):
+    return np.exp(1j * t * n)
+
+
+def _lorentz(t, n):
+    return 1.0 / (1.0 + (t - n) ** 2)
+
+
+@pytest.fixture
+def data():
+    rng = np.random.default_rng(3)
+    targets = np.sort(rng.uniform(-30.0, 30.0, 41))
+    nodes = np.sort(rng.uniform(-2.0, 2.0, 100))
+    coeff = rng.normal(size=100) + 1j * rng.normal(size=100)
+    return targets, nodes, coeff
+
+
+def test_two_vectors_equal_two_single_calls(data, monkeypatch):
+    targets, nodes, coeff = data
+    monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", 1000)  # 10-row blocks
+    both = dense_sum(_wave, targets, nodes, coeff, np.conj(coeff))
+    assert isinstance(both, tuple) and len(both) == 2
+    assert np.array_equal(both[0], dense_sum(_wave, targets, nodes, coeff))
+    assert np.array_equal(both[1],
+                          dense_sum(_wave, targets, nodes, np.conj(coeff)))
+
+
+def test_single_vector_returns_the_blocked_product(data, monkeypatch):
+    # 40 targets in 10-row blocks: the layout the plain blocked loop used
+    targets, nodes, coeff = data[0][:40], data[1], data[2]
+    monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", 1000)
+    for kernel, c in ((_wave, coeff), (_lorentz, coeff.real.copy())):
+        want = np.concatenate([kernel(targets[i:i + 10, None], nodes[None, :])
+                               @ c for i in range(0, 40, 10)])
+        got = dense_sum(kernel, targets, nodes, c)
+        assert type(got) is np.ndarray
+        assert np.array_equal(got, want)
+    one = dense_sum(_wave, targets[:1], nodes, coeff)
+    assert one.shape == (1,)
+    assert np.array_equal(one, _wave(targets[:1, None], nodes[None, :]) @ coeff)
+
+
+@pytest.mark.parametrize("entries", [1, 300, 1000, 4100])
+def test_fourier_sums_do_not_depend_on_block_layout(data, monkeypatch,
+                                                     entries):
+    # 41 targets: plain 10-row blocks would leave a one-row block, whose
+    # product rounds differently from the same row inside a larger block;
+    # the mirror pairing of the position density relies on this
+    targets, nodes, coeff = data
+    whole = dense_sum(_wave, targets, nodes, coeff)
+    monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", entries)
+    assert np.array_equal(dense_sum(_wave, targets, nodes, coeff), whole)

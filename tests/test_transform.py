@@ -169,6 +169,49 @@ class TestFourier:
         assert len(sizes) == 4
         assert sum(sizes) == len(w.grid) == 7789
 
+    @pytest.mark.parametrize("blocks", ["default", "two_rows"])
+    def test_mirror_pairing_matches_full_sum_bitwise(self, params_1, blocks,
+                                                      monkeypatch):
+        # oracle: the plain Fourier sum over every node, both halves included;
+        # small blocks check that the pairing holds across block boundaries
+        from gupcert import quadrature, transform
+
+        if blocks == "two_rows":
+            monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", 1)
+        cosine = g.catalog_state("raised_cosine_q", params_1)
+        states = [
+            g.catalog_state("uniform_q", params_1),
+            cosine,
+            g.catalog_state("random_fourier_q", params_1, shape_args=[6],
+                            seed=11),
+            g.catalog_state("truncated_gaussian_q", g.make_params(0.0),
+                            shape_args=[0.25]),
+            g.mix_states([0.25, 0.75], [cosine, g.catalog_state(
+                "truncated_gaussian_q", params_1, shape_args=[0.3])]),
+        ]
+        h = 0.37
+        odd = np.arange(-40, 41) * h
+        even = np.concatenate([np.arange(-61, -40), np.arange(41, 62)]) * h
+        for state in states:
+            mixed = g.as_mixed(state)
+            for nodes in (odd, even):
+                x_max = float(nodes[-1])
+                want = np.zeros(nodes.size)
+                for lam, comp in mixed.components:
+                    q, coeff = transform._transform_rule(comp, x_max)
+                    want += lam * np.abs(
+                        transform._fourier_sum(nodes, q, coeff, 1.0)) ** 2
+                got = transform._psi_sq_on(mixed, nodes, x_max)
+                assert np.array_equal(got, want)
+
+    def test_mirror_pairing_needs_symmetric_nodes(self, uniform_state):
+        from gupcert import transform
+
+        mixed = g.as_mixed(uniform_state)
+        for nodes in (np.arange(0, 9) * 0.5, np.array([-1.0, 0.0, 1.5])):
+            with pytest.raises(g.ContractError):
+                transform._psi_sq_on(mixed, nodes, 4.0)
+
     def test_beta_to_zero_continuity(self):
         # narrow state: u at tiny beta agrees with v reinterpreted on one axis
         p_small = g.make_params(1e-6)
