@@ -34,7 +34,7 @@ from .relations import (LN_E_PI, LinearizationReport, RelationReport,
                         conjugate_order, correction_linearization_check,
                         correction_term, kappa, robertson_margin)
 from .transform import (RepresentationBundle, bundle, density_q_to_k,
-                        default_x_grid, fourier_q_to_x, fourier_x_to_q,
-                        jacobian, k_of_q, q_density, q_of_k, x_density)
+                        fourier_q_to_x, fourier_x_to_q, jacobian, k_of_q,
+                        q_density, q_of_k, x_density)
 
 __version__ = "0.1.0"

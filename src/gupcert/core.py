@@ -23,7 +23,7 @@ import numpy as np
 from .errors import (ContractError, DegenerateStateError,
                      InvalidParameterError, MomentDivergenceError)
 from .quadrature import interp_delta, symmetric_rule
-from .tails import TailSide
+from .tails import TailSide, outside_masses
 
 NORM_TOL = 1e-8          # DensityFn normalization defect tolerance
 _GAUSSIAN_SUPPORT = 30.0  # effective support of exp(-q^2/(2 s^2)) in units of s
@@ -135,9 +135,7 @@ class DensityFn:
     @property
     def tail_masses(self) -> tuple[float, float]:
         """Modelled (left, right) mass beyond the window, 0 without a model."""
-        lo, hi = self.window
-        return (self.tail_left.mass_beyond(abs(lo)) if self.tail_left else 0.0,
-                self.tail_right.mass_beyond(hi) if self.tail_right else 0.0)
+        return outside_masses(self.tail_left, self.tail_right, *self.window)
 
     def tail_sides(self) -> list[tuple[TailSide, float]]:
         """Usable tail models with the |abscissa| where each one starts."""
@@ -312,16 +310,11 @@ def mix_states(weights: Sequence[float], states: Sequence[PureState]) -> MixedSt
 
 CATALOG_NAMES = ("uniform_q", "raised_cosine_q", "truncated_gaussian_q",
                  "random_fourier_q")
+# states that fill the whole interval (-q0, q0): undefined at beta = 0
+BOX_STATES = ("uniform_q", "raised_cosine_q", "random_fourier_q")
 
 _BASE_PANEL_NODES = 24
 _MAX_PANEL_NODES = 96
-
-
-def _finite_q0(params: MinLengthParams, name: str) -> float:
-    if not math.isfinite(params.q0):
-        raise InvalidParameterError(
-            f"{name} needs beta > 0: it is not normalizable on an infinite interval")
-    return params.q0
 
 
 def _uniform_profile(q, params):
@@ -403,11 +396,13 @@ def catalog_state(name: str, params: MinLengthParams,
     random_fourier_q     seeded complex combination of the first m box modes
                          vanishing at +-q0, m = shape_args[0] (default 8)
     """
+    if name in BOX_STATES and not params.deformed:
+        raise InvalidParameterError(
+            f"{name} needs beta > 0: it is not normalizable on an infinite interval")
+    q0 = params.q0
     if name == "uniform_q":
-        q0 = _finite_q0(params, name)
         return _build_catalog_state(_uniform_profile, params, q0, graded=True)
     if name == "raised_cosine_q":
-        q0 = _finite_q0(params, name)
         return _build_catalog_state(_raised_cosine_profile, params, q0, graded=True)
     if name == "truncated_gaussian_q":
         if not shape_args or shape_args[0] <= 0.0:
@@ -416,7 +411,6 @@ def catalog_state(name: str, params: MinLengthParams,
         return _build_catalog_state(_make_gaussian_profile(s), params, s,
                                     graded=params.deformed)
     if name == "random_fourier_q":
-        q0 = _finite_q0(params, name)
         if seed is None:
             raise InvalidParameterError("random_fourier_q needs a seed")
         m = int(shape_args[0]) if shape_args else 8

@@ -114,10 +114,8 @@ def renyi_and_norm(density: DensityFn,
     return renyi, total ** (1.0 / alpha)
 
 
-def alpha_norm(density: DensityFn | DiscreteDist, alpha: float) -> float:
-    """(integral or sum of p**alpha)**(1/alpha); equals 1 at alpha = 1."""
-    if isinstance(density, DiscreteDist):
-        return discrete_norm(density, alpha)
+def alpha_norm(density: DensityFn, alpha: float) -> float:
+    """(integral of p**alpha)**(1/alpha); equals 1 at alpha = 1."""
     return renyi_and_norm(density, alpha)[1]
 
 
@@ -306,8 +304,7 @@ def mc_diff_shannon(density: DensityFn, n_samples: int, seed: int) -> EntropyVal
         if side is None or not np.any(mask):
             continue
         residual = u[mask] if sign < 0 else total - u[mask]
-        pm1 = side.exponent - 1.0
-        t = (side.coeff / (pm1 * np.clip(residual, 1e-300, None))) ** (1.0 / pm1)
+        t = side.quantile_beyond(np.clip(residual, 1e-300, None))
         log_p[mask] = np.log(side.coeff) - side.exponent * np.log(t)
 
     values = -log_p

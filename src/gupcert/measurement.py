@@ -31,6 +31,7 @@ from scipy.special import ndtr, wofz
 from .core import DensityFn, Domain, Grid, MinLengthParams
 from .errors import InvalidParameterError, ResolutionError
 from .quadrature import composite_rule, dense_sum
+from .tails import outside_masses
 
 _SMEAR_TAG = {Domain.K: Domain.ZETA, Domain.X: Domain.XI}
 _TABLE_GAUSS = 8  # Gauss nodes per panel of the tabulated-profile J rule
@@ -44,7 +45,6 @@ class AcceptanceFn:
     sigma: Optional[float] = None
     table_nodes: Optional[np.ndarray] = None
     table_values: Optional[np.ndarray] = None  # |f|^2 samples
-    normalized: bool = True
 
     def density(self, z):
         """|f(z)|^2 evaluated pointwise."""
@@ -255,8 +255,7 @@ def smear(density: DensityFn, f: AcceptanceFn) -> DensityFn:
     # window's reach, so their in-window contribution is negligible
     tail_mass = max(0.0, 1.0 - captured)
     left, right = density.tail_left, density.tail_right
-    modeled = (left.mass_beyond(abs(lo)) if left else 0.0) + \
-              (right.mass_beyond(hi) if right else 0.0)
+    modeled = sum(outside_masses(left, right, lo, hi))
     if tail_mass > 4e-6 and left is None and right is None:
         raise ResolutionError(f"smear window loses {tail_mass:.2e} of the mass "
                               "and no tail model accounts for it")

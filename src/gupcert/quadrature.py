@@ -17,6 +17,8 @@ from scipy.interpolate import PchipInterpolator
 from scipy.special import roots_legendre
 
 ENTROPY_FLOOR = 1e-300  # below this a density value is treated as exact zero
+_GRADED_LEVELS = 40  # halvings of the outer gap toward a graded endpoint
+_MAX_BULK_PANELS = 48  # cap on the bulk panels of one half interval
 _BLOCK_ENTRIES = 4_000_000  # kernel matrix entries formed at once by dense_sum
 
 
@@ -35,22 +37,22 @@ def composite_rule(breakpoints, n_per_panel: int) -> tuple[np.ndarray, np.ndarra
 
 
 def interval_breakpoints(half_width: float, scale: float,
-                         graded: bool = True, levels: int = 40,
-                         max_bulk_panels: int = 48) -> list[float]:
+                         graded: bool = True) -> list[float]:
     """Panel edges on (0, half_width) for a symmetric interval.
 
     The bulk `[0, half_width/2]` is split into panels of width comparable to
     `scale` (the finest feature size of the states that will live on the
-    grid).  When `graded`, the outer half is refined geometrically toward the
-    endpoint, halving the remaining gap `levels` times; otherwise it is split
-    like the bulk.
+    grid), at most _MAX_BULK_PANELS of them.  When `graded`, the outer half is
+    refined geometrically toward the endpoint, halving the remaining gap
+    _GRADED_LEVELS times; otherwise it is split like the bulk.
     """
     mid = 0.5 * half_width
     width = min(1.5 * scale, mid)
-    n_bulk = int(min(max_bulk_panels, max(2, np.ceil(mid / width))))
+    n_bulk = int(min(_MAX_BULK_PANELS, max(2, np.ceil(mid / width))))
     edges = list(np.linspace(0.0, mid, n_bulk + 1))
     if graded:
-        edges.extend(half_width * (1.0 - 2.0 ** (-j)) for j in range(2, levels + 1))
+        edges.extend(half_width * (1.0 - 2.0 ** (-j))
+                     for j in range(2, _GRADED_LEVELS + 1))
         edges.append(half_width)
     else:
         edges.extend(np.linspace(mid, half_width, n_bulk + 1)[1:])
@@ -58,9 +60,9 @@ def interval_breakpoints(half_width: float, scale: float,
 
 
 def symmetric_rule(half_width: float, scale: float, n_per_panel: int,
-                   graded: bool = True, levels: int = 40):
+                   graded: bool = True):
     """Composite rule on (-half_width, +half_width), mirrored from the right half."""
-    right = interval_breakpoints(half_width, scale, graded=graded, levels=levels)
+    right = interval_breakpoints(half_width, scale, graded=graded)
     x, w = composite_rule(right, n_per_panel)
     return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
 

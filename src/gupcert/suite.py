@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -19,12 +20,13 @@ from typing import Optional
 import numpy as np
 
 from . import relations as rel
-from .core import catalog_state, make_params
+from .core import BOX_STATES, CATALOG_NAMES, catalog_state, make_params
 from .entropy import bin_density
 from .errors import ConfigError, GupcertError
 from .measurement import gaussian_acceptance, s_f, smear
 from .transform import bundle
 
+_COVERAGE_FRAC = 3e-7  # mass per side left outside a binning window
 RECORD_FIELDS = ("relation_id", "state", "beta", "sigma", "alpha", "gamma",
                  "delta_k", "delta_x", "lhs", "rhs", "margin", "est_error",
                  "verdict")
@@ -46,30 +48,63 @@ class RunConfig:
     bins: dict = field(default_factory=lambda: {"delta_min": 0.05,
                                                 "delta_max": 2.0, "seed": 5})
     tolerances: dict = field(default_factory=dict)
-    margin_offset: float = 0.0
     output_path: str = "gupcert-report.json"
     format: str = "json"
 
     def validate(self) -> "RunConfig":
+        """Check the shape of every value; builds no state."""
         for name, grid in (("beta_grid", self.beta_grid),
                            ("sigma_grid", self.sigma_grid),
                            ("alpha_grid", self.alpha_grid)):
-            if not grid:
-                raise ConfigError(f"{name} must be nonempty")
+            if not (isinstance(grid, (list, tuple)) and grid
+                    and all(map(_finite, grid))):
+                raise ConfigError(f"{name} must be a nonempty list of finite "
+                                  "numbers")
         if any(b < 0 for b in self.beta_grid):
             raise ConfigError("beta values must be nonnegative")
         if any(s <= 0 for s in self.sigma_grid):
             raise ConfigError("sigma values must be positive")
         if any(a < 1 for a in self.alpha_grid):
             raise ConfigError("alpha values must be >= 1")
-        if not self.states:
+        if not (isinstance(self.states, (list, tuple)) and self.states):
             raise ConfigError("need at least one state")
-        for tol in self.tolerances.values():
-            if tol is not None and tol < 0:
-                raise ConfigError("tolerances must be nonnegative")
+        for spec in self.states:
+            if not (isinstance(spec, dict)
+                    and spec.get("name") in CATALOG_NAMES):
+                raise ConfigError(f"state {spec!r} must name one of "
+                                  f"{', '.join(CATALOG_NAMES)}")
+            args, seed = spec.get("shape_args") or [], spec.get("seed")
+            if not (isinstance(args, (list, tuple)) and all(map(_finite, args))
+                    and (seed is None or isinstance(seed, numbers.Integral)
+                         and seed >= 0)):
+                raise ConfigError(f"state {spec!r} needs a list of numbers "
+                                  "as shape_args and an integer seed >= 0")
+        if not (isinstance(self.bins, dict)
+                and all(map(_finite, self.binning))
+                and 0 < self.binning[0] <= self.binning[1]
+                and self.binning[2] >= 0):
+            raise ConfigError("bins need 0 < delta_min <= delta_max and a "
+                              "seed >= 0")
+        if not (isinstance(self.tolerances, dict) and all(
+                tol is None or _finite(tol) and tol >= 0
+                for tol in self.tolerances.values())):
+            raise ConfigError("tolerances must be nonnegative numbers")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"unknown format {self.format!r}")
+        if not isinstance(self.output_path, str):
+            raise ConfigError("output_path must be a string")
         return self
+
+    @property
+    def binning(self) -> tuple:
+        """(delta_min, delta_max, seed) of the random bin edges."""
+        return (self.bins.get("delta_min", 0.05),
+                self.bins.get("delta_max", 2.0), self.bins.get("seed", 5))
+
+
+def _finite(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> RunConfig:
@@ -106,24 +141,18 @@ def _record(report: rel.RelationReport, state: str, beta: float, sigma=None,
             "tolerance": report.tolerance, "digest": report.inputs_digest}
 
 
-def _apply_fixture(records: list[dict], config: RunConfig) -> None:
-    """Re-derive verdicts under tolerance overrides and the injected offset.
-
-    margin_offset is a test fixture for exercising the failure path: it
-    shifts every margin before the verdict is recomputed.
-    """
-    if config.margin_offset == 0.0 and not config.tolerances:
+def _apply_tolerances(records: list[dict], config: RunConfig) -> None:
+    """Re-derive verdicts under the configured tolerance overrides."""
+    if not config.tolerances:
         return
     for r in records:
         if r["verdict"] == "not_applicable":
             continue
-        margin = r["margin"] - config.margin_offset
         tol = config.tolerances.get(
             r["relation_id"], config.tolerances.get("default"))
         if tol is None:
             tol = r["tolerance"]
-        r["margin"] = margin
-        r["verdict"] = "pass" if margin >= -tol else "fail"
+        r["verdict"] = "pass" if r["margin"] >= -tol else "fail"
 
 
 def _random_edges(rng: np.random.Generator, lo: float, hi: float,
@@ -136,33 +165,43 @@ def _random_edges(rng: np.random.Generator, lo: float, hi: float,
     return edges[:last + 1]
 
 
-def _coverage_window(density, frac: float = 3e-7) -> tuple[float, float]:
-    """Window outside of which less than frac of the mass lives per side.
+def _coverage_window(density) -> tuple[float, float]:
+    """Window with less than _COVERAGE_FRAC of the mass beyond each end.
 
-    Uses the analytic tail-model quantile when the model still holds frac of
-    the mass at the window edge; otherwise the quantile comes from the same
+    Uses the tail-model quantile when the model still holds that much mass
+    at the window edge; otherwise the quantile comes from the same
     interpolated CDF the binning operation itself uses, so the coverage
     precondition of bin_density is met by construction.
     """
     from .entropy import density_cdf
 
+    frac = _COVERAGE_FRAC
     x = density.grid.nodes
     cdf = density_cdf(density, x)
     m_left, m_right = density.tail_masses
-
     if m_left > frac:
-        side = density.tail_left
-        lo = -((side.coeff / ((side.exponent - 1.0) * frac))
-               ** (1.0 / (side.exponent - 1.0)))
+        lo = -density.tail_left.quantile_beyond(frac)
     else:
         lo = float(x[max(0, np.searchsorted(cdf, frac, side="right") - 1)])
     if m_right > frac:
-        side = density.tail_right
-        hi = ((side.coeff / ((side.exponent - 1.0) * frac))
-              ** (1.0 / (side.exponent - 1.0)))
+        hi = density.tail_right.quantile_beyond(frac)
     else:
         hi = float(x[min(x.size - 1, np.searchsorted(cdf, 1.0 - frac, side="left"))])
     return lo, hi
+
+
+def _bin_pair(rng: np.random.Generator, a, b, dmin: float, dmax: float):
+    """Both densities binned on random edges over their coverage windows.
+
+    None, with the generator untouched, when the two windows together would
+    take tens of millions of bins at these widths (very heavy tails).
+    """
+    alo, ahi = _coverage_window(a)
+    blo, bhi = _coverage_window(b)
+    if not ((ahi - alo) + (bhi - blo) < 4e6 * (dmin + dmax) / 2.0):
+        return None
+    return (bin_density(a, _random_edges(rng, alo, ahi, dmin, dmax)),
+            bin_density(b, _random_edges(rng, blo, bhi, dmin, dmax)))
 
 
 # ---------------------------------------------------------------------------
@@ -170,19 +209,28 @@ def _coverage_window(density, frac: float = 3e-7) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def _build_state(spec: dict, beta: float):
+    """The spec's catalog state, or None for a box state at beta = 0.
+
+    Any other state that cannot be built is a configuration error.
+    """
     params = make_params(beta)
-    return catalog_state(spec["name"], params,
-                         shape_args=spec.get("shape_args") or (),
-                         seed=spec.get("seed"))
+    if spec["name"] in BOX_STATES and not params.deformed:
+        return None
+    try:
+        return catalog_state(spec["name"], params,
+                             shape_args=spec.get("shape_args") or (),
+                             seed=spec.get("seed"))
+    except GupcertError as exc:
+        raise ConfigError(f"state {spec['name']!r} unusable at beta={beta}: "
+                          f"{exc}") from exc
 
 
 def _verify_cell(spec: dict, beta: float, config: RunConfig) -> list[dict]:
     """All checks for one (state, beta) cell."""
     label = spec["name"]
-    try:
-        state = _build_state(spec, beta)
-    except GupcertError:
-        return []  # state undefined at this beta (flat states need beta > 0)
+    state = _build_state(spec, beta)
+    if state is None:
+        return []
     rep = bundle(state)
     params = state.params
     out: list[dict] = []
@@ -199,18 +247,13 @@ def _verify_cell(spec: dict, beta: float, config: RunConfig) -> list[dict]:
                                gamma=pair.gamma))
 
     cell_tag = zlib.crc32(f"{label}:{beta:.17g}".encode()) % 100_000
-    rng = np.random.default_rng(int(config.bins.get("seed", 5)) + cell_tag)
-    dmin = float(config.bins.get("delta_min", 0.05))
-    dmax = float(config.bins.get("delta_max", 2.0))
+    dmin, dmax, seed = config.binning
+    rng = np.random.default_rng(int(seed) + cell_tag)
+    dmin, dmax = float(dmin), float(dmax)
 
-    klo, khi = _coverage_window(rep.u_k)
-    xlo, xhi = _coverage_window(rep.w_x)
-    # binning the coverage window of a very heavy tail at these widths can
-    # take tens of millions of bins; skip the binned set for such cells
-    bins_ok = (khi - klo) + (xhi - xlo) < 4e6 * (dmin + dmax) / 2.0
-    if bins_ok:
-        p_k = bin_density(rep.u_k, _random_edges(rng, klo, khi, dmin, dmax))
-        p_x = bin_density(rep.w_x, _random_edges(rng, xlo, xhi, dmin, dmax))
+    binned = _bin_pair(rng, rep.u_k, rep.w_x, dmin, dmax)
+    if binned is not None:
+        p_k, p_x = binned
         dk, dx = p_k.delta_max, p_x.delta_max
         out.append(_record(rel.check_binning_lemma(rep.u_k, p_k, beta, label,
                                                    axis="k"),
@@ -229,21 +272,15 @@ def _verify_cell(spec: dict, beta: float, config: RunConfig) -> list[dict]:
         for rpt in rel.check_smeared_shannon(state, f, rep, smeared, sf_val,
                                              label):
             out.append(_record(rpt, label, beta, sigma=sigma))
-        zlo, zhi = _coverage_window(smeared[0])
-        xilo, xihi = _coverage_window(smeared[1])
-        smeared_bins_ok = (zhi - zlo) + (xihi - xilo) < 4e6 * (dmin + dmax) / 2.0
-        if smeared_bins_ok:
-            p_m = bin_density(smeared[0],
-                              _random_edges(rng, zlo, zhi, dmin, dmax))
-            p_n = bin_density(smeared[1],
-                              _random_edges(rng, xilo, xihi, dmin, dmax))
+        binned = _bin_pair(rng, *smeared, dmin, dmax)
         for pair in pairs:
             for rpt in rel.check_renyi_smeared(state, f, pair, rep, smeared,
                                                sf_val, label):
                 out.append(_record(rpt, label, beta, sigma=sigma,
                                    alpha=pair.alpha, gamma=pair.gamma))
-            if not smeared_bins_ok:
+            if binned is None:
                 continue
+            p_m, p_n = binned
             renyi, ordering = rel.check_binned_orders(state, f, pair, p_m,
                                                       p_n, sf_val, label)
             for rpt in renyi + rel.check_tsallis_binned(state, f, pair, p_m,
@@ -280,7 +317,7 @@ def run_verify(config: RunConfig) -> tuple[list[dict], int]:
         batches = [_verify_cell(spec, beta, config) for spec, beta in cells]
     records = [r for batch in batches for r in batch]
     records.extend(_sf_records(config))
-    _apply_fixture(records, config)
+    _apply_tolerances(records, config)
     records.sort(key=lambda r: r["digest"])
     failed = any(r["verdict"] == "fail" for r in records)
     return records, (1 if failed else 0)
@@ -295,49 +332,46 @@ def run_sweep(config: RunConfig, param: str) -> list[dict]:
         raise ConfigError(f"unknown sweep parameter {param!r}")
     records: list[dict] = []
     spec = config.states[0]
-    if param == "beta":
-        for beta in config.beta_grid:
-            try:
-                state = _build_state(spec, beta)
-            except GupcertError:
-                continue
-            rep = bundle(state)
-            rpt = rel.check_correction_term(state, rep, spec["name"])
-            records.append(_record(rpt, spec["name"], beta))
-            for r in rel.check_bbm_corrected(state, rep, spec["name"]):
-                records.append(_record(r, spec["name"], beta))
-        records.extend(_sf_records(config))
-    elif param == "sigma":
+    label = spec["name"]
+    if param != "beta":  # sigma and alpha sweeps share one state
         beta = config.beta_grid[0]
+        state = _build_state(spec, beta)
+        if state is None:
+            raise ConfigError(f"sweep state {label!r} is undefined at "
+                              f"beta={beta}")
         try:
-            state = _build_state(spec, beta)
             rep = bundle(state)
         except GupcertError as exc:
             raise ConfigError(f"sweep state unusable at beta={beta}: {exc}")
+    if param == "beta":
+        for beta in config.beta_grid:
+            state = _build_state(spec, beta)
+            if state is None:
+                continue
+            rep = bundle(state)
+            rpt = rel.check_correction_term(state, rep, label)
+            records.append(_record(rpt, label, beta))
+            for r in rel.check_bbm_corrected(state, rep, label):
+                records.append(_record(r, label, beta))
+        records.extend(_sf_records(config))
+    elif param == "sigma":
         for sigma in config.sigma_grid:
             f = gaussian_acceptance(sigma)
             smeared = (smear(rep.u_k, f), smear(rep.w_x, f))
             for r in rel.check_smeared_shannon(state, f, rep, smeared,
-                                               s_f(f, state.params),
-                                               spec["name"]):
-                records.append(_record(r, spec["name"], beta, sigma=sigma))
+                                               s_f(f, state.params), label):
+                records.append(_record(r, label, beta, sigma=sigma))
         records.extend(_sf_records(config))
     else:
-        beta = config.beta_grid[0]
-        try:
-            state = _build_state(spec, beta)
-            rep = bundle(state)
-        except GupcertError as exc:
-            raise ConfigError(f"sweep state unusable at beta={beta}: {exc}")
         for a in config.alpha_grid:
             pair = rel.conjugate_order(a)
             rpt = rel.check_kappa(pair, beta)
             records.append(_record(rpt, "-", beta, alpha=pair.alpha,
                                    gamma=pair.gamma))
-            for r in rel.check_beckner(state, pair, rep, spec["name"]):
-                records.append(_record(r, spec["name"], beta, alpha=pair.alpha,
+            for r in rel.check_beckner(state, pair, rep, label):
+                records.append(_record(r, label, beta, alpha=pair.alpha,
                                        gamma=pair.gamma))
-    _apply_fixture(records, config)
+    _apply_tolerances(records, config)
     records.sort(key=lambda r: r["digest"])
     return records
 

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DensityFn, Domain, Grid, MinLengthParams, MixedState,
-                   PureState, as_mixed, normalize)
+                   PureState, as_mixed)
 from .errors import ContractError, DomainError, ResolutionError
 from .quadrature import composite_rule, dense_sum
-from .tails import TailSide, fit_power_tail
+from .tails import fit_k_tails, fit_x_tail, outside_masses
 
 _X_NODE_BUDGET = 320_000
 # accepted |1 - window mass - modeled tail| for x densities; strictly inside
@@ -95,25 +95,9 @@ def density_q_to_k(v: DensityFn, params: MinLengthParams) -> DensityFn:
     jac = jacobian(k, params)
     grid = Grid(nodes=k, weights=v.grid.weights * jac, domain_tag=Domain.K)
     u = v.values / jac
-    left, right = _fit_k_tails(k, u)
+    left, right = fit_k_tails(k, u)
     return DensityFn(grid=grid, values=u, tail_mass_bound=0.0,
                      tail_left=left, tail_right=right)
-
-
-def _fit_k_tails(k: np.ndarray, u: np.ndarray):
-    def one_side(absk, vals):
-        top = absk[-1]
-        if top <= 10.0:
-            return None
-        zone = (absk >= top ** 0.55) & (absk <= top ** 0.92)
-        if np.count_nonzero(zone) < 8:
-            return None
-        return fit_power_tail(absk[zone], vals[zone])
-
-    neg = k < 0.0
-    left = one_side(np.abs(k[neg])[::-1], u[neg][::-1])
-    right = one_side(k[~neg], u[~neg])
-    return left, right
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +174,7 @@ def fourier_x_to_q(psi: np.ndarray, x_grid: Grid, params: MinLengthParams,
 
 
 # ---------------------------------------------------------------------------
-# X grids: step, extent, and tail fitting
+# X grids: step and extent
 # ---------------------------------------------------------------------------
 
 def _edge_wave_period(mixed: MixedState) -> float | None:
@@ -214,75 +198,6 @@ def _x_width(mixed: MixedState) -> float:
     mean = g.integrate(g.nodes * v)
     var = max(g.integrate((g.nodes - mean) ** 2 * v), 1e-30)
     return 1.0 / (2.0 * math.sqrt(var))
-
-
-def _ratio_coeff(x: np.ndarray, w: np.ndarray, p: float) -> float:
-    """Mean-envelope coefficient from integral(w) / integral(x**-p)."""
-    num = float(np.trapezoid(w, x))
-    den = float(np.trapezoid(x ** (-p), x))
-    return num / den
-
-
-def _fit_x_tail(x: np.ndarray, w: np.ndarray, period: float | None):
-    """Power-law tail fit over the outer quarter of one side.
-
-    The exponent comes from a block-averaged log-log regression; the
-    coefficient from the ratio of integrals of w and x**-p over the zone.
-    With the zone trimmed to a whole number of boundary-oscillation periods
-    the sin^2 phase cancels exactly in that ratio, which is what makes the
-    window-defect bookkeeping converge for box-like states.
-    Returns (TailSide | None, stable: bool).
-    """
-    hi = x[-1]
-    zone_lo = 0.75 * hi
-    if period is not None:
-        n_per = int((hi - zone_lo) // period)
-        if n_per < 4:
-            return None, False
-        zone_lo = hi - n_per * period
-    sel = x >= zone_lo - 1e-12 * hi
-    xs, ws = x[sel], w[sel]
-    if xs.size < 32 or np.max(ws) <= 0.0:
-        return None, True
-
-    # exponent: coarse block means against position
-    n_blocks = 12
-    edges = np.linspace(xs[0], xs[-1], n_blocks + 1)
-    idx = np.clip(np.searchsorted(edges, xs, side="right") - 1, 0, n_blocks - 1)
-    sums = np.bincount(idx, weights=ws, minlength=n_blocks)
-    counts = np.bincount(idx, minlength=n_blocks)
-    ok = counts > 0
-    b = sums[ok] / counts[ok]
-    xc = 0.5 * (edges[:-1] + edges[1:])[ok]
-    if np.any(b <= 0.0) or b.size < 4:
-        return None, True
-    slope, _ = np.polyfit(np.log(xc), np.log(b), 1)
-    p = -slope
-    for target in (2.0, 4.0):
-        if abs(p - target) < 0.6:
-            p = target
-            break
-    if p <= 1.05:
-        return None, False
-
-    c = _ratio_coeff(xs, ws, p)
-    mid = xs.size // 2
-    if period is not None:
-        n_half = int((xs[-1] - xs[0]) / (2.0 * period)) * period
-        mid = int(np.searchsorted(xs, xs[-1] - n_half))
-    c1 = _ratio_coeff(xs[:mid + 1], ws[:mid + 1], p)
-    c2 = _ratio_coeff(xs[mid:], ws[mid:], p)
-    stable = abs(c1 - c2) <= 0.08 * c + 1e-16
-    side = TailSide(coeff=c, exponent=float(p),
-                    oscillatory=period is not None, valid_from=float(xs[0]))
-    if side.mass_beyond(hi) < 1e-14:
-        return None, True
-    return side, stable
-
-
-def default_x_grid(state: PureState | MixedState) -> Grid:
-    """X grid sized for the state: see x_density for the extension policy."""
-    return x_density(state).grid
 
 
 def _psi_sq_on(mixed: MixedState, nodes: np.ndarray, x_max: float) -> np.ndarray:
@@ -348,10 +263,9 @@ def x_density(state: PureState | MixedState) -> DensityFn:
         weights = np.full(n, h)
         weights[0] = weights[-1] = 0.5 * h
         grid = Grid(nodes=nodes, weights=weights, domain_tag=Domain.X)
-        right, ok_r = _fit_x_tail(nodes, w_vals, period)
-        left, ok_l = _fit_x_tail(-nodes[::-1], w_vals[::-1], period)
-        tail = (left.mass_beyond(half_span) if left else 0.0) + \
-               (right.mass_beyond(half_span) if right else 0.0)
+        right, ok_r = fit_x_tail(nodes, w_vals, period)
+        left, ok_l = fit_x_tail(-nodes[::-1], w_vals[::-1], period)
+        tail = sum(outside_masses(left, right, -half_span, half_span))
         defect = abs(grid.integrate(w_vals) + tail - 1.0)
         if defect < _DEFECT_TOL and ok_l and ok_r and tail < 0.05:
             return DensityFn(grid=grid, values=np.clip(w_vals, 0.0, None),

@@ -14,6 +14,7 @@ import pytest
 from scipy.special import erfc
 
 import gupcert as g
+from gupcert import relations
 from gupcert.cli import main
 from gupcert.suite import _coverage_window, _random_edges
 
@@ -271,7 +272,7 @@ def test_criterion_12_oracle_agreement():
                all(ok for *_, ok in cases))
 
 
-def test_criterion_13_cli_determinism_and_failure_path(tmp_path):
+def test_criterion_13_cli_determinism_and_failure_path(tmp_path, monkeypatch):
     cfg = {
         "beta_grid": [1.0],
         "sigma_grid": [0.8],
@@ -286,13 +287,13 @@ def test_criterion_13_cli_determinism_and_failure_path(tmp_path):
     rc2 = main(["verify", "--config", str(cfg_path), "--out", str(out2)])
     identical = out1.read_bytes() == out2.read_bytes()
 
-    bad = dict(cfg)
-    bad["margin_offset"] = 5.0
-    bad["tolerances"] = {"default": 0.0}
-    bad["output_path"] = str(tmp_path / "r3.json")
-    bad_path = tmp_path / "bad.json"
-    bad_path.write_text(json.dumps(bad))
-    rc3 = main(["verify", "--config", str(bad_path)])
+    # plant a violation: every Shannon row reads LN_E_PI when evaluated
+    monkeypatch.setattr(relations, "LN_E_PI", relations.LN_E_PI + 1.0)
+    out3 = tmp_path / "r3.json"
+    rc3 = main(["verify", "--config", str(cfg_path), "--out", str(out3)])
+    failed = any(r["verdict"] == "fail"
+                 for r in json.loads(out3.read_text())["records"])
     _criterion(13, f"repeated runs byte-identical ({identical}), pass rc="
-                   f"{rc1}/{rc2}, failure-injection rc={rc3}",
-               identical and rc1 == 0 and rc2 == 0 and rc3 == 1)
+                   f"{rc1}/{rc2}, failure-injection rc={rc3} (fail rows: "
+                   f"{failed})",
+               identical and rc1 == 0 and rc2 == 0 and rc3 == 1 and failed)

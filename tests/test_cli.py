@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import gupcert as g
+from gupcert import relations
 from gupcert.cli import main
 from gupcert.suite import RunConfig, load_config, render_csv, render_json
 
@@ -46,25 +47,59 @@ class TestVerify:
         digests = [r["digest"] for r in records]
         assert digests == sorted(digests)
 
-    def test_failure_injection_exit_one(self, small_config, tmp_path):
-        path, cfg = small_config
-        bad = dict(cfg)
-        bad["margin_offset"] = 10.0
-        bad["tolerances"] = {"default": 0.0}
-        bad["output_path"] = str(tmp_path / "fail.json")
-        cfg_path = tmp_path / "fail_cfg.json"
-        cfg_path.write_text(json.dumps(bad))
-        assert main(["verify", "--config", str(cfg_path)]) == 1
-        payload = json.loads((tmp_path / "fail.json").read_text())
+    def test_failure_injection_exit_one(self, small_config, tmp_path,
+                                        monkeypatch):
+        # every Shannon row reads LN_E_PI when it is evaluated, so raising
+        # the bound by one nat plants a violation
+        path, _ = small_config
+        monkeypatch.setattr(relations, "LN_E_PI", relations.LN_E_PI + 1.0)
+        out = tmp_path / "fail.json"
+        assert main(["verify", "--config", str(path), "--out", str(out)]) == 1
+        payload = json.loads(out.read_text())
         assert any(r["verdict"] == "fail" for r in payload["records"])
 
     def test_missing_config_exit_two(self):
         assert main(["verify", "--config", "/nonexistent/conf.json"]) == 2
 
-    def test_invalid_config_exit_two(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        '{"beta_grid": []}',
+        '{"beta_grid": 0.5}',
+        '{"sigma_grid": ["a"]}',
+        '{"alpha_grid": [1.5, 1e400]}',
+        '{"states": [{"name": "nope"}]}',
+        '{"states": [{"shape_args": [6]}]}',
+        '{"states": [{"name": "random_fourier_q", "shape_args": [6]}]}',
+        '{"beta_grid": [0.0], "states": [{"name": "truncated_gaussian_q"}]}',
+        '{"states": [{"name": "truncated_gaussian_q", "shape_args": "x"}]}',
+        '{"states": [{"name": "random_fourier_q", "seed": -1}]}',
+        '{"bins": {"delta_min": 3, "delta_max": 1}}',
+        '{"bins": {"seed": "x"}}',
+        '{"tolerances": {"default": "a"}}',
+        '{"output_path": 5}',
+        '{"margin_offset": 10.0}',
+    ], ids=["empty_grid", "scalar_grid", "text_in_grid", "infinite_alpha",
+            "unknown_state", "unnamed_state", "unseeded_state",
+            "widthless_state_beta0", "text_shape_args", "negative_seed",
+            "inverted_bins", "text_bins_seed", "text_tolerance",
+            "numeric_output_path", "margin_offset"])
+    def test_invalid_config_exit_two(self, tmp_path, capsys, monkeypatch,
+                                     text):
+        monkeypatch.chdir(tmp_path)  # a report, if any, lands here
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"beta_grid": []}))
+        path.write_text(text)
         assert main(["verify", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
+    def test_flat_state_skipped_at_beta_zero(self, tmp_path):
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps({"beta_grid": [0.0, 1.0],
+                                    "alpha_grid": [2.0],
+                                    "states": [{"name": "uniform_q"}]}))
+        out = tmp_path / "r.json"
+        assert main(["verify", "--config", str(path), "--out", str(out)]) == 0
+        records = json.loads(out.read_text())["records"]
+        assert {r["beta"] for r in records if r["state"] == "uniform_q"} == {1}
 
     def test_unknown_key_exit_two(self, tmp_path):
         path = tmp_path / "bad2.json"
@@ -127,6 +162,15 @@ class TestSweep:
         assert len(corr) == 2
         for value in corr:
             assert value == pytest.approx(2 * math.log(2.0), abs=1e-6)
+
+    def test_unbuildable_state_exit_two(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "beta_grid": [1.0],
+            "states": [{"name": "truncated_gaussian_q"}],  # no width
+        }))
+        assert main(["sweep", "--param", "beta", "--config", str(cfg),
+                     "--out", str(tmp_path / "sweep.json")]) == 2
 
     def test_bad_param_exit_two(self, small_config):
         path, _ = small_config

@@ -22,11 +22,16 @@ def _reports() -> dict:
                        states=[{"name": "raised_cosine_q"},
                                {"name": "random_fourier_q", "shape_args": [6],
                                 "seed": 11}])
+    # the exactly Cauchy K density: p = 2 tail fit and tail quantile
+    cauchy = RunConfig(beta_grid=[1.0], sigma_grid=[1.0], alpha_grid=[2.0],
+                       states=[{"name": "uniform_q"}])
     sweep = RunConfig(beta_grid=[1e-3, 0.1, 1.0],
                       states=[{"name": "random_fourier_q", "shape_args": [8],
                                "seed": 11}])
     records, _ = suite.run_verify(verify)
+    cauchy_records, _ = suite.run_verify(cauchy)
     return {"verify": suite.render_json(records, verify),
+            "verify_uniform_q": suite.render_json(cauchy_records, cauchy),
             "sweep_beta": suite.render_json(suite.run_sweep(sweep, "beta"),
                                             sweep)}
 

@@ -88,7 +88,7 @@ class TestFourier:
         assert w.values[mid] == pytest.approx(params_1.q0 / math.pi, abs=1e-10)
 
     def test_real_even_state_gives_real_even_psi(self, cosine_state):
-        grid = g.default_x_grid(cosine_state)
+        grid = g.x_density(cosine_state).grid
         psi = g.fourier_q_to_x(cosine_state, grid)
         assert np.max(np.abs(psi.imag)) < 1e-12
         assert np.allclose(psi, psi[::-1], atol=1e-12)
@@ -127,7 +127,7 @@ class TestFourier:
         # window truncation floor sits far below the round-trip tolerance
         p = g.make_params(1e-3)
         st_ = g.catalog_state("truncated_gaussian_q", p, shape_args=[1.0])
-        grid = g.default_x_grid(st_)
+        grid = g.x_density(st_).grid
         psi = g.fourier_q_to_x(st_, grid)
         back = g.fourier_x_to_q(psi, grid, p, q_grid=st_.grid)
         err2 = st_.grid.integrate(np.abs(back.amplitudes - st_.amplitudes) ** 2)
