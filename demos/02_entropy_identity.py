@@ -19,7 +19,7 @@ def main():
     for beta in (0.25, 1.0, 4.0):
         p = g.make_params(beta)
         state = g.catalog_state("uniform_q", p)
-        corr = g.correction_term(state, g.bundle(state))
+        corr = g.correction_term(g.bundle(state))
         print(f"  beta = {beta:4}: correction = {corr:.10f}"
               f"   (2 ln 2 = {2*math.log(2):.10f})")
     print()
@@ -35,7 +35,7 @@ def main():
             v = g.q_density(state)
             u = g.density_q_to_k(v, p)
             resid = g.diff_shannon(u).value - g.diff_shannon(v).value \
-                - g.correction_term(state, g.bundle(state))
+                - g.correction_term(g.bundle(state))
             print(f"  {name:22s} beta={beta:5}: residual = {resid:+.2e}")
     print()
 
@@ -57,7 +57,7 @@ def main():
 
     print("concavity bound where the variance exists:")
     state = g.catalog_state("raised_cosine_q", p)
-    rpt = g.check_jensen(state, g.bundle(state), label="raised_cosine_q")
+    rpt = g.check_jensen(g.bundle(state))
     print(f"  ln(1 + beta <k^2>) - correction = {rpt.margin:+.6f}  "
           f"({rpt.verdict})")
 

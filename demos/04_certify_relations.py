@@ -30,18 +30,18 @@ def main():
         state = g.catalog_state(name, params, shape_args=shape, seed=seed)
         rep = g.bundle(state)
         print(f"=== {name}, beta = 1 ===")
-        show(g.robertson_margin(state, rep, name))
-        show(g.check_jensen(state, rep, name))
-        show(g.check_bbm_corrected(state, rep, name))
+        show(g.robertson_margin(rep))
+        show(g.check_jensen(rep))
+        show(g.check_bbm_corrected(rep))
 
         f = g.gaussian_acceptance(1.0)
         smeared = (g.smear(rep.u_k, f), g.smear(rep.w_x, f))
         sf = g.s_f(f, params)
-        show(g.check_smeared_shannon(state, f, rep, smeared, sf, name))
+        show(g.check_smeared_shannon(rep, smeared, sf))
 
         pair = g.conjugate_order(2.0)
-        show(g.check_beckner(state, pair, rep, name))
-        show(g.check_renyi_smeared(state, f, pair, rep, smeared, sf, name))
+        show(g.check_beckner(pair, rep))
+        show(g.check_renyi_smeared(pair, rep, smeared, sf))
 
         # bin each smeared density once; the binned checks share the result
         rng = np.random.default_rng(3)
@@ -49,8 +49,8 @@ def main():
         xlo, xhi = _coverage_window(smeared[1])
         p_m = g.bin_density(smeared[0], _random_edges(rng, zlo, zhi, 0.05, 2.0))
         p_n = g.bin_density(smeared[1], _random_edges(rng, xlo, xhi, 0.05, 2.0))
-        show(g.check_renyi_binned(state, f, pair, p_m, p_n, sf, name))
-        show(g.check_tsallis_binned(state, f, pair, p_m, p_n, sf, name))
+        show(g.check_renyi_binned(pair, p_m, p_n, sf))
+        show(g.check_tsallis_binned(pair, p_m, p_n, sf))
         print()
 
     print("Beckner constant across conjugate orders:")

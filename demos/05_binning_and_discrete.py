@@ -60,7 +60,7 @@ def main():
         p_m = g.bin_density(smeared[0], _random_edges(rng, zlo, zhi, dmin, dmax))
         p_n = g.bin_density(smeared[1], _random_edges(rng, xlo, xhi, dmin, dmax))
         pair = g.conjugate_order(2.0)
-        rpt = g.check_tsallis_binned(state, f, pair, p_m, p_n, sf)[0]
+        rpt = g.check_tsallis_binned(pair, p_m, p_n, sf)[0]
         print(f"  widths in [{dmin}, {dmax}]: lhs = {rpt.lhs:8.5f}, "
               f"rhs = {rpt.rhs:8.5f}, margin = {rpt.margin:+.5f}")
 

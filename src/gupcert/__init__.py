@@ -24,8 +24,7 @@ from .errors import (ConfigError, ContractError, DegenerateStateError,
 from .measurement import (AcceptanceFn, custom_acceptance, gaussian_acceptance,
                           j_profile, s_f, s_f_gaussian_bound, smear)
 from .relations import (LN_E_PI, LinearizationReport, RelationReport,
-                        check_bbm_corrected, check_beckner, check_binned_orders,
-                        check_binned_shannon,
+                        check_bbm_corrected, check_beckner, check_binned_shannon,
                         check_binning_lemma, check_correction_term,
                         check_jensen, check_kappa, check_norm_ordering,
                         check_renyi_binned, check_renyi_smeared,

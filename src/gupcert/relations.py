@@ -8,6 +8,11 @@ entropic bounds are exactly the statements that survive infinite variance.
 
 The pass threshold is -(base tolerance + 4 x propagated grid-error estimate);
 numerical certification needs graded evidence rather than a boolean.
+
+A check takes only what its inequality reads: the bundle's densities (whose
+source state carries beta), S_f and the binned distributions with their
+bin widths.  Reports carry no state label or parameter tags; the suite keys
+each row by the cell and parameters it passed in.
 """
 
 from __future__ import annotations
@@ -19,14 +24,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (DensityFn, DiscreteDist, MixedState, OrderPair, PureState,
-                   as_mixed, moment, rebuild_state)
+from .core import (DensityFn, DiscreteDist, OrderPair, PureState, moment,
+                   rebuild_state)
 from .entropy import (alpha_log, alpha_norm, diff_shannon, discrete_norm,
                       discrete_renyi, discrete_renyi_and_norm,
                       discrete_tsallis, renyi_and_norm)
 from .errors import (InvalidParameterError, MomentDivergenceError,
                      NormDivergenceError)
-from .measurement import AcceptanceFn, s_f_gaussian_bound
+from .measurement import s_f_gaussian_bound
 from .transform import RepresentationBundle, bundle
 
 LN_E_PI = 1.0 + math.log(math.pi)
@@ -35,6 +40,12 @@ BASE_TOLERANCE = 1e-8
 
 @dataclass(frozen=True)
 class RelationReport:
+    """One inequality: both sides, the signed margin and its verdict.
+
+    A report names its relation but not its inputs; the caller knows which
+    state and parameters it checked and keys the row.
+    """
+
     relation_id: str
     lhs: float
     rhs: float
@@ -42,37 +53,22 @@ class RelationReport:
     tolerance: float
     est_error: float
     verdict: str          # "pass" | "fail" | "not_applicable"
-    inputs_digest: str
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return "-"
-    return format(float(x), ".17g")
-
-
-def _digest(relation_id: str, label: str, beta: float, sigma=None,
-            alpha=None, gamma=None, delta_k=None, delta_x=None) -> str:
-    return (f"relation={relation_id};state={label};beta={_fmt(beta)};"
-            f"sigma={_fmt(sigma)};alpha={_fmt(alpha)};gamma={_fmt(gamma)};"
-            f"delta_k={_fmt(delta_k)};delta_x={_fmt(delta_x)}")
-
-
-def _report(relation_id: str, lhs: float, rhs: float, est_error: float,
-            digest: str, base_tol: float = BASE_TOLERANCE) -> RelationReport:
+def _report(relation_id: str, lhs: float, rhs: float,
+            est_error: float) -> RelationReport:
     margin = lhs - rhs
-    tol = base_tol + 4.0 * est_error
+    tol = BASE_TOLERANCE + 4.0 * est_error
     verdict = "pass" if margin >= -tol else "fail"
     return RelationReport(relation_id=relation_id, lhs=lhs, rhs=rhs,
                           margin=margin, tolerance=tol, est_error=est_error,
-                          verdict=verdict, inputs_digest=digest)
+                          verdict=verdict)
 
 
-def _not_applicable(relation_id: str, digest: str) -> RelationReport:
+def _not_applicable(relation_id: str) -> RelationReport:
     return RelationReport(relation_id=relation_id, lhs=math.nan, rhs=math.nan,
                           margin=math.nan, tolerance=BASE_TOLERANCE,
-                          est_error=0.0, verdict="not_applicable",
-                          inputs_digest=digest)
+                          est_error=0.0, verdict="not_applicable")
 
 
 # ---------------------------------------------------------------------------
@@ -109,11 +105,9 @@ def conjugate_order(alpha: float) -> OrderPair:
     return OrderPair(float(alpha), float(alpha / (2.0 * alpha - 1.0)))
 
 
-def check_kappa(pair: OrderPair, beta: float) -> RelationReport:
-    """The Beckner constant of a pair as a record; beta only tags the row."""
-    return _report("kappa_value", kappa(pair), 0.0, 0.0,
-                   _digest("kappa_value", "-", beta, alpha=pair.alpha,
-                           gamma=pair.gamma))
+def check_kappa(pair: OrderPair) -> RelationReport:
+    """The Beckner constant of a pair as a record."""
+    return _report("kappa_value", kappa(pair), 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +120,10 @@ def check_sf_bounds(sf_value: float, sigma: float,
 
     `sf_value` is S_f of a Gaussian acceptance of width sigma at this beta.
     """
-    out = [_report("sf_upper_unit", 1.0, sf_value, 1e-12,
-                   _digest("sf_upper_unit", "-", beta, sigma=sigma))]
+    out = [_report("sf_upper_unit", 1.0, sf_value, 1e-12)]
     if beta > 0.0:
         out.append(_report("sf_gaussian_bound",
-                           s_f_gaussian_bound(sigma, beta), sf_value, 1e-12,
-                           _digest("sf_gaussian_bound", "-", beta,
-                                   sigma=sigma)))
+                           s_f_gaussian_bound(sigma, beta), sf_value, 1e-12))
     return out
 
 
@@ -140,29 +131,24 @@ def check_sf_bounds(sf_value: float, sigma: float,
 # the correction term and its bounds
 # ---------------------------------------------------------------------------
 
-def correction_term(state: PureState | MixedState,
-                    rep: RepresentationBundle) -> float:
+def correction_term(rep: RepresentationBundle) -> float:
     """Mean of ln(1 + beta k^2) under the physical wavenumber density.
 
     Nonnegative, zero for beta = 0, and equal to H(K) - H(Q) by the exact
     density pushforward; the image-grid construction realizes that identity
-    at the quadrature level.
+    at the quadrature level.  Beta is that of the bundle's own state.
     """
-    mixed = as_mixed(state)
-    if not mixed.params.deformed:
+    params = rep.source.params
+    if not params.deformed:
         return 0.0
     u = rep.u_k
     k = u.grid.nodes
-    return float(u.grid.integrate(u.values * np.log1p(mixed.params.beta * k * k)))
+    return float(u.grid.integrate(u.values * np.log1p(params.beta * k * k)))
 
 
-def check_correction_term(state: PureState | MixedState,
-                          rep: RepresentationBundle,
-                          label: str = "state") -> RelationReport:
+def check_correction_term(rep: RepresentationBundle) -> RelationReport:
     """The correction term as a record: nonnegative, so rhs is zero."""
-    beta = as_mixed(state).params.beta
-    return _report("correction_term", correction_term(state, rep), 0.0, 1e-10,
-                   _digest("correction_term", label, beta))
+    return _report("correction_term", correction_term(rep), 0.0, 1e-10)
 
 
 @dataclass(frozen=True)
@@ -211,183 +197,151 @@ def correction_linearization_check(state: PureState,
     return LinearizationReport(applicable=True, points=tuple(points))
 
 
-def check_jensen(state: PureState | MixedState,
-                 rep: RepresentationBundle,
-                 label: str = "state") -> RelationReport:
+def check_jensen(rep: RepresentationBundle) -> RelationReport:
     """Concavity bound: correction <= ln(1 + beta <k^2>) when <k^2> exists."""
-    mixed = as_mixed(state)
-    digest = _digest("correction_jensen", label, mixed.params.beta)
+    beta = rep.source.params.beta
     try:
         k2 = moment(rep.u_k, 2)
     except MomentDivergenceError:
-        return _not_applicable("correction_jensen", digest)
-    corr = correction_term(mixed, rep)
-    lhs = math.log1p(mixed.params.beta * k2.value)
+        return _not_applicable("correction_jensen")
+    corr = correction_term(rep)
+    lhs = math.log1p(beta * k2.value)
     return _report("correction_jensen", lhs, corr,
-                   k2.est_error * mixed.params.beta / (1.0 + mixed.params.beta * k2.value),
-                   digest)
+                   k2.est_error * beta / (1.0 + beta * k2.value))
 
 
 # ---------------------------------------------------------------------------
 # variance-based bound
 # ---------------------------------------------------------------------------
 
-def robertson_margin(state: PureState | MixedState,
-                     rep: RepresentationBundle,
-                     label: str = "state") -> RelationReport:
+def robertson_margin(rep: RepresentationBundle) -> RelationReport:
     """Deformed variance bound: dx dk >= (1 + beta <k^2>) / 2.
 
     Downgrades to not-applicable when either standard deviation diverges,
     which genuinely happens for Cauchy-type wavenumber densities.
     """
-    mixed = as_mixed(state)
-    digest = _digest("robertson_product", label, mixed.params.beta)
+    beta = rep.source.params.beta
     try:
         k1, k2 = moment(rep.u_k, 1), moment(rep.u_k, 2)
         x1, x2 = moment(rep.w_x, 1), moment(rep.w_x, 2)
     except MomentDivergenceError:
-        return _not_applicable("robertson_product", digest)
+        return _not_applicable("robertson_product")
     var_k = k2.value - k1.value ** 2
     var_x = x2.value - x1.value ** 2
     if var_k <= 0.0 or var_x <= 0.0:
-        return _not_applicable("robertson_product", digest)
+        return _not_applicable("robertson_product")
     dk, dx = math.sqrt(var_k), math.sqrt(var_x)
     err = (x2.est_error + 2.0 * abs(x1.value) * x1.est_error) / (2.0 * dx) * dk \
         + (k2.est_error + 2.0 * abs(k1.value) * k1.est_error) / (2.0 * dk) * dx \
-        + 0.5 * mixed.params.beta * k2.est_error
+        + 0.5 * beta * k2.est_error
     lhs = dx * dk
-    rhs = 0.5 * (1.0 + mixed.params.beta * k2.value)
-    return _report("robertson_product", lhs, rhs, err, digest)
+    rhs = 0.5 * (1.0 + beta * k2.value)
+    return _report("robertson_product", lhs, rhs, err)
 
 
 # ---------------------------------------------------------------------------
 # Shannon relations
 # ---------------------------------------------------------------------------
 
-def check_bbm_corrected(state: PureState | MixedState,
-                        rep: RepresentationBundle,
-                        label: str = "state") -> list[RelationReport]:
+def check_bbm_corrected(rep: RepresentationBundle) -> list[RelationReport]:
     """Fourier-pair bound and its minimal-length corrected form.
 
     The base relation is H(Q) + H(X) >= ln(e pi); replacing the auxiliary
     entropy by the physical one adds the correction term to the bound.
     """
-    mixed = as_mixed(state)
-    beta = mixed.params.beta
     hq = diff_shannon(rep.v_q)
     hx = diff_shannon(rep.w_x)
     hk = diff_shannon(rep.u_k)
-    corr = correction_term(mixed, rep)
+    corr = correction_term(rep)
     base = _report("shannon_sum_base", hq.value + hx.value, LN_E_PI,
-                   hq.est_error + hx.est_error,
-                   _digest("shannon_sum_base", label, beta))
+                   hq.est_error + hx.est_error)
     corrected = _report("shannon_sum_corrected", hk.value + hx.value,
-                        LN_E_PI + corr, hk.est_error + hx.est_error,
-                        _digest("shannon_sum_corrected", label, beta))
+                        LN_E_PI + corr, hk.est_error + hx.est_error)
     return [base, corrected]
 
 
-def check_smeared_shannon(state: PureState | MixedState, f: AcceptanceFn,
-                          rep: RepresentationBundle,
+def check_smeared_shannon(rep: RepresentationBundle,
                           smeared: tuple[DensityFn, DensityFn],
-                          sf_value: float,
-                          label: str = "state") -> list[RelationReport]:
+                          sf_value: float) -> list[RelationReport]:
     """Smeared Shannon sums against the corrected and resolution bounds.
 
     `smeared` holds the two smeared densities (wavenumber, position) and
-    `sf_value` is S_f of the momentum acceptance f.  The corrected bound
+    `sf_value` is S_f of the momentum acceptance.  The corrected bound
     survives smearing unchanged; the resolution bound replaces it by
     ln(e pi / S_f), which exceeds ln(e pi) once the momentum acceptance is
     wide enough that S_f < 1.
     """
-    mixed = as_mixed(state)
-    beta = mixed.params.beta
     u_s, w_s = smeared
     hm = diff_shannon(u_s)
     hn = diff_shannon(w_s)
-    corr = correction_term(mixed, rep)
+    corr = correction_term(rep)
     err = hm.est_error + hn.est_error
     lhs = hm.value + hn.value
-    sig = f.width
     return [
-        _report("shannon_sum_smeared", lhs, LN_E_PI + corr, err,
-                _digest("shannon_sum_smeared", label, beta, sigma=sig)),
+        _report("shannon_sum_smeared", lhs, LN_E_PI + corr, err),
         _report("shannon_sum_smeared_resolution", lhs,
-                LN_E_PI - math.log(sf_value), err,
-                _digest("shannon_sum_smeared_resolution", label, beta,
-                        sigma=sig)),
+                LN_E_PI - math.log(sf_value), err),
     ]
 
 
 def check_binning_lemma(density: DensityFn, dist: DiscreteDist,
-                        beta: float, label: str = "state",
-                        axis: str = "k") -> RelationReport:
+                        axis: str) -> RelationReport:
     """Discretization lemma: H(p) >= H(density) - ln(max bin width).
 
-    `dist` is the density binned on some layout.
+    `dist` is the density binned on some layout; `axis` ("k" or "x") names
+    the row binning_lemma_<axis>.
     """
     h_cont = diff_shannon(density)
     h_disc = discrete_renyi(dist, 1.0)
-    rid = f"binning_lemma_{axis}"
-    kw = {"delta_k" if axis == "k" else "delta_x": dist.delta_max}
-    return _report(rid, h_disc.value, h_cont.value - math.log(dist.delta_max),
-                   h_cont.est_error, _digest(rid, label, beta, **kw))
+    return _report(f"binning_lemma_{axis}", h_disc.value,
+                   h_cont.value - math.log(dist.delta_max), h_cont.est_error)
 
 
-def check_binned_shannon(state: PureState | MixedState, p_k: DiscreteDist,
-                         p_x: DiscreteDist, rep: RepresentationBundle,
-                         label: str = "state") -> RelationReport:
+def check_binned_shannon(p_k: DiscreteDist, p_x: DiscreteDist,
+                         rep: RepresentationBundle) -> RelationReport:
     """Binned Shannon sum against ln(e pi / (dk dx)) plus the correction.
 
     `p_k` and `p_x` are the wavenumber and position densities of `rep`
     binned.
     """
-    mixed = as_mixed(state)
-    beta = mixed.params.beta
-    corr = correction_term(mixed, rep)
+    corr = correction_term(rep)
     lhs = discrete_renyi(p_k, 1.0).value + discrete_renyi(p_x, 1.0).value
     rhs = LN_E_PI - math.log(p_k.delta_max * p_x.delta_max) + corr
-    return _report("shannon_sum_binned", lhs, rhs, 1e-10,
-                   _digest("shannon_sum_binned", label, beta,
-                           delta_k=p_k.delta_max, delta_x=p_x.delta_max))
+    return _report("shannon_sum_binned", lhs, rhs, 1e-10)
 
 
 # ---------------------------------------------------------------------------
 # Renyi and Tsallis relations
 # ---------------------------------------------------------------------------
 
-def check_beckner(state: PureState | MixedState, pair: OrderPair,
-                  rep: RepresentationBundle,
-                  label: str = "state") -> list[RelationReport]:
+def check_beckner(pair: OrderPair,
+                  rep: RepresentationBundle) -> list[RelationReport]:
     """Conjugate-norm inequalities between the auxiliary and position pair.
 
     In log form: ln ||w||_gamma - ((1-gamma)/gamma) ln(kappa pi) >= ln ||v||_alpha
     together with the twin obtained by swapping the two densities.  The
     degenerate (1, 1) pair dispatches to the base Shannon relation.
     """
-    mixed = as_mixed(state)
-    beta = mixed.params.beta
     if pair.degenerate:
-        return [check_bbm_corrected(mixed, rep, label)[0]]
+        return [check_bbm_corrected(rep)[0]]
     kp = kappa(pair)
     expo = (1.0 - pair.gamma) / pair.gamma
     out = []
     for rid, big, small in (("beckner_qx", rep.w_x, rep.v_q),
                             ("beckner_xq", rep.v_q, rep.w_x)):
-        digest = _digest(rid, label, beta, alpha=pair.alpha, gamma=pair.gamma)
         try:
             lhs = math.log(alpha_norm(big, pair.gamma)) - expo * math.log(kp * math.pi)
             rhs = math.log(alpha_norm(small, pair.alpha))
         except NormDivergenceError:
-            out.append(_not_applicable(rid, digest))
+            out.append(_not_applicable(rid))
             continue
-        out.append(_report(rid, lhs, rhs, 1e-9, digest))
+        out.append(_report(rid, lhs, rhs, 1e-9))
     return out
 
 
 def _renyi_reports(renyi_and_norm_fn, dens_m, dens_n, pair: OrderPair,
                    scale: float, rid_sum: str, rid_norms: tuple[str, str],
-                   norm_err: float, digest) -> tuple[list[RelationReport], dict]:
+                   norm_err: float) -> tuple[list[RelationReport], dict]:
     """Renyi sums of (alpha on M, gamma on N), the swap, and their norm forms.
 
     Every row reads the four (entropy, norm) pairs of `renyi_and_norm_fn`,
@@ -416,22 +370,20 @@ def _renyi_reports(renyi_and_norm_fn, dens_m, dens_n, pair: OrderPair,
             (rid_norms[0], "m", "n", False), (rid_norms[1], "n", "m", False)):
         pa, pg = powers[first, pair.alpha], powers[second, pair.gamma]
         if pa is None or pg is None:
-            out.append(_not_applicable(rid, digest(rid)))
+            out.append(_not_applicable(rid))
         elif is_sum:
             ra, rg = pa[0], pg[0]
             out.append(_report(rid, ra.value + rg.value, rhs,
-                               ra.est_error + rg.est_error, digest(rid)))
+                               ra.est_error + rg.est_error))
         else:
             out.append(_report(rid, shift + math.log(pg[1]),
-                               math.log(pa[1]), norm_err, digest(rid)))
+                               math.log(pa[1]), norm_err))
     return out, powers
 
 
-def check_renyi_smeared(state: PureState | MixedState, f: AcceptanceFn,
-                        pair: OrderPair, rep: RepresentationBundle,
+def check_renyi_smeared(pair: OrderPair, rep: RepresentationBundle,
                         smeared: tuple[DensityFn, DensityFn],
-                        sf_value: float,
-                        label: str = "state") -> list[RelationReport]:
+                        sf_value: float) -> list[RelationReport]:
     """Smeared Renyi sums and the norm-level forms they come from.
 
     R_alpha(M) + R_gamma(N) >= ln(kappa pi / S_f) for conjugate orders, the
@@ -439,64 +391,41 @@ def check_renyi_smeared(state: PureState | MixedState, f: AcceptanceFn,
     ||U||_alpha <= (S_f/(kappa pi))^((1-gamma)/gamma) ||W||_gamma (and twin).
     The degenerate pair dispatches to the smeared Shannon relations.
     """
-    mixed = as_mixed(state)
     if pair.degenerate:
-        return check_smeared_shannon(mixed, f, rep, smeared, sf_value, label)
-    digest = partial(_digest, label=label, beta=mixed.params.beta,
-                     sigma=f.width, alpha=pair.alpha, gamma=pair.gamma)
+        return check_smeared_shannon(rep, smeared, sf_value)
     return _renyi_reports(renyi_and_norm, smeared[0], smeared[1], pair,
                           sf_value, "renyi_sum_smeared",
                           ("renyi_norm_smeared_uw", "renyi_norm_smeared_wu"),
-                          1e-9, digest)[0]
+                          1e-9)[0]
 
 
-def check_renyi_binned(state: PureState | MixedState, f: AcceptanceFn,
-                       pair: OrderPair, p_m: DiscreteDist, p_n: DiscreteDist,
-                       sf_value: float,
-                       label: str = "state") -> list[RelationReport]:
+def check_renyi_binned(pair: OrderPair, p_m: DiscreteDist, p_n: DiscreteDist,
+                       sf_value: float) -> list[RelationReport]:
     """Binned Renyi sums against ln(kappa pi / (S_f dzeta dxi)) plus norms.
 
     `p_m` and `p_n` are the smeared wavenumber and position densities
-    binned; `sf_value` is S_f of the momentum acceptance f.
+    binned; `sf_value` is S_f of the momentum acceptance.  The last row is
+    the norm ordering of `p_m`, read from the same power sums.
     """
-    return check_binned_orders(state, f, pair, p_m, p_n, sf_value, label)[0]
-
-
-def check_binned_orders(state: PureState | MixedState, f: AcceptanceFn,
-                        pair: OrderPair, p_m: DiscreteDist, p_n: DiscreteDist,
-                        sf_value: float, label: str
-                        ) -> tuple[list[RelationReport], RelationReport]:
-    """check_renyi_binned rows, and the norm ordering of p_m from their sums."""
-    beta = as_mixed(state).params.beta
     scale = sf_value * p_m.delta_max * p_n.delta_max
     if pair.degenerate:
         lhs = discrete_renyi(p_m, 1.0).value + discrete_renyi(p_n, 1.0).value
         rhs = LN_E_PI - math.log(scale)
-        return [_report("renyi_sum_binned", lhs, rhs, 1e-10,
-                        _digest("renyi_sum_binned", label, beta, sigma=f.width,
-                                alpha=1.0, gamma=1.0, delta_k=p_m.delta_max,
-                                delta_x=p_n.delta_max))], \
-            check_norm_ordering(p_m, pair, beta, label)
-    digest = partial(_digest, label=label, beta=beta, sigma=f.width,
-                     alpha=pair.alpha, gamma=pair.gamma,
-                     delta_k=p_m.delta_max, delta_x=p_n.delta_max)
+        return [_report("renyi_sum_binned", lhs, rhs, 1e-10),
+                check_norm_ordering(p_m, pair)]
     rows, powers = _renyi_reports(discrete_renyi_and_norm, p_m, p_n, pair,
                                   scale, "renyi_sum_binned",
                                   ("renyi_norm_binned_mn",
-                                   "renyi_norm_binned_nm"), 1e-12, digest)
-    return rows, _norm_ordering(lambda order: powers["m", order][1], pair,
-                                beta, label, p_m.delta_max)
+                                   "renyi_norm_binned_nm"), 1e-12)
+    return rows + [_norm_ordering(lambda order: powers["m", order][1], pair)]
 
 
-def check_tsallis_binned(state: PureState | MixedState, f: AcceptanceFn,
-                         pair: OrderPair, p_m: DiscreteDist, p_n: DiscreteDist,
-                         sf_value: float,
-                         label: str = "state") -> list[RelationReport]:
+def check_tsallis_binned(pair: OrderPair, p_m: DiscreteDist, p_n: DiscreteDist,
+                         sf_value: float) -> list[RelationReport]:
     """Binned Tsallis sums against the deformed-log bound with nu = max order.
 
     Inputs as for check_renyi_binned.
     """
-    beta = as_mixed(state).params.beta
     kp = kappa(pair)
     nu = max(pair.alpha, pair.gamma)
     rhs = alpha_log(kp * math.pi / (sf_value * p_m.delta_max * p_n.delta_max),
@@ -504,32 +433,24 @@ def check_tsallis_binned(state: PureState | MixedState, f: AcceptanceFn,
     out = []
     for rid, first, second in (("tsallis_sum_binned", p_m, p_n),
                                ("tsallis_sum_binned_swapped", p_n, p_m)):
-        digest = _digest(rid, label, beta, sigma=f.width, alpha=pair.alpha,
-                         gamma=pair.gamma, delta_k=p_m.delta_max,
-                         delta_x=p_n.delta_max)
         lhs = discrete_tsallis(first, pair.alpha).value \
             + discrete_tsallis(second, pair.gamma).value
-        out.append(_report(rid, lhs, rhs, 1e-12, digest))
+        out.append(_report(rid, lhs, rhs, 1e-12))
     return out
 
 
-def check_norm_ordering(dist: DiscreteDist, pair: OrderPair, beta: float,
-                        label: str = "state") -> RelationReport:
+def check_norm_ordering(dist: DiscreteDist, pair: OrderPair) -> RelationReport:
     """Discrete norm ordering ||p||_alpha <= 1 <= ||p||_gamma for alpha>1>gamma.
 
     Both inequalities fold into one report: lhs is the smaller slack of the
     two, rhs is zero.
     """
-    return _norm_ordering(partial(discrete_norm, dist), pair, beta, label,
-                          dist.delta_max)
+    return _norm_ordering(partial(discrete_norm, dist), pair)
 
 
-def _norm_ordering(norm_of, pair: OrderPair, beta: float, label: str,
-                   delta: float) -> RelationReport:
+def _norm_ordering(norm_of, pair: OrderPair) -> RelationReport:
     """The check_norm_ordering row; `norm_of(order)` gives ||p||_order."""
-    digest = _digest("discrete_norm_ordering", label, beta,
-                     alpha=pair.alpha, gamma=pair.gamma, delta_k=delta)
     if pair.degenerate:
-        return _report("discrete_norm_ordering", 0.0, 0.0, 0.0, digest)
+        return _report("discrete_norm_ordering", 0.0, 0.0, 0.0)
     slack = min(1.0 - norm_of(pair.alpha), norm_of(pair.gamma) - 1.0)
-    return _report("discrete_norm_ordering", slack, 0.0, 1e-13, digest)
+    return _report("discrete_norm_ordering", slack, 0.0, 1e-13)

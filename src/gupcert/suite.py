@@ -1,8 +1,10 @@
 """Certification suite: cross-product runs, sweeps, and deterministic reports.
 
 The runner walks states x parameters, evaluates every applicable relation
-check, and assembles one flat record per check.  Records are sorted by their
-input digest so the report is byte-identical across runs and independent of
+check, and assembles one flat record per check.  Checks return unlabeled
+reports; `_record` tags each with the state and parameters the cell passed
+in and renders those tags as the row's input digest.  Records are sorted by
+that digest so the report is byte-identical across runs and independent of
 any parallel completion order; floats serialize with 17 significant digits.
 """
 
@@ -131,14 +133,26 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
 # record assembly
 # ---------------------------------------------------------------------------
 
+def _tag(x) -> str:
+    return "-" if x is None else format(float(x), ".17g")
+
+
 def _record(report: rel.RelationReport, state: str, beta: float, sigma=None,
             alpha=None, gamma=None, delta_k=None, delta_x=None) -> dict:
-    return {"relation_id": report.relation_id, "state": state, "beta": beta,
+    """One report row; its digest renders the tags the row stores."""
+    rid = report.relation_id
+    # The norm-ordering digest has always keyed sigma as "-": the bench
+    # references and published reports sort and match that row by it.
+    key_sigma = None if rid == "discrete_norm_ordering" else sigma
+    digest = (f"relation={rid};state={state};beta={_tag(beta)};"
+              f"sigma={_tag(key_sigma)};alpha={_tag(alpha)};gamma={_tag(gamma)};"
+              f"delta_k={_tag(delta_k)};delta_x={_tag(delta_x)}")
+    return {"relation_id": rid, "state": state, "beta": beta,
             "sigma": sigma, "alpha": alpha, "gamma": gamma,
             "delta_k": delta_k, "delta_x": delta_x, "lhs": report.lhs,
             "rhs": report.rhs, "margin": report.margin,
             "est_error": report.est_error, "verdict": report.verdict,
-            "tolerance": report.tolerance, "digest": report.inputs_digest}
+            "tolerance": report.tolerance, "digest": digest}
 
 
 def _apply_tolerances(records: list[dict], config: RunConfig) -> None:
@@ -235,14 +249,14 @@ def _verify_cell(spec: dict, beta: float, config: RunConfig) -> list[dict]:
     params = state.params
     out: list[dict] = []
 
-    for rpt in rel.check_bbm_corrected(state, rep, label):
+    for rpt in rel.check_bbm_corrected(rep):
         out.append(_record(rpt, label, beta))
-    out.append(_record(rel.check_jensen(state, rep, label), label, beta))
-    out.append(_record(rel.robertson_margin(state, rep, label), label, beta))
+    out.append(_record(rel.check_jensen(rep), label, beta))
+    out.append(_record(rel.robertson_margin(rep), label, beta))
 
     pairs = [rel.conjugate_order(a) for a in config.alpha_grid]
     for pair in pairs:
-        for rpt in rel.check_beckner(state, pair, rep, label):
+        for rpt in rel.check_beckner(pair, rep):
             out.append(_record(rpt, label, beta, alpha=pair.alpha,
                                gamma=pair.gamma))
 
@@ -255,36 +269,30 @@ def _verify_cell(spec: dict, beta: float, config: RunConfig) -> list[dict]:
     if binned is not None:
         p_k, p_x = binned
         dk, dx = p_k.delta_max, p_x.delta_max
-        out.append(_record(rel.check_binning_lemma(rep.u_k, p_k, beta, label,
-                                                   axis="k"),
+        out.append(_record(rel.check_binning_lemma(rep.u_k, p_k, "k"),
                            label, beta, delta_k=dk))
-        out.append(_record(rel.check_binning_lemma(rep.w_x, p_x, beta, label,
-                                                   axis="x"),
+        out.append(_record(rel.check_binning_lemma(rep.w_x, p_x, "x"),
                            label, beta, delta_x=dx))
-        out.append(_record(rel.check_binned_shannon(state, p_k, p_x, rep,
-                                                    label),
+        out.append(_record(rel.check_binned_shannon(p_k, p_x, rep),
                            label, beta, delta_k=dk, delta_x=dx))
 
     for sigma in config.sigma_grid:
         f = gaussian_acceptance(sigma)
         sf_val = s_f(f, params)
         smeared = (smear(rep.u_k, f), smear(rep.w_x, f))
-        for rpt in rel.check_smeared_shannon(state, f, rep, smeared, sf_val,
-                                             label):
+        for rpt in rel.check_smeared_shannon(rep, smeared, sf_val):
             out.append(_record(rpt, label, beta, sigma=sigma))
         binned = _bin_pair(rng, *smeared, dmin, dmax)
         for pair in pairs:
-            for rpt in rel.check_renyi_smeared(state, f, pair, rep, smeared,
-                                               sf_val, label):
+            for rpt in rel.check_renyi_smeared(pair, rep, smeared, sf_val):
                 out.append(_record(rpt, label, beta, sigma=sigma,
                                    alpha=pair.alpha, gamma=pair.gamma))
             if binned is None:
                 continue
             p_m, p_n = binned
-            renyi, ordering = rel.check_binned_orders(state, f, pair, p_m,
-                                                      p_n, sf_val, label)
-            for rpt in renyi + rel.check_tsallis_binned(state, f, pair, p_m,
-                                                        p_n, sf_val, label):
+            *renyi, ordering = rel.check_renyi_binned(pair, p_m, p_n, sf_val)
+            for rpt in renyi + rel.check_tsallis_binned(pair, p_m, p_n,
+                                                        sf_val):
                 out.append(_record(rpt, label, beta, sigma=sigma,
                                    alpha=pair.alpha, gamma=pair.gamma,
                                    delta_k=p_m.delta_max,
@@ -349,26 +357,26 @@ def run_sweep(config: RunConfig, param: str) -> list[dict]:
             if state is None:
                 continue
             rep = bundle(state)
-            rpt = rel.check_correction_term(state, rep, label)
+            rpt = rel.check_correction_term(rep)
             records.append(_record(rpt, label, beta))
-            for r in rel.check_bbm_corrected(state, rep, label):
+            for r in rel.check_bbm_corrected(rep):
                 records.append(_record(r, label, beta))
         records.extend(_sf_records(config))
     elif param == "sigma":
         for sigma in config.sigma_grid:
             f = gaussian_acceptance(sigma)
             smeared = (smear(rep.u_k, f), smear(rep.w_x, f))
-            for r in rel.check_smeared_shannon(state, f, rep, smeared,
-                                               s_f(f, state.params), label):
+            for r in rel.check_smeared_shannon(rep, smeared,
+                                               s_f(f, state.params)):
                 records.append(_record(r, label, beta, sigma=sigma))
         records.extend(_sf_records(config))
     else:
         for a in config.alpha_grid:
             pair = rel.conjugate_order(a)
-            rpt = rel.check_kappa(pair, beta)
+            rpt = rel.check_kappa(pair)
             records.append(_record(rpt, "-", beta, alpha=pair.alpha,
                                    gamma=pair.gamma))
-            for r in rel.check_beckner(state, pair, rep, label):
+            for r in rel.check_beckner(pair, rep):
                 records.append(_record(r, label, beta, alpha=pair.alpha,
                                        gamma=pair.gamma))
     _apply_tolerances(records, config)
@@ -406,7 +414,7 @@ def show_state(name: str, beta: float, shape_args=(), seed=None,
             "H_Q": diff_shannon(rep.v_q).value,
             "H_X": diff_shannon(rep.w_x).value,
             "H_K": diff_shannon(rep.u_k).value,
-            "correction": rel.correction_term(state, rep),
+            "correction": rel.correction_term(rep),
         },
         "tables": {"q": table(rep.v_q), "x": table(rep.w_x), "k": table(rep.u_k)},
     }

@@ -57,7 +57,7 @@ def test_criterion_01_entropy_identity():
             v = g.q_density(st)
             u = g.density_q_to_k(v, st.params)
             resid = abs(g.diff_shannon(u).value - g.diff_shannon(v).value
-                        - g.correction_term(st, _rep(name, beta, shape, seed)))
+                        - g.correction_term(_rep(name, beta, shape, seed)))
             worst = max(worst, resid)
     _criterion(1, f"entropy identity residual <= 1e-6 (worst {worst:.2e})",
                worst <= 1e-6)
@@ -66,7 +66,7 @@ def test_criterion_01_entropy_identity():
 def test_criterion_02_cauchy_cross_check():
     rep = _rep("uniform_q", 1.0)
     hk = g.diff_shannon(rep.u_k).value
-    corr = g.correction_term(_state("uniform_q", 1.0), rep)
+    corr = g.correction_term(rep)
     err_h = abs(hk - math.log(4 * math.pi))
     err_c = abs(corr - 2 * math.log(2.0))
     _criterion(2, f"uniform_q at beta=1: |H(K)-ln 4pi|={err_h:.2e}, "
@@ -92,7 +92,7 @@ def test_criterion_04_corrected_bound_random_states():
             st = g.catalog_state("random_fourier_q", p, shape_args=[6],
                                  seed=seed)
             rep = g.bundle(st)
-            margin = g.check_bbm_corrected(st, rep)[1].margin
+            margin = g.check_bbm_corrected(rep)[1].margin
             worst = min(worst, margin)
     _criterion(4, f"corrected bound margin >= -1e-8 over 200 seeds x "
                   f"{len(BETA_GRID)} betas (min {worst:.4f})", worst >= -1e-8)
@@ -117,7 +117,6 @@ def test_criterion_06_binning_lemma_and_binned_bound():
     worst = math.inf
     rng = np.random.default_rng(2026)
     for name, shape, seed in CATALOG:
-        st = _state(name, 1.0, shape, seed)
         rep = _rep(name, 1.0, shape, seed)
         klo, khi = _coverage_window(rep.u_k)
         xlo, xhi = _coverage_window(rep.w_x)
@@ -125,9 +124,9 @@ def test_criterion_06_binning_lemma_and_binned_bound():
         bins_x = _random_edges(rng, xlo, xhi, 0.05, 2.0)
         p_k = g.bin_density(rep.u_k, bins_k)
         p_x = g.bin_density(rep.w_x, bins_x)
-        lem_k = g.check_binning_lemma(rep.u_k, p_k, 1.0, name, "k")
-        lem_x = g.check_binning_lemma(rep.w_x, p_x, 1.0, name, "x")
-        both = g.check_binned_shannon(st, p_k, p_x, rep, name)
+        lem_k = g.check_binning_lemma(rep.u_k, p_k, "k")
+        lem_x = g.check_binning_lemma(rep.w_x, p_x, "x")
+        both = g.check_binned_shannon(p_k, p_x, rep)
         worst = min(worst, lem_k.margin, lem_x.margin, both.margin)
     _criterion(6, f"binning lemma and binned bound margins >= -1e-8 over "
                   f"random layouts (min {worst:.4f})", worst >= -1e-8)
@@ -137,9 +136,8 @@ def test_criterion_07_correction_bounds():
     jensen_worst = math.inf
     for name, shape, seed in (("raised_cosine_q", (), None),
                               ("random_fourier_q", (6,), 11)):
-        st = _state(name, 1.0, shape, seed)
         rep = _rep(name, 1.0, shape, seed)
-        rpt = g.check_jensen(st, rep, name)
+        rpt = g.check_jensen(rep)
         assert rpt.verdict != "not_applicable"
         jensen_worst = min(jensen_worst, rpt.margin)
     p = g.make_params(1.0)
@@ -176,19 +174,16 @@ def test_criterion_09_beckner_and_renyi_relations():
                             _random_edges(rng, xilo, xihi, 0.05, 2.0))
         for alpha in (1.25, 1.5, 2.0, 3.0):
             pair = g.conjugate_order(alpha)
-            reports = list(g.check_beckner(st, pair, rep, name))
-            reports += g.check_renyi_smeared(st, f, pair, rep, smeared,
-                                             sf_val, name)
-            reports += g.check_renyi_binned(st, f, pair, p_m, p_n, sf_val,
-                                            name)
+            reports = list(g.check_beckner(pair, rep))
+            reports += g.check_renyi_smeared(pair, rep, smeared, sf_val)
+            reports += g.check_renyi_binned(pair, p_m, p_n, sf_val)
             for rpt in reports:
                 if rpt.verdict != "not_applicable":
                     worst = min(worst, rpt.margin)
     # near-saturated pairs at small beta
-    st = _state("truncated_gaussian_q", 1e-3, (1.0,))
     rep = _rep("truncated_gaussian_q", 1e-3, (1.0,))
     for alpha in (1.25, 1.5, 2.0, 3.0):
-        for rpt in g.check_beckner(st, g.conjugate_order(alpha), rep, "tg"):
+        for rpt in g.check_beckner(g.conjugate_order(alpha), rep):
             worst = min(worst, rpt.margin)
     _criterion(9, f"Beckner/Renyi margins >= -1e-8 with and without "
                   f"smearing/binning (min {worst:.2e})", worst >= -1e-8)
@@ -211,11 +206,10 @@ def test_criterion_10_tsallis_and_norm_ordering():
         p_n = g.bin_density(smeared[1], bins_xi)
         for alpha in (1.25, 1.5, 2.0, 3.0):
             pair = g.conjugate_order(alpha)
-            for rpt in g.check_tsallis_binned(st, f, pair, p_m, p_n, sf_val,
-                                              name):
+            for rpt in g.check_tsallis_binned(pair, p_m, p_n, sf_val):
                 worst = min(worst, rpt.margin)
-            worst = min(worst, g.check_norm_ordering(p_m, pair, 1.0).margin,
-                        g.check_norm_ordering(p_n, pair, 1.0).margin)
+            worst = min(worst, g.check_norm_ordering(p_m, pair).margin,
+                        g.check_norm_ordering(p_n, pair).margin)
     _criterion(10, f"Tsallis binned and norm-ordering margins >= -1e-8 "
                    f"(min {worst:.2e})", worst >= -1e-8)
 

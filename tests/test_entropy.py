@@ -193,7 +193,7 @@ class TestBinningLemma:
             lo, hi = _coverage_window(density)
             edges = _random_edges(rng, lo, hi, 0.05, 2.0)
             rpt = g.check_binning_lemma(density, g.bin_density(density, edges),
-                                        rep.source.params.beta, "s", axis)
+                                        axis)
             assert rpt.margin >= -1e-8
 
     def test_fine_equal_bins_smooth_state(self, gauss_rep_small_beta):
@@ -201,8 +201,7 @@ class TestBinningLemma:
         # keep the margin positive at the tolerance scale
         d = gauss_rep_small_beta.v_q
         edges = np.arange(-8.0, 8.0 + 1e-9, 0.05)
-        rpt = g.check_binning_lemma(d, g.bin_density(d, edges), 1e-3, "gauss",
-                                    "k")
+        rpt = g.check_binning_lemma(d, g.bin_density(d, edges), "k")
         assert rpt.margin >= -1e-8
 
     def test_refinement_stability(self, gauss_rep_small_beta):

@@ -1,7 +1,7 @@
 """Byte-for-byte regression against committed reports.
 
 `tests/data/golden_small.json` holds the `render_json` text of a small
-verify run and a beta sweep.  Optimisations that must not move a single
+verify run (and its `render_csv` text) and of beta, sigma and alpha sweeps.  Optimisations that must not move a single
 float (reordered or shared exponentials, blocked sums) are checked here.
 Regenerate the file only for a change that is meant to alter report bytes:
 
@@ -28,12 +28,20 @@ def _reports() -> dict:
     sweep = RunConfig(beta_grid=[1e-3, 0.1, 1.0],
                       states=[{"name": "random_fourier_q", "shape_args": [8],
                                "seed": 11}])
+    smeared = RunConfig(beta_grid=[0.1], sigma_grid=[0.5, 1.0, 4.0],
+                        alpha_grid=[1.5, 2.0, 4.0],
+                        states=[{"name": "raised_cosine_q"}])
     records, _ = suite.run_verify(verify)
     cauchy_records, _ = suite.run_verify(cauchy)
     return {"verify": suite.render_json(records, verify),
+            "verify_csv": suite.render_csv(records),
             "verify_uniform_q": suite.render_json(cauchy_records, cauchy),
             "sweep_beta": suite.render_json(suite.run_sweep(sweep, "beta"),
-                                            sweep)}
+                                            sweep),
+            "sweep_sigma": suite.render_json(
+                suite.run_sweep(smeared, "sigma"), smeared),
+            "sweep_alpha": suite.render_json(
+                suite.run_sweep(smeared, "alpha"), smeared)}
 
 
 def test_reports_match_golden_bytes():

@@ -6,9 +6,10 @@ import pytest
 import gupcert as g
 
 
-def _smeared_cell(state, rep, f):
+def _smeared_cell(rep, f):
     """Both smeared densities and S_f for one acceptance, as a cell has them."""
-    return (g.smear(rep.u_k, f), g.smear(rep.w_x, f)), g.s_f(f, state.params)
+    return ((g.smear(rep.u_k, f), g.smear(rep.w_x, f)),
+            g.s_f(f, rep.source.params))
 
 
 class TestKappa:
@@ -58,13 +59,13 @@ class TestCorrectionTerm:
     def test_uniform_constant(self, beta):
         p = g.make_params(beta)
         st_ = g.catalog_state("uniform_q", p)
-        corr = g.correction_term(st_, g.bundle(st_))
+        corr = g.correction_term(g.bundle(st_))
         assert corr == pytest.approx(2.0 * math.log(2.0), abs=1e-6)
 
     def test_undeformed_zero(self, params_0):
         st_ = g.catalog_state("truncated_gaussian_q", params_0,
                               shape_args=[1.0])
-        assert g.correction_term(st_, g.bundle(st_)) == 0.0
+        assert g.correction_term(g.bundle(st_)) == 0.0
 
     @pytest.mark.parametrize("name,shape,seed", [
         ("uniform_q", (), None),
@@ -80,21 +81,21 @@ class TestCorrectionTerm:
         u = g.density_q_to_k(v, p)
         hk = g.diff_shannon(u).value
         hq = g.diff_shannon(v).value
-        corr = g.correction_term(st_, g.bundle(st_))
+        corr = g.correction_term(g.bundle(st_))
         assert abs(hk - hq - corr) < 1e-6
 
-    def test_nonnegative(self, random_state, random_rep):
-        assert g.correction_term(random_state, random_rep) >= 0.0
+    def test_nonnegative(self, random_rep):
+        assert g.correction_term(random_rep) >= 0.0
 
 
 class TestJensen:
-    def test_margin_where_finite(self, cosine_state, cosine_rep):
-        rpt = g.check_jensen(cosine_state, cosine_rep)
+    def test_margin_where_finite(self, cosine_rep):
+        rpt = g.check_jensen(cosine_rep)
         assert rpt.verdict == "pass"
         assert rpt.margin >= -1e-8
 
-    def test_not_applicable_for_cauchy(self, uniform_state, uniform_rep):
-        rpt = g.check_jensen(uniform_state, uniform_rep)
+    def test_not_applicable_for_cauchy(self, uniform_rep):
+        rpt = g.check_jensen(uniform_rep)
         assert rpt.verdict == "not_applicable"
 
 
@@ -121,16 +122,15 @@ class TestLinearization:
 
 
 class TestRobertson:
-    def test_small_beta_gaussian(self, gauss_state_small_beta,
-                                 gauss_rep_small_beta):
-        rpt = g.robertson_margin(gauss_state_small_beta, gauss_rep_small_beta)
+    def test_small_beta_gaussian(self, gauss_rep_small_beta):
+        rpt = g.robertson_margin(gauss_rep_small_beta)
         assert rpt.verdict == "pass"
         assert rpt.margin >= -1e-8
         # near-minimal packet: product close to the bound
         assert rpt.margin < 0.05
 
     def test_rhs_formula(self, cosine_state, cosine_rep):
-        rpt = g.robertson_margin(cosine_state, cosine_rep)
+        rpt = g.robertson_margin(cosine_rep)
         k2 = g.moment(cosine_rep.u_k, 2).value
         beta = cosine_state.params.beta
         assert rpt.rhs == pytest.approx(0.5 * (1 + beta * k2), rel=1e-9)
@@ -138,82 +138,70 @@ class TestRobertson:
         k1 = g.moment(cosine_rep.u_k, 1).value
         assert rpt.rhs >= 0.5 * (1 + beta * (k2 - k1 ** 2)) - 1e-12
 
-    def test_cauchy_not_applicable(self, uniform_state, uniform_rep):
-        assert g.robertson_margin(uniform_state, uniform_rep).verdict == \
-            "not_applicable"
+    def test_cauchy_not_applicable(self, uniform_rep):
+        assert g.robertson_margin(uniform_rep).verdict == "not_applicable"
 
 
 class TestShannonRelations:
-    def test_base_and_corrected_margins(self, random_state, random_rep):
-        base, corrected = g.check_bbm_corrected(random_state, random_rep)
+    def test_base_and_corrected_margins(self, random_rep):
+        base, corrected = g.check_bbm_corrected(random_rep)
         assert base.margin >= -1e-8
         assert corrected.margin >= -1e-8
 
-    def test_corrected_equals_base(self, uniform_state, uniform_rep):
+    def test_corrected_equals_base(self, uniform_rep):
         # the corrected bound is the base bound plus the exact identity, so
         # the two margins agree to rounding on the image-grid construction
-        base, corrected = g.check_bbm_corrected(uniform_state, uniform_rep)
+        base, corrected = g.check_bbm_corrected(uniform_rep)
         assert abs(corrected.margin - base.margin) < 1e-12
 
-    def test_saturation_near_gaussian(self, gauss_state_small_beta,
-                                      gauss_rep_small_beta):
-        base, corrected = g.check_bbm_corrected(gauss_state_small_beta,
-                                                gauss_rep_small_beta)
+    def test_saturation_near_gaussian(self, gauss_rep_small_beta):
+        base, corrected = g.check_bbm_corrected(gauss_rep_small_beta)
         assert 0.0 - 1e-8 <= base.margin < 1e-3
 
-    def test_smeared_margins(self, cosine_state, cosine_rep):
+    def test_smeared_margins(self, cosine_rep):
         f = g.gaussian_acceptance(1.0)
         smeared, resolution = g.check_smeared_shannon(
-            cosine_state, f, cosine_rep,
-            *_smeared_cell(cosine_state, cosine_rep, f))
+            cosine_rep, *_smeared_cell(cosine_rep, f))
         assert smeared.margin >= -1e-8
         assert resolution.margin >= -1e-8
 
-    def test_smeared_margin_dominates_unsmeared(self, cosine_state,
-                                                cosine_rep):
+    def test_smeared_margin_dominates_unsmeared(self, cosine_rep):
         f = g.gaussian_acceptance(0.5)
-        _, corrected = g.check_bbm_corrected(cosine_state, cosine_rep)
+        _, corrected = g.check_bbm_corrected(cosine_rep)
         smeared, _ = g.check_smeared_shannon(
-            cosine_state, f, cosine_rep,
-            *_smeared_cell(cosine_state, cosine_rep, f))
+            cosine_rep, *_smeared_cell(cosine_rep, f))
         assert smeared.margin >= corrected.margin - 1e-8
 
-    def test_narrow_acceptance_approaches_unsmeared(self, cosine_state,
-                                                    cosine_rep):
+    def test_narrow_acceptance_approaches_unsmeared(self, cosine_rep):
         f = g.gaussian_acceptance(0.002)
-        _, corrected = g.check_bbm_corrected(cosine_state, cosine_rep)
+        _, corrected = g.check_bbm_corrected(cosine_rep)
         smeared, _ = g.check_smeared_shannon(
-            cosine_state, f, cosine_rep,
-            *_smeared_cell(cosine_state, cosine_rep, f))
+            cosine_rep, *_smeared_cell(cosine_rep, f))
         assert abs(smeared.margin - corrected.margin) < 1e-3
 
-    def test_wide_acceptance_raises_resolution_bound(self, cosine_state,
-                                                     cosine_rep, params_1):
+    def test_wide_acceptance_raises_resolution_bound(self, cosine_rep):
         f = g.gaussian_acceptance(10.0)
         _, resolution = g.check_smeared_shannon(
-            cosine_state, f, cosine_rep,
-            *_smeared_cell(cosine_state, cosine_rep, f))
+            cosine_rep, *_smeared_cell(cosine_rep, f))
         assert resolution.rhs > g.LN_E_PI  # S_f < 1 tightens the bound
         assert resolution.margin >= -1e-8
 
-    def test_binned_margins(self, cosine_state, cosine_rep):
+    def test_binned_margins(self, cosine_rep):
         from gupcert.suite import _coverage_window, _random_edges
         rng = np.random.default_rng(4)
         klo, khi = _coverage_window(cosine_rep.u_k)
         xlo, xhi = _coverage_window(cosine_rep.w_x)
         bins_k = _random_edges(rng, klo, khi, 0.05, 2.0)
         bins_x = _random_edges(rng, xlo, xhi, 0.05, 2.0)
-        rpt = g.check_binned_shannon(cosine_state,
-                                     g.bin_density(cosine_rep.u_k, bins_k),
+        rpt = g.check_binned_shannon(g.bin_density(cosine_rep.u_k, bins_k),
                                      g.bin_density(cosine_rep.w_x, bins_x),
                                      cosine_rep)
         assert rpt.margin >= -1e-8
 
-    def test_coarse_bins_vacuous(self, cosine_state, cosine_rep):
+    def test_coarse_bins_vacuous(self, cosine_rep):
         bins_k = np.array([-120.0, 0.0, 120.0])
         bins_x = np.array([-60.0, 0.0, 60.0])
-        rpt = g.check_binned_shannon(cosine_state,
-                                     g.bin_density(cosine_rep.u_k, bins_k),
+        rpt = g.check_binned_shannon(g.bin_density(cosine_rep.u_k, bins_k),
                                      g.bin_density(cosine_rep.w_x, bins_x),
                                      cosine_rep)
         assert rpt.rhs < 0.0
@@ -222,64 +210,56 @@ class TestShannonRelations:
 
 class TestBecknerAndRenyi:
     @pytest.mark.parametrize("alpha", [1.25, 1.5, 2.0, 3.0])
-    def test_beckner_margins(self, cosine_state, cosine_rep, alpha):
+    def test_beckner_margins(self, cosine_rep, alpha):
         pair = g.conjugate_order(alpha)
-        for rpt in g.check_beckner(cosine_state, pair, cosine_rep):
+        for rpt in g.check_beckner(pair, cosine_rep):
             assert rpt.margin >= -1e-8
 
-    def test_beckner_near_saturation(self, gauss_state_small_beta,
-                                     gauss_rep_small_beta):
+    def test_beckner_near_saturation(self, gauss_rep_small_beta):
         for alpha in (1.5, 2.0, 3.0):
             pair = g.conjugate_order(alpha)
-            for rpt in g.check_beckner(gauss_state_small_beta, pair,
-                                       gauss_rep_small_beta):
+            for rpt in g.check_beckner(pair, gauss_rep_small_beta):
                 assert rpt.margin >= -1e-8
                 assert rpt.margin < 1e-6  # Gaussians saturate the inequality
 
-    def test_degenerate_dispatches_to_base(self, cosine_state, cosine_rep):
-        reports = g.check_beckner(cosine_state, g.OrderPair(1.0, 1.0),
-                                  cosine_rep)
+    def test_degenerate_dispatches_to_base(self, cosine_rep):
+        reports = g.check_beckner(g.OrderPair(1.0, 1.0), cosine_rep)
         assert reports[0].relation_id == "shannon_sum_base"
 
-    def test_renyi_smeared(self, cosine_state, cosine_rep):
+    def test_renyi_smeared(self, cosine_rep):
         f = g.gaussian_acceptance(1.0)
         pair = g.conjugate_order(2.0)
         reports = g.check_renyi_smeared(
-            cosine_state, f, pair, cosine_rep,
-            *_smeared_cell(cosine_state, cosine_rep, f))
+            pair, cosine_rep, *_smeared_cell(cosine_rep, f))
         assert len(reports) == 4
         for rpt in reports:
             assert rpt.margin >= -1e-8
 
-    def test_sf_replaced_by_one_is_weaker(self, cosine_state, cosine_rep,
-                                          params_1):
+    def test_sf_replaced_by_one_is_weaker(self, cosine_rep):
         f = g.gaussian_acceptance(2.0)
         pair = g.conjugate_order(2.0)
-        smeared, sf_val = _smeared_cell(cosine_state, cosine_rep, f)
-        strict = g.check_renyi_smeared(cosine_state, f, pair, cosine_rep,
-                                       smeared, sf_val)
-        relaxed = g.check_renyi_smeared(cosine_state, f, pair, cosine_rep,
-                                        smeared, sf_value=1.0)
+        smeared, sf_val = _smeared_cell(cosine_rep, f)
+        strict = g.check_renyi_smeared(pair, cosine_rep, smeared, sf_val)
+        relaxed = g.check_renyi_smeared(pair, cosine_rep, smeared,
+                                        sf_value=1.0)
         assert relaxed[0].margin > strict[0].margin
         assert relaxed[0].margin >= -1e-8
 
-    def test_renyi_and_tsallis_binned(self, cosine_state, cosine_rep):
+    def test_renyi_and_tsallis_binned(self, cosine_rep):
         from gupcert.suite import _coverage_window, _random_edges
         f = g.gaussian_acceptance(1.0)
         pair = g.conjugate_order(2.0)
-        smeared, sf_val = _smeared_cell(cosine_state, cosine_rep, f)
+        smeared, sf_val = _smeared_cell(cosine_rep, f)
         rng = np.random.default_rng(9)
         zlo, zhi = _coverage_window(smeared[0])
         xlo, xhi = _coverage_window(smeared[1])
         p_m = g.bin_density(smeared[0], _random_edges(rng, zlo, zhi, 0.05, 2.0))
         p_n = g.bin_density(smeared[1], _random_edges(rng, xlo, xhi, 0.05, 2.0))
-        for rpt in g.check_renyi_binned(cosine_state, f, pair, p_m, p_n,
-                                        sf_val):
+        for rpt in g.check_renyi_binned(pair, p_m, p_n, sf_val):
             assert rpt.margin >= -1e-8
-        for rpt in g.check_tsallis_binned(cosine_state, f, pair, p_m, p_n,
-                                          sf_val):
+        for rpt in g.check_tsallis_binned(pair, p_m, p_n, sf_val):
             assert rpt.margin >= -1e-8
-        assert g.check_norm_ordering(p_m, pair, 1.0).margin >= -1e-12
+        assert g.check_norm_ordering(p_m, pair).margin >= -1e-12
 
     def test_randomized_margins_sweep(self):
         # a slice of the randomized certification: every applicable check
@@ -294,37 +274,35 @@ class TestBecknerAndRenyi:
                 st_ = g.catalog_state("random_fourier_q", p, shape_args=[5],
                                       seed=seed)
                 rep = g.bundle(st_)
-                reports = list(g.check_bbm_corrected(st_, rep))
-                reports.append(g.check_jensen(st_, rep))
-                reports.append(g.robertson_margin(st_, rep))
+                reports = list(g.check_bbm_corrected(rep))
+                reports.append(g.check_jensen(rep))
+                reports.append(g.robertson_margin(rep))
                 smeared = (g.smear(rep.u_k, f), g.smear(rep.w_x, f))
                 sf_val = g.s_f(f, p)
-                reports += g.check_smeared_shannon(st_, f, rep, smeared,
-                                                   sf_val)
+                reports += g.check_smeared_shannon(rep, smeared, sf_val)
                 for alpha in (1.5, 3.0):
                     pair = g.conjugate_order(alpha)
-                    reports += g.check_beckner(st_, pair, rep)
-                    reports += g.check_renyi_smeared(st_, f, pair, rep,
-                                                     smeared, sf_val)
+                    reports += g.check_beckner(pair, rep)
+                    reports += g.check_renyi_smeared(pair, rep, smeared,
+                                                     sf_val)
                 for rpt in reports:
                     if rpt.verdict != "not_applicable":
                         worst = min(worst, rpt.margin)
         assert worst >= -1e-8
 
-    def test_tsallis_degenerate_matches_shannon_form(self, cosine_state,
-                                                     cosine_rep):
+    def test_tsallis_degenerate_matches_shannon_form(self, cosine_rep):
         from gupcert.suite import _coverage_window
         f = g.gaussian_acceptance(1.0)
         pair = g.OrderPair(1.0, 1.0)
-        smeared, sf_val = _smeared_cell(cosine_state, cosine_rep, f)
+        smeared, sf_val = _smeared_cell(cosine_rep, f)
         zlo, zhi = _coverage_window(smeared[0])
         xlo, xhi = _coverage_window(smeared[1])
         bins_z = np.linspace(zlo, zhi, int((zhi - zlo) / 0.5) + 2)
         bins_x = np.linspace(xlo, xhi, int((xhi - xlo) / 0.5) + 2)
         p_m = g.bin_density(smeared[0], bins_z)
         p_n = g.bin_density(smeared[1], bins_x)
-        ts = g.check_tsallis_binned(cosine_state, f, pair, p_m, p_n, sf_val)
-        ren = g.check_renyi_binned(cosine_state, f, pair, p_m, p_n, sf_val)
+        ts = g.check_tsallis_binned(pair, p_m, p_n, sf_val)
+        ren = g.check_renyi_binned(pair, p_m, p_n, sf_val)
         # with nu = 1 the deformed log is the log: same bound as Shannon form
         assert ts[0].rhs == pytest.approx(ren[0].rhs, abs=1e-12)
         assert ts[0].lhs == pytest.approx(ren[0].lhs, abs=1e-12)

@@ -45,3 +45,15 @@ def test_norm_ordering_reads_the_renyi_norms(monkeypatch):
     assert calls == []
     rows = [r for r in records if r["relation_id"] == "discrete_norm_ordering"]
     assert len(rows) == 4 and all(r["verdict"] == "pass" for r in rows)
+
+
+def test_degenerate_order_rows_have_unique_digests():
+    # at alpha = 1 the Beckner and smeared Renyi checks dispatch to Shannon
+    # rows that the cell also emits without an order; the order tags keep
+    # the two apart
+    config = RunConfig(beta_grid=[1.0], sigma_grid=[1.0],
+                       alpha_grid=[1.0, 2.0],
+                       states=[{"name": "raised_cosine_q"}])
+    records, _ = suite.run_verify(config)
+    digests = [r["digest"] for r in records]
+    assert len(set(digests)) == len(digests)
