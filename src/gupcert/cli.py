@@ -7,8 +7,10 @@ Subcommands:
     show-state  dump the three densities and entropies of one catalog state
 
 Exit codes: 0 all pass, 1 at least one inequality failed, 2 usage or config
-error.  The optional THREADS environment variable caps parallelism; reports
-are deterministic regardless of it.
+error.  The optional THREADS environment variable caps the parallelism of
+verify; it must be a positive integer (unset or empty runs serially), and
+reports are deterministic regardless of it.  Verdicts always use each
+check's own tolerance; a config has no override for it.
 """
 
 from __future__ import annotations

@@ -370,7 +370,6 @@ def _entropy_probe(state: PureState) -> float:
 def _build_catalog_state(profile: Profile, params: MinLengthParams, scale: float,
                          graded: bool) -> PureState:
     n = _BASE_PANEL_NODES
-    state = None
     probe = None
     while True:
         grid = _state_grid(params, scale, graded, n)
@@ -381,7 +380,7 @@ def _build_catalog_state(profile: Profile, params: MinLengthParams, scale: float
             return cand
         if n >= _MAX_PANEL_NODES:
             return cand
-        state, probe = cand, new_probe
+        probe = new_probe
         n *= 2
 
 

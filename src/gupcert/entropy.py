@@ -29,8 +29,6 @@ from .errors import ContractError, InvalidParameterError, NormDivergenceError
 from .quadrature import (ENTROPY_FLOOR, entropy_sum, interp_delta, pchip,
                          power_sum)
 
-_DENSITY_NORM_TOL = 2e-6  # looser than the construction invariant; guards raw input
-
 
 @dataclass(frozen=True)
 class EntropyValue:
@@ -47,12 +45,6 @@ class EntropyValue:
             raise ContractError("discrete entropies are nonnegative")
 
 
-def _check_density(density: DensityFn) -> None:
-    total = density.grid.integrate(density.values) + density.tail_mass_bound
-    if abs(total - 1.0) > _DENSITY_NORM_TOL:
-        raise ContractError(f"density is not normalized (mass {total:.8f})")
-
-
 # ---------------------------------------------------------------------------
 # differential entropies
 # ---------------------------------------------------------------------------
@@ -64,7 +56,6 @@ def diff_shannon(density: DensityFn) -> EntropyValue:
     the value is also folded into the error estimate at the few-percent level
     the envelope fits are good for.
     """
-    _check_density(density)
     x, w, p = density.grid.nodes, density.grid.weights, density.values
     core = entropy_sum(w, p)
     tail = 0.0
@@ -91,7 +82,6 @@ def renyi_and_norm(density: DensityFn,
         sh = diff_shannon(density)
         return EntropyValue(value=sh.value, kind="renyi", differential=True,
                             est_error=sh.est_error, alpha=1.0), 1.0
-    _check_density(density)
     x, w, p = density.grid.nodes, density.grid.weights, density.values
     core = power_sum(w, p, alpha)
     tail = 0.0
@@ -175,7 +165,6 @@ def bin_density(density: DensityFn, edges: np.ndarray) -> DiscreteDist:
         raise ContractError("need at least two bin edges")
     if np.any(np.diff(edges) <= 0.0):
         raise ContractError("bin edges must be strictly increasing")
-    _check_density(density)
     cdf = density_cdf(density, edges)
     coverage = cdf[-1] - cdf[0]
     if coverage < 1.0 - 1e-6:
@@ -265,7 +254,6 @@ def mc_diff_shannon(density: DensityFn, n_samples: int, seed: int) -> EntropyVal
     The estimate's standard error is reported as est_error; it is a
     cross-check oracle, not a production estimator.
     """
-    _check_density(density)
     if n_samples < 2:
         raise ContractError("need at least two samples")
     rng = np.random.default_rng(seed)

@@ -37,7 +37,7 @@ def composite_rule(breakpoints, n_per_panel: int) -> tuple[np.ndarray, np.ndarra
 
 
 def interval_breakpoints(half_width: float, scale: float,
-                         graded: bool = True) -> list[float]:
+                         graded: bool) -> list[float]:
     """Panel edges on (0, half_width) for a symmetric interval.
 
     The bulk `[0, half_width/2]` is split into panels of width comparable to
@@ -60,7 +60,7 @@ def interval_breakpoints(half_width: float, scale: float,
 
 
 def symmetric_rule(half_width: float, scale: float, n_per_panel: int,
-                   graded: bool = True):
+                   graded: bool):
     """Composite rule on (-half_width, +half_width), mirrored from the right half."""
     right = interval_breakpoints(half_width, scale, graded=graded)
     x, w = composite_rule(right, n_per_panel)

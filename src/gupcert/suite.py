@@ -29,6 +29,7 @@ from .measurement import gaussian_acceptance, s_f, smear
 from .transform import bundle
 
 _COVERAGE_FRAC = 3e-7  # mass per side left outside a binning window
+_SHOW_MAX_ROWS = 2000  # show-state thins each density table to about this
 RECORD_FIELDS = ("relation_id", "state", "beta", "sigma", "alpha", "gamma",
                  "delta_k", "delta_x", "lhs", "rhs", "margin", "est_error",
                  "verdict")
@@ -49,7 +50,6 @@ class RunConfig:
     states: list = field(default_factory=lambda: [dict(s) for s in _DEFAULT_STATES])
     bins: dict = field(default_factory=lambda: {"delta_min": 0.05,
                                                 "delta_max": 2.0, "seed": 5})
-    tolerances: dict = field(default_factory=dict)
     output_path: str = "gupcert-report.json"
     format: str = "json"
 
@@ -87,10 +87,6 @@ class RunConfig:
                 and self.binning[2] >= 0):
             raise ConfigError("bins need 0 < delta_min <= delta_max and a "
                               "seed >= 0")
-        if not (isinstance(self.tolerances, dict) and all(
-                tol is None or _finite(tol) and tol >= 0
-                for tol in self.tolerances.values())):
-            raise ConfigError("tolerances must be nonnegative numbers")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"unknown format {self.format!r}")
         if not isinstance(self.output_path, str):
@@ -153,20 +149,6 @@ def _record(report: rel.RelationReport, state: str, beta: float, sigma=None,
             "rhs": report.rhs, "margin": report.margin,
             "est_error": report.est_error, "verdict": report.verdict,
             "tolerance": report.tolerance, "digest": digest}
-
-
-def _apply_tolerances(records: list[dict], config: RunConfig) -> None:
-    """Re-derive verdicts under the configured tolerance overrides."""
-    if not config.tolerances:
-        return
-    for r in records:
-        if r["verdict"] == "not_applicable":
-            continue
-        tol = config.tolerances.get(
-            r["relation_id"], config.tolerances.get("default"))
-        if tol is None:
-            tol = r["tolerance"]
-        r["verdict"] = "pass" if r["margin"] >= -tol else "fail"
 
 
 def _random_edges(rng: np.random.Generator, lo: float, hi: float,
@@ -316,7 +298,10 @@ def _sf_records(config: RunConfig) -> list[dict]:
 
 def run_verify(config: RunConfig) -> tuple[list[dict], int]:
     cells = [(spec, beta) for spec in config.states for beta in config.beta_grid]
-    threads = int(os.environ.get("THREADS", "1") or "1")
+    raw = os.environ.get("THREADS", "")  # unset or empty: serial
+    if raw and not (raw.isdecimal() and int(raw) >= 1):
+        raise ConfigError(f"THREADS must be a positive integer, got {raw!r}")
+    threads = int(raw or "1")
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             batches = list(pool.map(
@@ -325,7 +310,6 @@ def run_verify(config: RunConfig) -> tuple[list[dict], int]:
         batches = [_verify_cell(spec, beta, config) for spec, beta in cells]
     records = [r for batch in batches for r in batch]
     records.extend(_sf_records(config))
-    _apply_tolerances(records, config)
     records.sort(key=lambda r: r["digest"])
     failed = any(r["verdict"] == "fail" for r in records)
     return records, (1 if failed else 0)
@@ -347,10 +331,7 @@ def run_sweep(config: RunConfig, param: str) -> list[dict]:
         if state is None:
             raise ConfigError(f"sweep state {label!r} is undefined at "
                               f"beta={beta}")
-        try:
-            rep = bundle(state)
-        except GupcertError as exc:
-            raise ConfigError(f"sweep state unusable at beta={beta}: {exc}")
+        rep = bundle(state)
     if param == "beta":
         for beta in config.beta_grid:
             state = _build_state(spec, beta)
@@ -379,7 +360,6 @@ def run_sweep(config: RunConfig, param: str) -> list[dict]:
             for r in rel.check_beckner(pair, rep):
                 records.append(_record(r, label, beta, alpha=pair.alpha,
                                        gamma=pair.gamma))
-    _apply_tolerances(records, config)
     records.sort(key=lambda r: r["digest"])
     return records
 
@@ -388,8 +368,7 @@ def run_sweep(config: RunConfig, param: str) -> list[dict]:
 # state inspection
 # ---------------------------------------------------------------------------
 
-def show_state(name: str, beta: float, shape_args=(), seed=None,
-               max_rows: int = 2000) -> dict:
+def show_state(name: str, beta: float, shape_args=(), seed=None) -> dict:
     from .entropy import diff_shannon
 
     params = make_params(beta)
@@ -398,7 +377,7 @@ def show_state(name: str, beta: float, shape_args=(), seed=None,
 
     def table(density):
         n = len(density.grid)
-        stride = max(1, n // max_rows)
+        stride = max(1, n // _SHOW_MAX_ROWS)
         idx = np.arange(0, n, stride)
         return [[float(density.grid.nodes[i]), float(density.values[i])]
                 for i in idx]

@@ -111,40 +111,28 @@ def _transform_rule(state: PureState, x_max: float) -> tuple[np.ndarray, np.ndar
     integrands, not for oscillatory transforms: its wide bulk panels cannot
     track the phase at large |x|.  Here panel counts scale with the number of
     phase wavelengths across the interval, and the rule is accepted once it
-    reproduces the state's unit norm.
+    reproduces the state's unit norm.  The new nodes take the state's
+    profile, scaled to its tabulated amplitudes.  Catalog states, `normalize`
+    and `mix_states` keep a profile; the output of `fourier_x_to_q` has none.
     """
+    if state.profile is None:
+        raise ContractError("state has no profile; cannot transform it")
     q = state.grid.nodes
     half = max(abs(q[0]), q[-1])
     n_osc = int(6.0 * (2.0 * half) * x_max / (2.0 * math.pi)) + 256
-    amp_ref, scale = _reeval_source(state)
+    prof_on_grid = state.profile(q, state.params)
+    i = int(np.argmax(np.abs(prof_on_grid)))
+    scale = state.amplitudes[i] / prof_on_grid[i]
     for _ in range(4):
         panels = max(8, int(math.ceil(n_osc / 32)))
         edges = np.linspace(-half, half, panels + 1)
         nodes, weights = composite_rule(edges, 32)
-        amp = amp_ref(nodes) * scale
+        amp = state.profile(nodes, state.params) * scale
         norm = float(np.dot(weights, np.abs(amp) ** 2))
         if abs(norm - 1.0) < 1e-9:
             return nodes, weights * amp
         n_osc *= 2
     raise ResolutionError("transform rule failed to reproduce the state norm")
-
-
-def _reeval_source(state: PureState):
-    """(callable q -> unnormalized amplitudes, normalization scale)."""
-    if state.profile is not None:
-        prof_on_grid = state.profile(state.grid.nodes, state.params)
-        i = int(np.argmax(np.abs(prof_on_grid)))
-        scale = state.amplitudes[i] / prof_on_grid[i]
-        return (lambda nodes: state.profile(nodes, state.params)), scale
-    from scipy.interpolate import PchipInterpolator
-    re = PchipInterpolator(state.grid.nodes, state.amplitudes.real,
-                           extrapolate=False)
-    im = PchipInterpolator(state.grid.nodes, state.amplitudes.imag,
-                           extrapolate=False)
-
-    def interp(nodes):
-        return np.nan_to_num(re(nodes)) + 1j * np.nan_to_num(im(nodes))
-    return interp, 1.0
 
 
 def _fourier_sum(targets: np.ndarray, nodes: np.ndarray, coeff: np.ndarray,
@@ -167,7 +155,10 @@ def fourier_q_to_x(state: PureState, x_grid: Grid) -> np.ndarray:
 
 def fourier_x_to_q(psi: np.ndarray, x_grid: Grid, params: MinLengthParams,
                    q_grid: Grid) -> PureState:
-    """Inverse transform onto q_grid inside (-q0, q0); no renormalization."""
+    """Inverse transform onto q_grid inside (-q0, q0); no renormalization.
+
+    The result has no profile, so `bundle` and `fourier_q_to_x` reject it.
+    """
     coeff = x_grid.weights * np.asarray(psi, dtype=complex)
     amp = _fourier_sum(q_grid.nodes, x_grid.nodes, coeff, -1.0)
     return PureState(grid=q_grid, amplitudes=amp, params=params)

@@ -75,13 +75,14 @@ class TestVerify:
         '{"bins": {"delta_min": 3, "delta_max": 1}}',
         '{"bins": {"seed": "x"}}',
         '{"tolerances": {"default": "a"}}',
+        '{"tolerances": {"default": 1.0}}',
         '{"output_path": 5}',
         '{"margin_offset": 10.0}',
     ], ids=["empty_grid", "scalar_grid", "text_in_grid", "infinite_alpha",
             "unknown_state", "unnamed_state", "unseeded_state",
             "widthless_state_beta0", "text_shape_args", "negative_seed",
             "inverted_bins", "text_bins_seed", "text_tolerance",
-            "numeric_output_path", "margin_offset"])
+            "tolerance_override", "numeric_output_path", "margin_offset"])
     def test_invalid_config_exit_two(self, tmp_path, capsys, monkeypatch,
                                      text):
         monkeypatch.chdir(tmp_path)  # a report, if any, lands here
@@ -115,6 +116,16 @@ class TestVerify:
         monkeypatch.setenv("THREADS", "2")
         main(["verify", "--config", str(path), "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("threads", ["abc", "2.5", "0", "-3"])
+    def test_bad_threads_exit_two(self, small_config, tmp_path, capsys,
+                                  monkeypatch, threads):
+        path, _ = small_config
+        monkeypatch.setenv("THREADS", threads)
+        assert main(["verify", "--config", str(path),
+                     "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
 
     def test_csv_schema(self, small_config, tmp_path):
         path, _ = small_config

@@ -74,6 +74,22 @@ class TestSmear:
         assert hm >= hk - 1e-8
         assert hn >= hx - 1e-8
 
+    @pytest.mark.parametrize("rep_name", ["cosine_rep", "uniform_rep"])
+    def test_tabulated_acceptance(self, request, rep_name):
+        # a PCHIP table is not band-limited: its lattice samples miss unit
+        # mass by more than the smear's normalization check allows
+        rep = request.getfixturevalue(rep_name)
+        z = np.linspace(-6.0, 6.0, 513)
+        table = g.custom_acceptance(z, np.exp(-0.5 * z * z)
+                                    / math.sqrt(2 * math.pi))
+        raised = g.custom_acceptance(*_raised_cosine2())
+        gauss = g.gaussian_acceptance(1.0)
+        for density in (rep.u_k, rep.w_x):
+            h_table = g.diff_shannon(g.smear(density, table)).value
+            h_gauss = g.diff_shannon(g.smear(density, gauss)).value
+            assert h_table == pytest.approx(h_gauss, abs=5e-5)
+            g.smear(density, raised)
+
     def test_narrow_window_raises(self):
         # mass declared outside the window with no tail model to place it
         nodes = np.linspace(-8.0, 8.0, 1601)

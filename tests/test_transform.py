@@ -243,6 +243,27 @@ class TestBundle:
         assert np.allclose(rep.v_q.values, cosine_rep.v_q.values, atol=1e-13)
         assert np.allclose(rep.u_k.values, cosine_rep.u_k.values, atol=1e-13)
 
+    def test_profile_less_state_rejected(self, cosine_state):
+        bare = g.PureState(grid=cosine_state.grid,
+                           amplitudes=cosine_state.amplitudes,
+                           params=cosine_state.params)
+        with pytest.raises(g.ContractError, match="profile"):
+            g.bundle(bare)
+
+    def test_mixture_regrids_through_profile(self, params_1, cosine_state):
+        other = g.catalog_state("truncated_gaussian_q", params_1,
+                                shape_args=[0.25])
+        assert len(other.grid) != len(cosine_state.grid)
+        mixed = g.mix_states([0.5, 0.5], [cosine_state, other])
+        moved = mixed.components[1][1]
+        assert np.array_equal(moved.grid.nodes, cosine_state.grid.nodes)
+        assert moved.norm_sq() == pytest.approx(1.0, abs=1e-12)
+        ratio = moved.amplitudes / other.profile(moved.grid.nodes, params_1)
+        assert np.allclose(ratio, ratio[0], rtol=1e-12, atol=0.0)
+        rep = g.bundle(mixed)
+        total = rep.w_x.grid.integrate(rep.w_x.values) + rep.w_x.tail_mass_bound
+        assert total == pytest.approx(1.0, abs=1e-8)
+
     def test_mixture_density_convexity(self, params_1, cosine_state):
         other = g.catalog_state("truncated_gaussian_q", params_1,
                                 shape_args=[0.3])
