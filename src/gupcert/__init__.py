@@ -21,8 +21,9 @@ from .errors import (ConfigError, ContractError, DegenerateStateError,
                      DomainError, GupcertError, InvalidParameterError,
                      MomentDivergenceError, NormDivergenceError,
                      ResolutionError)
-from .measurement import (AcceptanceFn, custom_acceptance, gaussian_acceptance,
-                          j_profile, s_f, s_f_gaussian_bound, smear)
+from .measurement import (AcceptanceFn, GaussianAcceptance, TableAcceptance,
+                          custom_acceptance, gaussian_acceptance, j_profile,
+                          s_f, s_f_gaussian_bound, smear)
 from .relations import (LN_E_PI, LinearizationReport, RelationReport,
                         check_bbm_corrected, check_beckner, check_binned_shannon,
                         check_binning_lemma, check_correction_term,

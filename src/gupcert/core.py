@@ -43,24 +43,27 @@ class Domain(Enum):
 
 @dataclass(frozen=True)
 class MinLengthParams:
-    """Deformation parameter and the half-width of the auxiliary interval."""
+    """Deformation parameter; build it with make_params, which validates."""
 
     beta: float
-    q0: float
 
     @property
     def deformed(self) -> bool:
         return self.beta > 0.0
 
+    @property
+    def q0(self) -> float:
+        """Half-width pi / (2 sqrt(beta)) of the auxiliary interval; inf at 0."""
+        return math.pi / (2.0 * math.sqrt(self.beta)) if self.deformed else math.inf
+
 
 def make_params(beta: float) -> MinLengthParams:
-    """Validate beta and derive q0 = pi / (2 sqrt(beta)), infinite for beta = 0."""
+    """Validate beta; the auxiliary half-width q0 follows from it."""
     if not (isinstance(beta, (int, float)) and math.isfinite(beta)):
         raise InvalidParameterError(f"beta must be finite, got {beta!r}")
     if beta < 0.0:
         raise InvalidParameterError(f"beta must be nonnegative, got {beta}")
-    q0 = math.inf if beta == 0.0 else math.pi / (2.0 * math.sqrt(beta))
-    return MinLengthParams(beta=float(beta), q0=q0)
+    return MinLengthParams(beta=float(beta))
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +153,11 @@ class DensityFn:
 
 @dataclass(frozen=True)
 class DiscreteDist:
-    """Binned probabilities with their edges and maximal bin width."""
+    """Binned probabilities with their edges; delta_max is the widest bin."""
 
     edges: np.ndarray
     probs: np.ndarray
-    delta_max: float
+    delta_max: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "edges", _freeze(np.asarray(self.edges, float)))
@@ -167,9 +170,7 @@ class DiscreteDist:
             raise ContractError("bin probabilities must be nonnegative")
         if abs(float(np.sum(self.probs)) - 1.0) > 1e-10:
             raise ContractError("bin probabilities must sum to one")
-        widest = float(np.max(np.diff(self.edges)))
-        if not math.isclose(self.delta_max, widest, rel_tol=1e-12, abs_tol=1e-15):
-            raise ContractError("delta_max inconsistent with edges")
+        object.__setattr__(self, "delta_max", float(np.max(np.diff(self.edges))))
 
 
 @dataclass(frozen=True)
@@ -344,13 +345,12 @@ def _make_random_fourier_profile(n_modes: int, seed: int) -> Profile:
     return profile
 
 
-def _state_grid(params: MinLengthParams, scale: float, graded: bool,
-                n_per_panel: int) -> Grid:
-    if math.isfinite(params.q0):
+def _state_grid(params: MinLengthParams, scale: float, n_per_panel: int) -> Grid:
+    if params.deformed:  # graded toward the interval ends +-q0
         half, sc = params.q0, min(scale, params.q0)
     else:
         half, sc = _GAUSSIAN_SUPPORT * scale, scale
-    nodes, weights = symmetric_rule(half, sc, n_per_panel, graded=graded)
+    nodes, weights = symmetric_rule(half, sc, n_per_panel, params.deformed)
     return Grid(nodes=nodes, weights=weights, domain_tag=Domain.Q)
 
 
@@ -367,12 +367,12 @@ def _entropy_probe(state: PureState) -> float:
     return float(2.0 * hq + np.sum(w * v * ln_jac))
 
 
-def _build_catalog_state(profile: Profile, params: MinLengthParams, scale: float,
-                         graded: bool) -> PureState:
+def _build_catalog_state(profile: Profile, params: MinLengthParams,
+                         scale: float) -> PureState:
     n = _BASE_PANEL_NODES
     probe = None
     while True:
-        grid = _state_grid(params, scale, graded, n)
+        grid = _state_grid(params, scale, n)
         cand = normalize(PureState(grid=grid, amplitudes=profile(grid.nodes, params),
                                    params=params, profile=profile))
         new_probe = _entropy_probe(cand)
@@ -400,15 +400,14 @@ def catalog_state(name: str, params: MinLengthParams,
             f"{name} needs beta > 0: it is not normalizable on an infinite interval")
     q0 = params.q0
     if name == "uniform_q":
-        return _build_catalog_state(_uniform_profile, params, q0, graded=True)
+        return _build_catalog_state(_uniform_profile, params, q0)
     if name == "raised_cosine_q":
-        return _build_catalog_state(_raised_cosine_profile, params, q0, graded=True)
+        return _build_catalog_state(_raised_cosine_profile, params, q0)
     if name == "truncated_gaussian_q":
         if not shape_args or shape_args[0] <= 0.0:
             raise InvalidParameterError("truncated_gaussian_q needs a width s > 0")
         s = float(shape_args[0])
-        return _build_catalog_state(_make_gaussian_profile(s), params, s,
-                                    graded=params.deformed)
+        return _build_catalog_state(_make_gaussian_profile(s), params, s)
     if name == "random_fourier_q":
         if seed is None:
             raise InvalidParameterError("random_fourier_q needs a seed")
@@ -416,7 +415,7 @@ def catalog_state(name: str, params: MinLengthParams,
         if m < 1:
             raise InvalidParameterError("random_fourier_q needs at least one mode")
         profile = _make_random_fourier_profile(m, seed)
-        return _build_catalog_state(profile, params, q0 / m, graded=True)
+        return _build_catalog_state(profile, params, q0 / m)
     raise InvalidParameterError(f"unknown catalog state {name!r}")
 
 
@@ -424,10 +423,8 @@ def rebuild_state(state: PureState, beta: float) -> PureState:
     """Re-evaluate a profiled state at a different deformation parameter."""
     if state.profile is None:
         raise ContractError("state has no profile; cannot rebuild at a new beta")
-    params = make_params(beta)
-    scale = _probe_scale(state)
-    graded = params.deformed
-    return _build_catalog_state(state.profile, params, scale, graded)
+    return _build_catalog_state(state.profile, make_params(beta),
+                                _probe_scale(state))
 
 
 def _probe_scale(state: PureState) -> float:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.special import logsumexp
@@ -33,10 +32,8 @@ from .quadrature import (ENTROPY_FLOOR, entropy_sum, interp_delta, pchip,
 @dataclass(frozen=True)
 class EntropyValue:
     value: float
-    kind: str                      # "shannon" | "renyi" | "tsallis"
     differential: bool
     est_error: float
-    alpha: Optional[float] = None
 
     def __post_init__(self):
         if self.est_error < 0.0:
@@ -63,8 +60,7 @@ def diff_shannon(density: DensityFn) -> EntropyValue:
         tail += side.entropy_beyond(start)
     f = np.where(p > ENTROPY_FLOOR, -p * np.log(np.clip(p, ENTROPY_FLOOR, None)), 0.0)
     est = interp_delta(x, f, core) + 0.03 * abs(tail) + 1e-14
-    return EntropyValue(value=core + tail, kind="shannon", differential=True,
-                        est_error=est)
+    return EntropyValue(value=core + tail, differential=True, est_error=est)
 
 
 def renyi_and_norm(density: DensityFn,
@@ -79,9 +75,7 @@ def renyi_and_norm(density: DensityFn,
     if alpha <= 0.0:
         raise InvalidParameterError("alpha must be positive")
     if alpha == 1.0:
-        sh = diff_shannon(density)
-        return EntropyValue(value=sh.value, kind="renyi", differential=True,
-                            est_error=sh.est_error, alpha=1.0), 1.0
+        return diff_shannon(density), 1.0
     x, w, p = density.grid.nodes, density.grid.weights, density.values
     core = power_sum(w, p, alpha)
     tail = 0.0
@@ -97,10 +91,9 @@ def renyi_and_norm(density: DensityFn,
     f = np.where(p > ENTROPY_FLOOR, p ** alpha, 0.0)
     err = interp_delta(x, f, core) + 0.05 * tail
     total = core + tail
-    renyi = EntropyValue(value=math.log(total) / (1.0 - alpha), kind="renyi",
+    renyi = EntropyValue(value=math.log(total) / (1.0 - alpha),
                          differential=True,
-                         est_error=err / (abs(1.0 - alpha) * max(total, 1e-300)),
-                         alpha=alpha)
+                         est_error=err / (abs(1.0 - alpha) * max(total, 1e-300)))
     return renyi, total ** (1.0 / alpha)
 
 
@@ -174,17 +167,17 @@ def bin_density(density: DensityFn, edges: np.ndarray) -> DiscreteDist:
     probs[-1] += 1.0 - cdf[-1]
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
-    return DiscreteDist(edges=edges, probs=probs,
-                        delta_max=float(np.max(np.diff(edges))))
+    return DiscreteDist(edges=edges, probs=probs)
 
 
 # ---------------------------------------------------------------------------
 # discrete entropies
 # ---------------------------------------------------------------------------
 
-def _discrete_shannon_value(probs: np.ndarray) -> float:
-    p = probs[probs > 0.0]
-    return float(-np.sum(p * np.log(p)))
+def _discrete_shannon(dist: DiscreteDist) -> EntropyValue:
+    p = dist.probs[dist.probs > 0.0]
+    return EntropyValue(value=float(-np.sum(p * np.log(p))),
+                        differential=False, est_error=0.0)
 
 
 def discrete_renyi_and_norm(dist: DiscreteDist,
@@ -197,14 +190,11 @@ def discrete_renyi_and_norm(dist: DiscreteDist,
     if alpha <= 0.0:
         raise InvalidParameterError("alpha must be positive")
     if alpha == 1.0:
-        return EntropyValue(value=_discrete_shannon_value(dist.probs),
-                            kind="renyi", differential=False,
-                            est_error=0.0, alpha=1.0), 1.0
+        return _discrete_shannon(dist), 1.0
     p = dist.probs[dist.probs > 0.0]
     log_sum = float(logsumexp(alpha * np.log(p)))
-    return EntropyValue(value=log_sum / (1.0 - alpha), kind="renyi",
-                        differential=False, est_error=0.0,
-                        alpha=alpha), math.exp(log_sum / alpha)
+    return EntropyValue(value=log_sum / (1.0 - alpha), differential=False,
+                        est_error=0.0), math.exp(log_sum / alpha)
 
 
 def discrete_norm(dist: DiscreteDist, alpha: float) -> float:
@@ -222,13 +212,10 @@ def discrete_tsallis(dist: DiscreteDist, alpha: float) -> EntropyValue:
     if alpha <= 0.0:
         raise InvalidParameterError("alpha must be positive")
     if alpha == 1.0:
-        return EntropyValue(value=_discrete_shannon_value(dist.probs),
-                            kind="tsallis", differential=False,
-                            est_error=0.0, alpha=1.0)
+        return _discrete_shannon(dist)
     p = dist.probs[dist.probs > 0.0]
     value = (float(np.sum(p ** alpha)) - 1.0) / (1.0 - alpha)
-    return EntropyValue(value=value, kind="tsallis", differential=False,
-                        est_error=0.0, alpha=alpha)
+    return EntropyValue(value=value, differential=False, est_error=0.0)
 
 
 def alpha_log(y: float, nu: float) -> float:
@@ -298,5 +285,4 @@ def mc_diff_shannon(density: DensityFn, n_samples: int, seed: int) -> EntropyVal
     values = -log_p
     mean = float(np.mean(values))
     se = float(np.std(values, ddof=1) / math.sqrt(n_samples))
-    return EntropyValue(value=mean, kind="shannon", differential=True,
-                        est_error=se)
+    return EntropyValue(value=mean, differential=True, est_error=se)

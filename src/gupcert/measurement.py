@@ -10,10 +10,12 @@ sub-normalized kernel
     J(zeta) = integral |f(zeta - k)|^2 / (1 + beta k^2) dk  <=  1
 
 and its supremum S_f over zeta quantify how much the minimal length tightens
-smeared entropic bounds.  For a Gaussian acceptance the kernel is a Voigt
-profile, so J is evaluated through the Faddeeva function.  A tabulated |f|^2
-vanishes off its table, so there J is a finite Gauss-Legendre sum over the
-table intervals; the tests cross-check it against the Voigt form and against
+smeared entropic bounds.  A profile is one of two types, each validated when
+it is built and each owning its |f|^2, window masses, lattice kernel, J and
+S_f: `GaussianAcceptance`, whose kernel is a Voigt profile evaluated through
+the Faddeeva function, and `TableAcceptance`, a tabulated |f|^2 that vanishes
+off its table, so that J is a finite Gauss-Legendre sum over the table
+intervals; the tests cross-check it against the Voigt form and against
 adaptive quadrature of the same interpolant.
 """
 
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator
@@ -38,29 +39,84 @@ _TABLE_GAUSS = 8  # Gauss nodes per panel of the tabulated-profile J rule
 
 
 @dataclass(frozen=True)
-class AcceptanceFn:
-    """Normalized acceptance profile; |f|^2 integrates to one."""
+class GaussianAcceptance:
+    """Gaussian profile |f(z)|^2 = exp(-z^2/(2 sigma^2)) / (sigma sqrt(2 pi))."""
 
-    kind: str                     # "gaussian" | "custom"
-    sigma: Optional[float] = None
-    table_nodes: Optional[np.ndarray] = None
-    table_values: Optional[np.ndarray] = None  # |f|^2 samples
+    sigma: float
+
+    def __post_init__(self):
+        if not self.sigma > 0.0:
+            raise InvalidParameterError("sigma must be positive")
+        object.__setattr__(self, "sigma", float(self.sigma))
 
     def density(self, z):
-        """|f(z)|^2 evaluated pointwise."""
         z = np.asarray(z, dtype=float)
-        if self.kind == "gaussian":
-            s = self.sigma
-            return np.exp(-z * z / (2.0 * s * s)) / (s * math.sqrt(2.0 * math.pi))
+        s = self.sigma
+        return np.exp(-z * z / (2.0 * s * s)) / (s * math.sqrt(2.0 * math.pi))
+
+    def window_mass(self, lo, hi):
+        s = self.sigma
+        return ndtr(np.asarray(hi) / s) - ndtr(np.asarray(lo) / s)
+
+    @property
+    def width(self) -> float:
+        return self.sigma
+
+    @property
+    def reach(self) -> float:
+        return 10.0 * self.sigma
+
+    def lattice_kernel(self, m: int, h: float) -> np.ndarray:
+        return self.density(np.arange(-m, m + 1) * h)
+
+    def j(self, zeta, beta: float):
+        """pi/sqrt(beta) times a Voigt profile."""
+        gamma = 1.0 / math.sqrt(beta)
+        sigma = self.sigma
+        z = (np.asarray(zeta, dtype=float) + 1j * gamma) / (sigma * math.sqrt(2.0))
+        voigt = np.real(wofz(z)) / (sigma * math.sqrt(2.0 * math.pi))
+        return math.pi / math.sqrt(beta) * voigt
+
+    def sup_j(self, beta: float) -> float:
+        """J(0): |f|^2 convolved with the even unimodal Lorentzian-type
+        factor is even and unimodal."""
+        return float(self.j(0.0, beta))
+
+
+@dataclass(frozen=True)
+class TableAcceptance:
+    """Tabulated |f|^2 profile, monotone-interpolated and zero off its table.
+
+    The values are renormalized to unit trapezoid mass; a table that is far
+    from normalized is rejected.
+    """
+
+    table_nodes: np.ndarray
+    table_values: np.ndarray  # |f|^2 samples
+
+    def __post_init__(self):
+        nodes = np.asarray(self.table_nodes, dtype=float)
+        values = np.asarray(self.table_values, dtype=float)
+        if nodes.ndim != 1 or nodes.shape != values.shape or nodes.size < 4:
+            raise InvalidParameterError("need matching 1-d tables with >= 4 points")
+        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(values))):
+            raise InvalidParameterError("table nodes and values must be finite")
+        if np.any(np.diff(nodes) <= 0.0):
+            raise InvalidParameterError("table nodes must be strictly increasing")
+        values = np.clip(values, 0.0, None)
+        total = float(np.trapezoid(values, nodes))
+        if not 0.5 < total < 2.0:
+            raise InvalidParameterError("tabulated profile is too far from normalized")
+        object.__setattr__(self, "table_nodes", nodes)
+        object.__setattr__(self, "table_values", values / total)
+
+    def density(self, z):
+        z = np.asarray(z, dtype=float)
         interp = PchipInterpolator(self.table_nodes, self.table_values,
                                    extrapolate=False)
         return np.nan_to_num(np.clip(interp(z), 0.0, None))
 
     def window_mass(self, lo, hi):
-        """Mass of |f|^2 on [lo, hi]; vectorized over the bounds."""
-        if self.kind == "gaussian":
-            s = self.sigma
-            return ndtr(np.asarray(hi) / s) - ndtr(np.asarray(lo) / s)
         anti = PchipInterpolator(self.table_nodes, self.table_values).antiderivative()
         a, b = self.table_nodes[0], self.table_nodes[-1]
         top = np.clip(hi, a, b)
@@ -69,8 +125,6 @@ class AcceptanceFn:
 
     @property
     def width(self) -> float:
-        if self.kind == "gaussian":
-            return self.sigma
         m1 = np.trapezoid(self.table_nodes * self.table_values, self.table_nodes)
         m2 = np.trapezoid((self.table_nodes - m1) ** 2 * self.table_values,
                           self.table_nodes)
@@ -78,34 +132,73 @@ class AcceptanceFn:
 
     @property
     def reach(self) -> float:
-        """Half-width beyond which |f|^2 is negligible."""
-        if self.kind == "gaussian":
-            return 10.0 * self.sigma
         return float(max(abs(self.table_nodes[0]), abs(self.table_nodes[-1])))
 
+    def lattice_kernel(self, m: int, h: float) -> np.ndarray:
+        kernel = self.density(np.arange(-m, m + 1) * h)
+        # a PCHIP table is not band-limited: its lattice samples miss unit
+        # mass by up to a few 1e-7, more than the normalization check allows
+        return kernel / (kernel.sum() * h)
 
-def gaussian_acceptance(sigma: float) -> AcceptanceFn:
-    """Gaussian profile |f(z)|^2 = exp(-z^2/(2 sigma^2)) / (sigma sqrt(2 pi))."""
-    if not sigma > 0.0:
-        raise InvalidParameterError("sigma must be positive")
-    return AcceptanceFn(kind="gaussian", sigma=float(sigma))
+    def _j_rule(self, beta: float):
+        """J for beta > 0 as a function of a zeta array.
+
+        |f|^2 vanishes off its table, so J(zeta) is the finite integral of
+        |f(t)|^2 / (1 + beta (zeta - t)^2) over the table.  Each table
+        interval is split into panels no wider than the Lorentzian width
+        1/sqrt(beta); a Gauss-Legendre rule on those panels integrates the
+        piecewise-cubic |f|^2 times the Lorentzian to near machine precision.
+        The rule and its |f|^2 masses are built once; every zeta reuses them.
+        """
+        t = self.table_nodes
+        # cumulative panel count at each table node; interpolating positions
+        # against it splits every interval into equal panels
+        per = np.ceil(np.diff(t) * math.sqrt(beta))
+        count = np.concatenate([[0.0], np.cumsum(per)])
+        edges = np.interp(np.arange(count[-1] + 1), count, t)
+        nodes, weights = composite_rule(edges, _TABLE_GAUSS)
+        masses = weights * self.density(nodes)
+
+        def j(zeta: np.ndarray) -> np.ndarray:
+            return dense_sum(lambda z, s: 1.0 / (1.0 + beta * (z - s) ** 2),
+                             zeta, nodes, masses)
+        return j
+
+    def j(self, zeta, beta: float):
+        return self._j_rule(beta)(zeta)
+
+    def sup_j(self, beta: float) -> float:
+        """A coarse scan, then bounded scalar minimization with tolerance
+        1e-8, both on one table rule."""
+        j = self._j_rule(beta)
+        span = self.reach + 6.0 * self.width
+        zs = np.linspace(-span, span, 241)
+        js = j(zs)
+        i = int(np.argmax(js))
+        lo = zs[max(i - 1, 0)]
+        hi = zs[min(i + 1, zs.size - 1)]
+        res = minimize_scalar(lambda z: -float(j(np.array([z]))[0]),
+                              bounds=(lo, hi), method="bounded",
+                              options={"xatol": 1e-8})
+        return float(max(js[i], -res.fun))
 
 
-def custom_acceptance(nodes, values) -> AcceptanceFn:
+# Either profile.  Each gives |f|^2 pointwise (density), the mass of |f|^2
+# on [lo, hi], vectorized over the bounds (window_mass), a width and a
+# half-width beyond which |f|^2 is negligible (reach), |f|^2 at the 2m + 1
+# smear lattice offsets -m h .. m h with unit lattice mass (lattice_kernel),
+# and for beta > 0 J at a zeta array (j) and its supremum S_f (sup_j).
+AcceptanceFn = GaussianAcceptance | TableAcceptance
+
+
+def gaussian_acceptance(sigma: float) -> GaussianAcceptance:
+    """Gaussian profile of width sigma > 0."""
+    return GaussianAcceptance(sigma)
+
+
+def custom_acceptance(nodes, values) -> TableAcceptance:
     """Tabulated |f|^2 profile; renormalized exactly, rejected if far off."""
-    nodes = np.asarray(nodes, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if nodes.ndim != 1 or nodes.shape != values.shape or nodes.size < 4:
-        raise InvalidParameterError("need matching 1-d tables with >= 4 points")
-    if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(values))):
-        raise InvalidParameterError("table nodes and values must be finite")
-    if np.any(np.diff(nodes) <= 0.0):
-        raise InvalidParameterError("table nodes must be strictly increasing")
-    values = np.clip(values, 0.0, None)
-    total = float(np.trapezoid(values, nodes))
-    if not 0.5 < total < 2.0:
-        raise InvalidParameterError("tabulated profile is too far from normalized")
-    return AcceptanceFn(kind="custom", table_nodes=nodes, table_values=values / total)
+    return TableAcceptance(nodes, values)
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +320,7 @@ def smear(density: DensityFn, f: AcceptanceFn) -> DensityFn:
     tag = _SMEAR_TAG.get(density.grid.domain_tag, Domain.ZETA)
     lattice, lat_vals, h, i_lo, i_hi = _lattice_input(density, f)
     m = int(math.ceil(f.reach / h)) + 1
-    kernel = f.density(np.arange(-m, m + 1) * h)
-    if f.kind == "custom":
-        # a PCHIP table is not band-limited: its lattice samples miss unit
-        # mass by up to a few 1e-7, more than the normalization check allows
-        kernel /= kernel.sum() * h
+    kernel = f.lattice_kernel(m, h)
     src_masses = lat_vals * h
     conv = fftconvolve(src_masses, kernel, mode="full")
 
@@ -279,73 +368,20 @@ def smear(density: DensityFn, f: AcceptanceFn) -> DensityFn:
 # the sub-normalized kernel and S_f
 # ---------------------------------------------------------------------------
 
-def _gaussian_j(zeta, sigma: float, beta: float):
-    """J for a Gaussian acceptance: pi/sqrt(beta) times a Voigt profile."""
-    gamma = 1.0 / math.sqrt(beta)
-    z = (np.asarray(zeta, dtype=float) + 1j * gamma) / (sigma * math.sqrt(2.0))
-    voigt = np.real(wofz(z)) / (sigma * math.sqrt(2.0 * math.pi))
-    return math.pi / math.sqrt(beta) * voigt
-
-
-def _table_j(f: AcceptanceFn, beta: float):
-    """J of a tabulated profile as a function of a zeta array.
-
-    |f|^2 vanishes off its table, so J(zeta) is the finite integral of
-    |f(t)|^2 / (1 + beta (zeta - t)^2) over the table.  Each table interval
-    is split into panels no wider than the Lorentzian width 1/sqrt(beta);
-    a Gauss-Legendre rule on those panels integrates the piecewise-cubic
-    |f|^2 times the Lorentzian to near machine precision.  The rule and its
-    |f|^2 masses are built once; every zeta reuses them.
-    """
-    t = f.table_nodes
-    # cumulative panel count at each table node; interpolating positions
-    # against it splits every interval into equal panels
-    per = np.ceil(np.diff(t) * math.sqrt(beta))
-    count = np.concatenate([[0.0], np.cumsum(per)])
-    edges = np.interp(np.arange(count[-1] + 1), count, t)
-    nodes, weights = composite_rule(edges, _TABLE_GAUSS)
-    masses = weights * f.density(nodes)
-
-    def j(zeta: np.ndarray) -> np.ndarray:
-        return dense_sum(lambda z, s: 1.0 / (1.0 + beta * (z - s) ** 2),
-                         zeta, nodes, masses)
-    return j
-
-
 def j_profile(f: AcceptanceFn, params: MinLengthParams,
               zeta_grid: Grid) -> np.ndarray:
     """J(zeta) at the grid nodes; identically one for beta = 0."""
     zeta = zeta_grid.nodes
     if not params.deformed:
         return np.ones_like(zeta)
-    if f.kind == "gaussian":
-        return _gaussian_j(zeta, f.sigma, params.beta)
-    return _table_j(f, params.beta)(zeta)
+    return f.j(zeta, params.beta)
 
 
 def s_f(f: AcceptanceFn, params: MinLengthParams) -> float:
-    """Supremum of J over zeta.
-
-    For a symmetric unimodal |f|^2 the convolution with the even unimodal
-    Lorentzian-type factor is itself even and unimodal, so the supremum is
-    certified at zeta = 0.  Custom profiles get a coarse scan plus bounded
-    scalar minimization with tolerance 1e-8, both on one table rule.
-    """
+    """Supremum of J over zeta; one for beta = 0."""
     if not params.deformed:
         return 1.0
-    if f.kind == "gaussian":
-        return float(_gaussian_j(0.0, f.sigma, params.beta))
-    j = _table_j(f, params.beta)
-    span = f.reach + 6.0 * f.width
-    zs = np.linspace(-span, span, 241)
-    js = j(zs)
-    i = int(np.argmax(js))
-    lo = zs[max(i - 1, 0)]
-    hi = zs[min(i + 1, zs.size - 1)]
-    res = minimize_scalar(lambda z: -float(j(np.array([z]))[0]),
-                          bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-8})
-    return float(max(js[i], -res.fun))
+    return f.sup_j(params.beta)
 
 
 def s_f_gaussian_bound(sigma: float, beta: float) -> float:

@@ -18,7 +18,7 @@ each row by the cell and parameters it passed in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Sequence
 
@@ -43,31 +43,35 @@ class RelationReport:
     """One inequality: both sides, the signed margin and its verdict.
 
     A report names its relation but not its inputs; the caller knows which
-    state and parameters it checked and keys the row.
+    state and parameters it checked and keys the row.  The verdict is stored:
+    a NaN margin fails unless the check could not be made at all.
     """
 
     relation_id: str
     lhs: float
     rhs: float
-    margin: float
-    tolerance: float
     est_error: float
     verdict: str          # "pass" | "fail" | "not_applicable"
+
+    @property
+    def margin(self) -> float:
+        return self.lhs - self.rhs
+
+    @property
+    def tolerance(self) -> float:
+        """How far below zero the margin may fall and still pass."""
+        return BASE_TOLERANCE + 4.0 * self.est_error
 
 
 def _report(relation_id: str, lhs: float, rhs: float,
             est_error: float) -> RelationReport:
-    margin = lhs - rhs
-    tol = BASE_TOLERANCE + 4.0 * est_error
-    verdict = "pass" if margin >= -tol else "fail"
-    return RelationReport(relation_id=relation_id, lhs=lhs, rhs=rhs,
-                          margin=margin, tolerance=tol, est_error=est_error,
-                          verdict=verdict)
+    rpt = RelationReport(relation_id=relation_id, lhs=lhs, rhs=rhs,
+                         est_error=est_error, verdict="fail")
+    return replace(rpt, verdict="pass") if rpt.margin >= -rpt.tolerance else rpt
 
 
 def _not_applicable(relation_id: str) -> RelationReport:
     return RelationReport(relation_id=relation_id, lhs=math.nan, rhs=math.nan,
-                          margin=math.nan, tolerance=BASE_TOLERANCE,
                           est_error=0.0, verdict="not_applicable")
 
 
@@ -284,15 +288,16 @@ def check_smeared_shannon(rep: RepresentationBundle,
     ]
 
 
-def check_binning_lemma(density: DensityFn, dist: DiscreteDist,
-                        axis: str) -> RelationReport:
+def check_binning_lemma(density: DensityFn, dist: DiscreteDist) -> RelationReport:
     """Discretization lemma: H(p) >= H(density) - ln(max bin width).
 
-    `dist` is the density binned on some layout; `axis` ("k" or "x") names
-    the row binning_lemma_<axis>.
+    `dist` is the density binned on some layout; the density's axis names
+    the row (binning_lemma_k for the wavenumber, binning_lemma_x for the
+    position).
     """
     h_cont = diff_shannon(density)
     h_disc = discrete_renyi(dist, 1.0)
+    axis = density.grid.domain_tag.value.lower()
     return _report(f"binning_lemma_{axis}", h_disc.value,
                    h_cont.value - math.log(dist.delta_max), h_cont.est_error)
 

@@ -251,9 +251,9 @@ def _verify_cell(spec: dict, beta: float, config: RunConfig) -> list[dict]:
     if binned is not None:
         p_k, p_x = binned
         dk, dx = p_k.delta_max, p_x.delta_max
-        out.append(_record(rel.check_binning_lemma(rep.u_k, p_k, "k"),
+        out.append(_record(rel.check_binning_lemma(rep.u_k, p_k),
                            label, beta, delta_k=dk))
-        out.append(_record(rel.check_binning_lemma(rep.w_x, p_x, "x"),
+        out.append(_record(rel.check_binning_lemma(rep.w_x, p_x),
                            label, beta, delta_x=dx))
         out.append(_record(rel.check_binned_shannon(p_k, p_x, rep),
                            label, beta, delta_k=dk, delta_x=dx))

@@ -59,4 +59,4 @@ def random_discrete(rng, n):
     """Random discrete distribution on unit-width bins."""
     p = rng.random(n) + 1e-6
     p /= p.sum()
-    return g.DiscreteDist(edges=np.arange(n + 1.0), probs=p, delta_max=1.0)
+    return g.DiscreteDist(edges=np.arange(n + 1.0), probs=p)

@@ -124,8 +124,8 @@ def test_criterion_06_binning_lemma_and_binned_bound():
         bins_x = _random_edges(rng, xlo, xhi, 0.05, 2.0)
         p_k = g.bin_density(rep.u_k, bins_k)
         p_x = g.bin_density(rep.w_x, bins_x)
-        lem_k = g.check_binning_lemma(rep.u_k, p_k, "k")
-        lem_x = g.check_binning_lemma(rep.w_x, p_x, "x")
+        lem_k = g.check_binning_lemma(rep.u_k, p_k)
+        lem_x = g.check_binning_lemma(rep.w_x, p_x)
         both = g.check_binned_shannon(p_k, p_x, rep)
         worst = min(worst, lem_k.margin, lem_x.margin, both.margin)
     _criterion(6, f"binning lemma and binned bound margins >= -1e-8 over "

@@ -156,7 +156,15 @@ class TestDomainTypes:
     def test_discrete_dist_validation(self):
         with pytest.raises(g.ContractError):
             g.DiscreteDist(edges=np.array([0.0, 1.0, 2.0]),
-                           probs=np.array([0.7, 0.2]), delta_max=1.0)
+                           probs=np.array([0.7, 0.2]))
+
+    def test_discrete_dist_width_from_edges(self):
+        dist = g.DiscreteDist(edges=np.array([0.0, 0.5, 2.0, 2.25]),
+                              probs=np.array([0.25, 0.5, 0.25]))
+        assert dist.delta_max == 1.5
+        with pytest.raises(TypeError):
+            g.DiscreteDist(edges=np.arange(3.0), probs=np.array([0.5, 0.5]),
+                           delta_max=3.0)
 
     def test_order_pair_condition(self):
         g.OrderPair(2.0, 2.0 / 3.0)

@@ -106,28 +106,27 @@ class TestBinning:
 class TestDiscreteEntropies:
     def test_equiprobable_renyi(self):
         p = np.full(8, 0.125)
-        dist = g.DiscreteDist(edges=np.arange(9.0), probs=p, delta_max=1.0)
+        dist = g.DiscreteDist(edges=np.arange(9.0), probs=p)
         for alpha in (0.5, 1.0, 2.0, 5.0):
             assert g.discrete_renyi(dist, alpha).value == pytest.approx(
                 math.log(8), abs=1e-12)
 
     def test_point_mass(self):
         dist = g.DiscreteDist(edges=np.arange(4.0),
-                              probs=np.array([1.0, 0.0, 0.0]), delta_max=1.0)
+                              probs=np.array([1.0, 0.0, 0.0]))
         assert g.discrete_renyi(dist, 2.0).value == 0.0
         assert g.discrete_tsallis(dist, 2.0).value == 0.0
 
     def test_two_point_order_two(self):
         dist = g.DiscreteDist(edges=np.arange(3.0),
-                              probs=np.array([0.75, 0.25]), delta_max=1.0)
+                              probs=np.array([0.75, 0.25]))
         assert g.discrete_renyi(dist, 2.0).value == pytest.approx(
             -math.log(5.0 / 8.0), abs=1e-12)
 
     def test_tsallis_uniform(self):
         for n in (2, 5, 16):
             p = np.full(n, 1.0 / n)
-            dist = g.DiscreteDist(edges=np.arange(n + 1.0), probs=p,
-                                  delta_max=1.0)
+            dist = g.DiscreteDist(edges=np.arange(n + 1.0), probs=p)
             assert g.discrete_tsallis(dist, 2.0).value == pytest.approx(
                 1.0 - 1.0 / n, abs=1e-12)
 
@@ -192,8 +191,8 @@ class TestBinningLemma:
         for density, axis in ((rep.u_k, "k"), (rep.w_x, "x")):
             lo, hi = _coverage_window(density)
             edges = _random_edges(rng, lo, hi, 0.05, 2.0)
-            rpt = g.check_binning_lemma(density, g.bin_density(density, edges),
-                                        axis)
+            rpt = g.check_binning_lemma(density, g.bin_density(density, edges))
+            assert rpt.relation_id == f"binning_lemma_{axis}"
             assert rpt.margin >= -1e-8
 
     def test_fine_equal_bins_smooth_state(self, gauss_rep_small_beta):
@@ -201,7 +200,7 @@ class TestBinningLemma:
         # keep the margin positive at the tolerance scale
         d = gauss_rep_small_beta.v_q
         edges = np.arange(-8.0, 8.0 + 1e-9, 0.05)
-        rpt = g.check_binning_lemma(d, g.bin_density(d, edges), "k")
+        rpt = g.check_binning_lemma(d, g.bin_density(d, edges))
         assert rpt.margin >= -1e-8
 
     def test_refinement_stability(self, gauss_rep_small_beta):

@@ -1,8 +1,10 @@
 """Byte-for-byte regression against committed reports.
 
 `tests/data/golden_small.json` holds the `render_json` text of a small
-verify run (and its `render_csv` text) and of beta, sigma and alpha sweeps.  Optimisations that must not move a single
-float (reordered or shared exponentials, blocked sums) are checked here.
+verify run (and its `render_csv` text), of a verify cell in the undeformed
+limit (beta = 0) and of beta, sigma and alpha sweeps.  Optimisations that
+must not move a single float (reordered or shared exponentials, blocked
+sums) are checked here.
 Regenerate the file only for a change that is meant to alter report bytes:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -25,6 +27,11 @@ def _reports() -> dict:
     # the exactly Cauchy K density: p = 2 tail fit and tail quantile
     cauchy = RunConfig(beta_grid=[1.0], sigma_grid=[1.0], alpha_grid=[2.0],
                        states=[{"name": "uniform_q"}])
+    # beta = 0: infinite q0, ungraded Q grid, J identically one
+    undeformed = RunConfig(beta_grid=[0.0], sigma_grid=[1.0],
+                           alpha_grid=[2.0],
+                           states=[{"name": "truncated_gaussian_q",
+                                    "shape_args": [0.25]}])
     sweep = RunConfig(beta_grid=[1e-3, 0.1, 1.0],
                       states=[{"name": "random_fourier_q", "shape_args": [8],
                                "seed": 11}])
@@ -33,9 +40,11 @@ def _reports() -> dict:
                         states=[{"name": "raised_cosine_q"}])
     records, _ = suite.run_verify(verify)
     cauchy_records, _ = suite.run_verify(cauchy)
+    undeformed_records, _ = suite.run_verify(undeformed)
     return {"verify": suite.render_json(records, verify),
             "verify_csv": suite.render_csv(records),
             "verify_uniform_q": suite.render_json(cauchy_records, cauchy),
+            "verify_beta0": suite.render_json(undeformed_records, undeformed),
             "sweep_beta": suite.render_json(suite.run_sweep(sweep, "beta"),
                                             sweep),
             "sweep_sigma": suite.render_json(

@@ -6,7 +6,6 @@ from scipy.integrate import quad
 from scipy.special import erfc
 
 import gupcert as g
-from gupcert.measurement import _gaussian_j
 from gupcert.quadrature import pchip
 
 
@@ -14,6 +13,18 @@ def _raised_cosine2():
     """Raised-cosine-squared |f|^2 table: 513 nodes on [-3, 3], unit mass."""
     t = np.linspace(-3.0, 3.0, 513)
     return t, (0.5 * (1.0 + np.cos(math.pi * t / 3.0))) ** 2 / 2.25
+
+
+_ONES = np.full(5, 0.5)
+_BAD_TABLES = [
+    (np.linspace(-1, 1, 16), np.full(16, 40.0)),    # far from normalized
+    (np.array([0.0, 0.0, 1.0, 2.0, 3.0]), _ONES),   # repeated node
+    (np.array([3.0, 2.0, 1.0, 0.0, -1.0]), _ONES),  # decreasing
+    (np.array([0.0, 1.0, np.nan, 3.0, 4.0]), _ONES),
+    (np.array([0.0, 1.0, 2.0, 3.0, np.inf]), _ONES),
+    (np.arange(5.0), np.array([0.5, 0.5, np.nan, 0.5, 0.5])),
+    (np.arange(5.0), np.array([0.5, 0.5, -np.inf, 0.5, 0.5])),
+]
 
 
 class TestGaussianAcceptance:
@@ -36,6 +47,11 @@ class TestGaussianAcceptance:
     def test_invalid_sigma(self):
         with pytest.raises(g.InvalidParameterError):
             g.gaussian_acceptance(0.0)
+
+    @pytest.mark.parametrize("sigma", [-1.0, 0.0, math.nan])
+    def test_constructor_validates(self, sigma):
+        with pytest.raises(g.InvalidParameterError):
+            g.GaussianAcceptance(sigma)
 
 
 class TestSmear:
@@ -111,10 +127,10 @@ class TestJProfile:
         assert np.array_equal(j, np.ones(21))
 
     def test_delta_limit_at_two(self, params_1):
-        assert _gaussian_j(2.0, 1e-6, 1.0) == pytest.approx(0.2, abs=1e-9)
+        assert g.GaussianAcceptance(1e-6).j(2.0, 1.0) == pytest.approx(0.2, abs=1e-9)
 
     def test_delta_limit_at_origin(self, params_1):
-        assert _gaussian_j(0.0, 1e-6, 1.0) == pytest.approx(1.0, abs=1e-9)
+        assert g.GaussianAcceptance(1e-6).j(0.0, 1.0) == pytest.approx(1.0, abs=1e-9)
 
     def test_subnormalized_and_even(self, params_1):
         grid = g.Grid(nodes=np.linspace(-10, 10, 41), weights=np.full(41, 0.5),
@@ -154,8 +170,8 @@ class TestJProfile:
                           domain_tag=g.Domain.ZETA)
             for beta in np.geomspace(1e-3, 1e3, 7):
                 j = g.j_profile(f, g.make_params(beta), grid)
-                assert np.allclose(j, _gaussian_j(zetas, sigma, beta),
-                                   rtol=0.0, atol=1e-7)
+                voigt = g.GaussianAcceptance(sigma).j(zetas, beta)
+                assert np.allclose(j, voigt, rtol=0.0, atol=1e-7)
 
 
 class TestSF:
@@ -201,16 +217,14 @@ class TestSF:
         assert sf_custom == pytest.approx(sf_exact, abs=5e-6)
 
     def test_custom_rejects_bad_table(self):
-        ones = np.full(5, 0.5)
-        bad = [
-            (np.linspace(-1, 1, 16), np.full(16, 40.0)),    # far from normalized
-            (np.array([0.0, 0.0, 1.0, 2.0, 3.0]), ones),    # repeated node
-            (np.array([3.0, 2.0, 1.0, 0.0, -1.0]), ones),   # decreasing
-            (np.array([0.0, 1.0, np.nan, 3.0, 4.0]), ones),
-            (np.array([0.0, 1.0, 2.0, 3.0, np.inf]), ones),
-            (np.arange(5.0), np.array([0.5, 0.5, np.nan, 0.5, 0.5])),
-            (np.arange(5.0), np.array([0.5, 0.5, -np.inf, 0.5, 0.5])),
-        ]
-        for nodes, values in bad:
+        for nodes, values in _BAD_TABLES:
             with pytest.raises(g.InvalidParameterError):
                 g.custom_acceptance(nodes, values)
+
+    def test_table_constructor_validates(self):
+        for nodes, values in _BAD_TABLES:
+            with pytest.raises(g.InvalidParameterError):
+                g.TableAcceptance(nodes, values)
+        t, values = _raised_cosine2()
+        f = g.TableAcceptance(t, 1.5 * values)
+        assert np.trapezoid(f.table_values, t) == pytest.approx(1.0, abs=1e-14)
