@@ -140,14 +140,15 @@ class DensityFn:
         """Modelled (left, right) mass beyond the window, 0 without a model."""
         return outside_masses(self.tail_left, self.tail_right, *self.window)
 
-    def tail_sides(self) -> list[tuple[TailSide, float]]:
-        """Usable tail models with the |abscissa| where each one starts."""
+    def tail_sides(self) -> list[tuple[TailSide, float, float]]:
+        """Usable tail models, each with the |abscissa| where it starts and
+        the sign of that abscissa (-1 on the left, +1 on the right)."""
         lo, hi = self.window
         out = []
         if self.tail_left is not None:
-            out.append((self.tail_left, abs(lo)))
+            out.append((self.tail_left, abs(lo), -1.0))
         if self.tail_right is not None:
-            out.append((self.tail_right, abs(hi)))
+            out.append((self.tail_right, abs(hi), 1.0))
         return out
 
 
@@ -458,8 +459,7 @@ def moment(density: DensityFn, n: int) -> MomentEstimate:
 
     tail_part = 0.0
     tail_err = 0.0
-    lo, hi = density.window
-    for side, start in density.tail_sides():
+    for side, start, sign in density.tail_sides():
         if not side.moment_converges(n):
             # divergent in principle; material only when the coefficient can
             # move the value within several decades of where the power law
@@ -473,8 +473,7 @@ def moment(density: DensityFn, n: int) -> MomentEstimate:
             tail_err += scale
             continue
         add = side.moment_beyond(n, start)
-        sign = (-1.0) ** n if start == abs(lo) else 1.0
-        tail_part += sign * add
+        tail_part += sign ** n * add
         tail_err += 0.3 * abs(add)
 
     f = np.clip(density.values, 0.0, None) * t ** n

@@ -56,7 +56,7 @@ def diff_shannon(density: DensityFn) -> EntropyValue:
     x, w, p = density.grid.nodes, density.grid.weights, density.values
     core = entropy_sum(w, p)
     tail = 0.0
-    for side, start in density.tail_sides():
+    for side, start, _ in density.tail_sides():
         tail += side.entropy_beyond(start)
     f = np.where(p > ENTROPY_FLOOR, -p * np.log(np.clip(p, ENTROPY_FLOOR, None)), 0.0)
     est = interp_delta(x, f, core) + 0.03 * abs(tail) + 1e-14
@@ -79,7 +79,7 @@ def renyi_and_norm(density: DensityFn,
     x, w, p = density.grid.nodes, density.grid.weights, density.values
     core = power_sum(w, p, alpha)
     tail = 0.0
-    for side, start in density.tail_sides():
+    for side, start, _ in density.tail_sides():
         if not side.alpha_converges(alpha):
             if side.alpha_mass_beyond(max(alpha, 1.0 / side.exponent + 0.02), start) \
                     < 1e-12 * max(core, 1e-30):

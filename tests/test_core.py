@@ -130,6 +130,11 @@ class TestMoment:
         m = g.moment(gauss_rep_small_beta.u_k, 1)
         assert abs(m.value) < 1e-10
 
+    def test_symmetric_first_vanishes_with_tails(self, cosine_rep):
+        # the X window is mirror-symmetric, so both tail models start at the
+        # same |x|; their first moments must cancel, not add
+        assert abs(g.moment(cosine_rep.w_x, 1).value) < 1e-12
+
     def test_cauchy_divergence(self, uniform_rep):
         with pytest.raises(g.MomentDivergenceError) as err:
             g.moment(uniform_rep.u_k, 2)
