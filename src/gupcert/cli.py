@@ -7,9 +7,10 @@ Subcommands:
     show-state  dump the three densities and entropies of one catalog state
 
 Exit codes: 0 all pass, 1 at least one inequality failed, 2 usage or config
-error.  The optional THREADS environment variable caps the parallelism of
-verify; it must be a positive integer (unset or empty runs serially), and
-reports are deterministic regardless of it.  Verdicts always use each
+error or an unwritable report path.  The optional THREADS environment
+variable caps the parallelism of verify; it must be a positive integer
+(unset or empty runs serially), and reports are deterministic regardless
+of it.  Verdicts always use each
 check's own tolerance; a config has no override for it.
 """
 
@@ -20,7 +21,7 @@ import sys
 
 from .errors import ConfigError, GupcertError
 from .suite import (RunConfig, load_config, run_sweep, run_verify,
-                    show_state, write_report)
+                    show_state, write_report, write_text)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -95,8 +96,7 @@ def main(argv=None) -> int:
                                  seed=args.seed)
             text = _render_state(payload)
             if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
+                write_text(args.out, text)
             else:
                 sys.stdout.write(text)
             return 0

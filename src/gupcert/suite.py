@@ -40,6 +40,8 @@ _DEFAULT_STATES = (
     {"name": "random_fourier_q", "shape_args": [6], "seed": 11},
     {"name": "uniform_q", "shape_args": [], "seed": None},
 )
+_STATE_KEYS = ("name", "shape_args", "seed")
+_BINS = {"delta_min": 0.05, "delta_max": 2.0, "seed": 5}  # keys and defaults
 
 
 @dataclass
@@ -48,13 +50,15 @@ class RunConfig:
     sigma_grid: list = field(default_factory=lambda: [1.0])
     alpha_grid: list = field(default_factory=lambda: [1.5, 2.0])
     states: list = field(default_factory=lambda: [dict(s) for s in _DEFAULT_STATES])
-    bins: dict = field(default_factory=lambda: {"delta_min": 0.05,
-                                                "delta_max": 2.0, "seed": 5})
+    bins: dict = field(default_factory=lambda: dict(_BINS))
     output_path: str = "gupcert-report.json"
     format: str = "json"
 
     def validate(self) -> "RunConfig":
-        """Check the shape of every value; builds no state."""
+        """Check the shape of every value; builds no state.
+
+        Rows are keyed by state name and grid values, so neither may repeat.
+        """
         for name, grid in (("beta_grid", self.beta_grid),
                            ("sigma_grid", self.sigma_grid),
                            ("alpha_grid", self.alpha_grid)):
@@ -62,6 +66,8 @@ class RunConfig:
                     and all(map(_finite, grid))):
                 raise ConfigError(f"{name} must be a nonempty list of finite "
                                   "numbers")
+            if len(set(grid)) < len(grid):
+                raise ConfigError(f"{name} repeats a value")
         if any(b < 0 for b in self.beta_grid):
             raise ConfigError("beta values must be nonnegative")
         if any(s <= 0 for s in self.sigma_grid):
@@ -72,21 +78,27 @@ class RunConfig:
             raise ConfigError("need at least one state")
         for spec in self.states:
             if not (isinstance(spec, dict)
-                    and spec.get("name") in CATALOG_NAMES):
+                    and spec.get("name") in CATALOG_NAMES
+                    and set(spec) <= set(_STATE_KEYS)):
                 raise ConfigError(f"state {spec!r} must name one of "
-                                  f"{', '.join(CATALOG_NAMES)}")
+                                  f"{', '.join(CATALOG_NAMES)} and have no "
+                                  f"keys but {', '.join(_STATE_KEYS)}")
             args, seed = spec.get("shape_args") or [], spec.get("seed")
             if not (isinstance(args, (list, tuple)) and all(map(_finite, args))
                     and (seed is None or isinstance(seed, numbers.Integral)
                          and seed >= 0)):
                 raise ConfigError(f"state {spec!r} needs a list of numbers "
                                   "as shape_args and an integer seed >= 0")
-        if not (isinstance(self.bins, dict)
-                and all(map(_finite, self.binning))
-                and 0 < self.binning[0] <= self.binning[1]
-                and self.binning[2] >= 0):
-            raise ConfigError("bins need 0 < delta_min <= delta_max and a "
-                              "seed >= 0")
+        names = [spec["name"] for spec in self.states]
+        if len(set(names)) < len(names):
+            raise ConfigError("state names must not repeat")
+        if not (isinstance(self.bins, dict) and set(self.bins) <= set(_BINS)):
+            raise ConfigError(f"bins keys must be among {', '.join(_BINS)}")
+        dmin, dmax, seed = self.binning
+        if not (_finite(dmin) and _finite(dmax) and 0 < dmin <= dmax
+                and isinstance(seed, numbers.Integral) and seed >= 0):
+            raise ConfigError("bins need 0 < delta_min <= delta_max and an "
+                              "integer seed >= 0")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"unknown format {self.format!r}")
         if not isinstance(self.output_path, str):
@@ -96,8 +108,8 @@ class RunConfig:
     @property
     def binning(self) -> tuple:
         """(delta_min, delta_max, seed) of the random bin edges."""
-        return (self.bins.get("delta_min", 0.05),
-                self.bins.get("delta_max", 2.0), self.bins.get("seed", 5))
+        bins = {**_BINS, **self.bins}
+        return bins["delta_min"], bins["delta_max"], bins["seed"]
 
 
 def _finite(value) -> bool:
@@ -451,7 +463,14 @@ def render_csv(records: list[dict]) -> str:
 
 
 def write_report(records: list[dict], config: RunConfig, path: str) -> None:
-    text = render_json(records, config) if config.format == "json" \
-        else render_csv(records)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    write_text(path, render_json(records, config) if config.format == "json"
+               else render_csv(records))
+
+
+def write_text(path: str, text: str) -> None:
+    """Write a report file; an unwritable path raises GupcertError."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise GupcertError(f"cannot write {path}: {exc.strerror}") from exc

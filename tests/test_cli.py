@@ -78,11 +78,21 @@ class TestVerify:
         '{"tolerances": {"default": 1.0}}',
         '{"output_path": 5}',
         '{"margin_offset": 10.0}',
+        '{"states": [{"name": "random_fourier_q", "shape_arg": [3], '
+        '"seed": 1}]}',
+        '{"bins": {"delta_mim": 0.5}}',
+        '{"bins": {"seed": 1.7}}',
+        '{"states": [{"name": "random_fourier_q", "shape_args": [4], '
+        '"seed": 1}, {"name": "random_fourier_q", "shape_args": [8], '
+        '"seed": 1}]}',
+        '{"sigma_grid": [1.0, 1]}',
     ], ids=["empty_grid", "scalar_grid", "text_in_grid", "infinite_alpha",
             "unknown_state", "unnamed_state", "unseeded_state",
             "widthless_state_beta0", "text_shape_args", "negative_seed",
             "inverted_bins", "text_bins_seed", "text_tolerance",
-            "tolerance_override", "numeric_output_path", "margin_offset"])
+            "tolerance_override", "numeric_output_path", "margin_offset",
+            "unknown_state_key", "unknown_bins_key", "fractional_bins_seed",
+            "repeated_state", "repeated_sigma"])
     def test_invalid_config_exit_two(self, tmp_path, capsys, monkeypatch,
                                      text):
         monkeypatch.chdir(tmp_path)  # a report, if any, lands here
@@ -136,6 +146,21 @@ class TestVerify:
         assert lines[0] == ("relation_id,state,beta,sigma,alpha,gamma,"
                             "delta_k,delta_x,lhs,rhs,margin,est_error,verdict")
         assert len(lines) > 5
+
+
+@pytest.mark.parametrize("command", [
+    ["verify"],
+    ["sweep", "--param", "beta"],
+    ["show-state", "--name", "truncated_gaussian_q", "--beta", "1.0",
+     "--shape-args", "0.25"],
+], ids=["verify", "sweep", "show-state"])
+def test_unwritable_out_exit_two(small_config, tmp_path, capsys, command):
+    config = [] if command[0] == "show-state" else ["--config",
+                                                     str(small_config[0])]
+    out = tmp_path / "missing" / "r.json"
+    assert main(command + config + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and "Traceback" not in err
 
 
 class TestSweep:
