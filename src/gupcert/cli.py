@@ -10,8 +10,8 @@ Exit codes: 0 all pass, 1 at least one inequality failed, 2 usage or config
 error or an unwritable report path.  The optional THREADS environment
 variable caps the parallelism of verify; it must be a positive integer
 (unset or empty runs serially), and reports are deterministic regardless
-of it.  Verdicts always use each
-check's own tolerance; a config has no override for it.
+of it.  Verdicts always use each check's own tolerance; a config has no
+override for it.
 """
 
 from __future__ import annotations

@@ -473,4 +473,4 @@ def write_text(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise GupcertError(f"cannot write {path}: {exc.strerror}") from exc
+        raise GupcertError(f"cannot write {path}: {exc.strerror or exc}") from exc
