@@ -127,10 +127,12 @@ class TestJProfile:
         assert np.array_equal(j, np.ones(21))
 
     def test_delta_limit_at_two(self, params_1):
-        assert g.GaussianAcceptance(1e-6).j(2.0, 1.0) == pytest.approx(0.2, abs=1e-9)
+        narrow = g.GaussianAcceptance(1e-6)
+        assert narrow.j(2.0, 1.0) == pytest.approx(0.2, abs=1e-9)
 
     def test_delta_limit_at_origin(self, params_1):
-        assert g.GaussianAcceptance(1e-6).j(0.0, 1.0) == pytest.approx(1.0, abs=1e-9)
+        narrow = g.GaussianAcceptance(1e-6)
+        assert narrow.j(0.0, 1.0) == pytest.approx(1.0, abs=1e-9)
 
     def test_subnormalized_and_even(self, params_1):
         grid = g.Grid(nodes=np.linspace(-10, 10, 41), weights=np.full(41, 0.5),
