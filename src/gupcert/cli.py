@@ -7,11 +7,11 @@ Subcommands:
     show-state  dump the three densities and entropies of one catalog state
 
 Exit codes: 0 all pass, 1 at least one inequality failed, 2 usage or config
-error or an unwritable report path.  The optional THREADS environment
-variable caps the parallelism of verify; it must be a positive integer
-(unset or empty runs serially), and reports are deterministic regardless
-of it.  Verdicts always use each check's own tolerance; a config has no
-override for it.
+error or an unwritable report path (checked before any cell runs).  The
+optional THREADS environment variable caps the parallelism of verify; it
+must be a positive integer (unset or empty runs serially), and reports are
+deterministic regardless of it.  Verdicts always use each check's own
+tolerance; a config has no override for it.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import argparse
 import sys
 
 from .errors import ConfigError, GupcertError
-from .suite import (RunConfig, load_config, run_sweep, run_verify,
-                    show_state, write_report, write_text)
+from .suite import (RunConfig, check_writable, load_config, run_sweep,
+                    run_verify, show_state, write_report, write_text)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -78,6 +78,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             config = _config_from_args(args)
+            check_writable(config.output_path)
             records, status = run_verify(config)
             write_report(records, config, config.output_path)
             n_fail = sum(r["verdict"] == "fail" for r in records)
@@ -86,6 +87,7 @@ def main(argv=None) -> int:
             return status
         if args.command == "sweep":
             config = _config_from_args(args)
+            check_writable(config.output_path)
             records = run_sweep(config, args.param)
             write_report(records, config, config.output_path)
             print(f"{len(records)} sweep rows -> {config.output_path}")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (ContractError, DegenerateStateError,
                      InvalidParameterError, MomentDivergenceError)
-from .quadrature import interp_delta, symmetric_rule
+from .quadrature import lattice_error, panel_error, symmetric_rule
 from .tails import TailSide, outside_masses
 
 NORM_TOL = 1e-8          # DensityFn normalization defect tolerance
@@ -76,13 +76,19 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
-    """Quadrature nodes and weights on one of the tagged axes."""
+    """Quadrature nodes and weights on one of the tagged axes.
+
+    `panel_nodes` names the rule: consecutive panels of that many
+    Gauss-Legendre nodes (possibly through a change of variables, as on an
+    image grid), or 0 for a uniform trapezoid lattice.
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
     domain_tag: Domain
+    panel_nodes: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", _freeze(np.asarray(self.nodes, float)))
@@ -93,15 +99,25 @@ class Grid:
             raise ContractError("grid nodes must be strictly increasing")
         if np.any(self.weights <= 0.0):
             raise ContractError("grid weights must be positive")
+        n = self.panel_nodes
+        if n != 0 and not (n >= 4 and self.nodes.size % n == 0):
+            raise ContractError("panel_nodes must be 0 or at least 4 and "
+                                "divide the node count")
 
     def integrate(self, values: np.ndarray) -> float:
         return float(np.dot(self.weights, values))
+
+    def rule_error(self, values: np.ndarray) -> float:
+        """Error estimate of integrate(values), from the rule itself."""
+        if self.panel_nodes:
+            return panel_error(self.weights, values, self.panel_nodes)
+        return lattice_error(self.nodes, values)
 
     def __len__(self) -> int:
         return self.nodes.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityFn:
     """A probability density tabulated on a grid, with tail metadata.
 
@@ -152,19 +168,30 @@ class DensityFn:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteDist:
-    """Binned probabilities with their edges; delta_max is the widest bin."""
+    """Binned probabilities with their edges; delta_max is the widest bin.
+
+    `prob_errors` bounds the error |dp_i| of each probability; None, for
+    probabilities given exactly, stores zeros.
+    """
 
     edges: np.ndarray
     probs: np.ndarray
+    prob_errors: Optional[np.ndarray] = None
     delta_max: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "edges", _freeze(np.asarray(self.edges, float)))
         object.__setattr__(self, "probs", _freeze(np.asarray(self.probs, float)))
+        errors = (np.zeros(self.probs.shape) if self.prob_errors is None
+                  else np.asarray(self.prob_errors, float))
+        object.__setattr__(self, "prob_errors", _freeze(errors))
         if self.edges.size != self.probs.size + 1:
             raise ContractError("need len(edges) = len(probs) + 1")
+        if errors.shape != self.probs.shape or not np.all(errors >= 0.0):
+            raise ContractError("probability errors must match the "
+                                "probabilities and be nonnegative")
         if np.any(np.diff(self.edges) <= 0.0):
             raise ContractError("bin edges must be strictly increasing")
         if np.any(self.probs < 0.0):
@@ -352,7 +379,8 @@ def _state_grid(params: MinLengthParams, scale: float, n_per_panel: int) -> Grid
     else:
         half, sc = _GAUSSIAN_SUPPORT * scale, scale
     nodes, weights = symmetric_rule(half, sc, n_per_panel, params.deformed)
-    return Grid(nodes=nodes, weights=weights, domain_tag=Domain.Q)
+    return Grid(nodes=nodes, weights=weights, domain_tag=Domain.Q,
+                panel_nodes=n_per_panel)
 
 
 def _entropy_probe(state: PureState) -> float:
@@ -385,6 +413,28 @@ def _build_catalog_state(profile: Profile, params: MinLengthParams,
         n *= 2
 
 
+def check_shape_args(name: str, shape_args: Sequence[float]) -> None:
+    """Reject shape_args that the named catalog state would not use as given.
+
+    uniform_q and raised_cosine_q take none, truncated_gaussian_q exactly one
+    width s > 0, and random_fourier_q at most one whole mode count m >= 1;
+    anything else would be truncated or ignored, building another state.
+    """
+    if name not in CATALOG_NAMES:
+        raise InvalidParameterError(f"unknown catalog state {name!r}")
+    n = len(shape_args)
+    if name in ("uniform_q", "raised_cosine_q") and n:
+        raise InvalidParameterError(f"{name} takes no shape_args")
+    if name == "truncated_gaussian_q" and not (n == 1 and shape_args[0] > 0.0):
+        raise InvalidParameterError("truncated_gaussian_q needs exactly one "
+                                    "width s > 0")
+    if name == "random_fourier_q" and not (
+            n == 0 or n == 1 and float(shape_args[0]).is_integer()
+            and shape_args[0] >= 1):
+        raise InvalidParameterError("random_fourier_q takes at most one whole "
+                                    "mode count m >= 1")
+
+
 def catalog_state(name: str, params: MinLengthParams,
                   shape_args: Sequence[float] = (),
                   seed: Optional[int] = None) -> PureState:
@@ -395,7 +445,10 @@ def catalog_state(name: str, params: MinLengthParams,
     truncated_gaussian_q phi ~ exp(-q^2 / (4 s^2)), s = shape_args[0]
     random_fourier_q     seeded complex combination of the first m box modes
                          vanishing at +-q0, m = shape_args[0] (default 8)
+
+    shape_args must be exactly what the state uses (see check_shape_args).
     """
+    check_shape_args(name, shape_args)
     if name in BOX_STATES and not params.deformed:
         raise InvalidParameterError(
             f"{name} needs beta > 0: it is not normalizable on an infinite interval")
@@ -405,19 +458,14 @@ def catalog_state(name: str, params: MinLengthParams,
     if name == "raised_cosine_q":
         return _build_catalog_state(_raised_cosine_profile, params, q0)
     if name == "truncated_gaussian_q":
-        if not shape_args or shape_args[0] <= 0.0:
-            raise InvalidParameterError("truncated_gaussian_q needs a width s > 0")
         s = float(shape_args[0])
         return _build_catalog_state(_make_gaussian_profile(s), params, s)
-    if name == "random_fourier_q":
-        if seed is None:
-            raise InvalidParameterError("random_fourier_q needs a seed")
-        m = int(shape_args[0]) if shape_args else 8
-        if m < 1:
-            raise InvalidParameterError("random_fourier_q needs at least one mode")
-        profile = _make_random_fourier_profile(m, seed)
-        return _build_catalog_state(profile, params, q0 / m)
-    raise InvalidParameterError(f"unknown catalog state {name!r}")
+    # random_fourier_q, the last catalog name
+    if seed is None:
+        raise InvalidParameterError("random_fourier_q needs a seed")
+    m = int(shape_args[0]) if shape_args else 8
+    profile = _make_random_fourier_profile(m, seed)
+    return _build_catalog_state(profile, params, q0 / m)
 
 
 def rebuild_state(state: PureState, beta: float) -> PureState:
@@ -455,7 +503,8 @@ def moment(density: DensityFn, n: int) -> MomentEstimate:
     if not (isinstance(n, int) and n >= 1):
         raise ContractError("moment order must be a positive integer")
     t = density.grid.nodes
-    grid_part = density.grid.integrate(t ** n * density.values)
+    f = t ** n * density.values
+    grid_part = density.grid.integrate(f)
 
     tail_part = 0.0
     tail_err = 0.0
@@ -476,7 +525,5 @@ def moment(density: DensityFn, n: int) -> MomentEstimate:
         tail_part += sign ** n * add
         tail_err += 0.3 * abs(add)
 
-    f = np.clip(density.values, 0.0, None) * t ** n
-    interp_err = interp_delta(t, f, density.grid.integrate(f))
     return MomentEstimate(value=float(grid_part + tail_part),
-                          est_error=float(interp_err + tail_err))
+                          est_error=density.grid.rule_error(f) + tail_err)

@@ -1,10 +1,15 @@
 """Differential and discrete entropy functionals, norms, binning, MC oracle.
 
 Differential entropies are quadrature sums over the density's own grid plus
-closed-form contributions of the fitted tail models.  Error estimates compare
-the grid rule against a monotone-interpolant integral of the same tabulated
-integrand; acceptance thresholds elsewhere reference these estimates rather
-than absolute truth.
+closed-form contributions of the fitted tail models.  Their error estimates
+come from the rule that built the grid (`Grid.rule_error`: Legendre
+coefficient decay on Gauss panels, the trapezoid sum against its
+every-other-node subsample on lattices), plus a few ulps of rounding in the
+density values and a share of each tail model's contribution.  Binned
+probabilities carry a bound on their own errors, from the CDF spline and the
+tail models, which the discrete functionals propagate to first order.
+Acceptance thresholds elsewhere reference these estimates rather than
+absolute truth.
 
 Discrete entropies follow the conventional definitions via the norm-like
 functional ||p||_a = (sum_j p_j^a)^(1/a):
@@ -21,12 +26,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 from scipy.special import logsumexp
 
 from .core import DensityFn, DiscreteDist
 from .errors import ContractError, InvalidParameterError, NormDivergenceError
-from .quadrature import (ENTROPY_FLOOR, entropy_sum, interp_delta, pchip,
-                         power_sum)
+from .quadrature import ENTROPY_FLOOR, entropy_sum, pchip, power_sum
+
+_EPS = float(np.finfo(float).eps)
+_VALUE_ULPS = 4  # rounding carried by a density value, in units of _EPS
+_BUMP_PEAK = 4.0  # bound on 15/4, a pair's peak-to-mean interpolation error
 
 
 @dataclass(frozen=True)
@@ -46,20 +55,37 @@ class EntropyValue:
 # differential entropies
 # ---------------------------------------------------------------------------
 
+def _tail_share(density: DensityFn, share: float) -> float:
+    """Error share of a tail model's contribution to an integral.
+
+    Beyond a window the fitted envelope is good to `share`, a few percent.
+    A grid whose measure already covers the whole axis (an image grid: no
+    mass is missing, tail_mass_bound is 0) counts the modelled part twice,
+    so there all of it is error.
+    """
+    return share if density.tail_mass_bound > 0.0 else 1.0
+
+
 def diff_shannon(density: DensityFn) -> EntropyValue:
     """Differential Shannon entropy -integral p ln p in nats.
 
-    Tail models contribute their period-averaged closed forms; their share of
-    the value is also folded into the error estimate at the few-percent level
-    the envelope fits are good for.
+    Tail models contribute their period-averaged closed forms.  The error
+    estimate adds the grid rule's own estimate, a few ulps of rounding in
+    each density value (which ln p turns into p |1 + ln p| per ulp) and the
+    tail models' share.
     """
-    x, w, p = density.grid.nodes, density.grid.weights, density.values
+    w, p = density.grid.weights, density.values
     core = entropy_sum(w, p)
     tail = 0.0
     for side, start, _ in density.tail_sides():
         tail += side.entropy_beyond(start)
-    f = np.where(p > ENTROPY_FLOOR, -p * np.log(np.clip(p, ENTROPY_FLOOR, None)), 0.0)
-    est = interp_delta(x, f, core) + 0.03 * abs(tail) + 1e-14
+    live = p > ENTROPY_FLOOR
+    log_p = np.log(np.clip(p, ENTROPY_FLOOR, None))
+    rounding = _VALUE_ULPS * _EPS * float(
+        np.dot(w, np.where(live, p * np.abs(1.0 + log_p), 0.0)))
+    f = np.where(live, -p * log_p, 0.0)
+    est = (density.grid.rule_error(f) + rounding
+           + _tail_share(density, 0.03) * abs(tail))
     return EntropyValue(value=core + tail, differential=True, est_error=est)
 
 
@@ -68,7 +94,8 @@ def renyi_and_norm(density: DensityFn,
     """Renyi entropy and alpha-norm of one order from one integral of p**alpha.
 
     Both are functions of the same integral (tail models included), so a
-    caller that needs both computes it once.  alpha = 1 gives the Shannon
+    caller that needs both computes it once; the error of ln(norm) is the
+    Renyi entropy's times |1 - alpha| / alpha.  alpha = 1 gives the Shannon
     entropy and norm 1.  Raises NormDivergenceError when a tail model makes
     the integral diverge at a numerically material scale.
     """
@@ -76,7 +103,7 @@ def renyi_and_norm(density: DensityFn,
         raise InvalidParameterError("alpha must be positive")
     if alpha == 1.0:
         return diff_shannon(density), 1.0
-    x, w, p = density.grid.nodes, density.grid.weights, density.values
+    w, p = density.grid.weights, density.values
     core = power_sum(w, p, alpha)
     tail = 0.0
     for side, start, _ in density.tail_sides():
@@ -89,7 +116,8 @@ def renyi_and_norm(density: DensityFn,
                 tail_exponent=side.exponent)
         tail += side.alpha_mass_beyond(alpha, start)
     f = np.where(p > ENTROPY_FLOOR, p ** alpha, 0.0)
-    err = interp_delta(x, f, core) + 0.05 * tail
+    err = (density.grid.rule_error(f) + _VALUE_ULPS * _EPS * alpha * core
+           + _tail_share(density, 0.05) * tail)
     total = core + tail
     renyi = EntropyValue(value=math.log(total) / (1.0 - alpha),
                          differential=True,
@@ -111,54 +139,143 @@ def diff_renyi(density: DensityFn, alpha: float) -> EntropyValue:
 # binning
 # ---------------------------------------------------------------------------
 
-def density_cdf(density: DensityFn, points: np.ndarray) -> np.ndarray:
-    """Cumulative distribution at arbitrary points, tail models included.
+class DensityCdf:
+    """Cumulative distribution of one density: one spline, read many times.
 
     Inside the window a cubic-spline interpolant of the tabulated values is
     integrated (a monotone interpolant falls an order short of the interval
     probability tolerance); outside it the fitted power-law mass takes over.
-    The result is clipped monotone into [0, 1] and scaled so the total mass
-    is exactly one.
+    Calling it gives the CDF at arbitrary points, clipped monotone into
+    [0, 1] and scaled so the total mass is exactly one.  A caller that reads
+    the CDF more than once (a coverage window, then the bins) builds one and
+    passes it to `bin_density`; its spline holds five coefficients per grid
+    interval, so drop it with the bins.
     """
-    from scipy.interpolate import CubicSpline
 
-    x, p = density.grid.nodes, density.values
-    anti = CubicSpline(x, np.clip(p, 0.0, None)).antiderivative()
-    lo, hi = density.window
-    m_left, m_right = density.tail_masses
-    window_mass = float(anti(hi) - anti(lo))
-    total = m_left + window_mass + m_right
+    def __init__(self, density: DensityFn):
+        x, p = density.grid.nodes, density.values
+        self.density = density
+        self._anti = CubicSpline(x, np.clip(p, 0.0, None)).antiderivative()
+        lo, hi = density.window
+        m_left, m_right = density.tail_masses
+        window_mass = float(self._anti(hi) - self._anti(lo))
+        self.total = m_left + window_mass + m_right
 
-    pts = np.asarray(points, dtype=float)
-    out = np.empty(pts.shape)
-    below = pts <= lo
-    above = pts >= hi
-    inside = ~(below | above)
-    if density.tail_left is not None:
-        out[below] = density.tail_left.mass_beyond(np.abs(pts[below]))
-    else:
-        out[below] = 0.0
-    if density.tail_right is not None:
-        out[above] = total - density.tail_right.mass_beyond(pts[above])
-    else:
-        out[above] = total
-    out[inside] = m_left + (anti(pts[inside]) - anti(lo))
-    return np.clip(out / total, 0.0, 1.0)
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        density, anti, total = self.density, self._anti, self.total
+        lo, hi = density.window
+        m_left = density.tail_masses[0]
+        pts = np.asarray(points, dtype=float)
+        out = np.empty(pts.shape)
+        below = pts <= lo
+        above = pts >= hi
+        inside = ~(below | above)
+        if density.tail_left is not None:
+            out[below] = density.tail_left.mass_beyond(np.abs(pts[below]))
+        else:
+            out[below] = 0.0
+        if density.tail_right is not None:
+            out[above] = total - density.tail_right.mass_beyond(pts[above])
+        else:
+            out[above] = total
+        out[inside] = m_left + (anti(pts[inside]) - anti(lo))
+        return np.clip(out / total, 0.0, 1.0)
+
+    def bin_errors(self, edges: np.ndarray, cdf: np.ndarray,
+                   probs: np.ndarray) -> np.ndarray:
+        """Bound on |dp_i| of the bin probabilities `probs` read from this
+        CDF, whose values at the edges are `cdf`.
+
+        Two error measures grow from left to right; the increase of their
+        sum across a bin, with what lies beyond the end edges folded into
+        the end bins as bin_density folds the mass, bounds that bin's error:
+        - the spline's local error: on each pair of grid intervals, the gap
+          between the spline's integral and the three-point (Simpson) rule
+          on the same nodes, summed from the left end of the window;
+        - the tail models' share of the mass they place.
+        Two terms are added per bin: the relative gap between the spline's
+        total mass and the grid rule's, by which every probability is
+        rescaled, and a few ulps of the bin's upper CDF value for rounding,
+        since every probability is a difference of two CDF values.
+        """
+        density = self.density
+        x = density.grid.nodes
+        f = np.clip(density.values, 0.0, None)
+        at_nodes = np.append(self._anti.c[-1], self._anti(x[-1]))
+        # pairs of intervals (i, i+1, i+2) for even i; with an odd interval
+        # count the last three nodes close the last interval
+        i0 = np.arange(0, x.size - 2, 2)
+        if x.size % 2 == 0 and x.size >= 3:
+            i0 = np.append(i0, x.size - 3)
+        h0, h1 = x[i0 + 1] - x[i0], x[i0 + 2] - x[i0 + 1]
+        span = h0 + h1
+        simpson = span / 6.0 * ((2.0 - h1 / h0) * f[i0]
+                                + span * span / (h0 * h1) * f[i0 + 1]
+                                + (2.0 - h0 / h1) * f[i0 + 2])
+        # the interpolation error on an interval has the shape
+        # (t (1 - t))^2, which peaks at 15/8 of its mean, and a pair's error
+        # may sit in one of its intervals: a bin narrower than a pair gets
+        # up to 15/4 of its length share
+        gaps = np.cumsum(_BUMP_PEAK * np.abs(at_nodes[i0 + 2] - at_nodes[i0]
+                                             - simpson))
+        grown = np.interp(edges, np.append(x[0], x[i0 + 2]),
+                          np.append(0.0, gaps))
+        full = float(gaps[-1]) if gaps.size else 0.0
+
+        m_left, m_right = density.tail_masses
+        if m_left or m_right:
+            # below the window the CDF is the left model's mass and above it
+            # 1 - CDF the right model's; in between the models place m_left
+            share = _tail_share(density, 0.05)
+            lo, hi = density.window
+            n_lo = int(np.searchsorted(edges, lo, side="right"))
+            n_hi = int(np.searchsorted(edges, hi, side="left"))
+            grown += share * m_left
+            grown[:n_lo] += share * (self.total * cdf[:n_lo] - m_left)
+            grown[n_hi:] += share * (m_right - self.total * (1.0 - cdf[n_hi:]))
+            full += share * (m_left + m_right)
+
+        errors = np.diff(grown)
+        errors[0] += grown[0]
+        errors[-1] += full - grown[-1]
+        errors /= self.total
+        rule_total = density.grid.integrate(f) + m_left + m_right
+        scratch = grown[1:]  # reused for the two per-bin terms
+        np.multiply(probs, abs(self.total - rule_total) / self.total, out=scratch)
+        errors += scratch
+        np.multiply(cdf[1:], _VALUE_ULPS * _EPS, out=scratch)
+        errors += scratch
+        return np.clip(errors, 0.0, None, out=errors)
 
 
-def bin_density(density: DensityFn, edges: np.ndarray) -> DiscreteDist:
+def as_cdf(density: DensityFn | DensityCdf) -> DensityCdf:
+    """The density's CDF; a DensityCdf passes through unchanged."""
+    return density if isinstance(density, DensityCdf) else DensityCdf(density)
+
+
+def density_cdf(density: DensityFn, points: np.ndarray) -> np.ndarray:
+    """Cumulative distribution at arbitrary points, tail models included
+    (see DensityCdf, which this builds and calls once)."""
+    return DensityCdf(density)(points)
+
+
+def bin_density(density: DensityFn | DensityCdf,
+                edges: np.ndarray) -> DiscreteDist:
     """Interval probabilities of a density, out-of-range mass folded inward.
 
     The edges must capture at least 1 - 1e-6 of the mass; what little lies
     outside is folded into the first and last bins so the discrete
-    distribution is exactly normalized.
+    distribution is exactly normalized.  The density may come as the
+    DensityCdf a caller already built for it.  Each probability carries the
+    error bound of DensityCdf.bin_errors.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.size < 2:
         raise ContractError("need at least two bin edges")
     if np.any(np.diff(edges) <= 0.0):
         raise ContractError("bin edges must be strictly increasing")
-    cdf = density_cdf(density, edges)
+    cdf_of = as_cdf(density)
+    cdf = cdf_of(edges)
     coverage = cdf[-1] - cdf[0]
     if coverage < 1.0 - 1e-6:
         raise ContractError(f"bins cover only {coverage:.8f} of the mass")
@@ -167,34 +284,58 @@ def bin_density(density: DensityFn, edges: np.ndarray) -> DiscreteDist:
     probs[-1] += 1.0 - cdf[-1]
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
-    return DiscreteDist(edges=edges, probs=probs)
+    return DiscreteDist(edges=edges, probs=probs,
+                        prob_errors=cdf_of.bin_errors(edges, cdf, probs))
 
 
 # ---------------------------------------------------------------------------
 # discrete entropies
 # ---------------------------------------------------------------------------
 
+def _positive(dist: DiscreteDist) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero probabilities and their errors (views when none is zero)."""
+    mask = dist.probs > 0.0
+    if mask.all():
+        return dist.probs, dist.prob_errors
+    return dist.probs[mask], dist.prob_errors[mask]
+
+
+# The errors below propagate each bin's |dp_i| to first order.
+
 def _discrete_shannon(dist: DiscreteDist) -> EntropyValue:
-    p = dist.probs[dist.probs > 0.0]
-    return EntropyValue(value=float(-np.sum(p * np.log(p))),
-                        differential=False, est_error=0.0)
+    """-sum p ln p, with error sum |dp_i| (1 + |ln p_i|)."""
+    p, dp = _positive(dist)
+    log_p = np.log(p)
+    value = float(-np.sum(p * log_p))
+    np.abs(log_p, out=log_p)
+    log_p += 1.0
+    return EntropyValue(value=value, differential=False,
+                        est_error=float(np.dot(dp, log_p)))
 
 
 def discrete_renyi_and_norm(dist: DiscreteDist,
                             alpha: float) -> tuple[EntropyValue, float]:
     """Renyi entropy and ||p||_alpha of one order from one log-space sum.
 
-    Both are functions of ln sum_j p_j**alpha.  alpha = 1 gives the Shannon
-    entropy and norm 1.
+    Both are functions of ln sum_j p_j**alpha, whose error is
+    alpha sum p^(alpha-1) |dp| / sum p^alpha; the entropy's error is that
+    over |1 - alpha|.  alpha = 1 gives the Shannon entropy and norm 1.
     """
     if alpha <= 0.0:
         raise InvalidParameterError("alpha must be positive")
     if alpha == 1.0:
         return _discrete_shannon(dist), 1.0
-    p = dist.probs[dist.probs > 0.0]
-    log_sum = float(logsumexp(alpha * np.log(p)))
+    p, dp = _positive(dist)
+    scaled = np.log(p)
+    scaled *= alpha
+    log_sum = float(logsumexp(scaled))
+    # p^(alpha-1) / sum p^alpha, in place of alpha ln p
+    scaled *= (alpha - 1.0) / alpha
+    scaled -= log_sum
+    np.exp(scaled, out=scaled)
+    err = alpha / abs(1.0 - alpha) * float(np.dot(scaled, dp))
     return EntropyValue(value=log_sum / (1.0 - alpha), differential=False,
-                        est_error=0.0), math.exp(log_sum / alpha)
+                        est_error=err), math.exp(log_sum / alpha)
 
 
 def discrete_norm(dist: DiscreteDist, alpha: float) -> float:
@@ -208,14 +349,20 @@ def discrete_renyi(dist: DiscreteDist, alpha: float) -> EntropyValue:
 
 
 def discrete_tsallis(dist: DiscreteDist, alpha: float) -> EntropyValue:
-    """Tsallis entropy (sum p^alpha - 1)/(1 - alpha); alpha = 1 gives Shannon."""
+    """Tsallis entropy (sum p^alpha - 1)/(1 - alpha); alpha = 1 gives Shannon.
+
+    The error is alpha / |1 - alpha| sum p^(alpha-1) |dp|.
+    """
     if alpha <= 0.0:
         raise InvalidParameterError("alpha must be positive")
     if alpha == 1.0:
         return _discrete_shannon(dist)
-    p = dist.probs[dist.probs > 0.0]
-    value = (float(np.sum(p ** alpha)) - 1.0) / (1.0 - alpha)
-    return EntropyValue(value=value, differential=False, est_error=0.0)
+    p, dp = _positive(dist)
+    powers = p ** alpha
+    value = (float(np.sum(powers)) - 1.0) / (1.0 - alpha)
+    powers /= p
+    err = alpha / abs(1.0 - alpha) * float(np.dot(powers, dp))
+    return EntropyValue(value=value, differential=False, est_error=err)
 
 
 def alpha_log(y: float, nu: float) -> float:

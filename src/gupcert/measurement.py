@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.interpolate import CubicSpline, PchipInterpolator
 from scipy.optimize import minimize_scalar
 from scipy.special import ndtr, wofz
@@ -83,7 +84,7 @@ class GaussianAcceptance:
         return float(self.j(0.0, beta))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TableAcceptance:
     """Tabulated |f|^2 profile, monotone-interpolated and zero off its table.
 
@@ -306,6 +307,14 @@ def _lattice_input(density: DensityFn, f: AcceptanceFn):
     return lattice, vals, float(lattice[1] - lattice[0]), out_lo, out_hi
 
 
+def _full_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The full linear convolution of two real arrays through real FFTs of
+    a fast length (the floats of scipy.signal.fftconvolve)."""
+    n = a.size + b.size - 1
+    size = next_fast_len(n, True)
+    return irfft(rfft(a, size) * rfft(b, size), size)[:n]
+
+
 def smear(density: DensityFn, f: AcceptanceFn) -> DensityFn:
     """Convolve a density with |f|^2 on a uniform output lattice.
 
@@ -315,14 +324,12 @@ def smear(density: DensityFn, f: AcceptanceFn) -> DensityFn:
     densities agree to the order of the tail curvature, so the input model
     carries over).
     """
-    from scipy.signal import fftconvolve
-
     tag = _SMEAR_TAG.get(density.grid.domain_tag, Domain.ZETA)
     lattice, lat_vals, h, i_lo, i_hi = _lattice_input(density, f)
     m = int(math.ceil(f.reach / h)) + 1
     kernel = f.lattice_kernel(m, h)
     src_masses = lat_vals * h
-    conv = fftconvolve(src_masses, kernel, mode="full")
+    conv = _full_convolution(src_masses, kernel)
 
     # conv index j + m corresponds to lattice node j.  On a side whose
     # tail model holds material mass at the cut, the output stops there

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import (DensityFn, DiscreteDist, OrderPair, PureState, moment,
                    rebuild_state)
-from .entropy import (alpha_log, alpha_norm, diff_shannon, discrete_norm,
+from .entropy import (EntropyValue, alpha_log, diff_shannon,
                       discrete_renyi, discrete_renyi_and_norm,
                       discrete_tsallis, renyi_and_norm)
 from .errors import (InvalidParameterError, MomentDivergenceError,
@@ -52,6 +52,7 @@ class RelationReport:
     rhs: float
     est_error: float
     verdict: str          # "pass" | "fail" | "not_applicable"
+    reason: str = ""      # why a not-applicable check could not be made
 
     @property
     def margin(self) -> float:
@@ -70,9 +71,10 @@ def _report(relation_id: str, lhs: float, rhs: float,
     return replace(rpt, verdict="pass") if rpt.margin >= -rpt.tolerance else rpt
 
 
-def _not_applicable(relation_id: str) -> RelationReport:
+def _not_applicable(relation_id: str, reason: str) -> RelationReport:
     return RelationReport(relation_id=relation_id, lhs=math.nan, rhs=math.nan,
-                          est_error=0.0, verdict="not_applicable")
+                          est_error=0.0, verdict="not_applicable",
+                          reason=reason)
 
 
 # ---------------------------------------------------------------------------
@@ -142,17 +144,24 @@ def correction_term(rep: RepresentationBundle) -> float:
     density pushforward; the image-grid construction realizes that identity
     at the quadrature level.  Beta is that of the bundle's own state.
     """
+    return _correction(rep)[0]
+
+
+def _correction(rep: RepresentationBundle) -> tuple[float, float]:
+    """The correction term and the K grid rule's error estimate for it."""
     params = rep.source.params
     if not params.deformed:
-        return 0.0
+        return 0.0, 0.0
     u = rep.u_k
     k = u.grid.nodes
-    return float(u.grid.integrate(u.values * np.log1p(params.beta * k * k)))
+    f = u.values * np.log1p(params.beta * k * k)
+    return float(u.grid.integrate(f)), u.grid.rule_error(f)
 
 
 def check_correction_term(rep: RepresentationBundle) -> RelationReport:
     """The correction term as a record: nonnegative, so rhs is zero."""
-    return _report("correction_term", correction_term(rep), 0.0, 1e-10)
+    corr, err = _correction(rep)
+    return _report("correction_term", corr, 0.0, err)
 
 
 @dataclass(frozen=True)
@@ -206,12 +215,12 @@ def check_jensen(rep: RepresentationBundle) -> RelationReport:
     beta = rep.source.params.beta
     try:
         k2 = moment(rep.u_k, 2)
-    except MomentDivergenceError:
-        return _not_applicable("correction_jensen")
-    corr = correction_term(rep)
+    except MomentDivergenceError as exc:
+        return _not_applicable("correction_jensen", str(exc))
+    corr, corr_err = _correction(rep)
     lhs = math.log1p(beta * k2.value)
     return _report("correction_jensen", lhs, corr,
-                   k2.est_error * beta / (1.0 + beta * k2.value))
+                   k2.est_error * beta / (1.0 + beta * k2.value) + corr_err)
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +237,13 @@ def robertson_margin(rep: RepresentationBundle) -> RelationReport:
     try:
         k1, k2 = moment(rep.u_k, 1), moment(rep.u_k, 2)
         x1, x2 = moment(rep.w_x, 1), moment(rep.w_x, 2)
-    except MomentDivergenceError:
-        return _not_applicable("robertson_product")
+    except MomentDivergenceError as exc:
+        return _not_applicable("robertson_product", str(exc))
     var_k = k2.value - k1.value ** 2
     var_x = x2.value - x1.value ** 2
     if var_k <= 0.0 or var_x <= 0.0:
-        return _not_applicable("robertson_product")
+        return _not_applicable("robertson_product",
+                               "a computed variance is not positive")
     dk, dx = math.sqrt(var_k), math.sqrt(var_x)
     err = (x2.est_error + 2.0 * abs(x1.value) * x1.est_error) / (2.0 * dx) * dk \
         + (k2.est_error + 2.0 * abs(k1.value) * k1.est_error) / (2.0 * dk) * dx \
@@ -256,11 +266,11 @@ def check_bbm_corrected(rep: RepresentationBundle) -> list[RelationReport]:
     hq = diff_shannon(rep.v_q)
     hx = diff_shannon(rep.w_x)
     hk = diff_shannon(rep.u_k)
-    corr = correction_term(rep)
+    corr, corr_err = _correction(rep)
     base = _report("shannon_sum_base", hq.value + hx.value, LN_E_PI,
                    hq.est_error + hx.est_error)
     corrected = _report("shannon_sum_corrected", hk.value + hx.value,
-                        LN_E_PI + corr, hk.est_error + hx.est_error)
+                        LN_E_PI + corr, hk.est_error + hx.est_error + corr_err)
     return [base, corrected]
 
 
@@ -278,11 +288,11 @@ def check_smeared_shannon(rep: RepresentationBundle,
     u_s, w_s = smeared
     hm = diff_shannon(u_s)
     hn = diff_shannon(w_s)
-    corr = correction_term(rep)
+    corr, corr_err = _correction(rep)
     err = hm.est_error + hn.est_error
     lhs = hm.value + hn.value
     return [
-        _report("shannon_sum_smeared", lhs, LN_E_PI + corr, err),
+        _report("shannon_sum_smeared", lhs, LN_E_PI + corr, err + corr_err),
         _report("shannon_sum_smeared_resolution", lhs,
                 LN_E_PI - math.log(sf_value), err),
     ]
@@ -293,13 +303,14 @@ def check_binning_lemma(density: DensityFn, dist: DiscreteDist) -> RelationRepor
 
     `dist` is the density binned on some layout; the density's axis names
     the row (binning_lemma_k for the wavenumber, binning_lemma_x for the
-    position).
+    position).  The row carries the errors of both entropies.
     """
     h_cont = diff_shannon(density)
     h_disc = discrete_renyi(dist, 1.0)
     axis = density.grid.domain_tag.value.lower()
     return _report(f"binning_lemma_{axis}", h_disc.value,
-                   h_cont.value - math.log(dist.delta_max), h_cont.est_error)
+                   h_cont.value - math.log(dist.delta_max),
+                   h_cont.est_error + h_disc.est_error)
 
 
 def check_binned_shannon(p_k: DiscreteDist, p_x: DiscreteDist,
@@ -309,10 +320,11 @@ def check_binned_shannon(p_k: DiscreteDist, p_x: DiscreteDist,
     `p_k` and `p_x` are the wavenumber and position densities of `rep`
     binned.
     """
-    corr = correction_term(rep)
-    lhs = discrete_renyi(p_k, 1.0).value + discrete_renyi(p_x, 1.0).value
+    corr, corr_err = _correction(rep)
+    h_k, h_x = discrete_renyi(p_k, 1.0), discrete_renyi(p_x, 1.0)
     rhs = LN_E_PI - math.log(p_k.delta_max * p_x.delta_max) + corr
-    return _report("shannon_sum_binned", lhs, rhs, 1e-10)
+    return _report("shannon_sum_binned", h_k.value + h_x.value, rhs,
+                   h_k.est_error + h_x.est_error + corr_err)
 
 
 # ---------------------------------------------------------------------------
@@ -335,25 +347,34 @@ def check_beckner(pair: OrderPair,
     for rid, big, small in (("beckner_qx", rep.w_x, rep.v_q),
                             ("beckner_xq", rep.v_q, rep.w_x)):
         try:
-            lhs = math.log(alpha_norm(big, pair.gamma)) - expo * math.log(kp * math.pi)
-            rhs = math.log(alpha_norm(small, pair.alpha))
-        except NormDivergenceError:
-            out.append(_not_applicable(rid))
+            big_g = renyi_and_norm(big, pair.gamma)
+            small_a = renyi_and_norm(small, pair.alpha)
+        except NormDivergenceError as exc:
+            out.append(_not_applicable(rid, str(exc)))
             continue
-        out.append(_report(rid, lhs, rhs, 1e-9))
+        lhs = math.log(big_g[1]) - expo * math.log(kp * math.pi)
+        rhs = math.log(small_a[1])
+        out.append(_report(rid, lhs, rhs,
+                           _log_norm_error(big_g[0], pair.gamma)
+                           + _log_norm_error(small_a[0], pair.alpha)))
     return out
 
 
+def _log_norm_error(renyi: EntropyValue, order: float) -> float:
+    """Error of ln ||p||_order from that of the Renyi entropy of the order."""
+    return renyi.est_error * abs(1.0 - order) / order
+
+
 def _renyi_reports(renyi_and_norm_fn, dens_m, dens_n, pair: OrderPair,
-                   scale: float, rid_sum: str, rid_norms: tuple[str, str],
-                   norm_err: float) -> tuple[list[RelationReport], dict]:
+                   scale: float, rid_sum: str,
+                   rid_norms: tuple[str, str]) -> tuple[list[RelationReport], dict]:
     """Renyi sums of (alpha on M, gamma on N), the swap, and their norm forms.
 
     Every row reads the four (entropy, norm) pairs of `renyi_and_norm_fn`,
     so each power integral is computed once; a divergent one turns the rows
-    that need it into not-applicable records; the pairs are returned with
-    the rows, keyed by (side, order).  The sums are bounded by
-    ln(kappa pi / scale) and the norm rows are
+    that need it into not-applicable records that carry its message; the
+    pairs are returned with the rows, keyed by (side, order).  The sums are
+    bounded by ln(kappa pi / scale) and the norm rows are
     ||.||_alpha <= (scale/(kappa pi))^((1-gamma)/gamma) ||.||_gamma, where
     `scale` is S_f, times the two bin widths when binned.  The first norm
     row puts gamma on N, the second on M.
@@ -363,8 +384,8 @@ def _renyi_reports(renyi_and_norm_fn, dens_m, dens_n, pair: OrderPair,
         for order in (pair.alpha, pair.gamma):
             try:
                 powers[side, order] = renyi_and_norm_fn(dens, order)
-            except NormDivergenceError:
-                powers[side, order] = None
+            except NormDivergenceError as exc:
+                powers[side, order] = exc
     kp = kappa(pair)
     expo = (1.0 - pair.gamma) / pair.gamma
     rhs = math.log(kp * math.pi / scale)
@@ -374,15 +395,17 @@ def _renyi_reports(renyi_and_norm_fn, dens_m, dens_n, pair: OrderPair,
             (rid_sum, "m", "n", True), (rid_sum + "_swapped", "n", "m", True),
             (rid_norms[0], "m", "n", False), (rid_norms[1], "n", "m", False)):
         pa, pg = powers[first, pair.alpha], powers[second, pair.gamma]
-        if pa is None or pg is None:
-            out.append(_not_applicable(rid))
+        diverged = [p for p in (pa, pg) if isinstance(p, NormDivergenceError)]
+        if diverged:
+            out.append(_not_applicable(rid, str(diverged[0])))
         elif is_sum:
             ra, rg = pa[0], pg[0]
             out.append(_report(rid, ra.value + rg.value, rhs,
                                ra.est_error + rg.est_error))
         else:
-            out.append(_report(rid, shift + math.log(pg[1]),
-                               math.log(pa[1]), norm_err))
+            out.append(_report(rid, shift + math.log(pg[1]), math.log(pa[1]),
+                               _log_norm_error(pg[0], pair.gamma)
+                               + _log_norm_error(pa[0], pair.alpha)))
     return out, powers
 
 
@@ -400,8 +423,7 @@ def check_renyi_smeared(pair: OrderPair, rep: RepresentationBundle,
         return check_smeared_shannon(rep, smeared, sf_value)
     return _renyi_reports(renyi_and_norm, smeared[0], smeared[1], pair,
                           sf_value, "renyi_sum_smeared",
-                          ("renyi_norm_smeared_uw", "renyi_norm_smeared_wu"),
-                          1e-9)[0]
+                          ("renyi_norm_smeared_uw", "renyi_norm_smeared_wu"))[0]
 
 
 def check_renyi_binned(pair: OrderPair, p_m: DiscreteDist, p_n: DiscreteDist,
@@ -414,15 +436,16 @@ def check_renyi_binned(pair: OrderPair, p_m: DiscreteDist, p_n: DiscreteDist,
     """
     scale = sf_value * p_m.delta_max * p_n.delta_max
     if pair.degenerate:
-        lhs = discrete_renyi(p_m, 1.0).value + discrete_renyi(p_n, 1.0).value
-        rhs = LN_E_PI - math.log(scale)
-        return [_report("renyi_sum_binned", lhs, rhs, 1e-10),
+        h_m, h_n = discrete_renyi(p_m, 1.0), discrete_renyi(p_n, 1.0)
+        return [_report("renyi_sum_binned", h_m.value + h_n.value,
+                        LN_E_PI - math.log(scale),
+                        h_m.est_error + h_n.est_error),
                 check_norm_ordering(p_m, pair)]
     rows, powers = _renyi_reports(discrete_renyi_and_norm, p_m, p_n, pair,
                                   scale, "renyi_sum_binned",
                                   ("renyi_norm_binned_mn",
-                                   "renyi_norm_binned_nm"), 1e-12)
-    return rows + [_norm_ordering(lambda order: powers["m", order][1], pair)]
+                                   "renyi_norm_binned_nm"))
+    return rows + [_norm_ordering(lambda order: powers["m", order], pair)]
 
 
 def check_tsallis_binned(pair: OrderPair, p_m: DiscreteDist, p_n: DiscreteDist,
@@ -438,9 +461,10 @@ def check_tsallis_binned(pair: OrderPair, p_m: DiscreteDist, p_n: DiscreteDist,
     out = []
     for rid, first, second in (("tsallis_sum_binned", p_m, p_n),
                                ("tsallis_sum_binned_swapped", p_n, p_m)):
-        lhs = discrete_tsallis(first, pair.alpha).value \
-            + discrete_tsallis(second, pair.gamma).value
-        out.append(_report(rid, lhs, rhs, 1e-12))
+        t_a = discrete_tsallis(first, pair.alpha)
+        t_g = discrete_tsallis(second, pair.gamma)
+        out.append(_report(rid, t_a.value + t_g.value, rhs,
+                           t_a.est_error + t_g.est_error))
     return out
 
 
@@ -450,12 +474,16 @@ def check_norm_ordering(dist: DiscreteDist, pair: OrderPair) -> RelationReport:
     Both inequalities fold into one report: lhs is the smaller slack of the
     two, rhs is zero.
     """
-    return _norm_ordering(partial(discrete_norm, dist), pair)
+    return _norm_ordering(partial(discrete_renyi_and_norm, dist), pair)
 
 
-def _norm_ordering(norm_of, pair: OrderPair) -> RelationReport:
-    """The check_norm_ordering row; `norm_of(order)` gives ||p||_order."""
+def _norm_ordering(renyi_of, pair: OrderPair) -> RelationReport:
+    """The check_norm_ordering row; `renyi_of(order)` gives the Renyi entropy
+    and ||p|| of that order.  Either slack moves by at most its norm's error."""
     if pair.degenerate:
         return _report("discrete_norm_ordering", 0.0, 0.0, 0.0)
-    slack = min(1.0 - norm_of(pair.alpha), norm_of(pair.gamma) - 1.0)
-    return _report("discrete_norm_ordering", slack, 0.0, 1e-13)
+    (r_a, n_a), (r_g, n_g) = renyi_of(pair.alpha), renyi_of(pair.gamma)
+    err = max(n_a * _log_norm_error(r_a, pair.alpha),
+              n_g * _log_norm_error(r_g, pair.gamma))
+    return _report("discrete_norm_ordering", min(1.0 - n_a, n_g - 1.0), 0.0,
+                   err)

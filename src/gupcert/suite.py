@@ -22,9 +22,10 @@ from typing import Optional
 import numpy as np
 
 from . import relations as rel
-from .core import BOX_STATES, CATALOG_NAMES, catalog_state, make_params
-from .entropy import bin_density
-from .errors import ConfigError, GupcertError
+from .core import (BOX_STATES, CATALOG_NAMES, DensityFn, catalog_state,
+                   check_shape_args, make_params)
+from .entropy import DensityCdf, as_cdf, bin_density
+from .errors import ConfigError, GupcertError, InvalidParameterError
 from .measurement import gaussian_acceptance, s_f, smear
 from .transform import bundle
 
@@ -58,6 +59,7 @@ class RunConfig:
         """Check the shape of every value; builds no state.
 
         Rows are keyed by state name and grid values, so neither may repeat.
+        A state's shape_args must be exactly those it uses.
         """
         for name, grid in (("beta_grid", self.beta_grid),
                            ("sigma_grid", self.sigma_grid),
@@ -89,6 +91,10 @@ class RunConfig:
                          and seed >= 0)):
                 raise ConfigError(f"state {spec!r} needs a list of numbers "
                                   "as shape_args and an integer seed >= 0")
+            try:
+                check_shape_args(spec["name"], args)
+            except InvalidParameterError as exc:
+                raise ConfigError(f"state {spec!r}: {exc}") from exc
         names = [spec["name"] for spec in self.states]
         if len(set(names)) < len(names):
             raise ConfigError("state names must not repeat")
@@ -160,7 +166,8 @@ def _record(report: rel.RelationReport, state: str, beta: float, sigma=None,
             "delta_k": delta_k, "delta_x": delta_x, "lhs": report.lhs,
             "rhs": report.rhs, "margin": report.margin,
             "est_error": report.est_error, "verdict": report.verdict,
-            "tolerance": report.tolerance, "digest": digest}
+            "tolerance": report.tolerance, "reason": report.reason,
+            "digest": digest}
 
 
 def _random_edges(rng: np.random.Generator, lo: float, hi: float,
@@ -173,43 +180,47 @@ def _random_edges(rng: np.random.Generator, lo: float, hi: float,
     return edges[:last + 1]
 
 
-def _coverage_window(density) -> tuple[float, float]:
+def _coverage_window(density: DensityFn | DensityCdf) -> tuple[float, float]:
     """Window with less than _COVERAGE_FRAC of the mass beyond each end.
 
     Uses the tail-model quantile when the model still holds that much mass
-    at the window edge; otherwise the quantile comes from the same
-    interpolated CDF the binning operation itself uses, so the coverage
-    precondition of bin_density is met by construction.
+    at the window edge; otherwise the quantile comes from the CDF that the
+    binning itself then reads, so the coverage precondition of bin_density
+    is met by construction.
     """
-    from .entropy import density_cdf
-
+    cdf = as_cdf(density)
+    density = cdf.density
     frac = _COVERAGE_FRAC
     x = density.grid.nodes
-    cdf = density_cdf(density, x)
+    at_nodes = cdf(x)
     m_left, m_right = density.tail_masses
     if m_left > frac:
         lo = -density.tail_left.quantile_beyond(frac)
     else:
-        lo = float(x[max(0, np.searchsorted(cdf, frac, side="right") - 1)])
+        lo = float(x[max(0, np.searchsorted(at_nodes, frac, side="right") - 1)])
     if m_right > frac:
         hi = density.tail_right.quantile_beyond(frac)
     else:
-        hi = float(x[min(x.size - 1, np.searchsorted(cdf, 1.0 - frac, side="left"))])
+        hi = float(x[min(x.size - 1,
+                         np.searchsorted(at_nodes, 1.0 - frac, side="left"))])
     return lo, hi
 
 
 def _bin_pair(rng: np.random.Generator, a, b, dmin: float, dmax: float):
     """Both densities binned on random edges over their coverage windows.
 
-    None, with the generator untouched, when the two windows together would
-    take tens of millions of bins at these widths (very heavy tails).
+    Each density's CDF spline is built once, for its window and its bins,
+    and dropped on return.  None, with the generator untouched, when the
+    two windows together would take tens of millions of bins at these
+    widths (very heavy tails).
     """
-    alo, ahi = _coverage_window(a)
-    blo, bhi = _coverage_window(b)
+    cdf_a, cdf_b = DensityCdf(a), DensityCdf(b)
+    alo, ahi = _coverage_window(cdf_a)
+    blo, bhi = _coverage_window(cdf_b)
     if not ((ahi - alo) + (bhi - blo) < 4e6 * (dmin + dmax) / 2.0):
         return None
-    return (bin_density(a, _random_edges(rng, alo, ahi, dmin, dmax)),
-            bin_density(b, _random_edges(rng, blo, bhi, dmin, dmax)))
+    return (bin_density(cdf_a, _random_edges(rng, alo, ahi, dmin, dmax)),
+            bin_density(cdf_b, _random_edges(rng, blo, bhi, dmin, dmax)))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +251,6 @@ def _verify_cell(spec: dict, beta: float, config: RunConfig) -> list[dict]:
     if state is None:
         return []
     rep = bundle(state)
-    params = state.params
     out: list[dict] = []
 
     for rpt in rel.check_bbm_corrected(rep):
@@ -269,31 +279,44 @@ def _verify_cell(spec: dict, beta: float, config: RunConfig) -> list[dict]:
                            label, beta, delta_x=dx))
         out.append(_record(rel.check_binned_shannon(p_k, p_x, rep),
                            label, beta, delta_k=dk, delta_x=dx))
+        del binned, p_k, p_x  # bins are a cell's largest arrays: free them
 
     for sigma in config.sigma_grid:
-        f = gaussian_acceptance(sigma)
-        sf_val = s_f(f, params)
-        smeared = (smear(rep.u_k, f), smear(rep.w_x, f))
-        for rpt in rel.check_smeared_shannon(rep, smeared, sf_val):
-            out.append(_record(rpt, label, beta, sigma=sigma))
-        binned = _bin_pair(rng, *smeared, dmin, dmax)
-        for pair in pairs:
-            for rpt in rel.check_renyi_smeared(pair, rep, smeared, sf_val):
-                out.append(_record(rpt, label, beta, sigma=sigma,
-                                   alpha=pair.alpha, gamma=pair.gamma))
-            if binned is None:
-                continue
-            p_m, p_n = binned
-            *renyi, ordering = rel.check_renyi_binned(pair, p_m, p_n, sf_val)
-            for rpt in renyi + rel.check_tsallis_binned(pair, p_m, p_n,
-                                                        sf_val):
-                out.append(_record(rpt, label, beta, sigma=sigma,
-                                   alpha=pair.alpha, gamma=pair.gamma,
-                                   delta_k=p_m.delta_max,
-                                   delta_x=p_n.delta_max))
-            out.append(_record(ordering, label, beta, sigma=sigma,
+        out.extend(_sigma_records(rep, sigma, pairs, rng, dmin, dmax,
+                                  label, beta))
+    return out
+
+
+def _sigma_records(rep, sigma: float, pairs: list, rng: np.random.Generator,
+                   dmin: float, dmax: float, label: str,
+                   beta: float) -> list[dict]:
+    """The smeared and binned checks of one cell at one sigma.
+
+    The smeared densities and their bins, the largest arrays of a cell, are
+    freed on return, before the next sigma builds its own.
+    """
+    out = []
+    f = gaussian_acceptance(sigma)
+    sf_val = s_f(f, rep.source.params)
+    smeared = (smear(rep.u_k, f), smear(rep.w_x, f))
+    for rpt in rel.check_smeared_shannon(rep, smeared, sf_val):
+        out.append(_record(rpt, label, beta, sigma=sigma))
+    binned = _bin_pair(rng, *smeared, dmin, dmax)
+    for pair in pairs:
+        for rpt in rel.check_renyi_smeared(pair, rep, smeared, sf_val):
+            out.append(_record(rpt, label, beta, sigma=sigma,
+                               alpha=pair.alpha, gamma=pair.gamma))
+        if binned is None:
+            continue
+        p_m, p_n = binned
+        *renyi, ordering = rel.check_renyi_binned(pair, p_m, p_n, sf_val)
+        for rpt in renyi + rel.check_tsallis_binned(pair, p_m, p_n, sf_val):
+            out.append(_record(rpt, label, beta, sigma=sigma,
                                alpha=pair.alpha, gamma=pair.gamma,
-                               delta_k=p_m.delta_max))
+                               delta_k=p_m.delta_max, delta_x=p_n.delta_max))
+        out.append(_record(ordering, label, beta, sigma=sigma,
+                           alpha=pair.alpha, gamma=pair.gamma,
+                           delta_k=p_m.delta_max))
     return out
 
 
@@ -427,6 +450,8 @@ def _fmt_float(x) -> str:
 
 
 def render_json(records: list[dict], config: Optional[RunConfig] = None) -> str:
+    """The report as JSON text: every record with its margin, est_error and
+    tolerance, and a not-applicable record also with the reason."""
     lines = ["{"]
     if config is not None:
         lines.append(f'  "format": "{config.format}",')
@@ -436,9 +461,11 @@ def render_json(records: list[dict], config: Optional[RunConfig] = None) -> str:
         parts = [f'"relation_id": "{r["relation_id"]}"',
                  f'"state": "{r["state"]}"']
         for key in ("beta", "sigma", "alpha", "gamma", "delta_k", "delta_x",
-                    "lhs", "rhs", "margin", "est_error"):
+                    "lhs", "rhs", "margin", "est_error", "tolerance"):
             parts.append(f'"{key}": {_fmt_float(r[key])}')
         parts.append(f'"verdict": "{r["verdict"]}"')
+        if r.get("reason"):
+            parts.append(f'"reason": {json.dumps(r["reason"])}')
         parts.append(f'"digest": "{r["digest"]}"')
         body.append("    {" + ", ".join(parts) + "}")
     lines.append(",\n".join(body))
@@ -465,6 +492,21 @@ def render_csv(records: list[dict]) -> str:
 def write_report(records: list[dict], config: RunConfig, path: str) -> None:
     write_text(path, render_json(records, config) if config.format == "json"
                else render_csv(records))
+
+
+def check_writable(path: str) -> None:
+    """Raise GupcertError now if a report could not be written to path."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        reason = "Is a directory"
+    elif not os.path.isdir(folder):
+        reason = "No such file or directory"
+    elif not os.access(folder, os.W_OK) or (os.path.exists(path)
+                                             and not os.access(path, os.W_OK)):
+        reason = "Permission denied"
+    else:
+        return
+    raise GupcertError(f"cannot write {path}: {reason}")
 
 
 def write_text(path: str, text: str) -> None:

@@ -79,7 +79,8 @@ def density_q_to_k(v: DensityFn, params: MinLengthParams) -> DensityFn:
     """Push a Q density forward to the physical wavenumber axis.
 
     The K grid reuses the Q nodes through the map, so normalization carries
-    over exactly; the measure of the image rule covers the whole axis even
+    over exactly and the K grid is the Q panel rule in the pulled-back
+    variable; the measure of the image rule covers the whole axis even
     though nodes stop at the image of the outermost Q node.  A power-law tail
     model is fitted on the far zone for consumers that need to extend
     entropies, norms or moments past the last node.
@@ -87,13 +88,15 @@ def density_q_to_k(v: DensityFn, params: MinLengthParams) -> DensityFn:
     if v.grid.domain_tag is not Domain.Q:
         raise ContractError("density_q_to_k expects a Q-tagged density")
     if not params.deformed:
-        grid = Grid(nodes=v.grid.nodes, weights=v.grid.weights, domain_tag=Domain.K)
+        grid = Grid(nodes=v.grid.nodes, weights=v.grid.weights,
+                    domain_tag=Domain.K, panel_nodes=v.grid.panel_nodes)
         return DensityFn(grid=grid, values=v.values,
                          tail_mass_bound=v.tail_mass_bound,
                          tail_left=v.tail_left, tail_right=v.tail_right)
     k = k_of_q(v.grid.nodes, params)
     jac = jacobian(k, params)
-    grid = Grid(nodes=k, weights=v.grid.weights * jac, domain_tag=Domain.K)
+    grid = Grid(nodes=k, weights=v.grid.weights * jac, domain_tag=Domain.K,
+                panel_nodes=v.grid.panel_nodes)
     u = v.values / jac
     left, right = fit_k_tails(k, u)
     return DensityFn(grid=grid, values=u, tail_mass_bound=0.0,

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -58,6 +62,34 @@ class TestVerify:
         payload = json.loads(out.read_text())
         assert any(r["verdict"] == "fail" for r in payload["records"])
 
+    def test_planted_shift_of_the_bound_fails(self, tmp_path, monkeypatch):
+        # the Gaussian state saturates H(Q) + H(X) >= ln(e pi) to 1e-15: a
+        # shift of the bound by twice the base tolerance must fail the
+        # default run, which it does only if est_error stays far below 1e-8
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(relations, "LN_E_PI", relations.LN_E_PI + 2e-8)
+        assert main(["verify", "--out", str(tmp_path / "r.json")]) == 1
+
+    def test_records_carry_tolerance_and_reasons(self, tmp_path):
+        # the Cauchy K density has no variance: its moment rows are not
+        # applicable, and say why
+        path = tmp_path / "cauchy.json"
+        path.write_text(json.dumps({"beta_grid": [1.0], "sigma_grid": [1.0],
+                                    "alpha_grid": [2.0],
+                                    "states": [{"name": "uniform_q"}]}))
+        out = tmp_path / "r.json"
+        assert main(["verify", "--config", str(path), "--out", str(out)]) == 0
+        records = json.loads(out.read_text())["records"]
+        for rec in records:
+            assert rec["tolerance"] == relations.BASE_TOLERANCE \
+                + 4.0 * rec["est_error"]
+            assert ("reason" in rec) == (rec["verdict"] == "not_applicable")
+        reasons = {r["relation_id"]: r["reason"] for r in records
+                   if r["verdict"] == "not_applicable"}
+        assert set(reasons) == {"correction_jensen", "robertson_product"}
+        assert all("diverges (tail exponent 2)" in text
+                   for text in reasons.values())
+
     def test_missing_config_exit_two(self):
         assert main(["verify", "--config", "/nonexistent/conf.json"]) == 2
 
@@ -86,13 +118,19 @@ class TestVerify:
         '"seed": 1}, {"name": "random_fourier_q", "shape_args": [8], '
         '"seed": 1}]}',
         '{"sigma_grid": [1.0, 1]}',
+        '{"states": [{"name": "random_fourier_q", "shape_args": [6.7], '
+        '"seed": 11}]}',
+        '{"states": [{"name": "truncated_gaussian_q", "shape_args": [0.25, 9]}]}',
+        '{"states": [{"name": "uniform_q", "shape_args": [1]}]}',
+        '{"states": [{"name": "raised_cosine_q", "shape_args": [0.5]}]}',
     ], ids=["empty_grid", "scalar_grid", "text_in_grid", "infinite_alpha",
             "unknown_state", "unnamed_state", "unseeded_state",
             "widthless_state_beta0", "text_shape_args", "negative_seed",
             "inverted_bins", "text_bins_seed", "text_tolerance",
             "tolerance_override", "numeric_output_path", "margin_offset",
             "unknown_state_key", "unknown_bins_key", "fractional_bins_seed",
-            "repeated_state", "repeated_sigma"])
+            "repeated_state", "repeated_sigma", "fractional_modes",
+            "extra_width", "flat_state_args", "cosine_state_args"])
     def test_invalid_config_exit_two(self, tmp_path, capsys, monkeypatch,
                                      text):
         monkeypatch.chdir(tmp_path)  # a report, if any, lands here
@@ -161,6 +199,43 @@ def test_unwritable_out_exit_two(small_config, tmp_path, capsys, command):
     assert main(command + config + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["verify"], ["sweep", "--param", "beta"]])
+def test_unwritable_out_fails_before_any_cell(small_config, tmp_path, capsys,
+                                              monkeypatch, command):
+    from gupcert import cli
+
+    def no_run(*args):
+        raise AssertionError("ran a cell for an unwritable report")
+
+    monkeypatch.setattr(cli, "run_verify", no_run)
+    monkeypatch.setattr(cli, "run_sweep", no_run)
+    out = tmp_path / "missing" / "r.json"
+    assert main(command + ["--config", str(small_config[0]),
+                           "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write")
+    assert main(command + ["--config", str(small_config[0]),
+                           "--out", str(tmp_path)]) == 2  # a directory
+
+
+def test_verify_does_not_import_scipy_signal():
+    # smearing convolves through scipy.fft; scipy.signal costs most of a
+    # second to import
+    code = ("import sys\n"
+            "from gupcert import suite\n"
+            "config = suite.RunConfig(beta_grid=[1.0], sigma_grid=[1.0], "
+            "alpha_grid=[2.0], states=[{'name': 'raised_cosine_q'}])\n"
+            "suite.run_verify(config)\n"
+            "print('scipy.signal' in sys.modules)\n")
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 class TestSweep:

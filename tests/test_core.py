@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gupcert as g
+from gupcert.core import check_shape_args
 
 
 class TestMakeParams:
@@ -84,6 +85,19 @@ class TestCatalog:
     def test_bad_shape(self, params_1):
         with pytest.raises(g.InvalidParameterError):
             g.catalog_state("truncated_gaussian_q", params_1, shape_args=[-1.0])
+
+    @pytest.mark.parametrize("name,shape", [
+        ("random_fourier_q", [6.7]), ("random_fourier_q", [0]),
+        ("random_fourier_q", [6, 2]), ("truncated_gaussian_q", [0.25, 9]),
+        ("truncated_gaussian_q", []), ("uniform_q", [1.0]),
+        ("raised_cosine_q", [2.0])])
+    def test_unused_shape_args_rejected(self, params_1, name, shape):
+        # each would otherwise be truncated or ignored: another state
+        with pytest.raises(g.InvalidParameterError):
+            g.catalog_state(name, params_1, shape_args=shape, seed=1)
+
+    def test_whole_float_mode_count_accepted(self):
+        check_shape_args("random_fourier_q", [6.0])
 
     def test_flat_states_need_deformation(self, params_0):
         for name in ("uniform_q", "raised_cosine_q"):
@@ -170,6 +184,46 @@ class TestDomainTypes:
         with pytest.raises(TypeError):
             g.DiscreteDist(edges=np.arange(3.0), probs=np.array([0.5, 0.5]),
                            delta_max=3.0)
+
+    def test_grid_panel_rule_validated(self):
+        nodes, weights = np.linspace(0.1, 1.0, 10), np.full(10, 0.1)
+        assert g.Grid(nodes=nodes, weights=weights,
+                      domain_tag=g.Domain.Q).panel_nodes == 0  # a lattice
+        g.Grid(nodes=nodes, weights=weights, domain_tag=g.Domain.Q,
+               panel_nodes=5)
+        for bad in (3, 4, -5):
+            with pytest.raises(g.ContractError):
+                g.Grid(nodes=nodes, weights=weights, domain_tag=g.Domain.Q,
+                       panel_nodes=bad)
+
+    def test_catalog_grids_record_their_rule(self, cosine_rep):
+        assert cosine_rep.v_q.grid.panel_nodes >= 24
+        assert cosine_rep.u_k.grid.panel_nodes == cosine_rep.v_q.grid.panel_nodes
+        assert cosine_rep.w_x.grid.panel_nodes == 0
+
+    def test_discrete_dist_probability_errors(self):
+        edges, probs = np.arange(3.0), np.array([0.5, 0.5])
+        assert np.array_equal(g.DiscreteDist(edges, probs).prob_errors,
+                              np.zeros(2))
+        for bad in (np.array([1e-3]), np.array([1e-3, -1e-3]),
+                    np.array([np.nan, 0.0])):
+            with pytest.raises(g.ContractError):
+                g.DiscreteDist(edges, probs, prob_errors=bad)
+
+    def test_array_holding_types_compare_by_identity(self, cosine_rep):
+        # value equality of their arrays would raise on ==
+        z = np.linspace(-6.0, 6.0, 65)
+        table = (z, np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi))
+        dist = g.DiscreteDist(np.arange(3.0), np.array([0.5, 0.5]))
+        pairs = [(cosine_rep.v_q.grid,
+                  g.Grid(cosine_rep.v_q.grid.nodes, cosine_rep.v_q.grid.weights,
+                         g.Domain.Q)),
+                 (cosine_rep.v_q, g.q_density(cosine_rep.source)),
+                 (dist, g.DiscreteDist(dist.edges, dist.probs)),
+                 (g.custom_acceptance(*table), g.custom_acceptance(*table))]
+        for a, b in pairs:
+            assert a == a and a != b
+            assert len({a, b}) == 2
 
     def test_order_pair_condition(self):
         g.OrderPair(2.0, 2.0 / 3.0)

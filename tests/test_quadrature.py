@@ -57,3 +57,28 @@ def test_fourier_sums_do_not_depend_on_block_layout(data, monkeypatch,
     whole = dense_sum(_wave, targets, nodes, coeff)
     monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", entries)
     assert np.array_equal(dense_sum(_wave, targets, nodes, coeff), whole)
+
+
+def test_panel_error_reads_the_trailing_legendre_coefficients():
+    # a polynomial of degree below n - 4 has no trailing coefficients; a
+    # function whose coefficients decay slowly keeps its estimate above the
+    # actual error of the rule
+    x, w = quadrature.composite_rule(np.linspace(0.0, 2.0, 5), 16)
+    cubic = 1.0 + x - 2.0 * x ** 3
+    assert quadrature.panel_error(w, cubic, 16) < 1e-12  # rounding only
+    kink = np.abs(x - 0.3) ** 1.5  # inside the panel [0, 0.5]
+    actual = abs(float(np.dot(w, kink)) - (0.3 ** 2.5 + 1.7 ** 2.5) / 2.5)
+    assert actual <= quadrature.panel_error(w, kink, 16) <= 1e3 * actual
+
+
+def test_lattice_error_is_the_subsampled_trapezoid_gap():
+    x = np.linspace(-8.0, 8.0, 161)
+    gauss = np.exp(-x * x / 2.0)
+    assert quadrature.lattice_error(x, gauss) < 1e-14
+    narrow = np.exp(-(x - 0.03) ** 2 / (2.0 * 0.08 ** 2))  # unresolved at 2h
+    gap = abs(np.trapezoid(narrow, x) - np.trapezoid(narrow[::2], x[::2]))
+    assert quadrature.lattice_error(x, narrow) == gap > 1e-4
+    # an even node count leaves the last interval out of both sums
+    assert quadrature.lattice_error(x[:-1], narrow[:-1]) == abs(
+        np.trapezoid(narrow[:-2], x[:-2])
+        - np.trapezoid(narrow[:-2:2], x[:-2:2]))
