@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import (ContractError, DegenerateStateError,
                      InvalidParameterError, MomentDivergenceError)
-from .quadrature import lattice_error, panel_error, symmetric_rule
+from .quadrature import (entropy_sum, lattice_error, panel_error,
+                         symmetric_rule)
 from .tails import TailSide, outside_masses
 
 NORM_TOL = 1e-8          # DensityFn normalization defect tolerance
@@ -125,7 +126,9 @@ class DensityFn:
     quadrature + tail stays within NORM_TOL of one.  `tail_left/right` carry
     the fitted power-law models used to extend entropy, alpha-norm and moment
     integrals past the window; they may be None when the window covers the
-    axis (compact support, or an image grid whose measure is complete).
+    axis.  An image grid's measure is complete (tail_mass_bound is 0): there
+    the entropy and alpha-norm integrals read its models only to decide
+    whether they diverge.
     """
 
     grid: Grid
@@ -387,11 +390,10 @@ def _entropy_probe(state: PureState) -> float:
     """H(Q) + H(K) pulled back to the Q grid; drives resolution doubling."""
     v = state.density_values()
     w = state.grid.weights
-    mask = v > 1e-300
-    hq = -np.sum(w[mask] * v[mask] * np.log(v[mask]))
+    hq = entropy_sum(w, v)
     beta = state.params.beta
     if beta == 0.0:
-        return 2.0 * float(hq)
+        return 2.0 * hq
     ln_jac = -2.0 * np.log(np.cos(math.sqrt(beta) * state.grid.nodes))
     return float(2.0 * hq + np.sum(w * v * ln_jac))
 

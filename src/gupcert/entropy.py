@@ -1,23 +1,28 @@
 """Differential and discrete entropy functionals, norms, binning, MC oracle.
 
 Differential entropies are quadrature sums over the density's own grid plus
-closed-form contributions of the fitted tail models.  Their error estimates
-come from the rule that built the grid (`Grid.rule_error`: Legendre
-coefficient decay on Gauss panels, the trapezoid sum against its
-every-other-node subsample on lattices), plus a few ulps of rounding in the
-density values and a share of each tail model's contribution.  Binned
-probabilities carry a bound on their own errors, from the CDF spline and the
-tail models, which the discrete functionals propagate to first order.
-Acceptance thresholds elsewhere reference these estimates rather than
-absolute truth.
+closed-form contributions of the fitted tail models where a model extends a
+window.  An image grid's measure already covers the axis (its
+tail_mass_bound is 0), so there the models add nothing and only decide
+whether a power integral diverges.  Error estimates come from the rule that
+built the grid (`Grid.rule_error`: Legendre coefficient decay on Gauss
+panels, the trapezoid sum against its every-other-node subsample on
+lattices), plus a few ulps of rounding in the density values and a share of
+each tail model's contribution.  Binned probabilities carry a bound on their
+own errors, from the CDF spline and the tail models, which the discrete
+functionals propagate to first order.  Acceptance thresholds elsewhere
+reference these estimates rather than absolute truth.
 
-Discrete entropies follow the conventional definitions via the norm-like
-functional ||p||_a = (sum_j p_j^a)^(1/a):
+Every Renyi entropy, norm and Tsallis entropy of order a reads one power
+sum S_a = sum_j w_j p_j^a (w_j = 1 for bins, tail integrals added for
+densities), formed relative to the largest p so that no order under- or
+overflows:
 
-    Renyi    R_a(p) = a/(1-a) ln ||p||_a
-    Tsallis  H_a(p) = (||p||_a^a - 1) / (1-a)
+    Renyi    R_a = ln S_a / (1-a)
+    norm     ||p||_a = S_a^(1/a)
+    Tsallis  H_a = (S_a - 1) / (1-a) = expm1((1-a) R_a) / (1-a)
 
-with the a -> 1 limit dispatching to the Shannon sum in both families.
+with the a -> 1 limit dispatching to the Shannon entropy in all three.
 """
 
 from __future__ import annotations
@@ -27,11 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.special import logsumexp
 
 from .core import DensityFn, DiscreteDist
 from .errors import ContractError, InvalidParameterError, NormDivergenceError
-from .quadrature import ENTROPY_FLOOR, entropy_sum, pchip, power_sum
+from .quadrature import ENTROPY_FLOOR, entropy_sum, pchip
 
 _EPS = float(np.finfo(float).eps)
 _VALUE_ULPS = 4  # rounding carried by a density value, in units of _EPS
@@ -55,74 +59,81 @@ class EntropyValue:
 # differential entropies
 # ---------------------------------------------------------------------------
 
-def _tail_share(density: DensityFn, share: float) -> float:
-    """Error share of a tail model's contribution to an integral.
-
-    Beyond a window the fitted envelope is good to `share`, a few percent.
-    A grid whose measure already covers the whole axis (an image grid: no
-    mass is missing, tail_mass_bound is 0) counts the modelled part twice,
-    so there all of it is error.
-    """
-    return share if density.tail_mass_bound > 0.0 else 1.0
-
-
 def diff_shannon(density: DensityFn) -> EntropyValue:
     """Differential Shannon entropy -integral p ln p in nats.
 
-    Tail models contribute their period-averaged closed forms.  The error
-    estimate adds the grid rule's own estimate, a few ulps of rounding in
-    each density value (which ln p turns into p |1 + ln p| per ulp) and the
-    tail models' share.
+    Tail models that extend a window (tail_mass_bound > 0) contribute their
+    period-averaged closed forms.  The error estimate adds the grid rule's
+    own estimate, a few ulps of rounding in each density value (which ln p
+    turns into p |1 + ln p| per ulp) and 3% of the tail models'
+    contribution.
     """
     w, p = density.grid.weights, density.values
     core = entropy_sum(w, p)
     tail = 0.0
-    for side, start, _ in density.tail_sides():
-        tail += side.entropy_beyond(start)
+    if density.tail_mass_bound > 0.0:
+        for side, start, _ in density.tail_sides():
+            tail += side.entropy_beyond(start)
     live = p > ENTROPY_FLOOR
     log_p = np.log(np.clip(p, ENTROPY_FLOOR, None))
     rounding = _VALUE_ULPS * _EPS * float(
         np.dot(w, np.where(live, p * np.abs(1.0 + log_p), 0.0)))
     f = np.where(live, -p * log_p, 0.0)
-    est = (density.grid.rule_error(f) + rounding
-           + _tail_share(density, 0.03) * abs(tail))
+    est = density.grid.rule_error(f) + rounding + 0.03 * abs(tail)
     return EntropyValue(value=core + tail, differential=True, est_error=est)
+
+
+def _power_sum(p: np.ndarray, alpha: float, weights=None, tails=()):
+    """ln of sum_j w_j p_j**alpha plus the integrals of p**alpha beyond the
+    starts of (TailSide, start) tails; the weights default to one (bins).
+
+    Formed as alpha ln p_max + ln sum_j w_j (p_j / p_max)**alpha, the tails
+    in the same unit p_max**alpha, so no order under- or overflows.  Also
+    returns, in that unit, the terms (p / p_max)**alpha, their weighted sum
+    and the tails' integrals.
+    """
+    p_max = float(np.max(p))
+    terms = p / p_max
+    np.power(terms, alpha, out=terms)
+    core = float(np.sum(terms) if weights is None else np.dot(weights, terms))
+    tail = sum(side.alpha_mass_beyond(alpha, start, p_max)
+               for side, start in tails)
+    return alpha * math.log(p_max) + math.log(core + tail), terms, core, tail
 
 
 def renyi_and_norm(density: DensityFn,
                    alpha: float) -> tuple[EntropyValue, float]:
     """Renyi entropy and alpha-norm of one order from one integral of p**alpha.
 
-    Both are functions of the same integral (tail models included), so a
-    caller that needs both computes it once; the error of ln(norm) is the
-    Renyi entropy's times |1 - alpha| / alpha.  alpha = 1 gives the Shannon
-    entropy and norm 1.  Raises NormDivergenceError when a tail model makes
-    the integral diverge at a numerically material scale.
+    Both are functions of the same integral (tail models that extend the
+    window included), so a caller that needs both computes it once; the
+    error of ln(norm) is the Renyi entropy's times |1 - alpha| / alpha.
+    alpha = 1 gives the Shannon entropy and norm 1.  Raises
+    NormDivergenceError when a tail model makes the integral diverge at a
+    numerically material scale.
     """
     if alpha <= 0.0:
         raise InvalidParameterError("alpha must be positive")
     if alpha == 1.0:
         return diff_shannon(density), 1.0
-    w, p = density.grid.weights, density.values
-    core = power_sum(w, p, alpha)
-    tail = 0.0
-    for side, start, _ in density.tail_sides():
-        if not side.alpha_converges(alpha):
-            if side.alpha_mass_beyond(max(alpha, 1.0 / side.exponent + 0.02), start) \
-                    < 1e-12 * max(core, 1e-30):
-                continue
+    sides = density.tail_sides()
+    added = [(side, start) for side, start, _ in sides
+             if side.alpha_converges(alpha) and density.tail_mass_bound > 0.0]
+    p = np.where(density.values > ENTROPY_FLOOR, density.values, 0.0)
+    log_sum, terms, core, tail = _power_sum(p, alpha, density.grid.weights,
+                                            added)
+    for side, start, _ in sides:  # alpha < 1 if one diverges: exp is finite
+        if not side.alpha_converges(alpha) and side.alpha_mass_beyond(
+                max(alpha, 1.0 / side.exponent + 0.02), start, 1.0) \
+                >= 1e-12 * max(math.exp(log_sum), 1e-30):
             raise NormDivergenceError(
                 f"integral of p**{alpha:g} diverges (tail exponent {side.exponent:g})",
                 tail_exponent=side.exponent)
-        tail += side.alpha_mass_beyond(alpha, start)
-    f = np.where(p > ENTROPY_FLOOR, p ** alpha, 0.0)
-    err = (density.grid.rule_error(f) + _VALUE_ULPS * _EPS * alpha * core
-           + _tail_share(density, 0.05) * tail)
-    total = core + tail
-    renyi = EntropyValue(value=math.log(total) / (1.0 - alpha),
-                         differential=True,
-                         est_error=err / (abs(1.0 - alpha) * max(total, 1e-300)))
-    return renyi, total ** (1.0 / alpha)
+    err = (density.grid.rule_error(terms) + _VALUE_ULPS * _EPS * alpha * core
+           + 0.05 * tail)
+    renyi = EntropyValue(value=log_sum / (1.0 - alpha), differential=True,
+                         est_error=err / (abs(1.0 - alpha) * (core + tail)))
+    return renyi, math.exp(log_sum / alpha)
 
 
 def alpha_norm(density: DensityFn, alpha: float) -> float:
@@ -226,7 +237,9 @@ class DensityCdf:
         if m_left or m_right:
             # below the window the CDF is the left model's mass and above it
             # 1 - CDF the right model's; in between the models place m_left
-            share = _tail_share(density, 0.05)
+            # a window-extending model is good to 5%; on an image grid the
+            # modelled mass is counted twice, so all of it is error
+            share = 0.05 if density.tail_mass_bound > 0.0 else 1.0
             lo, hi = density.window
             n_lo = int(np.searchsorted(edges, lo, side="right"))
             n_hi = int(np.searchsorted(edges, hi, side="left"))
@@ -315,7 +328,7 @@ def _discrete_shannon(dist: DiscreteDist) -> EntropyValue:
 
 def discrete_renyi_and_norm(dist: DiscreteDist,
                             alpha: float) -> tuple[EntropyValue, float]:
-    """Renyi entropy and ||p||_alpha of one order from one log-space sum.
+    """Renyi entropy and ||p||_alpha of one order from one power sum.
 
     Both are functions of ln sum_j p_j**alpha, whose error is
     alpha sum p^(alpha-1) |dp| / sum p^alpha; the entropy's error is that
@@ -326,20 +339,16 @@ def discrete_renyi_and_norm(dist: DiscreteDist,
     if alpha == 1.0:
         return _discrete_shannon(dist), 1.0
     p, dp = _positive(dist)
-    scaled = np.log(p)
-    scaled *= alpha
-    log_sum = float(logsumexp(scaled))
-    # p^(alpha-1) / sum p^alpha, in place of alpha ln p
-    scaled *= (alpha - 1.0) / alpha
-    scaled -= log_sum
-    np.exp(scaled, out=scaled)
-    err = alpha / abs(1.0 - alpha) * float(np.dot(scaled, dp))
+    log_sum, terms, core, _ = _power_sum(p, alpha)
+    terms /= p  # p^(alpha-1) / sum p^alpha is terms / (p core)
+    err = alpha / abs(1.0 - alpha) * float(np.dot(terms, dp)) / core
     return EntropyValue(value=log_sum / (1.0 - alpha), differential=False,
                         est_error=err), math.exp(log_sum / alpha)
 
 
 def discrete_norm(dist: DiscreteDist, alpha: float) -> float:
-    """||p||_alpha = (sum p_j^alpha)^(1/alpha), computed in log space."""
+    """||p||_alpha = (sum p_j^alpha)^(1/alpha), from the power sum taken
+    relative to the largest probability."""
     return discrete_renyi_and_norm(dist, alpha)[1]
 
 
@@ -351,18 +360,16 @@ def discrete_renyi(dist: DiscreteDist, alpha: float) -> EntropyValue:
 def discrete_tsallis(dist: DiscreteDist, alpha: float) -> EntropyValue:
     """Tsallis entropy (sum p^alpha - 1)/(1 - alpha); alpha = 1 gives Shannon.
 
-    The error is alpha / |1 - alpha| sum p^(alpha-1) |dp|.
+    Read from the Renyi entropy R of the same order: sum p^alpha is
+    exp((1 - alpha) R), and the error is that sum times R's error.
     """
-    if alpha <= 0.0:
-        raise InvalidParameterError("alpha must be positive")
+    renyi = discrete_renyi(dist, alpha)
     if alpha == 1.0:
-        return _discrete_shannon(dist)
-    p, dp = _positive(dist)
-    powers = p ** alpha
-    value = (float(np.sum(powers)) - 1.0) / (1.0 - alpha)
-    powers /= p
-    err = alpha / abs(1.0 - alpha) * float(np.dot(powers, dp))
-    return EntropyValue(value=value, differential=False, est_error=err)
+        return renyi
+    log_sum = (1.0 - alpha) * renyi.value
+    return EntropyValue(value=math.expm1(log_sum) / (1.0 - alpha),
+                        differential=False,
+                        est_error=math.exp(log_sum) * renyi.est_error)
 
 
 def alpha_log(y: float, nu: float) -> float:

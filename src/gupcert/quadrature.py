@@ -106,13 +106,6 @@ def entropy_sum(weights: np.ndarray, values: np.ndarray) -> float:
     return float(-np.sum(weights[mask] * p[mask] * np.log(p[mask])))
 
 
-def power_sum(weights: np.ndarray, values: np.ndarray, alpha: float) -> float:
-    """sum(w * p**alpha) over strictly positive density values."""
-    p = np.asarray(values, dtype=float)
-    mask = p > ENTROPY_FLOOR
-    return float(np.sum(weights[mask] * p[mask] ** alpha))
-
-
 def pchip(x: np.ndarray, y: np.ndarray, **kw) -> PchipInterpolator:
     # image grids span many decades; silence spurious overflow in the
     # monotone slope blend, the interpolant itself stays finite

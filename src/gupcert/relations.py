@@ -336,28 +336,14 @@ def check_beckner(pair: OrderPair,
     """Conjugate-norm inequalities between the auxiliary and position pair.
 
     In log form: ln ||w||_gamma - ((1-gamma)/gamma) ln(kappa pi) >= ln ||v||_alpha
-    together with the twin obtained by swapping the two densities.  The
-    degenerate (1, 1) pair dispatches to the base Shannon relation.
+    together with the twin obtained by swapping the two densities: the norm
+    rows of the Renyi relations with S_f = 1.  The degenerate (1, 1) pair
+    dispatches to the base Shannon relation.
     """
     if pair.degenerate:
         return [check_bbm_corrected(rep)[0]]
-    kp = kappa(pair)
-    expo = (1.0 - pair.gamma) / pair.gamma
-    out = []
-    for rid, big, small in (("beckner_qx", rep.w_x, rep.v_q),
-                            ("beckner_xq", rep.v_q, rep.w_x)):
-        try:
-            big_g = renyi_and_norm(big, pair.gamma)
-            small_a = renyi_and_norm(small, pair.alpha)
-        except NormDivergenceError as exc:
-            out.append(_not_applicable(rid, str(exc)))
-            continue
-        lhs = math.log(big_g[1]) - expo * math.log(kp * math.pi)
-        rhs = math.log(small_a[1])
-        out.append(_report(rid, lhs, rhs,
-                           _log_norm_error(big_g[0], pair.gamma)
-                           + _log_norm_error(small_a[0], pair.alpha)))
-    return out
+    return _renyi_reports(renyi_and_norm, rep.v_q, rep.w_x, pair, 1.0, None,
+                          ("beckner_qx", "beckner_xq"))[0]
 
 
 def _log_norm_error(renyi: EntropyValue, order: float) -> float:
@@ -366,7 +352,7 @@ def _log_norm_error(renyi: EntropyValue, order: float) -> float:
 
 
 def _renyi_reports(renyi_and_norm_fn, dens_m, dens_n, pair: OrderPair,
-                   scale: float, rid_sum: str,
+                   scale: float, rid_sum: str | None,
                    rid_norms: tuple[str, str]) -> tuple[list[RelationReport], dict]:
     """Renyi sums of (alpha on M, gamma on N), the swap, and their norm forms.
 
@@ -377,7 +363,8 @@ def _renyi_reports(renyi_and_norm_fn, dens_m, dens_n, pair: OrderPair,
     bounded by ln(kappa pi / scale) and the norm rows are
     ||.||_alpha <= (scale/(kappa pi))^((1-gamma)/gamma) ||.||_gamma, where
     `scale` is S_f, times the two bin widths when binned.  The first norm
-    row puts gamma on N, the second on M.
+    row puts gamma on N, the second on M.  Without `rid_sum` only the norm
+    rows are made; with scale 1 they are the Beckner inequalities.
     """
     powers = {}
     for side, dens in (("m", dens_m), ("n", dens_n)):
@@ -390,10 +377,12 @@ def _renyi_reports(renyi_and_norm_fn, dens_m, dens_n, pair: OrderPair,
     expo = (1.0 - pair.gamma) / pair.gamma
     rhs = math.log(kp * math.pi / scale)
     shift = expo * math.log(scale / (kp * math.pi))
+    rows = [(rid_norms[0], "m", "n", False), (rid_norms[1], "n", "m", False)]
+    if rid_sum is not None:
+        rows[:0] = [(rid_sum, "m", "n", True),
+                    (rid_sum + "_swapped", "n", "m", True)]
     out = []
-    for rid, first, second, is_sum in (
-            (rid_sum, "m", "n", True), (rid_sum + "_swapped", "n", "m", True),
-            (rid_norms[0], "m", "n", False), (rid_norms[1], "n", "m", False)):
+    for rid, first, second, is_sum in rows:
         pa, pg = powers[first, pair.alpha], powers[second, pair.gamma]
         diverged = [p for p in (pa, pg) if isinstance(p, NormDivergenceError)]
         if diverged:

@@ -16,7 +16,7 @@ import numbers
 import os
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -133,8 +133,9 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
+        known = {f.name for f in fields(RunConfig)}  # not its methods
         for key, value in raw.items():
-            if not hasattr(cfg, key):
+            if key not in known:
                 raise ConfigError(f"unknown config key {key!r}")
             setattr(cfg, key, value)
     for key, value in (overrides or {}).items():

@@ -69,12 +69,18 @@ class TailSide:
     def alpha_converges(self, alpha: float) -> bool:
         return self.exponent * alpha > 1.0 + 1e-2
 
-    def alpha_mass_beyond(self, alpha: float, t: float) -> float:
-        c, p = self.coeff, self.exponent
-        expo = p * alpha - 1.0
+    def alpha_mass_beyond(self, alpha: float, t: float, unit: float) -> float:
+        """Integral of density**alpha over the tail, in units of unit**alpha.
+
+        The envelope at t is divided by `unit` (a density's largest value)
+        before the power is taken, so a large order stays finite on the
+        scale of a power sum taken in the same unit.
+        """
+        envelope = self.coeff * t ** -self.exponent / unit
+        expo = self.exponent * alpha - 1.0
         if self.oscillatory:
-            return (2.0 * c) ** alpha * _osc_power_mean(alpha) * t ** (-expo) / expo
-        return c ** alpha * t ** (-expo) / expo
+            return (2.0 * envelope) ** alpha * _osc_power_mean(alpha) * t / expo
+        return envelope ** alpha * t / expo
 
     def moment_converges(self, n: int) -> bool:
         return self.exponent - n > 1.0 + 1e-2

@@ -123,6 +123,8 @@ class TestVerify:
         '{"states": [{"name": "truncated_gaussian_q", "shape_args": [0.25, 9]}]}',
         '{"states": [{"name": "uniform_q", "shape_args": [1]}]}',
         '{"states": [{"name": "raised_cosine_q", "shape_args": [0.5]}]}',
+        '{"validate": 1}',
+        '{"binning": [0.1, 1, 2]}',
     ], ids=["empty_grid", "scalar_grid", "text_in_grid", "infinite_alpha",
             "unknown_state", "unnamed_state", "unseeded_state",
             "widthless_state_beta0", "text_shape_args", "negative_seed",
@@ -130,7 +132,8 @@ class TestVerify:
             "tolerance_override", "numeric_output_path", "margin_offset",
             "unknown_state_key", "unknown_bins_key", "fractional_bins_seed",
             "repeated_state", "repeated_sigma", "fractional_modes",
-            "extra_width", "flat_state_args", "cosine_state_args"])
+            "extra_width", "flat_state_args", "cosine_state_args",
+            "method_key", "property_key"])
     def test_invalid_config_exit_two(self, tmp_path, capsys, monkeypatch,
                                      text):
         monkeypatch.chdir(tmp_path)  # a report, if any, lands here

@@ -78,6 +78,20 @@ class TestDiffRenyi:
         assert 0.5 * (r_hi + r_lo) == pytest.approx(h, abs=1e-6)
         assert abs(g.diff_renyi(rep.v_q, 1.0 + 1e-5).value - h) < 1e-5
 
+    def test_large_orders(self, cosine_rep):
+        # p**alpha summed as it stands underflows near alpha = 1e3; taken
+        # relative to max p the sum stays finite, and R_alpha falls toward
+        # the min-entropy -ln max p
+        d = cosine_rep.v_q
+        w, p = d.grid.weights, d.values
+        for alpha in (300.0, 700.0):
+            direct = math.log(float(np.dot(w, p ** alpha))) / (1.0 - alpha)
+            assert g.diff_renyi(d, alpha).value == pytest.approx(direct,
+                                                                 rel=1e-12)
+        r_big = g.diff_renyi(d, 1e4).value
+        assert math.isfinite(r_big)
+        assert -math.log(p.max()) <= r_big <= g.diff_renyi(d, 1e3).value
+
 
 class TestBinning:
     def test_uniform_quarters(self):
@@ -129,6 +143,16 @@ class TestDiscreteEntropies:
             dist = g.DiscreteDist(edges=np.arange(n + 1.0), probs=p)
             assert g.discrete_tsallis(dist, 2.0).value == pytest.approx(
                 1.0 - 1.0 / n, abs=1e-12)
+
+    def test_large_orders(self):
+        dist = g.DiscreteDist(edges=np.arange(3.0),
+                              probs=np.array([0.75, 0.25]))
+        for alpha in (1e3, 1e5):
+            # 0.25**alpha is lost against 0.75**alpha
+            assert g.discrete_renyi(dist, alpha).value == pytest.approx(
+                -math.log(0.75) * alpha / (alpha - 1.0), rel=1e-12)
+            assert g.discrete_tsallis(dist, alpha).value == pytest.approx(
+                1.0 / (alpha - 1.0), rel=1e-12)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=60, deadline=None)
