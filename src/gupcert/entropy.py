@@ -358,12 +358,14 @@ def discrete_renyi(dist: DiscreteDist, alpha: float) -> EntropyValue:
 
 
 def discrete_tsallis(dist: DiscreteDist, alpha: float) -> EntropyValue:
-    """Tsallis entropy (sum p^alpha - 1)/(1 - alpha); alpha = 1 gives Shannon.
+    """Tsallis entropy (sum p^alpha - 1)/(1 - alpha); alpha = 1 gives Shannon."""
+    return _tsallis_of_renyi(discrete_renyi(dist, alpha), alpha)
 
-    Read from the Renyi entropy R of the same order: sum p^alpha is
-    exp((1 - alpha) R), and the error is that sum times R's error.
-    """
-    renyi = discrete_renyi(dist, alpha)
+
+def _tsallis_of_renyi(renyi: EntropyValue, alpha: float) -> EntropyValue:
+    """The Tsallis entropy of the order of the Renyi entropy R: sum p^alpha
+    is exp((1 - alpha) R), and the error is that sum times R's error.
+    alpha = 1 returns R, the Shannon entropy."""
     if alpha == 1.0:
         return renyi
     log_sum = (1.0 - alpha) * renyi.value

@@ -19,16 +19,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .core import (DensityFn, DiscreteDist, OrderPair, PureState, moment,
                    rebuild_state)
-from .entropy import (EntropyValue, alpha_log, diff_shannon,
-                      discrete_renyi, discrete_renyi_and_norm,
-                      discrete_tsallis, renyi_and_norm)
+from .entropy import (EntropyValue, _tsallis_of_renyi, alpha_log,
+                      diff_shannon, discrete_renyi, discrete_renyi_and_norm,
+                      renyi_and_norm)
 from .errors import (InvalidParameterError, MomentDivergenceError,
                      NormDivergenceError)
 from .measurement import s_f_gaussian_bound
@@ -342,8 +341,8 @@ def check_beckner(pair: OrderPair,
     """
     if pair.degenerate:
         return [check_bbm_corrected(rep)[0]]
-    return _renyi_reports(renyi_and_norm, rep.v_q, rep.w_x, pair, 1.0, None,
-                          ("beckner_qx", "beckner_xq"))[0]
+    return _renyi_reports(renyi_and_norm, rep.v_q, rep.w_x, pair, 1.0,
+                          {"norm": ("beckner_qx", "beckner_xq")})[0]
 
 
 def _log_norm_error(renyi: EntropyValue, order: float) -> float:
@@ -352,49 +351,59 @@ def _log_norm_error(renyi: EntropyValue, order: float) -> float:
 
 
 def _renyi_reports(renyi_and_norm_fn, dens_m, dens_n, pair: OrderPair,
-                   scale: float, rid_sum: str | None,
-                   rid_norms: tuple[str, str]) -> tuple[list[RelationReport], dict]:
-    """Renyi sums of (alpha on M, gamma on N), the swap, and their norm forms.
+                   scale: float,
+                   rids: dict[str, tuple[str, str]]) -> tuple[list[RelationReport], dict]:
+    """Rows read from one table of (entropy, norm) pairs of M and N.
 
-    Every row reads the four (entropy, norm) pairs of `renyi_and_norm_fn`,
-    so each power integral is computed once; a divergent one turns the rows
-    that need it into not-applicable records that carry its message; the
-    pairs are returned with the rows, keyed by (side, order).  The sums are
-    bounded by ln(kappa pi / scale) and the norm rows are
-    ||.||_alpha <= (scale/(kappa pi))^((1-gamma)/gamma) ||.||_gamma, where
-    `scale` is S_f, times the two bin widths when binned.  The first norm
-    row puts gamma on N, the second on M.  Without `rid_sum` only the norm
-    rows are made; with scale 1 they are the Beckner inequalities.
+    `renyi_and_norm_fn` gives the pair of each density and order once, so
+    each power sum is taken once; a divergent one turns the rows that need
+    it into not-applicable records that carry its message.  The table is
+    returned with the rows, keyed by (side, order).  `rids` maps each kind
+    of row to the ids of its two rows, the first with alpha on M and gamma
+    on N, the second swapped:
+
+      "sum"      R_alpha + R_gamma >= ln(kappa pi / scale)
+      "norm"     ||.||_alpha <= (scale/(kappa pi))^((1-gamma)/gamma) ||.||_gamma
+      "tsallis"  H_alpha + H_gamma >= ln_nu(kappa pi / scale), nu the larger
+                 order, H read from R
+
+    where `scale` is S_f, times the two bin widths when binned; with scale 1
+    the norm rows are the Beckner inequalities.
     """
     powers = {}
     for side, dens in (("m", dens_m), ("n", dens_n)):
-        for order in (pair.alpha, pair.gamma):
+        for order in dict.fromkeys((pair.alpha, pair.gamma)):
             try:
                 powers[side, order] = renyi_and_norm_fn(dens, order)
             except NormDivergenceError as exc:
                 powers[side, order] = exc
     kp = kappa(pair)
     expo = (1.0 - pair.gamma) / pair.gamma
-    rhs = math.log(kp * math.pi / scale)
     shift = expo * math.log(scale / (kp * math.pi))
-    rows = [(rid_norms[0], "m", "n", False), (rid_norms[1], "n", "m", False)]
-    if rid_sum is not None:
-        rows[:0] = [(rid_sum, "m", "n", True),
-                    (rid_sum + "_swapped", "n", "m", True)]
+    bounds = {"sum": math.log(kp * math.pi / scale)}
+    if "tsallis" in rids:
+        bounds["tsallis"] = alpha_log(kp * math.pi / scale,
+                                      max(pair.alpha, pair.gamma))
     out = []
-    for rid, first, second, is_sum in rows:
-        pa, pg = powers[first, pair.alpha], powers[second, pair.gamma]
-        diverged = [p for p in (pa, pg) if isinstance(p, NormDivergenceError)]
-        if diverged:
-            out.append(_not_applicable(rid, str(diverged[0])))
-        elif is_sum:
-            ra, rg = pa[0], pg[0]
-            out.append(_report(rid, ra.value + rg.value, rhs,
-                               ra.est_error + rg.est_error))
-        else:
-            out.append(_report(rid, shift + math.log(pg[1]), math.log(pa[1]),
-                               _log_norm_error(pg[0], pair.gamma)
-                               + _log_norm_error(pa[0], pair.alpha)))
+    for kind, (rid_mn, rid_nm) in rids.items():
+        for rid, first, second in ((rid_mn, "m", "n"), (rid_nm, "n", "m")):
+            pa, pg = powers[first, pair.alpha], powers[second, pair.gamma]
+            diverged = [p for p in (pa, pg)
+                        if isinstance(p, NormDivergenceError)]
+            if diverged:
+                out.append(_not_applicable(rid, str(diverged[0])))
+            elif kind == "norm":
+                out.append(_report(rid, shift + math.log(pg[1]),
+                                   math.log(pa[1]),
+                                   _log_norm_error(pg[0], pair.gamma)
+                                   + _log_norm_error(pa[0], pair.alpha)))
+            else:
+                ea, eg = pa[0], pg[0]
+                if kind == "tsallis":
+                    ea = _tsallis_of_renyi(ea, pair.alpha)
+                    eg = _tsallis_of_renyi(eg, pair.gamma)
+                out.append(_report(rid, ea.value + eg.value, bounds[kind],
+                                   ea.est_error + eg.est_error))
     return out, powers
 
 
@@ -411,67 +420,73 @@ def check_renyi_smeared(pair: OrderPair, rep: RepresentationBundle,
     if pair.degenerate:
         return check_smeared_shannon(rep, smeared, sf_value)
     return _renyi_reports(renyi_and_norm, smeared[0], smeared[1], pair,
-                          sf_value, "renyi_sum_smeared",
-                          ("renyi_norm_smeared_uw", "renyi_norm_smeared_wu"))[0]
+                          sf_value,
+                          {"sum": ("renyi_sum_smeared",
+                                   "renyi_sum_smeared_swapped"),
+                           "norm": ("renyi_norm_smeared_uw",
+                                    "renyi_norm_smeared_wu")})[0]
+
+
+_TSALLIS_BINNED = ("tsallis_sum_binned", "tsallis_sum_binned_swapped")
+_BINNED = {"sum": ("renyi_sum_binned", "renyi_sum_binned_swapped"),
+           "norm": ("renyi_norm_binned_mn", "renyi_norm_binned_nm"),
+           "tsallis": _TSALLIS_BINNED}
 
 
 def check_renyi_binned(pair: OrderPair, p_m: DiscreteDist, p_n: DiscreteDist,
                        sf_value: float) -> list[RelationReport]:
-    """Binned Renyi sums against ln(kappa pi / (S_f dzeta dxi)) plus norms.
+    """Every binned row of an order pair, from four discrete power sums.
 
     `p_m` and `p_n` are the smeared wavenumber and position densities
-    binned; `sf_value` is S_f of the momentum acceptance.  The last row is
-    the norm ordering of `p_m`, read from the same power sums.
+    binned; `sf_value` is S_f of the momentum acceptance.  The rows, in
+    order: the Renyi sums against ln(kappa pi / (S_f dzeta dxi)), the norm
+    rows, the Tsallis sums against the deformed-log bound with nu = max
+    order, and the norm ordering of `p_m`.  All read ln sum p^alpha and
+    ln sum p^gamma of both distributions, each taken once.  The degenerate
+    pair gives one Shannon sum against ln(e pi / (S_f dzeta dxi)), the two
+    Tsallis sums in their Shannon form and a flat ordering row.
     """
     scale = sf_value * p_m.delta_max * p_n.delta_max
-    if pair.degenerate:
-        h_m, h_n = discrete_renyi(p_m, 1.0), discrete_renyi(p_n, 1.0)
-        return [_report("renyi_sum_binned", h_m.value + h_n.value,
-                        LN_E_PI - math.log(scale),
-                        h_m.est_error + h_n.est_error),
-                check_norm_ordering(p_m, pair)]
+    rids = {"tsallis": _TSALLIS_BINNED} if pair.degenerate else _BINNED
     rows, powers = _renyi_reports(discrete_renyi_and_norm, p_m, p_n, pair,
-                                  scale, "renyi_sum_binned",
-                                  ("renyi_norm_binned_mn",
-                                   "renyi_norm_binned_nm"))
-    return rows + [_norm_ordering(lambda order: powers["m", order], pair)]
+                                  scale, rids)
+    if pair.degenerate:
+        (h_m, _), (h_n, _) = powers["m", 1.0], powers["n", 1.0]
+        rows.insert(0, _report("renyi_sum_binned", h_m.value + h_n.value,
+                               LN_E_PI - math.log(scale),
+                               h_m.est_error + h_n.est_error))
+    return rows + [_norm_ordering(pair, powers["m", pair.alpha],
+                                  powers["m", pair.gamma])]
 
 
 def check_tsallis_binned(pair: OrderPair, p_m: DiscreteDist, p_n: DiscreteDist,
                          sf_value: float) -> list[RelationReport]:
-    """Binned Tsallis sums against the deformed-log bound with nu = max order.
-
-    Inputs as for check_renyi_binned.
-    """
-    kp = kappa(pair)
-    nu = max(pair.alpha, pair.gamma)
-    rhs = alpha_log(kp * math.pi / (sf_value * p_m.delta_max * p_n.delta_max),
-                    nu)
-    out = []
-    for rid, first, second in (("tsallis_sum_binned", p_m, p_n),
-                               ("tsallis_sum_binned_swapped", p_n, p_m)):
-        t_a = discrete_tsallis(first, pair.alpha)
-        t_g = discrete_tsallis(second, pair.gamma)
-        out.append(_report(rid, t_a.value + t_g.value, rhs,
-                           t_a.est_error + t_g.est_error))
-    return out
+    """The two Tsallis rows of check_renyi_binned, which takes the same
+    inputs."""
+    return [rpt for rpt in check_renyi_binned(pair, p_m, p_n, sf_value)
+            if rpt.relation_id in _TSALLIS_BINNED]
 
 
 def check_norm_ordering(dist: DiscreteDist, pair: OrderPair) -> RelationReport:
     """Discrete norm ordering ||p||_alpha <= 1 <= ||p||_gamma for alpha>1>gamma.
 
-    Both inequalities fold into one report: lhs is the smaller slack of the
-    two, rhs is zero.
+    The ordering row of check_renyi_binned, for any one distribution.  Both
+    inequalities fold into one report: lhs is the smaller slack of the two,
+    rhs is zero.
     """
-    return _norm_ordering(partial(discrete_renyi_and_norm, dist), pair)
+    if pair.degenerate:
+        return _norm_ordering(pair, None, None)
+    return _norm_ordering(pair, discrete_renyi_and_norm(dist, pair.alpha),
+                          discrete_renyi_and_norm(dist, pair.gamma))
 
 
-def _norm_ordering(renyi_of, pair: OrderPair) -> RelationReport:
-    """The check_norm_ordering row; `renyi_of(order)` gives the Renyi entropy
-    and ||p|| of that order.  Either slack moves by at most its norm's error."""
+def _norm_ordering(pair: OrderPair, at_alpha, at_gamma) -> RelationReport:
+    """The check_norm_ordering row from the (Renyi entropy, norm) pairs of
+    the two orders, which the degenerate pair ignores.  Either slack moves
+    by at most its norm's error."""
     if pair.degenerate:
         return _report("discrete_norm_ordering", 0.0, 0.0, 0.0)
-    (r_a, n_a), (r_g, n_g) = renyi_of(pair.alpha), renyi_of(pair.gamma)
+    (r_a, n_a), (r_g, n_g) = at_alpha, at_gamma
     err = max(n_a * _log_norm_error(r_a, pair.alpha),
               n_g * _log_norm_error(r_g, pair.gamma))
     return _report("discrete_norm_ordering", min(1.0 - n_a, n_g - 1.0), 0.0,

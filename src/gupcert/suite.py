@@ -310,8 +310,8 @@ def _sigma_records(rep, sigma: float, pairs: list, rng: np.random.Generator,
         if binned is None:
             continue
         p_m, p_n = binned
-        *renyi, ordering = rel.check_renyi_binned(pair, p_m, p_n, sf_val)
-        for rpt in renyi + rel.check_tsallis_binned(pair, p_m, p_n, sf_val):
+        *rows, ordering = rel.check_renyi_binned(pair, p_m, p_n, sf_val)
+        for rpt in rows:
             out.append(_record(rpt, label, beta, sigma=sigma,
                                alpha=pair.alpha, gamma=pair.gamma,
                                delta_k=p_m.delta_max, delta_x=p_n.delta_max))

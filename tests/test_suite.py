@@ -26,24 +26,28 @@ def test_verify_cell_bins_each_density_once(monkeypatch):
 
 
 def test_norm_ordering_reads_the_renyi_norms(monkeypatch):
-    # the ordering row takes ||p_m||_alpha and ||p_m||_gamma (and their
-    # errors) from the binned Renyi check's power sums instead of summing
-    # p_m again: four sums per order pair and sigma, none for the ordering
-    from gupcert import relations
+    # every binned row of an order pair (Renyi and Tsallis sums, norm rows,
+    # norm ordering) reads the same four discrete power sums: ln sum p^alpha
+    # and ln sum p^gamma of p_m and p_n, each taken once per sigma.  The
+    # sums are counted under both names the package calls them by.
+    from gupcert import entropy, relations
 
     calls = []
-    real = relations.discrete_renyi_and_norm
+    real = entropy.discrete_renyi_and_norm
 
     def counting(dist, alpha):
         calls.append(alpha)
         return real(dist, alpha)
 
-    monkeypatch.setattr(relations, "discrete_renyi_and_norm", counting)
+    for module in (entropy, relations):
+        monkeypatch.setattr(module, "discrete_renyi_and_norm", counting)
     config = RunConfig(beta_grid=[1.0], sigma_grid=[0.5, 2.0],
                        alpha_grid=[1.5, 2.0],
                        states=[{"name": "raised_cosine_q"}])
     records = suite._verify_cell(config.states[0], 1.0, config)
-    assert len(calls) == 4 * len(config.alpha_grid) * len(config.sigma_grid)
+    power_sums = [alpha for alpha in calls if alpha != 1.0]
+    assert len(power_sums) == (4 * len(config.alpha_grid)
+                               * len(config.sigma_grid))
     rows = [r for r in records if r["relation_id"] == "discrete_norm_ordering"]
     assert len(rows) == 4 and all(r["verdict"] == "pass" for r in rows)
 
