@@ -497,8 +497,10 @@ class MomentEstimate(NamedTuple):
 def moment(density: DensityFn, n: int) -> MomentEstimate:
     """Integral of t^n against the density, with a tail-aware error estimate.
 
-    Heavy tails are extended by the fitted power-law model; when the model
-    says the integral diverges at a numerically material scale, a
+    Tail models that extend a window (tail_mass_bound > 0) add their
+    moments beyond it; an image grid's measure already covers the axis, so
+    there the models add nothing.  On every grid, when a model says the
+    integral diverges at a numerically material scale, a
     MomentDivergenceError carrying the partial grid value is raised instead
     of returning an arbitrarily grid-dependent number.
     """
@@ -522,10 +524,10 @@ def moment(density: DensityFn, n: int) -> MomentEstimate:
                     f"moment of order {n} diverges (tail exponent {side.exponent:g})",
                     partial=float(grid_part), tail_exponent=side.exponent)
             tail_err += scale
-            continue
-        add = side.moment_beyond(n, start)
-        tail_part += sign ** n * add
-        tail_err += 0.3 * abs(add)
+        elif density.tail_mass_bound > 0.0:
+            add = side.moment_beyond(n, start)
+            tail_part += sign ** n * add
+            tail_err += 0.3 * abs(add)
 
     return MomentEstimate(value=float(grid_part + tail_part),
                           est_error=density.grid.rule_error(f) + tail_err)

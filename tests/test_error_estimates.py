@@ -6,9 +6,9 @@ auxiliary state `uniform_q` has closed forms on both sides of the
 pushforward: H(Q) = ln(2 q0), an exactly Cauchy K density of scale
 1/sqrt(beta) (H(K) = ln(4 pi / sqrt(beta)), Renyi entropies from
 integral (1 + t^2)^-alpha dt = sqrt(pi) Gamma(alpha - 1/2) / Gamma(alpha)),
-and the correction 2 ln 2.  The Gaussian state saturates
-H(Q) + H(X) = ln(e pi).  Binned probabilities are checked bin by bin
-against the Gaussian and Cauchy CDFs.
+and the correction 2 ln 2.  `raised_cosine_q` has <k^2> = 1/beta.  The
+Gaussian state saturates H(Q) + H(X) = ln(e pi).  Binned probabilities are
+checked bin by bin against the Gaussian and Cauchy CDFs.
 """
 
 import math
@@ -58,6 +58,16 @@ def test_cauchy_renyi(flat, alpha):
                  - gammaln(alpha))
     r = g.diff_renyi(rep.u_k, alpha)
     _sound_and_sharp(r.value, log_power / (1.0 - alpha), r.est_error)
+
+
+@pytest.mark.parametrize("beta", [1e-3, 0.1, 1.0, 10.0])
+def test_image_grid_second_moment(beta):
+    # the K image grid's measure covers the axis: the tail models add
+    # nothing to the grid rule's sum
+    u = g.bundle(g.catalog_state("raised_cosine_q", g.make_params(beta))).u_k
+    m = g.moment(u, 2)
+    assert m.value == float(u.grid.integrate(u.grid.nodes ** 2 * u.values))
+    _sound_and_sharp(m.value, 1.0 / beta, m.est_error)
 
 
 def test_flat_correction_term(flat):
