@@ -127,8 +127,8 @@ class DensityFn:
     the fitted power-law models used to extend entropy, alpha-norm and moment
     integrals past the window; they may be None when the window covers the
     axis.  An image grid's measure is complete (tail_mass_bound is 0): there
-    the entropy and alpha-norm integrals read its models only to decide
-    whether they diverge.
+    the entropy, alpha-norm and moment integrals read its models only to
+    decide whether they diverge.
     """
 
     grid: Grid
@@ -498,11 +498,9 @@ def moment(density: DensityFn, n: int) -> MomentEstimate:
     """Integral of t^n against the density, with a tail-aware error estimate.
 
     Tail models that extend a window (tail_mass_bound > 0) add their
-    moments beyond it; an image grid's measure already covers the axis, so
-    there the models add nothing.  On every grid, when a model says the
-    integral diverges at a numerically material scale, a
-    MomentDivergenceError carrying the partial grid value is raised instead
-    of returning an arbitrarily grid-dependent number.
+    moments beyond it.  On any grid, when a model says the integral diverges
+    at a numerically material scale, a MomentDivergenceError carrying the
+    partial grid value is raised instead of a grid-dependent number.
     """
     if not (isinstance(n, int) and n >= 1):
         raise ContractError("moment order must be a positive integer")

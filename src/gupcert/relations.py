@@ -13,6 +13,10 @@ A check takes only what its inequality reads: the bundle's densities (whose
 source state carries beta), S_f and the binned distributions with their
 bin widths.  Reports carry no state label or parameter tags; the suite keys
 each row by the cell and parameters it passed in.
+
+The Renyi, norm and Tsallis rows of an order pair read one table of power
+sums, one per density and order: check_renyi_binned returns every binned
+row of the pair, and check_tsallis_binned and check_norm_ordering are views.
 """
 
 from __future__ import annotations
@@ -351,24 +355,17 @@ def _log_norm_error(renyi: EntropyValue, order: float) -> float:
 
 
 def _renyi_reports(renyi_and_norm_fn, dens_m, dens_n, pair: OrderPair,
-                   scale: float,
-                   rids: dict[str, tuple[str, str]]) -> tuple[list[RelationReport], dict]:
-    """Rows read from one table of (entropy, norm) pairs of M and N.
+                   scale: float, rids: dict) -> tuple[list[RelationReport], dict]:
+    """Rows from one table of the (entropy, norm) pairs of M and N.
 
-    `renyi_and_norm_fn` gives the pair of each density and order once, so
-    each power sum is taken once; a divergent one turns the rows that need
-    it into not-applicable records that carry its message.  The table is
-    returned with the rows, keyed by (side, order).  `rids` maps each kind
-    of row to the ids of its two rows, the first with alpha on M and gamma
-    on N, the second swapped:
-
-      "sum"      R_alpha + R_gamma >= ln(kappa pi / scale)
-      "norm"     ||.||_alpha <= (scale/(kappa pi))^((1-gamma)/gamma) ||.||_gamma
-      "tsallis"  H_alpha + H_gamma >= ln_nu(kappa pi / scale), nu the larger
-                 order, H read from R
-
-    where `scale` is S_f, times the two bin widths when binned; with scale 1
-    the norm rows are the Beckner inequalities.
+    `renyi_and_norm_fn` fills the table, keyed by (side, order) and returned
+    with the rows, once per density and order; a divergent sum turns the
+    rows that read it into not-applicable records that carry its message.
+    `rids` names the two rows of each kind, alpha on M first, then swapped:
+    "sum" R_alpha + R_gamma >= ln(kappa pi / scale), "norm" ||.||_alpha <=
+    (scale/(kappa pi))^((1-gamma)/gamma) ||.||_gamma (the Beckner rows at
+    scale 1) and "tsallis" H_alpha + H_gamma >= ln_nu(kappa pi / scale),
+    nu = max order.  `scale` is S_f, times the two bin widths when binned.
     """
     powers = {}
     for side, dens in (("m", dens_m), ("n", dens_n)):
@@ -378,12 +375,10 @@ def _renyi_reports(renyi_and_norm_fn, dens_m, dens_n, pair: OrderPair,
             except NormDivergenceError as exc:
                 powers[side, order] = exc
     kp = kappa(pair)
-    expo = (1.0 - pair.gamma) / pair.gamma
-    shift = expo * math.log(scale / (kp * math.pi))
-    bounds = {"sum": math.log(kp * math.pi / scale)}
-    if "tsallis" in rids:
-        bounds["tsallis"] = alpha_log(kp * math.pi / scale,
-                                      max(pair.alpha, pair.gamma))
+    shift = (1.0 - pair.gamma) / pair.gamma * math.log(scale / (kp * math.pi))
+    bounds = {"sum": math.log(kp * math.pi / scale),
+              "tsallis": alpha_log(kp * math.pi / scale,
+                                   max(pair.alpha, pair.gamma))}
     out = []
     for kind, (rid_mn, rid_nm) in rids.items():
         for rid, first, second in ((rid_mn, "m", "n"), (rid_nm, "n", "m")):
@@ -427,10 +422,9 @@ def check_renyi_smeared(pair: OrderPair, rep: RepresentationBundle,
                                     "renyi_norm_smeared_wu")})[0]
 
 
-_TSALLIS_BINNED = ("tsallis_sum_binned", "tsallis_sum_binned_swapped")
 _BINNED = {"sum": ("renyi_sum_binned", "renyi_sum_binned_swapped"),
            "norm": ("renyi_norm_binned_mn", "renyi_norm_binned_nm"),
-           "tsallis": _TSALLIS_BINNED}
+           "tsallis": ("tsallis_sum_binned", "tsallis_sum_binned_swapped")}
 
 
 def check_renyi_binned(pair: OrderPair, p_m: DiscreteDist, p_n: DiscreteDist,
@@ -447,7 +441,7 @@ def check_renyi_binned(pair: OrderPair, p_m: DiscreteDist, p_n: DiscreteDist,
     Tsallis sums in their Shannon form and a flat ordering row.
     """
     scale = sf_value * p_m.delta_max * p_n.delta_max
-    rids = {"tsallis": _TSALLIS_BINNED} if pair.degenerate else _BINNED
+    rids = {"tsallis": _BINNED["tsallis"]} if pair.degenerate else _BINNED
     rows, powers = _renyi_reports(discrete_renyi_and_norm, p_m, p_n, pair,
                                   scale, rids)
     if pair.degenerate:
@@ -455,39 +449,26 @@ def check_renyi_binned(pair: OrderPair, p_m: DiscreteDist, p_n: DiscreteDist,
         rows.insert(0, _report("renyi_sum_binned", h_m.value + h_n.value,
                                LN_E_PI - math.log(scale),
                                h_m.est_error + h_n.est_error))
-    return rows + [_norm_ordering(pair, powers["m", pair.alpha],
-                                  powers["m", pair.gamma])]
+    # the ordering folds both slacks into one row; either moves by at most
+    # its norm's error, and both norms are 1 at the degenerate pair
+    (r_a, n_a), (r_g, n_g) = powers["m", pair.alpha], powers["m", pair.gamma]
+    err = max(n_a * _log_norm_error(r_a, pair.alpha),
+              n_g * _log_norm_error(r_g, pair.gamma))
+    return rows + [_report("discrete_norm_ordering",
+                           min(1.0 - n_a, n_g - 1.0), 0.0, err)]
 
 
 def check_tsallis_binned(pair: OrderPair, p_m: DiscreteDist, p_n: DiscreteDist,
                          sf_value: float) -> list[RelationReport]:
-    """The two Tsallis rows of check_renyi_binned, which takes the same
-    inputs."""
+    """The two Tsallis rows of check_renyi_binned (same inputs)."""
     return [rpt for rpt in check_renyi_binned(pair, p_m, p_n, sf_value)
-            if rpt.relation_id in _TSALLIS_BINNED]
+            if rpt.relation_id in _BINNED["tsallis"]]
 
 
 def check_norm_ordering(dist: DiscreteDist, pair: OrderPair) -> RelationReport:
     """Discrete norm ordering ||p||_alpha <= 1 <= ||p||_gamma for alpha>1>gamma.
 
-    The ordering row of check_renyi_binned, for any one distribution.  Both
-    inequalities fold into one report: lhs is the smaller slack of the two,
-    rhs is zero.
+    The last row of check_renyi_binned, read for one distribution: lhs is
+    the smaller slack of the two inequalities, rhs is zero.
     """
-    if pair.degenerate:
-        return _norm_ordering(pair, None, None)
-    return _norm_ordering(pair, discrete_renyi_and_norm(dist, pair.alpha),
-                          discrete_renyi_and_norm(dist, pair.gamma))
-
-
-def _norm_ordering(pair: OrderPair, at_alpha, at_gamma) -> RelationReport:
-    """The check_norm_ordering row from the (Renyi entropy, norm) pairs of
-    the two orders, which the degenerate pair ignores.  Either slack moves
-    by at most its norm's error."""
-    if pair.degenerate:
-        return _report("discrete_norm_ordering", 0.0, 0.0, 0.0)
-    (r_a, n_a), (r_g, n_g) = at_alpha, at_gamma
-    err = max(n_a * _log_norm_error(r_a, pair.alpha),
-              n_g * _log_norm_error(r_g, pair.gamma))
-    return _report("discrete_norm_ordering", min(1.0 - n_a, n_g - 1.0), 0.0,
-                   err)
+    return check_renyi_binned(pair, dist, dist, 1.0)[-1]
