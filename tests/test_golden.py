@@ -3,9 +3,8 @@
 `tests/data/golden_small.json` holds the `render_json` text of a small
 verify run (and its `render_csv` text), of verify cells with the degenerate
 order pair (alpha = 1) and in the undeformed limit (beta = 0), and of beta,
-sigma and alpha sweeps.  Optimisations that
-must not move a single float (reordered or shared exponentials, blocked
-sums) are checked here.
+sigma and alpha sweeps.  Optimisations that must not move a single float
+(reordered or shared exponentials, blocked sums) are checked here.
 Regenerate the file only for a change that is meant to alter report bytes:
 
     PYTHONPATH=src python tests/test_golden.py
