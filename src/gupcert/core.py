@@ -475,14 +475,15 @@ def rebuild_state(state: PureState, beta: float) -> PureState:
     if state.profile is None:
         raise ContractError("state has no profile; cannot rebuild at a new beta")
     return _build_catalog_state(state.profile, make_params(beta),
-                                _probe_scale(state))
+                                max(q_spread(state), 1e-6))
 
 
-def _probe_scale(state: PureState) -> float:
+def q_spread(state: PureState | MixedState) -> float:
+    """Standard deviation of the Q density, floored at 1e-15."""
     v = state.density_values()
-    mean = state.grid.integrate(state.grid.nodes * v)
-    var = state.grid.integrate((state.grid.nodes - mean) ** 2 * v)
-    return max(math.sqrt(max(var, 1e-30)), 1e-6)
+    g = state.grid
+    mean = g.integrate(g.nodes * v)
+    return math.sqrt(max(g.integrate((g.nodes - mean) ** 2 * v), 1e-30))
 
 
 # ---------------------------------------------------------------------------

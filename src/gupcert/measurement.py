@@ -37,6 +37,9 @@ from .tails import outside_masses
 
 _SMEAR_TAG = {Domain.K: Domain.ZETA, Domain.X: Domain.XI}
 _TABLE_GAUSS = 8  # Gauss nodes per panel of the tabulated-profile J rule
+# lattice plus kernel nodes of one smear convolution (64 MB per float array);
+# the default states need at most 0.4 M at sigma 1 and 4 M at sigma 0.1
+_SMEAR_NODE_BUDGET = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -265,6 +268,16 @@ def _is_uniform(nodes: np.ndarray) -> bool:
     return bool(np.allclose(d, d[0], rtol=1e-9, atol=0.0))
 
 
+def _check_budget(f: AcceptanceFn, h: float, n: int) -> int:
+    """The m whose 2m + 1 kernel offsets cover f's reach at step h; raises
+    ResolutionError if they and n lattice nodes exceed the node budget."""
+    m = int(math.ceil(f.reach / h)) + 1
+    if n + 2 * m + 1 > _SMEAR_NODE_BUDGET:
+        raise ResolutionError(f"smear lattice needs {n + 2 * m + 1:.3g} nodes,"
+                              f" over the budget of {_SMEAR_NODE_BUDGET}")
+    return m
+
+
 def _lattice_input(density: DensityFn, f: AcceptanceFn):
     """Values of the density on a uniform lattice fine enough to convolve.
 
@@ -286,6 +299,7 @@ def _lattice_input(density: DensityFn, f: AcceptanceFn):
             return k, density.values.copy(), h_in, 0, k.size
         refine = int(math.ceil(h_in / target))
         n = (k.size - 1) * refine + 1
+        _check_budget(f, h_in / refine, n)
         lattice = np.linspace(k[0], k[-1], n)
         out_lo, out_hi = 0, n
     else:
@@ -293,6 +307,7 @@ def _lattice_input(density: DensityFn, f: AcceptanceFn):
         lo = max(density.window[0], blo - 2.0 * f.reach - 2.0 * f.width)
         hi = min(density.window[1], bhi + 2.0 * f.reach + 2.0 * f.width)
         n = int((hi - lo) / target) + 2
+        _check_budget(f, (hi - lo) / (n - 1), n)
         lattice = np.linspace(lo, hi, n)
         # the output stops one kernel reach past the bulk window: there the
         # kernel spread of the central mass has died off, so the input's
@@ -326,7 +341,7 @@ def smear(density: DensityFn, f: AcceptanceFn) -> DensityFn:
     """
     tag = _SMEAR_TAG.get(density.grid.domain_tag, Domain.ZETA)
     lattice, lat_vals, h, i_lo, i_hi = _lattice_input(density, f)
-    m = int(math.ceil(f.reach / h)) + 1
+    m = _check_budget(f, h, lattice.size)
     kernel = f.lattice_kernel(m, h)
     src_masses = lat_vals * h
     conv = _full_convolution(src_masses, kernel)

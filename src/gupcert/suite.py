@@ -5,7 +5,7 @@ check, and assembles one flat record per check.  Checks return unlabeled
 reports; `_record` tags each with the state and parameters the cell passed
 in and renders those tags as the row's input digest.  Records are sorted by
 that digest so the report is byte-identical across runs and independent of
-any parallel completion order; floats serialize with 17 significant digits.
+the order the cells run in; floats serialize with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import math
 import numbers
 import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -333,18 +332,8 @@ def _sf_records(config: RunConfig) -> list[dict]:
 
 
 def run_verify(config: RunConfig) -> tuple[list[dict], int]:
-    cells = [(spec, beta) for spec in config.states for beta in config.beta_grid]
-    raw = os.environ.get("THREADS", "")  # unset or empty: serial
-    if raw and not (raw.isdecimal() and int(raw) >= 1):
-        raise ConfigError(f"THREADS must be a positive integer, got {raw!r}")
-    threads = int(raw or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            batches = list(pool.map(
-                lambda cb: _verify_cell(cb[0], cb[1], config), cells))
-    else:
-        batches = [_verify_cell(spec, beta, config) for spec, beta in cells]
-    records = [r for batch in batches for r in batch]
+    records = [r for spec in config.states for beta in config.beta_grid
+               for r in _verify_cell(spec, beta, config)]
     records.extend(_sf_records(config))
     records.sort(key=lambda r: r["digest"])
     failed = any(r["verdict"] == "fail" for r in records)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DensityFn, Domain, Grid, MinLengthParams, MixedState,
-                   PureState, as_mixed)
+                   PureState, as_mixed, q_spread)
 from .errors import ContractError, DomainError, ResolutionError
 from .quadrature import composite_rule, dense_sum
 from .tails import fit_k_tails, fit_x_tail, outside_masses
@@ -138,12 +138,14 @@ def _transform_rule(state: PureState, x_max: float) -> tuple[np.ndarray, np.ndar
     raise ResolutionError("transform rule failed to reproduce the state norm")
 
 
-def _fourier_sum(targets: np.ndarray, nodes: np.ndarray, coeff: np.ndarray,
-                 sign: float) -> np.ndarray:
-    """(2 pi)^{-1/2} sum_j e^{sign i t n_j} coeff_j at every target t."""
-    out = dense_sum(lambda t, n: np.exp(sign * 1j * t * n),
-                    targets, nodes, coeff)
-    return out / math.sqrt(2.0 * math.pi)
+def _fourier_sum(sign: float, targets: np.ndarray, nodes: np.ndarray,
+                 *coeffs: np.ndarray):
+    """(2 pi)^{-1/2} sum_j e^{sign i t n_j} c_j at every target t, for each
+    c as in `dense_sum`: one c gives an array, several a tuple."""
+    sums = dense_sum(lambda t, n: np.exp(sign * 1j * t * n),
+                     targets, nodes, *coeffs)
+    root = math.sqrt(2.0 * math.pi)
+    return sums / root if len(coeffs) == 1 else tuple(c / root for c in sums)
 
 
 def fourier_q_to_x(state: PureState, x_grid: Grid) -> np.ndarray:
@@ -153,7 +155,7 @@ def fourier_q_to_x(state: PureState, x_grid: Grid) -> np.ndarray:
     x = x_grid.nodes
     x_max = float(max(abs(x[0]), abs(x[-1])))
     q, coeff = _transform_rule(state, x_max)
-    return _fourier_sum(x, q, coeff, 1.0)
+    return _fourier_sum(1.0, x, q, coeff)
 
 
 def fourier_x_to_q(psi: np.ndarray, x_grid: Grid, params: MinLengthParams,
@@ -163,7 +165,7 @@ def fourier_x_to_q(psi: np.ndarray, x_grid: Grid, params: MinLengthParams,
     The result has no profile, so `bundle` and `fourier_q_to_x` reject it.
     """
     coeff = x_grid.weights * np.asarray(psi, dtype=complex)
-    amp = _fourier_sum(q_grid.nodes, x_grid.nodes, coeff, -1.0)
+    amp = _fourier_sum(-1.0, q_grid.nodes, x_grid.nodes, coeff)
     return PureState(grid=q_grid, amplitudes=amp, params=params)
 
 
@@ -186,14 +188,6 @@ def _edge_wave_period(mixed: MixedState) -> float | None:
     return math.pi / params.q0
 
 
-def _x_width(mixed: MixedState) -> float:
-    v = mixed.density_values()
-    g = mixed.grid
-    mean = g.integrate(g.nodes * v)
-    var = max(g.integrate((g.nodes - mean) ** 2 * v), 1e-30)
-    return 1.0 / (2.0 * math.sqrt(var))
-
-
 def _psi_sq_on(mixed: MixedState, nodes: np.ndarray, x_max: float) -> np.ndarray:
     """Mixture position density (incoherent sum) at mirror-symmetric nodes.
 
@@ -203,14 +197,14 @@ def _psi_sq_on(mixed: MixedState, nodes: np.ndarray, x_max: float) -> np.ndarray
     if not np.array_equal(nodes[::-1], -nodes):
         raise ContractError("x nodes must be mirror-symmetric about 0")
     k = nodes.size // 2  # nodes below 0; nodes[k:] are the ones >= 0
-    root = math.sqrt(2.0 * math.pi)
     out = np.zeros(nodes.size)
     for lam, comp in mixed.components:
         q, coeff = _transform_rule(comp, x_max)
-        plus, minus = dense_sum(lambda t, n: np.exp(1j * t * n), nodes[k:], q,
-                                coeff, np.conj(coeff))
-        out[k:] += lam * np.abs(plus / root) ** 2
-        out[:k] += lam * np.abs(minus[nodes.size % 2:][::-1] / root) ** 2
+        plus, minus = _fourier_sum(1.0, nodes[k:], q, coeff, np.conj(coeff))
+        out[k:] += lam * np.abs(plus) ** 2
+        # abs before the reversal: on complex input numpy's contiguous loop
+        # and its strided loop can round differently
+        out[:k] += lam * np.abs(minus)[nodes.size % 2:][::-1] ** 2
     return out
 
 
@@ -228,7 +222,7 @@ def x_density(state: PureState | MixedState) -> DensityFn:
     """
     mixed = as_mixed(state)
     period = _edge_wave_period(mixed)
-    width = _x_width(mixed)
+    width = 1.0 / (2.0 * q_spread(mixed))  # at minimum uncertainty
     scale = width if period is None else min(width, 0.5 * period)
     h = scale / 6.0
     per_steps = 1

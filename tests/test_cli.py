@@ -158,25 +158,13 @@ class TestVerify:
         path.write_text(json.dumps({"frobnicate": 1}))
         assert main(["verify", "--config", str(path)]) == 2
 
-    def test_threads_env_keeps_report_identical(self, small_config, tmp_path,
-                                                 monkeypatch):
-        path, _ = small_config
-        out1 = tmp_path / "seq.json"
-        out2 = tmp_path / "par.json"
-        main(["verify", "--config", str(path), "--out", str(out1)])
-        monkeypatch.setenv("THREADS", "2")
-        main(["verify", "--config", str(path), "--out", str(out2)])
-        assert out1.read_bytes() == out2.read_bytes()
-
-    @pytest.mark.parametrize("threads", ["abc", "2.5", "0", "-3"])
-    def test_bad_threads_exit_two(self, small_config, tmp_path, capsys,
-                                  monkeypatch, threads):
-        path, _ = small_config
-        monkeypatch.setenv("THREADS", threads)
-        assert main(["verify", "--config", str(path),
+    @pytest.mark.parametrize("sigma", ["1e-9", "1e12"])
+    def test_unresolvable_sigma_exit_two(self, tmp_path, capsys, sigma):
+        # either width would take a smear lattice of terabytes
+        assert main(["verify", "--sigma", sigma,
                      "--out", str(tmp_path / "r.json")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and "Traceback" not in err
+        assert err.startswith("error: smear lattice") and "Traceback" not in err
 
     def test_csv_schema(self, small_config, tmp_path):
         path, _ = small_config

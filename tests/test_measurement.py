@@ -118,6 +118,15 @@ class TestSmear:
         with pytest.raises(g.ResolutionError, match="no tail model"):
             g.smear(lossy, g.gaussian_acceptance(0.2))
 
+    @pytest.mark.parametrize("sigma", [1e-9, 1e12])
+    def test_lattice_over_budget_raises(self, uniform_rep, sigma):
+        # a lattice or kernel of terabytes is refused before it is
+        # allocated, on the image grid and on the X lattice
+        f = g.gaussian_acceptance(sigma)
+        for density in (uniform_rep.u_k, uniform_rep.w_x):
+            with pytest.raises(g.ResolutionError, match="over the budget"):
+                g.smear(density, f)
+
 
 class TestJProfile:
     def test_undeformed_is_unity(self, params_0):

@@ -25,6 +25,25 @@ def test_verify_cell_bins_each_density_once(monkeypatch):
                for r in records) == 4
 
 
+def test_cell_rows_do_not_depend_on_the_other_cells():
+    # each cell seeds its own bins, so a cell run alone, in any order,
+    # renders the record lines it renders inside a run of every cell
+    def rendered(config):
+        return {r["digest"]: suite.render_json([r])
+                for r in suite.run_verify(config)[0]}
+
+    states = [{"name": "raised_cosine_q"},
+              {"name": "truncated_gaussian_q", "shape_args": [0.25]}]
+    betas = [1e-3, 1.0]
+    full = rendered(RunConfig(beta_grid=betas, sigma_grid=[1.0],
+                              alpha_grid=[2.0], states=states))
+    alone = {}
+    for spec, beta in reversed([(s, b) for s in states for b in betas]):
+        alone.update(rendered(RunConfig(beta_grid=[beta], sigma_grid=[1.0],
+                                        alpha_grid=[2.0], states=[spec])))
+    assert alone == full
+
+
 def test_norm_ordering_reads_the_renyi_norms(monkeypatch):
     # every binned row of an order pair (Renyi and Tsallis sums, norm rows,
     # norm ordering) reads the same four discrete power sums: ln sum p^alpha

@@ -200,7 +200,7 @@ class TestFourier:
                 for lam, comp in mixed.components:
                     q, coeff = transform._transform_rule(comp, x_max)
                     want += lam * np.abs(
-                        transform._fourier_sum(nodes, q, coeff, 1.0)) ** 2
+                        transform._fourier_sum(1.0, nodes, q, coeff)) ** 2
                 got = transform._psi_sq_on(mixed, nodes, x_max)
                 assert np.array_equal(got, want)
 
