@@ -337,7 +337,8 @@ def smear(density: DensityFn, f: AcceptanceFn) -> DensityFn:
     falls outside is bookkept exactly through the acceptance CDF and modeled
     by the input's tail fit (far from the window the smeared and raw
     densities agree to the order of the tail curvature, so the input model
-    carries over).
+    carries over).  A lattice and kernel over the node budget raise
+    ResolutionError before they are allocated.
     """
     tag = _SMEAR_TAG.get(density.grid.domain_tag, Domain.ZETA)
     lattice, lat_vals, h, i_lo, i_hi = _lattice_input(density, f)
