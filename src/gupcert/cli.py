@@ -9,8 +9,10 @@ Subcommands:
 Exit codes: 0 all pass, 1 at least one inequality failed, 2 usage or config
 error, an unwritable report path (checked before any cell runs) or a cell the
 numerics cannot resolve, such as a sigma whose smear lattice would exceed its
-node budget.  Verdicts always use each check's own tolerance; a config has
-no override for it.
+node budget; the message of such a cell ends with its state, beta and sigma
+(when the error arose under one).
+Verdicts always use each check's own tolerance; a config has no override
+for it.
 """
 
 from __future__ import annotations
@@ -92,6 +94,8 @@ def main(argv=None) -> int:
             print(f"{len(records)} sweep rows -> {config.output_path}")
             return 0
         if args.command == "show-state":
+            if args.out:
+                check_writable(args.out)
             payload = show_state(args.name, args.beta,
                                  shape_args=tuple(args.shape_args),
                                  seed=args.seed)

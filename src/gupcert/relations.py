@@ -14,9 +14,13 @@ source state carries beta), S_f and the binned distributions with their
 bin widths.  Reports carry no state label or parameter tags; the suite keys
 each row by the cell and parameters it passed in.
 
-The Renyi, norm and Tsallis rows of an order pair read one table of power
-sums, one per density and order: check_renyi_binned returns every binned
-row of the pair, and check_tsallis_binned and check_norm_ordering are views.
+The Fourier-pair, binning-lemma and binned Shannon rows read one set of
+entropies, H(Q), H(X), H(K), the correction, H(p_k) and H(p_x), each taken
+once: check_bbm_corrected returns all five rows when given the binned pair,
+and check_binned_shannon is a view.  Likewise the Renyi, norm and Tsallis
+rows of an order pair read one table of power sums, one per density and
+order: check_renyi_binned returns every binned row of the pair, and
+check_tsallis_binned and check_norm_ordering are views.
 """
 
 from __future__ import annotations
@@ -260,11 +264,17 @@ def robertson_margin(rep: RepresentationBundle) -> RelationReport:
 # Shannon relations
 # ---------------------------------------------------------------------------
 
-def check_bbm_corrected(rep: RepresentationBundle) -> list[RelationReport]:
+def check_bbm_corrected(rep: RepresentationBundle,
+                        binned: tuple[DiscreteDist, DiscreteDist] | None = None
+                        ) -> list[RelationReport]:
     """Fourier-pair bound and its minimal-length corrected form.
 
     The base relation is H(Q) + H(X) >= ln(e pi); replacing the auxiliary
     entropy by the physical one adds the correction term to the bound.
+    Given `binned`, the wavenumber and position densities of `rep` binned
+    as (p_k, p_x), three rows follow that read the same entropies: the
+    binning lemma for p_k and for p_x, then the binned Shannon sum.  So
+    H(Q), H(X), H(K), the correction, H(p_k) and H(p_x) are each taken once.
     """
     hq = diff_shannon(rep.v_q)
     hx = diff_shannon(rep.w_x)
@@ -274,7 +284,16 @@ def check_bbm_corrected(rep: RepresentationBundle) -> list[RelationReport]:
                    hq.est_error + hx.est_error)
     corrected = _report("shannon_sum_corrected", hk.value + hx.value,
                         LN_E_PI + corr, hk.est_error + hx.est_error + corr_err)
-    return [base, corrected]
+    if binned is None:
+        return [base, corrected]
+    p_k, p_x = binned
+    h_k, h_x = discrete_renyi(p_k, 1.0), discrete_renyi(p_x, 1.0)
+    rhs = LN_E_PI - math.log(p_k.delta_max * p_x.delta_max) + corr
+    return [base, corrected,
+            _binning_lemma(rep.u_k, hk, p_k, h_k),
+            _binning_lemma(rep.w_x, hx, p_x, h_x),
+            _report("shannon_sum_binned", h_k.value + h_x.value, rhs,
+                    h_k.est_error + h_x.est_error + corr_err)]
 
 
 def check_smeared_shannon(rep: RepresentationBundle,
@@ -301,19 +320,26 @@ def check_smeared_shannon(rep: RepresentationBundle,
     ]
 
 
+def _binning_lemma(density: DensityFn, h_cont: EntropyValue,
+                   dist: DiscreteDist, h_disc: EntropyValue) -> RelationReport:
+    """H(p) >= H(density) - ln(max bin width) from the two entropies."""
+    axis = density.grid.domain_tag.value.lower()
+    return _report(f"binning_lemma_{axis}", h_disc.value,
+                   h_cont.value - math.log(dist.delta_max),
+                   h_cont.est_error + h_disc.est_error)
+
+
 def check_binning_lemma(density: DensityFn, dist: DiscreteDist) -> RelationReport:
     """Discretization lemma: H(p) >= H(density) - ln(max bin width).
 
     `dist` is the density binned on some layout; the density's axis names
     the row (binning_lemma_k for the wavenumber, binning_lemma_x for the
-    position).  The row carries the errors of both entropies.
+    position).  The row carries the errors of both entropies.  For the
+    pair of a bundle, check_bbm_corrected emits both lemma rows from the
+    entropies it has already taken.
     """
-    h_cont = diff_shannon(density)
-    h_disc = discrete_renyi(dist, 1.0)
-    axis = density.grid.domain_tag.value.lower()
-    return _report(f"binning_lemma_{axis}", h_disc.value,
-                   h_cont.value - math.log(dist.delta_max),
-                   h_cont.est_error + h_disc.est_error)
+    return _binning_lemma(density, diff_shannon(density), dist,
+                          discrete_renyi(dist, 1.0))
 
 
 def check_binned_shannon(p_k: DiscreteDist, p_x: DiscreteDist,
@@ -321,13 +347,9 @@ def check_binned_shannon(p_k: DiscreteDist, p_x: DiscreteDist,
     """Binned Shannon sum against ln(e pi / (dk dx)) plus the correction.
 
     `p_k` and `p_x` are the wavenumber and position densities of `rep`
-    binned.
+    binned.  The last row of check_bbm_corrected given the pair.
     """
-    corr, corr_err = _correction(rep)
-    h_k, h_x = discrete_renyi(p_k, 1.0), discrete_renyi(p_x, 1.0)
-    rhs = LN_E_PI - math.log(p_k.delta_max * p_x.delta_max) + corr
-    return _report("shannon_sum_binned", h_k.value + h_x.value, rhs,
-                   h_k.est_error + h_x.est_error + corr_err)
+    return check_bbm_corrected(rep, (p_k, p_x))[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import math
 import numbers
 import os
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -24,7 +25,8 @@ from . import relations as rel
 from .core import (BOX_STATES, CATALOG_NAMES, DensityFn, catalog_state,
                    check_shape_args, make_params)
 from .entropy import DensityCdf, as_cdf, bin_density
-from .errors import ConfigError, GupcertError, InvalidParameterError
+from .errors import (ConfigError, GupcertError, InvalidParameterError,
+                     ResolutionError)
 from .measurement import gaussian_acceptance, s_f, smear
 from .transform import bundle
 
@@ -245,16 +247,33 @@ def _build_state(spec: dict, beta: float):
 
 
 def _verify_cell(spec: dict, beta: float, config: RunConfig) -> list[dict]:
-    """All checks for one (state, beta) cell."""
+    """All checks for one (state, beta) cell.
+
+    A ResolutionError names the cell, and the sigma under which it arose.
+    """
     label = spec["name"]
     state = _build_state(spec, beta)
     if state is None:
         return []
-    rep = bundle(state)
+    cell_tag = zlib.crc32(f"{label}:{beta:.17g}".encode()) % 100_000
+    dmin, dmax, seed = config.binning
+    rng = np.random.default_rng(int(seed) + cell_tag)
+    dmin, dmax = float(dmin), float(dmax)
     out: list[dict] = []
 
-    for rpt in rel.check_bbm_corrected(rep):
-        out.append(_record(rpt, label, beta))
+    with _naming_cell(label, beta):
+        rep = bundle(state)
+    # the Fourier-pair, binning-lemma and binned Shannon rows read one set
+    # of entropies, so the unsmeared pair is binned, on rng's first edges,
+    # before they are taken
+    binned = _bin_pair(rng, rep.u_k, rep.w_x, dmin, dmax)
+    rows = rel.check_bbm_corrected(rep, binned)
+    dk, dx = (None, None) if binned is None else (binned[0].delta_max,
+                                                  binned[1].delta_max)
+    del binned  # bins are a cell's largest arrays: free them
+    widths = ((None, None), (None, None), (dk, None), (None, dx), (dk, dx))
+    for rpt, (row_dk, row_dx) in zip(rows, widths):
+        out.append(_record(rpt, label, beta, delta_k=row_dk, delta_x=row_dx))
     out.append(_record(rel.check_jensen(rep), label, beta))
     out.append(_record(rel.robertson_margin(rep), label, beta))
 
@@ -264,27 +283,23 @@ def _verify_cell(spec: dict, beta: float, config: RunConfig) -> list[dict]:
             out.append(_record(rpt, label, beta, alpha=pair.alpha,
                                gamma=pair.gamma))
 
-    cell_tag = zlib.crc32(f"{label}:{beta:.17g}".encode()) % 100_000
-    dmin, dmax, seed = config.binning
-    rng = np.random.default_rng(int(seed) + cell_tag)
-    dmin, dmax = float(dmin), float(dmax)
-
-    binned = _bin_pair(rng, rep.u_k, rep.w_x, dmin, dmax)
-    if binned is not None:
-        p_k, p_x = binned
-        dk, dx = p_k.delta_max, p_x.delta_max
-        out.append(_record(rel.check_binning_lemma(rep.u_k, p_k),
-                           label, beta, delta_k=dk))
-        out.append(_record(rel.check_binning_lemma(rep.w_x, p_x),
-                           label, beta, delta_x=dx))
-        out.append(_record(rel.check_binned_shannon(p_k, p_x, rep),
-                           label, beta, delta_k=dk, delta_x=dx))
-        del binned, p_k, p_x  # bins are a cell's largest arrays: free them
-
     for sigma in config.sigma_grid:
-        out.extend(_sigma_records(rep, sigma, pairs, rng, dmin, dmax,
-                                  label, beta))
+        with _naming_cell(label, beta, sigma):
+            out.extend(_sigma_records(rep, sigma, pairs, rng, dmin, dmax,
+                                      label, beta))
     return out
+
+
+@contextmanager
+def _naming_cell(label: str, beta: float, sigma=None):
+    """Re-raise a ResolutionError with the cell appended to its message."""
+    try:
+        yield
+    except ResolutionError as exc:
+        cell = f"state={label}, beta={_tag(beta)}"
+        if sigma is not None:
+            cell += f", sigma={_tag(sigma)}"
+        raise ResolutionError(f"{exc} ({cell})") from exc
 
 
 def _sigma_records(rep, sigma: float, pairs: list, rng: np.random.Generator,
@@ -356,13 +371,15 @@ def run_sweep(config: RunConfig, param: str) -> list[dict]:
         if state is None:
             raise ConfigError(f"sweep state {label!r} is undefined at "
                               f"beta={beta}")
-        rep = bundle(state)
+        with _naming_cell(label, beta):
+            rep = bundle(state)
     if param == "beta":
         for beta in config.beta_grid:
             state = _build_state(spec, beta)
             if state is None:
                 continue
-            rep = bundle(state)
+            with _naming_cell(label, beta):
+                rep = bundle(state)
             rpt = rel.check_correction_term(rep)
             records.append(_record(rpt, label, beta))
             for r in rel.check_bbm_corrected(rep):
@@ -371,7 +388,8 @@ def run_sweep(config: RunConfig, param: str) -> list[dict]:
     elif param == "sigma":
         for sigma in config.sigma_grid:
             f = gaussian_acceptance(sigma)
-            smeared = (smear(rep.u_k, f), smear(rep.w_x, f))
+            with _naming_cell(label, beta, sigma):
+                smeared = (smear(rep.u_k, f), smear(rep.w_x, f))
             for r in rel.check_smeared_shannon(rep, smeared,
                                                s_f(f, state.params)):
                 records.append(_record(r, label, beta, sigma=sigma))

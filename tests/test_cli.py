@@ -192,22 +192,42 @@ def test_unwritable_out_exit_two(small_config, tmp_path, capsys, command):
     assert err.startswith("error: cannot write") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", [["verify"], ["sweep", "--param", "beta"]])
+@pytest.mark.parametrize("command", [
+    ["verify"],
+    ["sweep", "--param", "beta"],
+    ["show-state", "--name", "truncated_gaussian_q", "--beta", "1.0",
+     "--shape-args", "0.25"],
+])
 def test_unwritable_out_fails_before_any_cell(small_config, tmp_path, capsys,
                                               monkeypatch, command):
     from gupcert import cli
 
-    def no_run(*args):
+    def no_run(*args, **kwargs):
         raise AssertionError("ran a cell for an unwritable report")
 
     monkeypatch.setattr(cli, "run_verify", no_run)
     monkeypatch.setattr(cli, "run_sweep", no_run)
+    monkeypatch.setattr(cli, "show_state", no_run)
+    config = [] if command[0] == "show-state" else ["--config",
+                                                     str(small_config[0])]
     out = tmp_path / "missing" / "r.json"
-    assert main(command + ["--config", str(small_config[0]),
-                           "--out", str(out)]) == 2
+    assert main(command + config + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: cannot write")
-    assert main(command + ["--config", str(small_config[0]),
-                           "--out", str(tmp_path)]) == 2  # a directory
+    assert main(command + config + ["--out", str(tmp_path)]) == 2  # a folder
+
+
+def test_unresolvable_cell_names_itself(tmp_path, capsys):
+    # in a run of many cells the message must say which one failed
+    path = tmp_path / "tails.json"
+    path.write_text(json.dumps({"states": [{"name": "uniform_q"}],
+                                "beta_grid": [0.001], "sigma_grid": [10]}))
+    assert main(["verify", "--config", str(path),
+                 "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: smeared tail bookkeeping")
+    assert "Traceback" not in err
+    assert all(tag in err for tag in ("state=uniform_q", "beta=0.001",
+                                      "sigma=10"))
 
 
 def test_verify_does_not_import_scipy_signal():

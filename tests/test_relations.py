@@ -198,6 +198,20 @@ class TestShannonRelations:
                                      cosine_rep)
         assert rpt.margin >= -1e-8
 
+    def test_binned_pair_adds_the_lemma_and_binned_rows(self, cosine_rep):
+        # given the binned pair, the Fourier-pair check appends the rows the
+        # single-purpose checks give, float for float
+        from gupcert.suite import _coverage_window
+        p_k, p_x = (g.bin_density(d, np.linspace(*_coverage_window(d), 200))
+                    for d in (cosine_rep.u_k, cosine_rep.w_x))
+        rows = g.check_bbm_corrected(cosine_rep, (p_k, p_x))
+        assert rows[:2] == g.check_bbm_corrected(cosine_rep)
+        assert rows[2:] == [g.check_binning_lemma(cosine_rep.u_k, p_k),
+                            g.check_binning_lemma(cosine_rep.w_x, p_x),
+                            g.check_binned_shannon(p_k, p_x, cosine_rep)]
+        assert [r.relation_id for r in rows[2:]] == [
+            "binning_lemma_k", "binning_lemma_x", "shannon_sum_binned"]
+
     def test_coarse_bins_vacuous(self, cosine_rep):
         bins_k = np.array([-120.0, 0.0, 120.0])
         bins_x = np.array([-60.0, 0.0, 60.0])

@@ -71,6 +71,36 @@ def test_norm_ordering_reads_the_renyi_norms(monkeypatch):
     assert len(rows) == 4 and all(r["verdict"] == "pass" for r in rows)
 
 
+def test_verify_cell_takes_each_shannon_entropy_once(monkeypatch):
+    # the Fourier-pair, binning-lemma and binned Shannon rows read one set
+    # of entropies: H(Q), H(X), H(K), H(p_k) and H(p_x), then H of the two
+    # smeared densities for every sigma, each taken once
+    from gupcert import relations
+
+    taken = []  # holding every argument keeps the ids unique
+
+    def holding(name):
+        real = getattr(relations, name)
+
+        def wrapper(dens, *order):
+            assert order in ((), (1.0,))  # the Shannon order only
+            taken.append(dens)
+            return real(dens, *order)
+        return wrapper
+
+    for name in ("diff_shannon", "discrete_renyi"):
+        monkeypatch.setattr(relations, name, holding(name))
+    config = RunConfig(beta_grid=[1.0], sigma_grid=[0.5, 2.0],
+                       alpha_grid=[1.5, 2.0],
+                       states=[{"name": "raised_cosine_q"}])
+    records = suite._verify_cell(config.states[0], 1.0, config)
+    ids = [id(d) for d in taken]
+    assert len(set(ids)) == len(ids)
+    assert len(ids) == 3 + 2 + 2 * len(config.sigma_grid)
+    assert {r["relation_id"] for r in records} >= {
+        "binning_lemma_k", "binning_lemma_x", "shannon_sum_binned"}
+
+
 def test_degenerate_order_rows_have_unique_digests():
     # at alpha = 1 the Beckner and smeared Renyi checks dispatch to Shannon
     # rows that the cell also emits without an order; the order tags keep
