@@ -437,6 +437,14 @@ def check_shape_args(name: str, shape_args: Sequence[float]) -> None:
                                     "mode count m >= 1")
 
 
+def _check_catalog_args(name: str, shape_args: Sequence[float],
+                        seed: Optional[int]) -> None:
+    """check_shape_args, and random_fourier_q needs a seed to draw from."""
+    check_shape_args(name, shape_args)
+    if name == "random_fourier_q" and seed is None:
+        raise InvalidParameterError("random_fourier_q needs a seed")
+
+
 def catalog_state(name: str, params: MinLengthParams,
                   shape_args: Sequence[float] = (),
                   seed: Optional[int] = None) -> PureState:
@@ -448,9 +456,10 @@ def catalog_state(name: str, params: MinLengthParams,
     random_fourier_q     seeded complex combination of the first m box modes
                          vanishing at +-q0, m = shape_args[0] (default 8)
 
-    shape_args must be exactly what the state uses (see check_shape_args).
+    shape_args must be exactly what the state uses (see check_shape_args),
+    and random_fourier_q needs a seed.
     """
-    check_shape_args(name, shape_args)
+    _check_catalog_args(name, shape_args, seed)
     if name in BOX_STATES and not params.deformed:
         raise InvalidParameterError(
             f"{name} needs beta > 0: it is not normalizable on an infinite interval")
@@ -463,8 +472,6 @@ def catalog_state(name: str, params: MinLengthParams,
         s = float(shape_args[0])
         return _build_catalog_state(_make_gaussian_profile(s), params, s)
     # random_fourier_q, the last catalog name
-    if seed is None:
-        raise InvalidParameterError("random_fourier_q needs a seed")
     m = int(shape_args[0]) if shape_args else 8
     profile = _make_random_fourier_profile(m, seed)
     return _build_catalog_state(profile, params, q0 / m)

@@ -39,7 +39,7 @@ from .entropy import (EntropyValue, _tsallis_of_renyi, alpha_log,
 from .errors import (InvalidParameterError, MomentDivergenceError,
                      NormDivergenceError)
 from .measurement import s_f_gaussian_bound
-from .transform import RepresentationBundle, bundle
+from .transform import RepresentationBundle, density_q_to_k, q_density
 
 LN_E_PI = 1.0 + math.log(math.pi)
 BASE_TOLERANCE = 1e-8
@@ -200,8 +200,7 @@ def correction_linearization_check(state: PureState,
             points.append(LinearizationPoint(0.0, 0.0, 0.0, 0.0))
             continue
         st = rebuild_state(state, beta)
-        rep = bundle(st)
-        u = rep.u_k
+        u = density_q_to_k(q_density(st), st.params)  # as bundle takes it
         try:
             moment(u, 2)  # both moments must exist for the expansion
             k4 = moment(u, 4).value

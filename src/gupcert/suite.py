@@ -6,6 +6,12 @@ reports; `_record` tags each with the state and parameters the cell passed
 in and renders those tags as the row's input digest.  Records are sorted by
 that digest so the report is byte-identical across runs and independent of
 the order the cells run in; floats serialize with 17 significant digits.
+
+Verify and the sweeps take one path through a cell: `_bundle` builds the
+bundle of a state spec at one beta and `_smeared` gives S_f and the smeared
+pair at one sigma.  At the degenerate order pair (1, 1) the Beckner and
+smeared Renyi relations are the Shannon ones, so those rows are the cell's
+own shannon_sum_base and smeared Shannon reports: no entropy is taken twice.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ from typing import Optional
 import numpy as np
 
 from . import relations as rel
-from .core import (BOX_STATES, CATALOG_NAMES, DensityFn, catalog_state,
-                   check_shape_args, make_params)
+from .core import (BOX_STATES, CATALOG_NAMES, DensityFn, _check_catalog_args,
+                   catalog_state, make_params)
 from .entropy import DensityCdf, as_cdf, bin_density
 from .errors import (ConfigError, GupcertError, InvalidParameterError,
                      ResolutionError)
@@ -60,7 +66,8 @@ class RunConfig:
         """Check the shape of every value; builds no state.
 
         Rows are keyed by state name and grid values, so neither may repeat.
-        A state's shape_args must be exactly those it uses.
+        A state's shape_args must be exactly those it uses, and a
+        random_fourier_q state needs a seed.
         """
         for name, grid in (("beta_grid", self.beta_grid),
                            ("sigma_grid", self.sigma_grid),
@@ -93,7 +100,7 @@ class RunConfig:
                 raise ConfigError(f"state {spec!r} needs a list of numbers "
                                   "as shape_args and an integer seed >= 0")
             try:
-                check_shape_args(spec["name"], args)
+                _check_catalog_args(spec["name"], args, seed)
             except InvalidParameterError as exc:
                 raise ConfigError(f"state {spec!r}: {exc}") from exc
         names = [spec["name"] for spec in self.states]
@@ -154,9 +161,10 @@ def _tag(x) -> str:
 
 
 def _record(report: rel.RelationReport, state: str, beta: float, sigma=None,
-            alpha=None, gamma=None, delta_k=None, delta_x=None) -> dict:
+            pair=None, delta_k=None, delta_x=None) -> dict:
     """One report row; its digest renders the tags the row stores."""
     rid = report.relation_id
+    alpha, gamma = (None, None) if pair is None else (pair.alpha, pair.gamma)
     # The norm-ordering digest has always keyed sigma as "-": the bench
     # references and published reports sort and match that row by it.
     key_sigma = None if rid == "discrete_norm_ordering" else sigma
@@ -229,21 +237,31 @@ def _bin_pair(rng: np.random.Generator, a, b, dmin: float, dmax: float):
 # verify
 # ---------------------------------------------------------------------------
 
-def _build_state(spec: dict, beta: float):
-    """The spec's catalog state, or None for a box state at beta = 0.
+def _bundle(spec: dict, beta: float):
+    """The bundle of the spec's state at beta; None for a box state at 0.
 
-    Any other state that cannot be built is a configuration error.
+    Any other state that cannot be built is a configuration error; a
+    ResolutionError while bundling names the cell.
     """
     params = make_params(beta)
     if spec["name"] in BOX_STATES and not params.deformed:
         return None
     try:
-        return catalog_state(spec["name"], params,
-                             shape_args=spec.get("shape_args") or (),
-                             seed=spec.get("seed"))
+        state = catalog_state(spec["name"], params,
+                              shape_args=spec.get("shape_args") or (),
+                              seed=spec.get("seed"))
     except GupcertError as exc:
         raise ConfigError(f"state {spec['name']!r} unusable at beta={beta}: "
                           f"{exc}") from exc
+    with _naming_cell(spec["name"], beta):
+        return bundle(state)
+
+
+def _smeared(rep, sigma: float):
+    """S_f of the Gaussian acceptance of width sigma and the bundle's
+    (wavenumber, position) pair smeared by it."""
+    f = gaussian_acceptance(sigma)
+    return s_f(f, rep.source.params), (smear(rep.u_k, f), smear(rep.w_x, f))
 
 
 def _verify_cell(spec: dict, beta: float, config: RunConfig) -> list[dict]:
@@ -252,8 +270,8 @@ def _verify_cell(spec: dict, beta: float, config: RunConfig) -> list[dict]:
     A ResolutionError names the cell, and the sigma under which it arose.
     """
     label = spec["name"]
-    state = _build_state(spec, beta)
-    if state is None:
+    rep = _bundle(spec, beta)
+    if rep is None:
         return []
     cell_tag = zlib.crc32(f"{label}:{beta:.17g}".encode()) % 100_000
     dmin, dmax, seed = config.binning
@@ -261,8 +279,6 @@ def _verify_cell(spec: dict, beta: float, config: RunConfig) -> list[dict]:
     dmin, dmax = float(dmin), float(dmax)
     out: list[dict] = []
 
-    with _naming_cell(label, beta):
-        rep = bundle(state)
     # the Fourier-pair, binning-lemma and binned Shannon rows read one set
     # of entropies, so the unsmeared pair is binned, on rng's first edges,
     # before they are taken
@@ -279,14 +295,32 @@ def _verify_cell(spec: dict, beta: float, config: RunConfig) -> list[dict]:
 
     pairs = [rel.conjugate_order(a) for a in config.alpha_grid]
     for pair in pairs:
-        for rpt in rel.check_beckner(pair, rep):
-            out.append(_record(rpt, label, beta, alpha=pair.alpha,
-                               gamma=pair.gamma))
+        beckner = rows[:1] if pair.degenerate else rel.check_beckner(pair, rep)
+        out.extend(_record(rpt, label, beta, pair=pair) for rpt in beckner)
 
     for sigma in config.sigma_grid:
         with _naming_cell(label, beta, sigma):
-            out.extend(_sigma_records(rep, sigma, pairs, rng, dmin, dmax,
-                                      label, beta))
+            sf_val, smeared = _smeared(rep, sigma)
+            shannon = rel.check_smeared_shannon(rep, smeared, sf_val)
+            out.extend(_record(rpt, label, beta, sigma=sigma)
+                       for rpt in shannon)
+            binned = _bin_pair(rng, *smeared, dmin, dmax)
+            for pair in pairs:
+                renyi = shannon if pair.degenerate else rel.check_renyi_smeared(
+                    pair, rep, smeared, sf_val)
+                out.extend(_record(rpt, label, beta, sigma=sigma, pair=pair)
+                           for rpt in renyi)
+                if binned is None:
+                    continue
+                dk, dx = binned[0].delta_max, binned[1].delta_max
+                *renyi, ordering = rel.check_renyi_binned(pair, *binned, sf_val)
+                out.extend(_record(rpt, label, beta, sigma=sigma, pair=pair,
+                                   delta_k=dk, delta_x=dx) for rpt in renyi)
+                out.append(_record(ordering, label, beta, sigma=sigma,
+                                   pair=pair, delta_k=dk))
+        # the smeared pair and its bins, a cell's largest arrays, go before
+        # the next sigma builds its own
+        del smeared, binned
     return out
 
 
@@ -300,39 +334,6 @@ def _naming_cell(label: str, beta: float, sigma=None):
         if sigma is not None:
             cell += f", sigma={_tag(sigma)}"
         raise ResolutionError(f"{exc} ({cell})") from exc
-
-
-def _sigma_records(rep, sigma: float, pairs: list, rng: np.random.Generator,
-                   dmin: float, dmax: float, label: str,
-                   beta: float) -> list[dict]:
-    """The smeared and binned checks of one cell at one sigma.
-
-    The smeared densities and their bins, the largest arrays of a cell, are
-    freed on return, before the next sigma builds its own.
-    """
-    out = []
-    f = gaussian_acceptance(sigma)
-    sf_val = s_f(f, rep.source.params)
-    smeared = (smear(rep.u_k, f), smear(rep.w_x, f))
-    for rpt in rel.check_smeared_shannon(rep, smeared, sf_val):
-        out.append(_record(rpt, label, beta, sigma=sigma))
-    binned = _bin_pair(rng, *smeared, dmin, dmax)
-    for pair in pairs:
-        for rpt in rel.check_renyi_smeared(pair, rep, smeared, sf_val):
-            out.append(_record(rpt, label, beta, sigma=sigma,
-                               alpha=pair.alpha, gamma=pair.gamma))
-        if binned is None:
-            continue
-        p_m, p_n = binned
-        *rows, ordering = rel.check_renyi_binned(pair, p_m, p_n, sf_val)
-        for rpt in rows:
-            out.append(_record(rpt, label, beta, sigma=sigma,
-                               alpha=pair.alpha, gamma=pair.gamma,
-                               delta_k=p_m.delta_max, delta_x=p_n.delta_max))
-        out.append(_record(ordering, label, beta, sigma=sigma,
-                           alpha=pair.alpha, gamma=pair.gamma,
-                           delta_k=p_m.delta_max))
-    return out
 
 
 def _sf_records(config: RunConfig) -> list[dict]:
@@ -367,42 +368,34 @@ def run_sweep(config: RunConfig, param: str) -> list[dict]:
     label = spec["name"]
     if param != "beta":  # sigma and alpha sweeps share one state
         beta = config.beta_grid[0]
-        state = _build_state(spec, beta)
-        if state is None:
+        rep = _bundle(spec, beta)
+        if rep is None:
             raise ConfigError(f"sweep state {label!r} is undefined at "
                               f"beta={beta}")
-        with _naming_cell(label, beta):
-            rep = bundle(state)
     if param == "beta":
         for beta in config.beta_grid:
-            state = _build_state(spec, beta)
-            if state is None:
+            rep = _bundle(spec, beta)
+            if rep is None:
                 continue
-            with _naming_cell(label, beta):
-                rep = bundle(state)
-            rpt = rel.check_correction_term(rep)
-            records.append(_record(rpt, label, beta))
-            for r in rel.check_bbm_corrected(rep):
-                records.append(_record(r, label, beta))
+            records.append(_record(rel.check_correction_term(rep), label,
+                                   beta))
+            records.extend(_record(r, label, beta)
+                           for r in rel.check_bbm_corrected(rep))
         records.extend(_sf_records(config))
     elif param == "sigma":
         for sigma in config.sigma_grid:
-            f = gaussian_acceptance(sigma)
             with _naming_cell(label, beta, sigma):
-                smeared = (smear(rep.u_k, f), smear(rep.w_x, f))
-            for r in rel.check_smeared_shannon(rep, smeared,
-                                               s_f(f, state.params)):
-                records.append(_record(r, label, beta, sigma=sigma))
+                sf_val, smeared = _smeared(rep, sigma)
+                records.extend(_record(r, label, beta, sigma=sigma) for r in
+                               rel.check_smeared_shannon(rep, smeared, sf_val))
         records.extend(_sf_records(config))
     else:
         for a in config.alpha_grid:
             pair = rel.conjugate_order(a)
-            rpt = rel.check_kappa(pair)
-            records.append(_record(rpt, "-", beta, alpha=pair.alpha,
-                                   gamma=pair.gamma))
-            for r in rel.check_beckner(pair, rep):
-                records.append(_record(r, label, beta, alpha=pair.alpha,
-                                       gamma=pair.gamma))
+            records.append(_record(rel.check_kappa(pair), "-", beta,
+                                   pair=pair))
+            records.extend(_record(r, label, beta, pair=pair)
+                           for r in rel.check_beckner(pair, rep))
     records.sort(key=lambda r: r["digest"])
     return records
 

@@ -216,6 +216,25 @@ def test_unwritable_out_fails_before_any_cell(small_config, tmp_path, capsys,
     assert main(command + config + ["--out", str(tmp_path)]) == 2  # a folder
 
 
+def test_unseeded_state_fails_before_any_cell(tmp_path, capsys, monkeypatch):
+    # the seedless random_fourier_q is rejected with the config, not after
+    # the raised_cosine_q cells have run
+    from gupcert import suite
+
+    def no_bundle(*args, **kwargs):
+        raise AssertionError("ran a cell of an invalid config")
+
+    monkeypatch.setattr(suite, "bundle", no_bundle)
+    path = tmp_path / "seedless.json"
+    path.write_text(json.dumps({"states": [
+        {"name": "raised_cosine_q"},
+        {"name": "random_fourier_q", "shape_args": [6]}]}))
+    assert main(["verify", "--config", str(path),
+                 "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "needs a seed" in err
+
+
 def test_unresolvable_cell_names_itself(tmp_path, capsys):
     # in a run of many cells the message must say which one failed
     path = tmp_path / "tails.json"

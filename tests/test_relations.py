@@ -120,6 +120,18 @@ class TestLinearization:
         report = g.correction_linearization_check(uniform_state, [1e-3])
         assert not report.applicable
 
+    def test_builds_no_position_density(self, params_1, monkeypatch):
+        # the expansion reads only the K density: no dense Fourier sum
+        from gupcert import transform
+
+        def no_x(*args, **kwargs):
+            raise AssertionError("built an X density it never reads")
+
+        monkeypatch.setattr(transform, "x_density", no_x)
+        st_ = g.catalog_state("truncated_gaussian_q", params_1,
+                              shape_args=[1.0])
+        assert g.correction_linearization_check(st_, [1e-2, 1e-3]).applicable
+
 
 class TestRobertson:
     def test_small_beta_gaussian(self, gauss_rep_small_beta):
@@ -235,6 +247,16 @@ class TestBecknerAndRenyi:
             for rpt in g.check_beckner(pair, gauss_rep_small_beta):
                 assert rpt.margin >= -1e-8
                 assert rpt.margin < 1e-6  # Gaussians saturate the inequality
+
+    def test_divergent_power_integral_is_not_applicable(self, uniform_rep):
+        # gamma = 1000/1999 meets the x^-2 tail of uniform_q's X density:
+        # the row that reads that integral cannot be made, its twin can
+        qx, xq = g.check_beckner(g.conjugate_order(1000.0), uniform_rep)
+        assert qx.relation_id == "beckner_qx"
+        assert qx.verdict == "not_applicable"
+        assert qx.reason == ("integral of p**0.50025 diverges "
+                             "(tail exponent 2)")
+        assert xq.relation_id == "beckner_xq" and xq.verdict == "pass"
 
     def test_degenerate_dispatches_to_base(self, cosine_rep):
         reports = g.check_beckner(g.OrderPair(1.0, 1.0), cosine_rep)

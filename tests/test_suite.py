@@ -1,3 +1,5 @@
+import pytest
+
 from gupcert import suite
 from gupcert.suite import RunConfig
 
@@ -71,10 +73,14 @@ def test_norm_ordering_reads_the_renyi_norms(monkeypatch):
     assert len(rows) == 4 and all(r["verdict"] == "pass" for r in rows)
 
 
-def test_verify_cell_takes_each_shannon_entropy_once(monkeypatch):
+@pytest.mark.parametrize("alpha_grid", [[1.5, 2.0], [1.0, 2.0]],
+                         ids=["without_alpha1", "with_alpha1"])
+def test_verify_cell_takes_each_shannon_entropy_once(monkeypatch, alpha_grid):
     # the Fourier-pair, binning-lemma and binned Shannon rows read one set
     # of entropies: H(Q), H(X), H(K), H(p_k) and H(p_x), then H of the two
-    # smeared densities for every sigma, each taken once
+    # smeared densities for every sigma, each taken once; at alpha = 1 the
+    # Beckner and smeared Renyi rows are those Shannon rows, so an order of
+    # 1 takes none again
     from gupcert import relations
 
     taken = []  # holding every argument keeps the ids unique
@@ -91,7 +97,7 @@ def test_verify_cell_takes_each_shannon_entropy_once(monkeypatch):
     for name in ("diff_shannon", "discrete_renyi"):
         monkeypatch.setattr(relations, name, holding(name))
     config = RunConfig(beta_grid=[1.0], sigma_grid=[0.5, 2.0],
-                       alpha_grid=[1.5, 2.0],
+                       alpha_grid=alpha_grid,
                        states=[{"name": "raised_cosine_q"}])
     records = suite._verify_cell(config.states[0], 1.0, config)
     ids = [id(d) for d in taken]
@@ -102,9 +108,9 @@ def test_verify_cell_takes_each_shannon_entropy_once(monkeypatch):
 
 
 def test_degenerate_order_rows_have_unique_digests():
-    # at alpha = 1 the Beckner and smeared Renyi checks dispatch to Shannon
-    # rows that the cell also emits without an order; the order tags keep
-    # the two apart
+    # at alpha = 1 the Beckner and smeared Renyi rows are the cell's own
+    # shannon_sum_base and smeared Shannon reports, emitted once more with
+    # the order pair; the order tags keep the two apart
     config = RunConfig(beta_grid=[1.0], sigma_grid=[1.0],
                        alpha_grid=[1.0, 2.0],
                        states=[{"name": "raised_cosine_q"}])
