@@ -18,6 +18,7 @@ for it.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from .errors import ConfigError, GupcertError
@@ -77,47 +78,37 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "verify":
-            config = _config_from_args(args)
-            check_writable(config.output_path)
-            records, status = run_verify(config)
-            write_report(records, config, config.output_path)
-            n_fail = sum(r["verdict"] == "fail" for r in records)
-            print(f"{len(records)} checks, {n_fail} failed -> "
-                  f"{config.output_path}")
-            return status
-        if args.command == "sweep":
-            config = _config_from_args(args)
-            check_writable(config.output_path)
-            records = run_sweep(config, args.param)
-            write_report(records, config, config.output_path)
-            print(f"{len(records)} sweep rows -> {config.output_path}")
-            return 0
         if args.command == "show-state":
             if args.out:
                 check_writable(args.out)
             payload = show_state(args.name, args.beta,
                                  shape_args=tuple(args.shape_args),
                                  seed=args.seed)
-            text = _render_state(payload)
+            text = json.dumps(payload, indent=1, sort_keys=True,
+                              allow_nan=False) + "\n"
             if args.out:
                 write_text(args.out, text)
             else:
                 sys.stdout.write(text)
             return 0
+        config = _config_from_args(args)
+        check_writable(config.output_path)
+        if args.command == "verify":
+            records, status = run_verify(config)
+            n_fail = sum(r["verdict"] == "fail" for r in records)
+            summary = f"{len(records)} checks, {n_fail} failed"
+        else:
+            records, status = run_sweep(config, args.param), 0
+            summary = f"{len(records)} sweep rows"
+        write_report(records, config)
+        print(f"{summary} -> {config.output_path}")
+        return status
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except GupcertError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
-
-
-def _render_state(payload: dict) -> str:
-    import json as _json
-
-    return _json.dumps(payload, indent=1, sort_keys=True, allow_nan=True) + "\n"
 
 
 if __name__ == "__main__":

@@ -22,7 +22,8 @@ overflows:
     norm     ||p||_a = S_a^(1/a)
     Tsallis  H_a = (S_a - 1) / (1-a) = expm1((1-a) R_a) / (1-a)
 
-with the a -> 1 limit dispatching to the Shannon entropy in all three.
+with the a -> 1 limit dispatching to the Shannon entropy in all three, and
+a = inf taking the limits -ln max p, max p and (for bins) 0.
 """
 
 from __future__ import annotations
@@ -108,14 +109,17 @@ def renyi_and_norm(density: DensityFn,
     Both are functions of the same integral (tail models that extend the
     window included), so a caller that needs both computes it once; the
     error of ln(norm) is the Renyi entropy's times |1 - alpha| / alpha.
-    alpha = 1 gives the Shannon entropy and norm 1.  Raises
-    NormDivergenceError when a tail model makes the integral diverge at a
+    alpha = 1 gives the Shannon entropy and norm 1, alpha = inf the limits
+    -ln sup p and sup p.  Raises NormDivergenceError when a tail model makes
+    the integral diverge, or converge too slowly to resolve, at a
     numerically material scale.
     """
     if alpha <= 0.0:
         raise InvalidParameterError("alpha must be positive")
     if alpha == 1.0:
         return diff_shannon(density), 1.0
+    if math.isinf(alpha):
+        return _sup_renyi(density)
     sides = density.tail_sides()
     added = [(side, start) for side, start, _ in sides
              if side.alpha_converges(alpha) and density.tail_mass_bound > 0.0]
@@ -126,14 +130,38 @@ def renyi_and_norm(density: DensityFn,
         if not side.alpha_converges(alpha) and side.alpha_mass_beyond(
                 max(alpha, 1.0 / side.exponent + 0.02), start, 1.0) \
                 >= 1e-12 * max(math.exp(log_sum), 1e-30):
+            verb = ("converges too slowly to resolve"
+                    if side.exponent * alpha > 1.0 else "diverges")
             raise NormDivergenceError(
-                f"integral of p**{alpha:g} diverges (tail exponent {side.exponent:g})",
+                f"integral of p**{alpha:g} {verb} (tail exponent {side.exponent:g})",
                 tail_exponent=side.exponent)
     err = (density.grid.rule_error(terms) + _VALUE_ULPS * _EPS * alpha * core
            + 0.05 * tail)
     renyi = EntropyValue(value=log_sum / (1.0 - alpha), differential=True,
                          est_error=err / (abs(1.0 - alpha) * (core + tail)))
     return renyi, math.exp(log_sum / alpha)
+
+
+def _sup_renyi(density: DensityFn) -> tuple[EntropyValue, float]:
+    """R_inf = -ln sup p and ||p||_inf = sup p, read at the largest node.
+
+    That node can only under-read the supremum, so the error adds the rise
+    of the parabola through it and its two neighbours over their span.
+    """
+    x, p = density.grid.nodes, density.values
+    i = int(np.argmax(p))
+    p_max = float(p[i])
+    j = min(max(i, 1), p.size - 2)  # the middle of the three nodes
+    (x0, x1, x2), (y0, y1, y2) = x[j - 1:j + 2], p[j - 1:j + 2]
+    slope = (y1 - y0) / (x1 - x0)
+    curv = ((y2 - y1) / (x2 - x1) - slope) / (x2 - x0)
+    rise = 0.0
+    if curv < 0.0:
+        top = min(max(0.5 * (x0 + x1 - slope / curv), x0), x2)
+        rise = max(0.0, float(y0 + (top - x0) * (slope + curv * (top - x1)))
+                   - p_max)
+    return (EntropyValue(value=-math.log(p_max), differential=True,
+                         est_error=rise / p_max + _VALUE_ULPS * _EPS), p_max)
 
 
 def alpha_norm(density: DensityFn, alpha: float) -> float:
@@ -332,13 +360,21 @@ def discrete_renyi_and_norm(dist: DiscreteDist,
 
     Both are functions of ln sum_j p_j**alpha, whose error is
     alpha sum p^(alpha-1) |dp| / sum p^alpha; the entropy's error is that
-    over |1 - alpha|.  alpha = 1 gives the Shannon entropy and norm 1.
+    over |1 - alpha|.  alpha = 1 gives the Shannon entropy and norm 1,
+    alpha = inf -ln max p and max p, whose error is the largest bin's own
+    or the most any other bin may rise above it.
     """
     if alpha <= 0.0:
         raise InvalidParameterError("alpha must be positive")
     if alpha == 1.0:
         return _discrete_shannon(dist), 1.0
     p, dp = _positive(dist)
+    if math.isinf(alpha):
+        i = int(np.argmax(p))
+        p_max = float(p[i])
+        err = max(float(np.max(p + dp)) - p_max, float(dp[i])) / p_max
+        return EntropyValue(value=-math.log(p_max), differential=False,
+                            est_error=err), p_max
     log_sum, terms, core, _ = _power_sum(p, alpha)
     terms /= p  # p^(alpha-1) / sum p^alpha is terms / (p core)
     err = alpha / abs(1.0 - alpha) * float(np.dot(terms, dp)) / core
@@ -365,9 +401,12 @@ def discrete_tsallis(dist: DiscreteDist, alpha: float) -> EntropyValue:
 def _tsallis_of_renyi(renyi: EntropyValue, alpha: float) -> EntropyValue:
     """The Tsallis entropy of the order of the Renyi entropy R: sum p^alpha
     is exp((1 - alpha) R), and the error is that sum times R's error.
-    alpha = 1 returns R, the Shannon entropy."""
+    alpha = 1 returns R, the Shannon entropy; at alpha = inf the sum of a
+    distribution is at most 1, so the entropy is exactly its limit 0."""
     if alpha == 1.0:
         return renyi
+    if math.isinf(alpha):
+        return EntropyValue(value=0.0, differential=False, est_error=0.0)
     log_sum = (1.0 - alpha) * renyi.value
     return EntropyValue(value=math.expm1(log_sum) / (1.0 - alpha),
                         differential=False,
@@ -382,6 +421,8 @@ def alpha_log(y: float, nu: float) -> float:
         raise InvalidParameterError("alpha_log needs nu > 0")
     if nu == 1.0:
         return math.log(y)
+    if math.isinf(nu):  # y**(1-nu) falls to 0 above y = 1 and grows below
+        return 0.0 if y >= 1.0 else -math.inf
     return math.expm1((1.0 - nu) * math.log(y)) / (1.0 - nu)
 
 

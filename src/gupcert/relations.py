@@ -371,7 +371,10 @@ def check_beckner(pair: OrderPair,
 
 
 def _log_norm_error(renyi: EntropyValue, order: float) -> float:
-    """Error of ln ||p||_order from that of the Renyi entropy of the order."""
+    """Error of ln ||p||_order from that of the Renyi entropy of the order;
+    the factor |1 - order| / order is 1 at order inf."""
+    if math.isinf(order):
+        return renyi.est_error
     return renyi.est_error * abs(1.0 - order) / order
 
 

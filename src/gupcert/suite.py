@@ -30,7 +30,7 @@ import numpy as np
 from . import relations as rel
 from .core import (BOX_STATES, CATALOG_NAMES, DensityFn, _check_catalog_args,
                    catalog_state, make_params)
-from .entropy import DensityCdf, as_cdf, bin_density
+from .entropy import DensityCdf, as_cdf, bin_density, diff_shannon
 from .errors import (ConfigError, GupcertError, InvalidParameterError,
                      ResolutionError)
 from .measurement import gaussian_acceptance, s_f, smear
@@ -38,9 +38,10 @@ from .transform import bundle
 
 _COVERAGE_FRAC = 3e-7  # mass per side left outside a binning window
 _SHOW_MAX_ROWS = 2000  # show-state thins each density table to about this
-RECORD_FIELDS = ("relation_id", "state", "beta", "sigma", "alpha", "gamma",
-                 "delta_k", "delta_x", "lhs", "rhs", "margin", "est_error",
-                 "verdict")
+# a row's tags, the inputs its digest renders, and the sides of its report
+_TAGS = ("beta", "sigma", "alpha", "gamma", "delta_k", "delta_x")
+_SIDES = ("lhs", "rhs", "margin", "est_error")
+RECORD_FIELDS = ("relation_id", "state", *_TAGS, *_SIDES, "verdict")
 
 _DEFAULT_STATES = (
     {"name": "raised_cosine_q", "shape_args": [], "seed": None},
@@ -165,19 +166,16 @@ def _record(report: rel.RelationReport, state: str, beta: float, sigma=None,
     """One report row; its digest renders the tags the row stores."""
     rid = report.relation_id
     alpha, gamma = (None, None) if pair is None else (pair.alpha, pair.gamma)
+    tags = dict(zip(_TAGS, (beta, sigma, alpha, gamma, delta_k, delta_x)))
     # The norm-ordering digest has always keyed sigma as "-": the bench
     # references and published reports sort and match that row by it.
-    key_sigma = None if rid == "discrete_norm_ordering" else sigma
-    digest = (f"relation={rid};state={state};beta={_tag(beta)};"
-              f"sigma={_tag(key_sigma)};alpha={_tag(alpha)};gamma={_tag(gamma)};"
-              f"delta_k={_tag(delta_k)};delta_x={_tag(delta_x)}")
-    return {"relation_id": rid, "state": state, "beta": beta,
-            "sigma": sigma, "alpha": alpha, "gamma": gamma,
-            "delta_k": delta_k, "delta_x": delta_x, "lhs": report.lhs,
-            "rhs": report.rhs, "margin": report.margin,
-            "est_error": report.est_error, "verdict": report.verdict,
-            "tolerance": report.tolerance, "reason": report.reason,
-            "digest": digest}
+    keys = dict(tags, sigma=None) if rid == "discrete_norm_ordering" else tags
+    digest = ";".join([f"relation={rid}", f"state={state}",
+                       *(f"{k}={_tag(v)}" for k, v in keys.items())])
+    return {"relation_id": rid, "state": state, **tags,
+            **{k: getattr(report, k) for k in _SIDES},
+            "verdict": report.verdict, "tolerance": report.tolerance,
+            "reason": report.reason, "digest": digest}
 
 
 def _random_edges(rng: np.random.Generator, lo: float, hi: float,
@@ -405,26 +403,26 @@ def run_sweep(config: RunConfig, param: str) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def show_state(name: str, beta: float, shape_args=(), seed=None) -> dict:
-    from .entropy import diff_shannon
+    """One state's densities, thinned, with their masses and entropies.
 
-    params = make_params(beta)
-    state = catalog_state(name, params, shape_args=shape_args, seed=seed)
-    rep = bundle(state)
+    Built as a verify cell is: an unbuildable state, a box state at beta = 0
+    included, is a ConfigError.  q0 is the string "inf" at beta = 0.
+    """
+    rep = _bundle({"name": name, "shape_args": shape_args, "seed": seed}, beta)
+    if rep is None:
+        raise ConfigError(f"state {name!r} is undefined at beta={beta}")
+    q0 = rep.source.params.q0
+    densities = {"v_q": rep.v_q, "w_x": rep.w_x, "u_k": rep.u_k}
 
     def table(density):
-        n = len(density.grid)
-        stride = max(1, n // _SHOW_MAX_ROWS)
-        idx = np.arange(0, n, stride)
-        return [[float(density.grid.nodes[i]), float(density.values[i])]
-                for i in idx]
+        stride = max(1, len(density.grid) // _SHOW_MAX_ROWS)
+        return [[float(x), float(p)] for x, p in
+                zip(density.grid.nodes[::stride], density.values[::stride])]
 
     return {
-        "state": name, "beta": beta, "q0": params.q0,
-        "normalization": {
-            "v_q": rep.v_q.grid.integrate(rep.v_q.values) + rep.v_q.tail_mass_bound,
-            "w_x": rep.w_x.grid.integrate(rep.w_x.values) + rep.w_x.tail_mass_bound,
-            "u_k": rep.u_k.grid.integrate(rep.u_k.values) + rep.u_k.tail_mass_bound,
-        },
+        "state": name, "beta": beta, "q0": q0 if math.isfinite(q0) else "inf",
+        "normalization": {key: d.grid.integrate(d.values) + d.tail_mass_bound
+                          for key, d in densities.items()},
         "entropies": {
             "H_Q": diff_shannon(rep.v_q).value,
             "H_X": diff_shannon(rep.w_x).value,
@@ -461,8 +459,7 @@ def render_json(records: list[dict], config: Optional[RunConfig] = None) -> str:
     for r in records:
         parts = [f'"relation_id": "{r["relation_id"]}"',
                  f'"state": "{r["state"]}"']
-        for key in ("beta", "sigma", "alpha", "gamma", "delta_k", "delta_x",
-                    "lhs", "rhs", "margin", "est_error", "tolerance"):
+        for key in (*_TAGS, *_SIDES, "tolerance"):
             parts.append(f'"{key}": {_fmt_float(r[key])}')
         parts.append(f'"verdict": "{r["verdict"]}"')
         if r.get("reason"):
@@ -490,9 +487,10 @@ def render_csv(records: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(records: list[dict], config: RunConfig, path: str) -> None:
-    write_text(path, render_json(records, config) if config.format == "json"
-               else render_csv(records))
+def write_report(records: list[dict], config: RunConfig) -> None:
+    """Write the report in the config's format to its output_path."""
+    write_text(config.output_path, render_json(records, config)
+               if config.format == "json" else render_csv(records))
 
 
 def check_writable(path: str) -> None:

@@ -339,8 +339,39 @@ class TestShowState:
         payload = json.loads(out.read_text())
         assert payload["tables"]["q"] == payload["tables"]["k"]
 
+    def test_beta_zero_writes_strict_json(self, tmp_path):
+        # RFC 8259 has no Infinity: q0 = inf at beta = 0 is written "inf"
+        def no_constant(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        out = tmp_path / "state.json"
+        assert main(["show-state", "--name", "truncated_gaussian_q",
+                     "--beta", "0.0", "--shape-args", "1.0",
+                     "--out", str(out)]) == 0
+        payload = json.loads(out.read_text(), parse_constant=no_constant)
+        assert payload["q0"] == "inf"
+
+    def test_writes_to_stdout(self, tmp_path, capsys):
+        out = tmp_path / "state.json"
+        args = ["show-state", "--name", "raised_cosine_q", "--beta", "1.0"]
+        assert main(args) == 0
+        text = capsys.readouterr().out
+        assert main(args + ["--out", str(out)]) == 0
+        assert text == out.read_text()
+        assert json.loads(text)["state"] == "raised_cosine_q"
+
     def test_unknown_state_exit_two(self):
         assert main(["show-state", "--name", "bogus", "--beta", "1.0"]) == 2
+
+    @pytest.mark.parametrize("args", [
+        ["--name", "bogus", "--beta", "1.0"],
+        ["--name", "random_fourier_q", "--beta", "1.0", "--shape-args", "6"],
+        ["--name", "uniform_q", "--beta", "0.0"],
+    ], ids=["unknown", "unseeded", "box_at_beta_zero"])
+    def test_unbuildable_state_is_a_config_error(self, args, capsys):
+        assert main(["show-state"] + args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: state ") and "Traceback" not in err
 
 
 class TestSerialization:

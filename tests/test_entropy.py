@@ -93,6 +93,22 @@ class TestDiffRenyi:
         assert -math.log(p.max()) <= r_big <= g.diff_renyi(d, 1e3).value
 
 
+    @pytest.mark.parametrize("fixture", ["cosine_rep", "uniform_rep"])
+    def test_order_infinity_is_the_supremum(self, fixture, request):
+        # R_inf = -ln max p, and max p can only under-read sup p: the error
+        # holds the rise of the parabola through the top node and its
+        # neighbours
+        rep = request.getfixturevalue(fixture)
+        for d in (rep.v_q, rep.w_x, rep.u_k):
+            r, norm = g.renyi_and_norm(d, math.inf)
+            assert norm == float(np.max(d.values))
+            assert r.value == -math.log(norm)
+            assert 0.0 < r.est_error < 1e-2
+            assert r.value <= g.diff_renyi(d, 1e3).value + r.est_error
+        d = uniform_density(2.0)
+        assert g.alpha_norm(d, math.inf) == pytest.approx(0.5, rel=1e-15)
+
+
 class TestBinning:
     def test_uniform_quarters(self):
         d = uniform_density(1.0)
@@ -154,6 +170,20 @@ class TestDiscreteEntropies:
             assert g.discrete_tsallis(dist, alpha).value == pytest.approx(
                 1.0 / (alpha - 1.0), rel=1e-12)
 
+    def test_order_infinity(self):
+        probs = np.array([0.5, 0.498, 0.002])
+        dist = g.DiscreteDist(edges=np.arange(4.0), probs=probs,
+                              prob_errors=np.array([1e-3, 4e-3, 1e-3]))
+        r, norm = g.discrete_renyi_and_norm(dist, math.inf)
+        assert norm == 0.5 and r.value == -math.log(0.5)
+        # the 0.498 bin may rise 2e-3 above max p, more than 0.5 may move
+        assert r.est_error == pytest.approx(2e-3 / 0.5, rel=1e-9)
+        t = g.discrete_tsallis(dist, math.inf)
+        assert t.value == 0.0 and t.est_error == 0.0
+        point = g.DiscreteDist(edges=np.arange(3.0), probs=np.array([1.0, 0.0]))
+        assert g.discrete_renyi(point, math.inf).value == 0.0
+        assert g.discrete_tsallis(point, math.inf).value == 0.0
+
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=60, deadline=None)
     def test_renyi_nonincreasing_in_alpha(self, seed):
@@ -203,6 +233,11 @@ class TestAlphaLog:
     def test_domain(self):
         with pytest.raises(g.InvalidParameterError):
             g.alpha_log(0.0, 2.0)
+
+    def test_nu_infinity_is_the_limit(self):
+        assert g.alpha_log(2.0, math.inf) == 0.0
+        assert g.alpha_log(1.0, math.inf) == 0.0
+        assert g.alpha_log(0.5, math.inf) == -math.inf
 
 
 class TestBinningLemma:
@@ -254,3 +289,12 @@ class TestMonteCarlo:
     def test_cauchy(self, uniform_rep):
         mc = g.mc_diff_shannon(uniform_rep.u_k, 400_000, seed=5)
         assert abs(mc.value - math.log(4 * math.pi)) <= 4.0 * mc.est_error
+
+    def test_position_tails(self, uniform_rep):
+        # 2.9e-4 of uniform_q's X density lies beyond each end of its
+        # window, so about 58 of the samples on each side are drawn from
+        # the tail models
+        d = uniform_rep.w_x
+        assert min(d.tail_masses) > 2e-4
+        mc = g.mc_diff_shannon(d, 200_000, seed=3)
+        assert abs(mc.value - g.diff_shannon(d).value) <= 2.0 * mc.est_error

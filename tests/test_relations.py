@@ -250,13 +250,34 @@ class TestBecknerAndRenyi:
 
     def test_divergent_power_integral_is_not_applicable(self, uniform_rep):
         # gamma = 1000/1999 meets the x^-2 tail of uniform_q's X density:
-        # the row that reads that integral cannot be made, its twin can
+        # 2 gamma = 1.0005 converges, but too slowly to resolve.  The row
+        # that reads that integral cannot be made, its twin can
         qx, xq = g.check_beckner(g.conjugate_order(1000.0), uniform_rep)
         assert qx.relation_id == "beckner_qx"
         assert qx.verdict == "not_applicable"
-        assert qx.reason == ("integral of p**0.50025 diverges "
-                             "(tail exponent 2)")
+        assert qx.reason == ("integral of p**0.50025 converges too slowly to "
+                             "resolve (tail exponent 2)")
         assert xq.relation_id == "beckner_xq" and xq.verdict == "pass"
+
+    def test_order_half_power_integral_diverges(self, uniform_rep):
+        # at alpha = inf, gamma = 1/2 and 2 gamma = 1: the integral diverges
+        qx, xq = g.check_beckner(g.conjugate_order(math.inf), uniform_rep)
+        assert qx.verdict == "not_applicable"
+        assert qx.reason == "integral of p**0.5 diverges (tail exponent 2)"
+        assert xq.relation_id == "beckner_xq" and xq.verdict == "pass"
+
+    @pytest.mark.parametrize("fixture, margins", [
+        ("cosine_rep", (0.328, 0.0)),
+        ("random_rep", (0.797, 0.616)),
+    ])
+    def test_beckner_at_order_infinity(self, fixture, margins, request):
+        # ||.||_inf = max p; a real, nonnegative phi saturates beckner_xq
+        rows = g.check_beckner(g.conjugate_order(math.inf),
+                               request.getfixturevalue(fixture))
+        assert [r.relation_id for r in rows] == ["beckner_qx", "beckner_xq"]
+        for rpt, margin in zip(rows, margins):
+            assert not math.isnan(rpt.rhs) and rpt.verdict == "pass"
+            assert rpt.margin == pytest.approx(margin, abs=1e-3)
 
     def test_degenerate_dispatches_to_base(self, cosine_rep):
         reports = g.check_beckner(g.OrderPair(1.0, 1.0), cosine_rep)
@@ -270,6 +291,12 @@ class TestBecknerAndRenyi:
         assert len(reports) == 4
         for rpt in reports:
             assert rpt.margin >= -1e-8
+
+    def test_renyi_smeared_degenerate_is_smeared_shannon(self, cosine_rep):
+        smeared, sf = _smeared_cell(cosine_rep, g.gaussian_acceptance(1.0))
+        assert g.check_renyi_smeared(g.OrderPair(1.0, 1.0), cosine_rep,
+                                     smeared, sf) \
+            == g.check_smeared_shannon(cosine_rep, smeared, sf)
 
     def test_sf_replaced_by_one_is_weaker(self, cosine_rep):
         f = g.gaussian_acceptance(2.0)

@@ -169,6 +169,26 @@ class TestFourier:
         assert len(sizes) == 4
         assert sum(sizes) == len(w.grid) == 7789
 
+    def test_transform_rule_doubles_until_the_norm_holds(self, params_1,
+                                                         monkeypatch):
+        # 300 modes out to x = 1: 9 panels miss the unit norm, and so do
+        # 17; the third rule, of 33 panels, is the one returned
+        from gupcert import transform
+
+        panels = []
+        real = transform.composite_rule
+
+        def spy(edges, n):
+            panels.append(len(edges) - 1)
+            return real(edges, n)
+
+        monkeypatch.setattr(transform, "composite_rule", spy)
+        state = g.catalog_state("random_fourier_q", params_1,
+                                shape_args=[300], seed=11)
+        nodes, coeff = transform._transform_rule(state, 1.0)
+        assert panels == [9, 17, 33]
+        assert nodes.size == coeff.size == 33 * 32
+
     @pytest.mark.parametrize("blocks", ["default", "two_rows"])
     def test_mirror_pairing_matches_full_sum_bitwise(self, params_1, blocks,
                                                       monkeypatch):
