@@ -11,7 +11,6 @@ statements that survive that.
 import numpy as np
 
 import gupcert as g
-from gupcert.suite import _coverage_window, _random_edges
 
 
 def show(reports):
@@ -44,11 +43,7 @@ def main():
         show(g.check_renyi_smeared(pair, rep, smeared, sf))
 
         # bin each smeared density once; the binned checks share the result
-        rng = np.random.default_rng(3)
-        zlo, zhi = _coverage_window(smeared[0])
-        xlo, xhi = _coverage_window(smeared[1])
-        p_m = g.bin_density(smeared[0], _random_edges(rng, zlo, zhi, 0.05, 2.0))
-        p_n = g.bin_density(smeared[1], _random_edges(rng, xlo, xhi, 0.05, 2.0))
+        p_m, p_n = g.bin_pair(np.random.default_rng(3), *smeared, 0.05, 2.0)
         show(g.check_renyi_binned(pair, p_m, p_n, sf))
         show(g.check_tsallis_binned(pair, p_m, p_n, sf))
         print()

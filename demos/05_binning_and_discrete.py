@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 import gupcert as g
-from gupcert.suite import _coverage_window, _random_edges
 
 
 def main():
@@ -23,9 +22,9 @@ def main():
 
     print("discretizing the wavenumber density with random bin widths:")
     rng = np.random.default_rng(12)
-    lo, hi = _coverage_window(rep.u_k)
+    lo, hi = g.DensityCdf(rep.u_k).coverage_window()
     for dmax in (2.0, 0.5, 0.1):
-        edges = _random_edges(rng, lo, hi, 0.05, dmax)
+        edges = g.random_edges(rng, lo, hi, 0.05, dmax)
         dist = g.bin_density(rep.u_k, edges)
         h_disc = g.discrete_renyi(dist, 1.0).value
         h_cont = g.diff_shannon(rep.u_k).value
@@ -35,7 +34,7 @@ def main():
     print()
 
     print("discrete Renyi entropy is nonincreasing in the order:")
-    edges = _random_edges(rng, lo, hi, 0.05, 2.0)
+    edges = g.random_edges(rng, lo, hi, 0.05, 2.0)
     dist = g.bin_density(rep.u_k, edges)
     for alpha in (0.5, 0.75, 1.0, 1.5, 2.0, 3.0):
         print(f"  R_{alpha:<4} = {g.discrete_renyi(dist, alpha).value:.6f}")
@@ -54,11 +53,8 @@ def main():
     f = g.gaussian_acceptance(1.0)
     smeared = (g.smear(rep.u_k, f), g.smear(rep.w_x, f))
     sf = g.s_f(f, params)
-    zlo, zhi = _coverage_window(smeared[0])
-    xlo, xhi = _coverage_window(smeared[1])
     for dmin, dmax in ((0.05, 0.2), (1.0, 2.0)):
-        p_m = g.bin_density(smeared[0], _random_edges(rng, zlo, zhi, dmin, dmax))
-        p_n = g.bin_density(smeared[1], _random_edges(rng, xlo, xhi, dmin, dmax))
+        p_m, p_n = g.bin_pair(rng, *smeared, dmin, dmax)
         pair = g.conjugate_order(2.0)
         rpt = g.check_tsallis_binned(pair, p_m, p_n, sf)[0]
         print(f"  widths in [{dmin}, {dmax}]: lhs = {rpt.lhs:8.5f}, "

@@ -14,9 +14,10 @@ from .core import (CATALOG_NAMES, DensityFn, DiscreteDist, Domain, Grid,
                    PureState, as_mixed, catalog_state, make_params, mix_states,
                    moment, normalize, rebuild_state)
 from .entropy import (DensityCdf, EntropyValue, alpha_log, alpha_norm,
-                      bin_density, density_cdf, diff_renyi, diff_shannon,
-                      discrete_norm, discrete_renyi, discrete_renyi_and_norm,
-                      discrete_tsallis, mc_diff_shannon, renyi_and_norm)
+                      bin_density, bin_pair, density_cdf, diff_renyi,
+                      diff_shannon, discrete_norm, discrete_renyi,
+                      discrete_renyi_and_norm, discrete_tsallis,
+                      mc_diff_shannon, random_edges, renyi_and_norm)
 from .errors import (ConfigError, ContractError, DegenerateStateError,
                      DomainError, GupcertError, InvalidParameterError,
                      MomentDivergenceError, NormDivergenceError,

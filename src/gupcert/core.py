@@ -415,12 +415,14 @@ def _build_catalog_state(profile: Profile, params: MinLengthParams,
         n *= 2
 
 
-def check_shape_args(name: str, shape_args: Sequence[float]) -> None:
-    """Reject shape_args that the named catalog state would not use as given.
+def check_catalog_args(name: str, shape_args: Sequence[float],
+                       seed: Optional[int]) -> None:
+    """Reject arguments that the named catalog state would not use as given.
 
-    uniform_q and raised_cosine_q take none, truncated_gaussian_q exactly one
-    width s > 0, and random_fourier_q at most one whole mode count m >= 1;
-    anything else would be truncated or ignored, building another state.
+    uniform_q and raised_cosine_q take no shape_args, truncated_gaussian_q
+    exactly one width s > 0, and random_fourier_q at most one whole mode
+    count m >= 1 and a seed to draw from; any other shape_args would be
+    truncated or ignored, building another state.
     """
     if name not in CATALOG_NAMES:
         raise InvalidParameterError(f"unknown catalog state {name!r}")
@@ -435,12 +437,6 @@ def check_shape_args(name: str, shape_args: Sequence[float]) -> None:
             and shape_args[0] >= 1):
         raise InvalidParameterError("random_fourier_q takes at most one whole "
                                     "mode count m >= 1")
-
-
-def _check_catalog_args(name: str, shape_args: Sequence[float],
-                        seed: Optional[int]) -> None:
-    """check_shape_args, and random_fourier_q needs a seed to draw from."""
-    check_shape_args(name, shape_args)
     if name == "random_fourier_q" and seed is None:
         raise InvalidParameterError("random_fourier_q needs a seed")
 
@@ -456,10 +452,10 @@ def catalog_state(name: str, params: MinLengthParams,
     random_fourier_q     seeded complex combination of the first m box modes
                          vanishing at +-q0, m = shape_args[0] (default 8)
 
-    shape_args must be exactly what the state uses (see check_shape_args),
-    and random_fourier_q needs a seed.
+    shape_args must be exactly what the state uses, and random_fourier_q
+    needs a seed (see check_catalog_args).
     """
-    _check_catalog_args(name, shape_args, seed)
+    check_catalog_args(name, shape_args, seed)
     if name in BOX_STATES and not params.deformed:
         raise InvalidParameterError(
             f"{name} needs beta > 0: it is not normalizable on an infinite interval")

@@ -13,6 +13,10 @@ own errors, from the CDF spline and the tail models, which the discrete
 functionals propagate to first order.  Acceptance thresholds elsewhere
 reference these estimates rather than absolute truth.
 
+Binning has one path: a DensityCdf gives a density's coverage window,
+random_edges lays random-width bins over it and bin_density reads them;
+bin_pair does all three for a (wavenumber, position) pair.
+
 Every Renyi entropy, norm and Tsallis entropy of order a reads one power
 sum S_a = sum_j w_j p_j^a (w_j = 1 for bins, tail integrals added for
 densities), formed relative to the largest p so that no order under- or
@@ -41,6 +45,7 @@ from .quadrature import ENTROPY_FLOOR, entropy_sum, pchip
 _EPS = float(np.finfo(float).eps)
 _VALUE_ULPS = 4  # rounding carried by a density value, in units of _EPS
 _BUMP_PEAK = 4.0  # bound on 15/4, a pair's peak-to-mean interpolation error
+_OUTSIDE_MASS = 3e-7  # mass per side left outside a coverage window
 
 
 @dataclass(frozen=True)
@@ -185,20 +190,27 @@ class DensityCdf:
     integrated (a monotone interpolant falls an order short of the interval
     probability tolerance); outside it the fitted power-law mass takes over.
     Calling it gives the CDF at arbitrary points, clipped monotone into
-    [0, 1] and scaled so the total mass is exactly one.  A caller that reads
-    the CDF more than once (a coverage window, then the bins) builds one and
-    passes it to `bin_density`; its spline holds five coefficients per grid
-    interval, so drop it with the bins.
+    [0, 1] and scaled so the total mass is exactly one; `node_cdf` holds
+    those values at the grid nodes.  A caller that reads the CDF more than
+    once (a coverage window, then the bins) builds one and passes it to
+    `bin_density`; its spline holds five coefficients per grid interval, so
+    drop it with the bins.
     """
 
     def __init__(self, density: DensityFn):
         x, p = density.grid.nodes, density.values
         self.density = density
-        self._anti = CubicSpline(x, np.clip(p, 0.0, None)).antiderivative()
+        self._anti = anti = CubicSpline(x, np.clip(p, 0.0, None)).antiderivative()
         lo, hi = density.window
         m_left, m_right = density.tail_masses
-        window_mass = float(self._anti(hi) - self._anti(lo))
-        self.total = m_left + window_mass + m_right
+        self.total = m_left + float(anti(hi) - anti(lo)) + m_right
+        # each interval's constant coefficient is the antiderivative at its
+        # left node: only the window's ends, where tail models take over,
+        # are evaluated
+        inner = np.clip((m_left + (anti.c[-1, 1:] - anti(lo))) / self.total,
+                        0.0, 1.0)
+        ends = self(x[[0, -1]])
+        self.node_cdf = np.concatenate([ends[:1], inner, ends[1:]])
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         density, anti, total = self.density, self._anti, self.total
@@ -219,6 +231,23 @@ class DensityCdf:
             out[above] = total
         out[inside] = m_left + (anti(pts[inside]) - anti(lo))
         return np.clip(out / total, 0.0, 1.0)
+
+    def coverage_window(self) -> tuple[float, float]:
+        """Window with less than _OUTSIDE_MASS of the mass beyond each end.
+
+        Uses the tail-model quantile when the model still holds that much
+        mass at the window edge; otherwise the quantile comes from this CDF,
+        which the binning then reads, so the coverage precondition of
+        bin_density is met by construction.
+        """
+        density, frac, at = self.density, _OUTSIDE_MASS, self.node_cdf
+        x = density.grid.nodes
+        m_left, m_right = density.tail_masses
+        lo = (-density.tail_left.quantile_beyond(frac) if m_left > frac else
+              float(x[max(0, np.searchsorted(at, frac, side="right") - 1)]))
+        hi = (density.tail_right.quantile_beyond(frac) if m_right > frac else
+              float(x[min(x.size - 1, np.searchsorted(at, 1.0 - frac))]))
+        return lo, hi
 
     def bin_errors(self, edges: np.ndarray, cdf: np.ndarray,
                    probs: np.ndarray) -> np.ndarray:
@@ -289,11 +318,6 @@ class DensityCdf:
         return np.clip(errors, 0.0, None, out=errors)
 
 
-def as_cdf(density: DensityFn | DensityCdf) -> DensityCdf:
-    """The density's CDF; a DensityCdf passes through unchanged."""
-    return density if isinstance(density, DensityCdf) else DensityCdf(density)
-
-
 def density_cdf(density: DensityFn, points: np.ndarray) -> np.ndarray:
     """Cumulative distribution at arbitrary points, tail models included
     (see DensityCdf, which this builds and calls once)."""
@@ -315,7 +339,8 @@ def bin_density(density: DensityFn | DensityCdf,
         raise ContractError("need at least two bin edges")
     if np.any(np.diff(edges) <= 0.0):
         raise ContractError("bin edges must be strictly increasing")
-    cdf_of = as_cdf(density)
+    cdf_of = (density if isinstance(density, DensityCdf)
+              else DensityCdf(density))
     cdf = cdf_of(edges)
     coverage = cdf[-1] - cdf[0]
     if coverage < 1.0 - 1e-6:
@@ -327,6 +352,34 @@ def bin_density(density: DensityFn | DensityCdf,
     probs /= probs.sum()
     return DiscreteDist(edges=edges, probs=probs,
                         prob_errors=cdf_of.bin_errors(edges, cdf, probs))
+
+
+def random_edges(rng: np.random.Generator, lo: float, hi: float,
+                 dmin: float, dmax: float) -> np.ndarray:
+    """Bin edges from lo on, with widths drawn uniformly from [dmin, dmax],
+    up to the first edge at or past hi."""
+    n_est = int((hi - lo) / ((dmin + dmax) / 2.0) * 1.3) + 16
+    widths = rng.uniform(dmin, dmax, size=n_est)
+    edges = lo + np.concatenate([[0.0], np.cumsum(widths)])
+    return edges[:int(np.searchsorted(edges, hi)) + 1]
+
+
+def bin_pair(rng: np.random.Generator, a: DensityFn, b: DensityFn,
+             dmin: float, dmax: float):
+    """Both densities binned on random edges over their coverage windows.
+
+    Each density's CDF spline is built once, for its window and its bins,
+    and dropped on return; rng draws the edges of a, then those of b.
+    None, with the generator untouched, when the two windows together would
+    take tens of millions of bins at these widths (very heavy tails).
+    """
+    cdf_a, cdf_b = DensityCdf(a), DensityCdf(b)
+    alo, ahi = cdf_a.coverage_window()
+    blo, bhi = cdf_b.coverage_window()
+    if not ((ahi - alo) + (bhi - blo) < 4e6 * (dmin + dmax) / 2.0):
+        return None
+    return (bin_density(cdf_a, random_edges(rng, alo, ahi, dmin, dmax)),
+            bin_density(cdf_b, random_edges(rng, blo, bhi, dmin, dmax)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ the order the cells run in; floats serialize with 17 significant digits.
 
 Verify and the sweeps take one path through a cell: `_bundle` builds the
 bundle of a state spec at one beta and `_smeared` gives S_f and the smeared
-pair at one sigma.  At the degenerate order pair (1, 1) the Beckner and
+pair at one sigma; `entropy.bin_pair` bins each pair on the cell's own
+generator.  At the degenerate order pair (1, 1) the Beckner and
 smeared Renyi relations are the Shannon ones, so those rows are the cell's
 own shannon_sum_base and smeared Shannon reports: no entropy is taken twice.
 """
@@ -28,15 +29,14 @@ from typing import Optional
 import numpy as np
 
 from . import relations as rel
-from .core import (BOX_STATES, CATALOG_NAMES, DensityFn, _check_catalog_args,
-                   catalog_state, make_params)
-from .entropy import DensityCdf, as_cdf, bin_density, diff_shannon
+from .core import (BOX_STATES, CATALOG_NAMES, catalog_state,
+                   check_catalog_args, make_params)
+from .entropy import bin_pair, diff_shannon
 from .errors import (ConfigError, GupcertError, InvalidParameterError,
                      ResolutionError)
 from .measurement import gaussian_acceptance, s_f, smear
 from .transform import bundle
 
-_COVERAGE_FRAC = 3e-7  # mass per side left outside a binning window
 _SHOW_MAX_ROWS = 2000  # show-state thins each density table to about this
 # a row's tags, the inputs its digest renders, and the sides of its report
 _TAGS = ("beta", "sigma", "alpha", "gamma", "delta_k", "delta_x")
@@ -101,7 +101,7 @@ class RunConfig:
                 raise ConfigError(f"state {spec!r} needs a list of numbers "
                                   "as shape_args and an integer seed >= 0")
             try:
-                _check_catalog_args(spec["name"], args, seed)
+                check_catalog_args(spec["name"], args, seed)
             except InvalidParameterError as exc:
                 raise ConfigError(f"state {spec!r}: {exc}") from exc
         names = [spec["name"] for spec in self.states]
@@ -178,59 +178,6 @@ def _record(report: rel.RelationReport, state: str, beta: float, sigma=None,
             "reason": report.reason, "digest": digest}
 
 
-def _random_edges(rng: np.random.Generator, lo: float, hi: float,
-                  dmin: float, dmax: float) -> np.ndarray:
-    span = hi - lo
-    n_est = int(span / ((dmin + dmax) / 2.0) * 1.3) + 16
-    widths = rng.uniform(dmin, dmax, size=n_est)
-    edges = lo + np.concatenate([[0.0], np.cumsum(widths)])
-    last = int(np.searchsorted(edges, hi))
-    return edges[:last + 1]
-
-
-def _coverage_window(density: DensityFn | DensityCdf) -> tuple[float, float]:
-    """Window with less than _COVERAGE_FRAC of the mass beyond each end.
-
-    Uses the tail-model quantile when the model still holds that much mass
-    at the window edge; otherwise the quantile comes from the CDF that the
-    binning itself then reads, so the coverage precondition of bin_density
-    is met by construction.
-    """
-    cdf = as_cdf(density)
-    density = cdf.density
-    frac = _COVERAGE_FRAC
-    x = density.grid.nodes
-    at_nodes = cdf(x)
-    m_left, m_right = density.tail_masses
-    if m_left > frac:
-        lo = -density.tail_left.quantile_beyond(frac)
-    else:
-        lo = float(x[max(0, np.searchsorted(at_nodes, frac, side="right") - 1)])
-    if m_right > frac:
-        hi = density.tail_right.quantile_beyond(frac)
-    else:
-        hi = float(x[min(x.size - 1,
-                         np.searchsorted(at_nodes, 1.0 - frac, side="left"))])
-    return lo, hi
-
-
-def _bin_pair(rng: np.random.Generator, a, b, dmin: float, dmax: float):
-    """Both densities binned on random edges over their coverage windows.
-
-    Each density's CDF spline is built once, for its window and its bins,
-    and dropped on return.  None, with the generator untouched, when the
-    two windows together would take tens of millions of bins at these
-    widths (very heavy tails).
-    """
-    cdf_a, cdf_b = DensityCdf(a), DensityCdf(b)
-    alo, ahi = _coverage_window(cdf_a)
-    blo, bhi = _coverage_window(cdf_b)
-    if not ((ahi - alo) + (bhi - blo) < 4e6 * (dmin + dmax) / 2.0):
-        return None
-    return (bin_density(cdf_a, _random_edges(rng, alo, ahi, dmin, dmax)),
-            bin_density(cdf_b, _random_edges(rng, blo, bhi, dmin, dmax)))
-
-
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -280,7 +227,7 @@ def _verify_cell(spec: dict, beta: float, config: RunConfig) -> list[dict]:
     # the Fourier-pair, binning-lemma and binned Shannon rows read one set
     # of entropies, so the unsmeared pair is binned, on rng's first edges,
     # before they are taken
-    binned = _bin_pair(rng, rep.u_k, rep.w_x, dmin, dmax)
+    binned = bin_pair(rng, rep.u_k, rep.w_x, dmin, dmax)
     rows = rel.check_bbm_corrected(rep, binned)
     dk, dx = (None, None) if binned is None else (binned[0].delta_max,
                                                   binned[1].delta_max)
@@ -302,7 +249,7 @@ def _verify_cell(spec: dict, beta: float, config: RunConfig) -> list[dict]:
             shannon = rel.check_smeared_shannon(rep, smeared, sf_val)
             out.extend(_record(rpt, label, beta, sigma=sigma)
                        for rpt in shannon)
-            binned = _bin_pair(rng, *smeared, dmin, dmax)
+            binned = bin_pair(rng, *smeared, dmin, dmax)
             for pair in pairs:
                 renyi = shannon if pair.degenerate else rel.check_renyi_smeared(
                     pair, rep, smeared, sf_val)

@@ -16,7 +16,6 @@ from scipy.special import erfc
 import gupcert as g
 from gupcert import relations
 from gupcert.cli import main
-from gupcert.suite import _coverage_window, _random_edges
 
 BETA_GRID = (1e-3, 0.1, 1.0)
 CATALOG = (("uniform_q", (), None),
@@ -118,12 +117,7 @@ def test_criterion_06_binning_lemma_and_binned_bound():
     rng = np.random.default_rng(2026)
     for name, shape, seed in CATALOG:
         rep = _rep(name, 1.0, shape, seed)
-        klo, khi = _coverage_window(rep.u_k)
-        xlo, xhi = _coverage_window(rep.w_x)
-        bins_k = _random_edges(rng, klo, khi, 0.05, 2.0)
-        bins_x = _random_edges(rng, xlo, xhi, 0.05, 2.0)
-        p_k = g.bin_density(rep.u_k, bins_k)
-        p_x = g.bin_density(rep.w_x, bins_x)
+        p_k, p_x = g.bin_pair(rng, rep.u_k, rep.w_x, 0.05, 2.0)
         lem_k = g.check_binning_lemma(rep.u_k, p_k)
         lem_x = g.check_binning_lemma(rep.w_x, p_x)
         both = g.check_binned_shannon(p_k, p_x, rep)
@@ -167,11 +161,7 @@ def test_criterion_09_beckner_and_renyi_relations():
         rep = _rep(name, 1.0, shape, seed)
         smeared = (g.smear(rep.u_k, f), g.smear(rep.w_x, f))
         sf_val = g.s_f(f, st.params)
-        zlo, zhi = _coverage_window(smeared[0])
-        xilo, xihi = _coverage_window(smeared[1])
-        p_m = g.bin_density(smeared[0], _random_edges(rng, zlo, zhi, 0.05, 2.0))
-        p_n = g.bin_density(smeared[1],
-                            _random_edges(rng, xilo, xihi, 0.05, 2.0))
+        p_m, p_n = g.bin_pair(rng, *smeared, 0.05, 2.0)
         for alpha in (1.25, 1.5, 2.0, 3.0):
             pair = g.conjugate_order(alpha)
             reports = list(g.check_beckner(pair, rep))
@@ -198,12 +188,7 @@ def test_criterion_10_tsallis_and_norm_ordering():
         rep = _rep(name, 1.0, shape, seed)
         smeared = (g.smear(rep.u_k, f), g.smear(rep.w_x, f))
         sf_val = g.s_f(f, st.params)
-        zlo, zhi = _coverage_window(smeared[0])
-        xilo, xihi = _coverage_window(smeared[1])
-        bins_z = _random_edges(rng, zlo, zhi, 0.05, 2.0)
-        bins_xi = _random_edges(rng, xilo, xihi, 0.05, 2.0)
-        p_m = g.bin_density(smeared[0], bins_z)
-        p_n = g.bin_density(smeared[1], bins_xi)
+        p_m, p_n = g.bin_pair(rng, *smeared, 0.05, 2.0)
         for alpha in (1.25, 1.5, 2.0, 3.0):
             pair = g.conjugate_order(alpha)
             for rpt in g.check_tsallis_binned(pair, p_m, p_n, sf_val):

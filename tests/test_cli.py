@@ -125,6 +125,12 @@ class TestVerify:
         '{"states": [{"name": "raised_cosine_q", "shape_args": [0.5]}]}',
         '{"validate": 1}',
         '{"binning": [0.1, 1, 2]}',
+        '{"beta_grid": [-1.0]}',
+        '{"sigma_grid": [0.0]}',
+        '{"alpha_grid": [0.5]}',
+        '{"states": []}',
+        '{"format": "xml"}',
+        '[1, 2]',
     ], ids=["empty_grid", "scalar_grid", "text_in_grid", "infinite_alpha",
             "unknown_state", "unnamed_state", "unseeded_state",
             "widthless_state_beta0", "text_shape_args", "negative_seed",
@@ -133,7 +139,8 @@ class TestVerify:
             "unknown_state_key", "unknown_bins_key", "fractional_bins_seed",
             "repeated_state", "repeated_sigma", "fractional_modes",
             "extra_width", "flat_state_args", "cosine_state_args",
-            "method_key", "property_key"])
+            "method_key", "property_key", "negative_beta", "zero_sigma",
+            "alpha_below_one", "no_states", "unknown_format", "json_array"])
     def test_invalid_config_exit_two(self, tmp_path, capsys, monkeypatch,
                                      text):
         monkeypatch.chdir(tmp_path)  # a report, if any, lands here

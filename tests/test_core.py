@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gupcert as g
-from gupcert.core import check_shape_args
+from gupcert.core import check_catalog_args
 
 
 class TestMakeParams:
@@ -97,7 +97,7 @@ class TestCatalog:
             g.catalog_state(name, params_1, shape_args=shape, seed=1)
 
     def test_whole_float_mode_count_accepted(self):
-        check_shape_args("random_fourier_q", [6.0])
+        check_catalog_args("random_fourier_q", [6.0], seed=1)
 
     def test_flat_states_need_deformation(self, params_0):
         for name in ("uniform_q", "raised_cosine_q"):

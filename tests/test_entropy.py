@@ -132,6 +132,18 @@ class TestBinning:
         with pytest.raises(g.ContractError):
             g.bin_density(cosine_rep.v_q, np.array([0.0]))
 
+    @pytest.mark.parametrize("fixture", ["uniform_rep", "cosine_rep",
+                                         "gauss_rep_small_beta", "random_rep"])
+    def test_node_cdf_is_the_cdf_at_the_nodes(self, fixture, request):
+        # read off the spline's knots, bit for bit what calling it gives;
+        # uniform_q's wavenumber density is exactly Cauchy
+        rep = request.getfixturevalue(fixture)
+        f = g.gaussian_acceptance(1.0)
+        for d in (rep.v_q, rep.w_x, rep.u_k, g.smear(rep.u_k, f),
+                  g.smear(rep.w_x, f)):
+            cdf = g.DensityCdf(d)
+            assert cdf.node_cdf.tobytes() == cdf(d.grid.nodes).tobytes()
+
 
 class TestDiscreteEntropies:
     def test_equiprobable_renyi(self):
@@ -245,12 +257,10 @@ class TestBinningLemma:
                                          "random_rep"])
     def test_random_layouts(self, fixture, request):
         rep = request.getfixturevalue(fixture)
-        from gupcert.suite import _coverage_window, _random_edges
-        rng = np.random.default_rng(17)
-        for density, axis in ((rep.u_k, "k"), (rep.w_x, "x")):
-            lo, hi = _coverage_window(density)
-            edges = _random_edges(rng, lo, hi, 0.05, 2.0)
-            rpt = g.check_binning_lemma(density, g.bin_density(density, edges))
+        binned = g.bin_pair(np.random.default_rng(17), rep.u_k, rep.w_x,
+                            0.05, 2.0)
+        for density, dist, axis in zip((rep.u_k, rep.w_x), binned, "kx"):
+            rpt = g.check_binning_lemma(density, dist)
             assert rpt.relation_id == f"binning_lemma_{axis}"
             assert rpt.margin >= -1e-8
 

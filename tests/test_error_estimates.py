@@ -18,7 +18,6 @@ import pytest
 from scipy.special import gammaln, ndtr
 
 import gupcert as g
-from gupcert.suite import _coverage_window, _random_edges
 
 
 def _sound_and_sharp(value, exact, est):
@@ -89,10 +88,10 @@ def _assert_bins_sound(dist, exact):
 def test_gaussian_bins(gauss_rep_small_beta):
     # the Gaussian state's position density is Gaussian of width 1/(2 s)
     density = gauss_rep_small_beta.w_x
-    lo, hi = _coverage_window(density)
+    lo, hi = g.DensityCdf(density).coverage_window()
     rng = np.random.default_rng(3)
     for dmin, dmax in ((0.05, 2.0), (0.01, 0.1)):
-        edges = _random_edges(rng, lo, hi, dmin, dmax)
+        edges = g.random_edges(rng, lo, hi, dmin, dmax)
         cdf = ndtr(edges / 0.5)
         exact = np.diff(cdf)
         exact[0] += cdf[0]
@@ -104,8 +103,8 @@ def test_cauchy_bins(uniform_rep):
     # beta = 1: unit-scale Cauchy; arctan differences in a form that keeps
     # the far-tail bins accurate
     density = uniform_rep.u_k
-    lo, hi = _coverage_window(density)
-    edges = _random_edges(np.random.default_rng(3), lo, hi, 0.5, 20.0)
+    lo, hi = g.DensityCdf(density).coverage_window()
+    edges = g.random_edges(np.random.default_rng(3), lo, hi, 0.5, 20.0)
     a, b = edges[:-1], edges[1:]
     exact = np.where(a * b > -1.0, np.arctan((b - a) / (1.0 + a * b)),
                      np.arctan(b) - np.arctan(a)) / math.pi

@@ -199,23 +199,16 @@ class TestShannonRelations:
         assert resolution.margin >= -1e-8
 
     def test_binned_margins(self, cosine_rep):
-        from gupcert.suite import _coverage_window, _random_edges
-        rng = np.random.default_rng(4)
-        klo, khi = _coverage_window(cosine_rep.u_k)
-        xlo, xhi = _coverage_window(cosine_rep.w_x)
-        bins_k = _random_edges(rng, klo, khi, 0.05, 2.0)
-        bins_x = _random_edges(rng, xlo, xhi, 0.05, 2.0)
-        rpt = g.check_binned_shannon(g.bin_density(cosine_rep.u_k, bins_k),
-                                     g.bin_density(cosine_rep.w_x, bins_x),
-                                     cosine_rep)
+        p_k, p_x = g.bin_pair(np.random.default_rng(4), cosine_rep.u_k,
+                              cosine_rep.w_x, 0.05, 2.0)
+        rpt = g.check_binned_shannon(p_k, p_x, cosine_rep)
         assert rpt.margin >= -1e-8
 
     def test_binned_pair_adds_the_lemma_and_binned_rows(self, cosine_rep):
         # given the binned pair, the Fourier-pair check appends the rows the
         # single-purpose checks give, float for float
-        from gupcert.suite import _coverage_window
-        p_k, p_x = (g.bin_density(d, np.linspace(*_coverage_window(d), 200))
-                    for d in (cosine_rep.u_k, cosine_rep.w_x))
+        p_k, p_x = (g.bin_density(c, np.linspace(*c.coverage_window(), 200))
+                    for c in map(g.DensityCdf, (cosine_rep.u_k, cosine_rep.w_x)))
         rows = g.check_bbm_corrected(cosine_rep, (p_k, p_x))
         assert rows[:2] == g.check_bbm_corrected(cosine_rep)
         assert rows[2:] == [g.check_binning_lemma(cosine_rep.u_k, p_k),
@@ -309,15 +302,10 @@ class TestBecknerAndRenyi:
         assert relaxed[0].margin >= -1e-8
 
     def test_renyi_and_tsallis_binned(self, cosine_rep):
-        from gupcert.suite import _coverage_window, _random_edges
         f = g.gaussian_acceptance(1.0)
         pair = g.conjugate_order(2.0)
         smeared, sf_val = _smeared_cell(cosine_rep, f)
-        rng = np.random.default_rng(9)
-        zlo, zhi = _coverage_window(smeared[0])
-        xlo, xhi = _coverage_window(smeared[1])
-        p_m = g.bin_density(smeared[0], _random_edges(rng, zlo, zhi, 0.05, 2.0))
-        p_n = g.bin_density(smeared[1], _random_edges(rng, xlo, xhi, 0.05, 2.0))
+        p_m, p_n = g.bin_pair(np.random.default_rng(9), *smeared, 0.05, 2.0)
         for rpt in g.check_renyi_binned(pair, p_m, p_n, sf_val):
             assert rpt.margin >= -1e-8
         for rpt in g.check_tsallis_binned(pair, p_m, p_n, sf_val):
@@ -354,12 +342,11 @@ class TestBecknerAndRenyi:
         assert worst >= -1e-8
 
     def test_tsallis_degenerate_matches_shannon_form(self, cosine_rep):
-        from gupcert.suite import _coverage_window
         f = g.gaussian_acceptance(1.0)
         pair = g.OrderPair(1.0, 1.0)
         smeared, sf_val = _smeared_cell(cosine_rep, f)
-        zlo, zhi = _coverage_window(smeared[0])
-        xlo, xhi = _coverage_window(smeared[1])
+        zlo, zhi = g.DensityCdf(smeared[0]).coverage_window()
+        xlo, xhi = g.DensityCdf(smeared[1]).coverage_window()
         bins_z = np.linspace(zlo, zhi, int((zhi - zlo) / 0.5) + 2)
         bins_x = np.linspace(xlo, xhi, int((xhi - xlo) / 0.5) + 2)
         p_m = g.bin_density(smeared[0], bins_z)

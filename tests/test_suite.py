@@ -1,6 +1,9 @@
+import math
+
 import pytest
 
-from gupcert import suite
+from gupcert import entropy, suite
+from gupcert.errors import ConfigError, GupcertError
 from gupcert.suite import RunConfig
 
 
@@ -9,13 +12,13 @@ def test_verify_cell_bins_each_density_once(monkeypatch):
     # densities, then the two smeared densities for every sigma; all binned
     # checks of the cell share those distributions
     calls = []
-    real = suite.bin_density
+    real = entropy.bin_density
 
     def counting(density, edges):
         calls.append((density, edges))  # holding both keeps their ids unique
         return real(density, edges)
 
-    monkeypatch.setattr(suite, "bin_density", counting)
+    monkeypatch.setattr(entropy, "bin_density", counting)
     config = RunConfig(beta_grid=[1.0], sigma_grid=[0.5, 2.0],
                        alpha_grid=[1.5, 2.0],
                        states=[{"name": "raised_cosine_q"}])
@@ -117,3 +120,34 @@ def test_degenerate_order_rows_have_unique_digests():
     records, _ = suite.run_verify(config)
     digests = [r["digest"] for r in records]
     assert len(set(digests)) == len(digests)
+
+
+def test_beta_sweep_skips_a_box_state_at_beta_zero():
+    config = RunConfig(beta_grid=[0.0, 1.0], states=[{"name": "uniform_q"}])
+    betas = {r["beta"] for r in suite.run_sweep(config, "beta")
+             if r["state"] == "uniform_q"}
+    assert betas == {1.0}
+
+
+@pytest.mark.parametrize("param", ["sigma", "alpha"])
+def test_sweep_of_a_box_state_at_beta_zero_is_a_config_error(param):
+    config = RunConfig(beta_grid=[0.0, 1.0], states=[{"name": "uniform_q"}])
+    with pytest.raises(ConfigError, match="undefined at beta"):
+        suite.run_sweep(config, param)
+
+
+def test_unknown_sweep_parameter_is_a_config_error():
+    with pytest.raises(ConfigError, match="unknown sweep parameter"):
+        suite.run_sweep(RunConfig(), "nonsense")
+
+
+def test_render_json_writes_minus_infinity_as_a_string():
+    record = {**dict.fromkeys(suite.RECORD_FIELDS, 0.0), "relation_id": "r",
+              "state": "s", "verdict": "pass", "tolerance": 0.0,
+              "digest": "d", "margin": -math.inf}
+    assert '"margin": "-inf"' in suite.render_json([record])
+
+
+def test_write_text_to_a_directory_raises(tmp_path):
+    with pytest.raises(GupcertError, match="cannot write"):
+        suite.write_text(str(tmp_path), "text")
