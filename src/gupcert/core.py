@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -262,6 +263,16 @@ class PureState:
 
     def norm_sq(self) -> float:
         return self.grid.integrate(self.density_values())
+
+    @cached_property
+    def profile_scale(self) -> complex:
+        """Tabulated amplitude per unit of the profile, read at the node of
+        largest |profile|; evaluates the profile over the grid once."""
+        if self.profile is None:
+            raise ContractError("state has no profile; cannot transform it")
+        prof = self.profile(self.grid.nodes, self.params)
+        i = int(np.argmax(np.abs(prof)))
+        return self.amplitudes[i] / prof[i]
 
 
 @dataclass(frozen=True)

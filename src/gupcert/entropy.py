@@ -230,7 +230,8 @@ class DensityCdf:
         else:
             out[above] = total
         out[inside] = m_left + (anti(pts[inside]) - anti(lo))
-        return np.clip(out / total, 0.0, 1.0)
+        out /= total
+        return np.clip(out, 0.0, 1.0, out=out)
 
     def coverage_window(self) -> tuple[float, float]:
         """Window with less than _OUTSIDE_MASS of the mass beyond each end.
@@ -240,13 +241,12 @@ class DensityCdf:
         which the binning then reads, so the coverage precondition of
         bin_density is met by construction.
         """
-        density, frac, at = self.density, _OUTSIDE_MASS, self.node_cdf
-        x = density.grid.nodes
-        m_left, m_right = density.tail_masses
-        lo = (-density.tail_left.quantile_beyond(frac) if m_left > frac else
-              float(x[max(0, np.searchsorted(at, frac, side="right") - 1)]))
-        hi = (density.tail_right.quantile_beyond(frac) if m_right > frac else
-              float(x[min(x.size - 1, np.searchsorted(at, 1.0 - frac))]))
+        frac, at, x = _OUTSIDE_MASS, self.node_cdf, self.density.grid.nodes
+        lo, hi = _model_window(self.density)
+        if lo is None:
+            lo = float(x[max(0, np.searchsorted(at, frac, side="right") - 1)])
+        if hi is None:
+            hi = float(x[min(x.size - 1, np.searchsorted(at, 1.0 - frac))])
         return lo, hi
 
     def bin_errors(self, edges: np.ndarray, cdf: np.ndarray,
@@ -318,6 +318,16 @@ class DensityCdf:
         return np.clip(errors, 0.0, None, out=errors)
 
 
+def _model_window(density: DensityFn) -> tuple[float | None, float | None]:
+    """The coverage window's ends that tail-model quantiles fix; None at an
+    end whose quantile the CDF must give (see DensityCdf.coverage_window)."""
+    frac = _OUTSIDE_MASS
+    m_left, m_right = density.tail_masses
+    lo = -density.tail_left.quantile_beyond(frac) if m_left > frac else None
+    hi = density.tail_right.quantile_beyond(frac) if m_right > frac else None
+    return lo, hi
+
+
 def density_cdf(density: DensityFn, points: np.ndarray) -> np.ndarray:
     """Cumulative distribution at arbitrary points, tail models included
     (see DensityCdf, which this builds and calls once)."""
@@ -357,11 +367,20 @@ def bin_density(density: DensityFn | DensityCdf,
 def random_edges(rng: np.random.Generator, lo: float, hi: float,
                  dmin: float, dmax: float) -> np.ndarray:
     """Bin edges from lo on, with widths drawn uniformly from [dmin, dmax],
-    up to the first edge at or past hi."""
+    up to the first edge at or past hi.
+
+    About 1.3 times the widths needed are drawn; the edges are summed in
+    place and the array is cut to its size, so it holds no unused draws.
+    """
     n_est = int((hi - lo) / ((dmin + dmax) / 2.0) * 1.3) + 16
-    widths = rng.uniform(dmin, dmax, size=n_est)
-    edges = lo + np.concatenate([[0.0], np.cumsum(widths)])
-    return edges[:int(np.searchsorted(edges, hi)) + 1]
+    edges = np.empty(n_est + 1)
+    edges[0] = 0.0
+    edges[1:] = rng.uniform(dmin, dmax, size=n_est)
+    np.cumsum(edges, out=edges)
+    edges += lo
+    edges.resize(min(int(np.searchsorted(edges, hi)) + 1, edges.size),
+                 refcheck=False)
+    return edges
 
 
 def bin_pair(rng: np.random.Generator, a: DensityFn, b: DensityFn,
@@ -371,12 +390,24 @@ def bin_pair(rng: np.random.Generator, a: DensityFn, b: DensityFn,
     Each density's CDF spline is built once, for its window and its bins,
     and dropped on return; rng draws the edges of a, then those of b.
     None, with the generator untouched, when the two windows together would
-    take tens of millions of bins at these widths (very heavy tails).
+    take tens of millions of bins at these widths (very heavy tails).  The
+    windows there come from tail-model quantiles, so that is decided before
+    any spline is built: a window end the CDF gives is a grid node, and the
+    grid bounds the span from below.
     """
+    cap = 4e6 * (dmin + dmax) / 2.0
+    least = 0.0
+    for density in (a, b):
+        lo, hi = _model_window(density)
+        first, last = density.window  # bounds on the ends the CDF gives
+        least += max(0.0, (first if hi is None else hi)
+                     - (last if lo is None else lo))
+    if not least < cap:
+        return None
     cdf_a, cdf_b = DensityCdf(a), DensityCdf(b)
     alo, ahi = cdf_a.coverage_window()
     blo, bhi = cdf_b.coverage_window()
-    if not ((ahi - alo) + (bhi - blo) < 4e6 * (dmin + dmax) / 2.0):
+    if not ((ahi - alo) + (bhi - blo) < cap):
         return None
     return (bin_density(cdf_a, random_edges(rng, alo, ahi, dmin, dmax)),
             bin_density(cdf_b, random_edges(rng, blo, bhi, dmin, dmax)))

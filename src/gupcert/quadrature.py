@@ -27,7 +27,11 @@ from scipy.special import eval_legendre, roots_legendre
 ENTROPY_FLOOR = 1e-300  # below this a density value is treated as exact zero
 _GRADED_LEVELS = 40  # halvings of the outer gap toward a graded endpoint
 _MAX_BULK_PANELS = 48  # cap on the bulk panels of one half interval
-_BLOCK_ENTRIES = 4_000_000  # kernel matrix entries formed at once by dense_sum
+# kernel entries dense_sum forms at once (1 MiB per complex block).  The
+# transient is two block-sized arrays, the kernel's argument and its values;
+# at 4e6 entries they took 128 MB and set the peak memory of the Fourier
+# sums, while 2^14 to 2^18 entries ran as fast (the work is trig-bound)
+_BLOCK_ENTRIES = 2 ** 16
 _TAIL_COEFFS = 4  # trailing Legendre coefficients read by panel_error
 
 
@@ -81,10 +85,13 @@ def dense_sum(kernel, targets: np.ndarray, nodes: np.ndarray,
     """sum_j kernel(targets[i], nodes[j]) * c[j] for every target i and c.
 
     `kernel` is called on broadcast (block, 1) and (1, nodes) arrays; rows are
-    formed in blocks of about _BLOCK_ENTRIES entries, which bounds memory
-    whatever the number of targets.  Each block serves every c; one gives an
-    array, several a tuple.  A last single row joins the block before it: a
-    one-row product takes a dot kernel that rounds differently.
+    formed in blocks of about _BLOCK_ENTRIES entries (at least two rows), so
+    memory stays at a few block-sized temporaries whatever the number of
+    targets.  Each block serves every c; one gives an array, several a
+    tuple.  A last single row joins the block before it: a one-row product
+    takes a dot kernel that rounds differently.  Complex rows then do not
+    depend on the block layout; real rows may differ in the last bit when
+    the layout changes (the BLAS picks its kernel by block shape).
     """
     def products(block):  # the block is freed before the next is formed
         return [block @ c for c in coeffs]

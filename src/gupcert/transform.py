@@ -115,17 +115,15 @@ def _transform_rule(state: PureState, x_max: float) -> tuple[np.ndarray, np.ndar
     track the phase at large |x|.  Here panel counts scale with the number of
     phase wavelengths across the interval, and the rule is accepted once it
     reproduces the state's unit norm.  The new nodes take the state's
-    profile, scaled to its tabulated amplitudes.  Catalog states, `normalize`
-    and `mix_states` keep a profile; the output of `fourier_x_to_q` has none.
+    profile, scaled to its tabulated amplitudes (`PureState.profile_scale`,
+    taken once per state however often the window grows).  Catalog states,
+    `normalize` and `mix_states` keep a profile; the output of
+    `fourier_x_to_q` has none.
     """
-    if state.profile is None:
-        raise ContractError("state has no profile; cannot transform it")
+    scale = state.profile_scale
     q = state.grid.nodes
     half = max(abs(q[0]), q[-1])
     n_osc = int(6.0 * (2.0 * half) * x_max / (2.0 * math.pi)) + 256
-    prof_on_grid = state.profile(q, state.params)
-    i = int(np.argmax(np.abs(prof_on_grid)))
-    scale = state.amplitudes[i] / prof_on_grid[i]
     for _ in range(4):
         panels = max(8, int(math.ceil(n_osc / 32)))
         edges = np.linspace(-half, half, panels + 1)

@@ -144,6 +144,55 @@ class TestBinning:
             cdf = g.DensityCdf(d)
             assert cdf.node_cdf.tobytes() == cdf(d.grid.nodes).tobytes()
 
+    def test_random_edges_own_their_exact_size(self):
+        # the edges are the cumulative widths of the same draws, with no
+        # unused draws behind them
+        lo, hi, dmin, dmax = -40.0, 55.0, 0.05, 2.0
+        rng, old_rng = np.random.default_rng(8), np.random.default_rng(8)
+        for _ in range(3):
+            edges = g.random_edges(rng, lo, hi, dmin, dmax)
+            n_est = int((hi - lo) / ((dmin + dmax) / 2.0) * 1.3) + 16
+            widths = old_rng.uniform(dmin, dmax, size=n_est)
+            old = lo + np.concatenate([[0.0], np.cumsum(widths)])
+            old = old[:int(np.searchsorted(old, hi)) + 1]
+            assert edges.base is None
+            assert edges.tobytes() == old.tobytes()
+            assert edges[-2] < hi <= edges[-1]
+        assert rng.random() == old_rng.random()
+
+
+class TestBinPair:
+    @pytest.fixture(scope="class")
+    def smeared_cauchy(self):
+        # uniform_q at beta = 1e-3, sigma = 1: both windows come from
+        # tail-model quantiles, +-3.4e7 and +-1.1e4
+        rep = g.bundle(g.catalog_state("uniform_q", g.make_params(1e-3)))
+        f = g.gaussian_acceptance(1.0)
+        return g.smear(rep.u_k, f), g.smear(rep.w_x, f)
+
+    def test_over_the_cap_builds_no_spline(self, smeared_cauchy,
+                                           monkeypatch):
+        from gupcert import entropy
+
+        def no_spline(*args, **kw):
+            raise AssertionError("a CDF spline was built")
+
+        monkeypatch.setattr(entropy, "CubicSpline", no_spline)
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        assert g.bin_pair(rng, *smeared_cauchy, 0.05, 2.0) is None
+        assert rng.bit_generator.state == state
+
+    def test_cdf_windows_meet_the_cap(self, cosine_rep):
+        # raised_cosine_q's K window comes from its CDF, so the bound checked
+        # before the splines counts it as empty; the full spans still decide
+        pair = (cosine_rep.u_k, cosine_rep.w_x)
+        windows = [g.DensityCdf(d).coverage_window() for d in pair]
+        half = 0.5 * sum(hi - lo for lo, hi in windows) / 4e6
+        assert g.bin_pair(np.random.default_rng(5), *pair, half, half) is None
+        p_k, p_x = g.bin_pair(np.random.default_rng(5), *pair, 0.05, 2.0)
+        assert p_k.edges[0] == windows[0][0] and p_x.edges[0] == windows[1][0]
+
 
 class TestDiscreteEntropies:
     def test_equiprobable_renyi(self):

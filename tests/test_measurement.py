@@ -170,6 +170,33 @@ class TestJProfile:
                       for a, b in zip(t[:-1], t[1:]))
             assert value == pytest.approx(ref, abs=1e-7)
 
+    @pytest.mark.parametrize("beta", [1.0, 10.0])
+    def test_table_j_does_not_depend_on_blocks(self, beta, monkeypatch):
+        # real kernel rows may round differently in another block layout:
+        # the wide table's rule has over 2^15 nodes, so two-row blocks
+        # against one block of 241 rows move J by up to 2.9e-15 at beta = 10
+        from gupcert import quadrature
+
+        params = g.make_params(beta)
+        tables = [g.custom_acceptance(*_raised_cosine2())]
+        for sigma, n in ((1.0, 513), (50.0, 2001)):
+            nodes = np.linspace(-10.0 * sigma, 10.0 * sigma, n)
+            tables.append(g.custom_acceptance(
+                nodes, np.exp(-0.5 * (nodes / sigma) ** 2)
+                / (sigma * math.sqrt(2.0 * math.pi))))
+        blocked = []
+        for f in tables:
+            span = f.reach + 6.0 * f.width  # the coarse scan of sup_j
+            grid = g.Grid(nodes=np.linspace(-span, span, 241),
+                          weights=np.ones(241), domain_tag=g.Domain.ZETA)
+            blocked.append((grid, g.j_profile(f, params, grid),
+                            g.s_f(f, params)))
+        monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", 10 ** 12)
+        for f, (grid, j, s) in zip(tables, blocked):
+            assert np.allclose(g.j_profile(f, params, grid), j, rtol=1e-14,
+                               atol=0.0)
+            assert g.s_f(f, params) == pytest.approx(s, rel=1e-14, abs=0.0)
+
     def test_gaussian_table_matches_voigt(self):
         for sigma in np.geomspace(0.05, 50.0, 7):
             nodes = np.linspace(-10.0 * sigma, 10.0 * sigma, 2001)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -223,6 +225,35 @@ class TestFourier:
                         transform._fourier_sum(1.0, nodes, q, coeff)) ** 2
                 got = transform._psi_sq_on(mixed, nodes, x_max)
                 assert np.array_equal(got, want)
+
+    def test_fourier_sum_memory_is_block_sized(self):
+        # 48 modes at beta = 0.1: 14,037 X nodes against 5,024 rule nodes;
+        # one-shot kernel blocks of 4e6 entries peaked at 128 MB traced
+        state = g.catalog_state("random_fourier_q", g.make_params(0.1),
+                                shape_args=[48], seed=11)
+        g.x_density(state)
+        tracemalloc.start()
+        try:
+            g.x_density(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+
+    def test_profile_scale_taken_once(self):
+        # five window passes, each with its own rule; the profile is read
+        # over the state grid only once, for the amplitude scale
+        state = g.catalog_state("truncated_gaussian_q", g.make_params(0.1),
+                                shape_args=[0.25])
+        grid_reads = []
+
+        def counting(q, params):
+            grid_reads.append(np.array_equal(q, state.grid.nodes))
+            return state.profile(q, params)
+
+        w = g.x_density(replace(state, profile=counting))
+        assert sum(grid_reads) == 1 and len(grid_reads) >= 5
+        assert w.values.tobytes() == g.x_density(state).values.tobytes()
 
     def test_mirror_pairing_needs_symmetric_nodes(self, uniform_state):
         from gupcert import transform
