@@ -201,14 +201,12 @@ class DensityCdf:
         x, p = density.grid.nodes, density.values
         self.density = density
         self._anti = anti = CubicSpline(x, np.clip(p, 0.0, None)).antiderivative()
-        lo, hi = density.window
+        # the antiderivative at every node: each interval's constant
+        # coefficient is its value at the left node, zero at the first
+        self._at_nodes = np.append(anti.c[-1], anti(x[-1]))
         m_left, m_right = density.tail_masses
-        self.total = m_left + float(anti(hi) - anti(lo)) + m_right
-        # each interval's constant coefficient is the antiderivative at its
-        # left node: only the window's ends, where tail models take over,
-        # are evaluated
-        inner = np.clip((m_left + (anti.c[-1, 1:] - anti(lo))) / self.total,
-                        0.0, 1.0)
+        self.total = m_left + float(self._at_nodes[-1]) + m_right
+        inner = np.clip((m_left + self._at_nodes[1:-1]) / self.total, 0.0, 1.0)
         ends = self(x[[0, -1]])
         self.node_cdf = np.concatenate([ends[:1], inner, ends[1:]])
 
@@ -229,7 +227,7 @@ class DensityCdf:
             out[above] = total - density.tail_right.mass_beyond(pts[above])
         else:
             out[above] = total
-        out[inside] = m_left + (anti(pts[inside]) - anti(lo))
+        out[inside] = m_left + anti(pts[inside])
         out /= total
         return np.clip(out, 0.0, 1.0, out=out)
 
@@ -269,7 +267,7 @@ class DensityCdf:
         density = self.density
         x = density.grid.nodes
         f = np.clip(density.values, 0.0, None)
-        at_nodes = np.append(self._anti.c[-1], self._anti(x[-1]))
+        at_nodes = self._at_nodes
         # pairs of intervals (i, i+1, i+2) for even i; with an odd interval
         # count the last three nodes close the last interval
         i0 = np.arange(0, x.size - 2, 2)

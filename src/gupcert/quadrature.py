@@ -113,11 +113,11 @@ def entropy_sum(weights: np.ndarray, values: np.ndarray) -> float:
     return float(-np.sum(weights[mask] * p[mask] * np.log(p[mask])))
 
 
-def pchip(x: np.ndarray, y: np.ndarray, **kw) -> PchipInterpolator:
+def pchip(x: np.ndarray, y: np.ndarray) -> PchipInterpolator:
     # image grids span many decades; silence spurious overflow in the
     # monotone slope blend, the interpolant itself stays finite
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return PchipInterpolator(x, y, **kw)
+        return PchipInterpolator(x, y)
 
 
 @lru_cache(maxsize=16)

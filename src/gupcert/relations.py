@@ -9,17 +9,17 @@ entropic bounds are exactly the statements that survive infinite variance.
 The pass threshold is -(base tolerance + 4 x propagated grid-error estimate);
 numerical certification needs graded evidence rather than a boolean.
 
-A check takes only what its inequality reads: the bundle's densities (whose
-source state carries beta), S_f and the binned distributions with their
-bin widths.  Reports carry no state label or parameter tags; the suite keys
-each row by the cell and parameters it passed in.
+A check takes only what its inequality reads: the bundle's densities and
+correction (its source state carries beta), S_f and binned distributions.
+Reports carry no state label or parameter tags, only the widest bins a row
+read; the suite keys each row by the cell and parameters it passed in.
 
 The Fourier-pair, binning-lemma and binned Shannon rows read one set of
-entropies, H(Q), H(X), H(K), the correction, H(p_k) and H(p_x), each taken
-once: check_bbm_corrected returns all five rows when given the binned pair,
-and check_binned_shannon is a view.  Likewise the Renyi, norm and Tsallis
-rows of an order pair read one table of power sums, one per density and
-order: check_renyi_binned returns every binned row of the pair, and
+entropies, H(Q), H(X), H(K), H(p_k) and H(p_x), each taken once:
+check_bbm_corrected returns all five rows when given the binned pair, and
+check_binned_shannon is a view.  Likewise the Renyi, norm and Tsallis rows
+of an order pair read one table of power sums, one per density and order:
+check_renyi_binned returns every binned row of the pair, and
 check_tsallis_binned and check_norm_ordering are views.
 """
 
@@ -31,8 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (DensityFn, DiscreteDist, OrderPair, PureState, moment,
-                   rebuild_state)
+from .core import (DensityFn, DiscreteDist, Domain, OrderPair, PureState,
+                   moment, rebuild_state)
 from .entropy import (EntropyValue, _tsallis_of_renyi, alpha_log,
                       diff_shannon, discrete_renyi, discrete_renyi_and_norm,
                       renyi_and_norm)
@@ -50,8 +50,9 @@ class RelationReport:
     """One inequality: both sides, the signed margin and its verdict.
 
     A report names its relation but not its inputs; the caller knows which
-    state and parameters it checked and keys the row.  The verdict is stored:
-    a NaN margin fails unless the check could not be made at all.
+    state and parameters it checked and keys the row; a binned row names the
+    widest bins it read.  The verdict is stored: a NaN margin fails unless
+    the check could not be made at all.
     """
 
     relation_id: str
@@ -60,6 +61,8 @@ class RelationReport:
     est_error: float
     verdict: str          # "pass" | "fail" | "not_applicable"
     reason: str = ""      # why a not-applicable check could not be made
+    delta_k: float | None = None  # widest wavenumber-side bin read
+    delta_x: float | None = None  # widest position-side bin read
 
     @property
     def margin(self) -> float:
@@ -71,10 +74,10 @@ class RelationReport:
         return BASE_TOLERANCE + 4.0 * self.est_error
 
 
-def _report(relation_id: str, lhs: float, rhs: float,
-            est_error: float) -> RelationReport:
+def _report(relation_id: str, lhs: float, rhs: float, est_error: float,
+            **widths) -> RelationReport:
     rpt = RelationReport(relation_id=relation_id, lhs=lhs, rhs=rhs,
-                         est_error=est_error, verdict="fail")
+                         est_error=est_error, verdict="fail", **widths)
     return replace(rpt, verdict="pass") if rpt.margin >= -rpt.tolerance else rpt
 
 
@@ -149,25 +152,15 @@ def correction_term(rep: RepresentationBundle) -> float:
 
     Nonnegative, zero for beta = 0, and equal to H(K) - H(Q) by the exact
     density pushforward; the image-grid construction realizes that identity
-    at the quadrature level.  Beta is that of the bundle's own state.
+    at the quadrature level.  Beta is that of the bundle's own state, which
+    integrates the term once (RepresentationBundle.correction).
     """
-    return _correction(rep)[0]
-
-
-def _correction(rep: RepresentationBundle) -> tuple[float, float]:
-    """The correction term and the K grid rule's error estimate for it."""
-    params = rep.source.params
-    if not params.deformed:
-        return 0.0, 0.0
-    u = rep.u_k
-    k = u.grid.nodes
-    f = u.values * np.log1p(params.beta * k * k)
-    return float(u.grid.integrate(f)), u.grid.rule_error(f)
+    return rep.correction[0]
 
 
 def check_correction_term(rep: RepresentationBundle) -> RelationReport:
     """The correction term as a record: nonnegative, so rhs is zero."""
-    corr, err = _correction(rep)
+    corr, err = rep.correction
     return _report("correction_term", corr, 0.0, err)
 
 
@@ -223,7 +216,7 @@ def check_jensen(rep: RepresentationBundle) -> RelationReport:
         k2 = moment(rep.u_k, 2)
     except MomentDivergenceError as exc:
         return _not_applicable("correction_jensen", str(exc))
-    corr, corr_err = _correction(rep)
+    corr, corr_err = rep.correction
     lhs = math.log1p(beta * k2.value)
     return _report("correction_jensen", lhs, corr,
                    k2.est_error * beta / (1.0 + beta * k2.value) + corr_err)
@@ -273,12 +266,12 @@ def check_bbm_corrected(rep: RepresentationBundle,
     Given `binned`, the wavenumber and position densities of `rep` binned
     as (p_k, p_x), three rows follow that read the same entropies: the
     binning lemma for p_k and for p_x, then the binned Shannon sum.  So
-    H(Q), H(X), H(K), the correction, H(p_k) and H(p_x) are each taken once.
+    H(Q), H(X), H(K), H(p_k) and H(p_x) are each taken once.
     """
     hq = diff_shannon(rep.v_q)
     hx = diff_shannon(rep.w_x)
     hk = diff_shannon(rep.u_k)
-    corr, corr_err = _correction(rep)
+    corr, corr_err = rep.correction
     base = _report("shannon_sum_base", hq.value + hx.value, LN_E_PI,
                    hq.est_error + hx.est_error)
     corrected = _report("shannon_sum_corrected", hk.value + hx.value,
@@ -292,7 +285,8 @@ def check_bbm_corrected(rep: RepresentationBundle,
             _binning_lemma(rep.u_k, hk, p_k, h_k),
             _binning_lemma(rep.w_x, hx, p_x, h_x),
             _report("shannon_sum_binned", h_k.value + h_x.value, rhs,
-                    h_k.est_error + h_x.est_error + corr_err)]
+                    h_k.est_error + h_x.est_error + corr_err,
+                    delta_k=p_k.delta_max, delta_x=p_x.delta_max)]
 
 
 def check_smeared_shannon(rep: RepresentationBundle,
@@ -309,7 +303,7 @@ def check_smeared_shannon(rep: RepresentationBundle,
     u_s, w_s = smeared
     hm = diff_shannon(u_s)
     hn = diff_shannon(w_s)
-    corr, corr_err = _correction(rep)
+    corr, corr_err = rep.correction
     err = hm.est_error + hn.est_error
     lhs = hm.value + hn.value
     return [
@@ -322,10 +316,12 @@ def check_smeared_shannon(rep: RepresentationBundle,
 def _binning_lemma(density: DensityFn, h_cont: EntropyValue,
                    dist: DiscreteDist, h_disc: EntropyValue) -> RelationReport:
     """H(p) >= H(density) - ln(max bin width) from the two entropies."""
-    axis = density.grid.domain_tag.value.lower()
-    return _report(f"binning_lemma_{axis}", h_disc.value,
+    tag = density.grid.domain_tag
+    width = "delta_x" if tag in (Domain.X, Domain.XI) else "delta_k"
+    return _report(f"binning_lemma_{tag.value.lower()}", h_disc.value,
                    h_cont.value - math.log(dist.delta_max),
-                   h_cont.est_error + h_disc.est_error)
+                   h_cont.est_error + h_disc.est_error,
+                   **{width: dist.delta_max})
 
 
 def check_binning_lemma(density: DensityFn, dist: DiscreteDist) -> RelationReport:
@@ -462,7 +458,8 @@ def check_renyi_binned(pair: OrderPair, p_m: DiscreteDist, p_n: DiscreteDist,
     order, and the norm ordering of `p_m`.  All read ln sum p^alpha and
     ln sum p^gamma of both distributions, each taken once.  The degenerate
     pair gives one Shannon sum against ln(e pi / (S_f dzeta dxi)), the two
-    Tsallis sums in their Shannon form and a flat ordering row.
+    Tsallis sums in their Shannon form and a flat ordering row.  The rows
+    name dzeta and dxi, the ordering row (of `p_m` only) dzeta alone.
     """
     scale = sf_value * p_m.delta_max * p_n.delta_max
     rids = {"tsallis": _BINNED["tsallis"]} if pair.degenerate else _BINNED
@@ -478,8 +475,10 @@ def check_renyi_binned(pair: OrderPair, p_m: DiscreteDist, p_n: DiscreteDist,
     (r_a, n_a), (r_g, n_g) = powers["m", pair.alpha], powers["m", pair.gamma]
     err = max(n_a * _log_norm_error(r_a, pair.alpha),
               n_g * _log_norm_error(r_g, pair.gamma))
-    return rows + [_report("discrete_norm_ordering",
-                           min(1.0 - n_a, n_g - 1.0), 0.0, err)]
+    return [replace(rpt, delta_k=p_m.delta_max, delta_x=p_n.delta_max)
+            for rpt in rows] + [_report("discrete_norm_ordering",
+                                        min(1.0 - n_a, n_g - 1.0), 0.0, err,
+                                        delta_k=p_m.delta_max)]
 
 
 def check_tsallis_binned(pair: OrderPair, p_m: DiscreteDist, p_n: DiscreteDist,

@@ -1,11 +1,11 @@
 """Certification suite: cross-product runs, sweeps, and deterministic reports.
 
 The runner walks states x parameters, evaluates every applicable relation
-check, and assembles one flat record per check.  Checks return unlabeled
-reports; `_record` tags each with the state and parameters the cell passed
-in and renders those tags as the row's input digest.  Records are sorted by
-that digest so the report is byte-identical across runs and independent of
-the order the cells run in; floats serialize with 17 significant digits.
+check, and assembles one flat record per check.  `_record` tags each report
+with the state and parameters the cell passed in and the bin widths it
+names, and renders the tags as the row's input digest.  Records are sorted
+by that digest so the report is byte-identical across runs and independent
+of the order the cells run in; floats serialize with 17 significant digits.
 
 Verify and the sweeps take one path through a cell: `_bundle` builds the
 bundle of a state spec at one beta and `_smeared` gives S_f and the smeared
@@ -162,11 +162,12 @@ def _tag(x) -> str:
 
 
 def _record(report: rel.RelationReport, state: str, beta: float, sigma=None,
-            pair=None, delta_k=None, delta_x=None) -> dict:
+            pair=None) -> dict:
     """One report row; its digest renders the tags the row stores."""
     rid = report.relation_id
     alpha, gamma = (None, None) if pair is None else (pair.alpha, pair.gamma)
-    tags = dict(zip(_TAGS, (beta, sigma, alpha, gamma, delta_k, delta_x)))
+    tags = dict(zip(_TAGS, (beta, sigma, alpha, gamma, report.delta_k,
+                            report.delta_x)))
     # The norm-ordering digest has always keyed sigma as "-": the bench
     # references and published reports sort and match that row by it.
     keys = dict(tags, sigma=None) if rid == "discrete_norm_ordering" else tags
@@ -226,15 +227,10 @@ def _verify_cell(spec: dict, beta: float, config: RunConfig) -> list[dict]:
 
     # the Fourier-pair, binning-lemma and binned Shannon rows read one set
     # of entropies, so the unsmeared pair is binned, on rng's first edges,
-    # before they are taken
-    binned = bin_pair(rng, rep.u_k, rep.w_x, dmin, dmax)
-    rows = rel.check_bbm_corrected(rep, binned)
-    dk, dx = (None, None) if binned is None else (binned[0].delta_max,
-                                                  binned[1].delta_max)
-    del binned  # bins are a cell's largest arrays: free them
-    widths = ((None, None), (None, None), (dk, None), (None, dx), (dk, dx))
-    for rpt, (row_dk, row_dx) in zip(rows, widths):
-        out.append(_record(rpt, label, beta, delta_k=row_dk, delta_x=row_dx))
+    # before they are taken; the bins go with the call
+    rows = rel.check_bbm_corrected(rep, bin_pair(rng, rep.u_k, rep.w_x,
+                                                 dmin, dmax))
+    out.extend(_record(rpt, label, beta) for rpt in rows)
     out.append(_record(rel.check_jensen(rep), label, beta))
     out.append(_record(rel.robertson_margin(rep), label, beta))
 
@@ -253,16 +249,10 @@ def _verify_cell(spec: dict, beta: float, config: RunConfig) -> list[dict]:
             for pair in pairs:
                 renyi = shannon if pair.degenerate else rel.check_renyi_smeared(
                     pair, rep, smeared, sf_val)
+                if binned is not None:
+                    renyi = renyi + rel.check_renyi_binned(pair, *binned, sf_val)
                 out.extend(_record(rpt, label, beta, sigma=sigma, pair=pair)
                            for rpt in renyi)
-                if binned is None:
-                    continue
-                dk, dx = binned[0].delta_max, binned[1].delta_max
-                *renyi, ordering = rel.check_renyi_binned(pair, *binned, sf_val)
-                out.extend(_record(rpt, label, beta, sigma=sigma, pair=pair,
-                                   delta_k=dk, delta_x=dx) for rpt in renyi)
-                out.append(_record(ordering, label, beta, sigma=sigma,
-                                   pair=pair, delta_k=dk))
         # the smeared pair and its bins, a cell's largest arrays, go before
         # the next sigma builds its own
         del smeared, binned

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -267,12 +268,24 @@ def x_density(state: PureState | MixedState) -> DensityFn:
 
 @dataclass(frozen=True)
 class RepresentationBundle:
-    """The three densities of one state: auxiliary, position, physical."""
+    """The three densities of one state (auxiliary, position, physical)
+    and the correction that links them."""
 
     v_q: DensityFn
     w_x: DensityFn
     u_k: DensityFn
     source: MixedState
+
+    @cached_property
+    def correction(self) -> tuple[float, float]:
+        """<ln(1 + beta k^2)> under u_k and the K grid rule's error for it;
+        (0, 0) at beta = 0."""
+        u, params = self.u_k, self.source.params
+        if not params.deformed:
+            return 0.0, 0.0
+        k = u.grid.nodes
+        f = u.values * np.log1p(params.beta * k * k)
+        return float(u.grid.integrate(f)), u.grid.rule_error(f)
 
 
 def bundle(state: PureState | MixedState) -> RepresentationBundle:

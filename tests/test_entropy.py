@@ -144,6 +144,17 @@ class TestBinning:
             cdf = g.DensityCdf(d)
             assert cdf.node_cdf.tobytes() == cdf(d.grid.nodes).tobytes()
 
+    @pytest.mark.parametrize("fixture", ["uniform_rep", "cosine_rep"])
+    def test_node_antiderivative_starts_at_zero(self, fixture, request):
+        # the CDF reads the antiderivative at the nodes relative to the first
+        # node, where SciPy's antiderivative is exactly +0
+        rep = request.getfixturevalue(fixture)
+        f = g.gaussian_acceptance(1.0)
+        for d in (rep.v_q, rep.w_x, rep.u_k, g.smear(rep.w_x, f)):
+            at_nodes = g.DensityCdf(d)._at_nodes
+            assert at_nodes.size == d.grid.nodes.size
+            assert at_nodes[0] == 0.0 and not np.signbit(at_nodes[0])
+
     def test_random_edges_own_their_exact_size(self):
         # the edges are the cumulative widths of the same draws, with no
         # unused draws behind them

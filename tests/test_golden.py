@@ -2,10 +2,12 @@
 
 `tests/data/golden_small.json` holds the `render_json` text of a small
 verify run (and its `render_csv` text), of verify cells with the degenerate
-order pair (alpha = 1) and in the undeformed limit (beta = 0), and of beta,
-sigma and alpha sweeps.  Optimisations that must not move a single float
-(reordered or shared exponentials, blocked sums) are checked here.
-Regenerate the file only for a change that is meant to alter report bytes:
+order pair (alpha = 1), in the undeformed limit (beta = 0) and with neither
+pair binned, and of beta, sigma and alpha sweeps.  Optimisations that must
+not move a single float (reordered or shared exponentials, blocked sums)
+are checked here.  A mismatch names the report and its first differing
+line.  Regenerate the file only for a change that is meant to alter report
+bytes:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -27,6 +29,9 @@ def _reports() -> dict:
     # the exactly Cauchy K density: p = 2 tail fit and tail quantile
     cauchy = RunConfig(beta_grid=[1.0], sigma_grid=[1.0], alpha_grid=[2.0],
                        states=[{"name": "uniform_q"}])
+    # both bin counts over the cap: a cell with no binned row
+    no_bins = RunConfig(beta_grid=[0.1], sigma_grid=[1.0], alpha_grid=[2.0],
+                        states=[{"name": "uniform_q"}])
     # alpha = 1: the degenerate (1, 1) pair's Shannon-form binned rows
     degenerate = RunConfig(beta_grid=[1.0], sigma_grid=[1.0],
                            alpha_grid=[1.0, 2.0],
@@ -46,11 +51,13 @@ def _reports() -> dict:
     cauchy_records, _ = suite.run_verify(cauchy)
     undeformed_records, _ = suite.run_verify(undeformed)
     degenerate_records, _ = suite.run_verify(degenerate)
+    no_bins_records, _ = suite.run_verify(no_bins)
     return {"verify": suite.render_json(records, verify),
             "verify_csv": suite.render_csv(records),
             "verify_uniform_q": suite.render_json(cauchy_records, cauchy),
             "verify_beta0": suite.render_json(undeformed_records, undeformed),
             "verify_alpha1": suite.render_json(degenerate_records, degenerate),
+            "verify_no_bins": suite.render_json(no_bins_records, no_bins),
             "sweep_beta": suite.render_json(suite.run_sweep(sweep, "beta"),
                                             sweep),
             "sweep_sigma": suite.render_json(
@@ -61,7 +68,13 @@ def _reports() -> dict:
 
 def test_reports_match_golden_bytes():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert _reports() == golden
+    reports = _reports()
+    assert sorted(reports) == sorted(golden)
+    for key, text in reports.items():
+        for n, (got, want) in enumerate(zip(text.splitlines(),
+                                            golden[key].splitlines()), 1):
+            assert got == want, f"{key}, line {n}:\n got  {got}\n want {want}"
+        assert text == golden[key], f"{key}: line counts differ"
 
 
 if __name__ == "__main__":

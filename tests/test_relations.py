@@ -217,6 +217,27 @@ class TestShannonRelations:
         assert [r.relation_id for r in rows[2:]] == [
             "binning_lemma_k", "binning_lemma_x", "shannon_sum_binned"]
 
+    def test_binned_rows_name_their_widths(self, cosine_rep):
+        # a lemma row names the width on its density's side, smeared or
+        # not; the binned sums name both, the norm ordering p_m's alone
+        smeared, sf_val = _smeared_cell(cosine_rep, g.gaussian_acceptance(1.0))
+        p_m, p_n = g.bin_pair(np.random.default_rng(9), *smeared, 0.05, 2.0)
+        dm, dn = p_m.delta_max, p_n.delta_max
+        assert dm != dn
+        for density, dist, want in ((smeared[0], p_m, (dm, None)),
+                                    (smeared[1], p_n, (None, dn))):
+            rpt = g.check_binning_lemma(density, dist)
+            assert (rpt.delta_k, rpt.delta_x) == want
+        *rows, ordering = g.check_renyi_binned(g.conjugate_order(2.0), p_m,
+                                               p_n, sf_val)
+        assert {(r.delta_k, r.delta_x) for r in rows} == {(dm, dn)}
+        assert (ordering.delta_k, ordering.delta_x) == (dm, None)
+        norm = g.check_norm_ordering(p_n, g.conjugate_order(2.0))
+        assert (norm.delta_k, norm.delta_x) == (dn, None)
+        assert g.check_binned_shannon(p_m, p_n, cosine_rep).delta_x == dn
+        assert all(r.delta_k is r.delta_x is None
+                   for r in g.check_bbm_corrected(cosine_rep))
+
     def test_coarse_bins_vacuous(self, cosine_rep):
         bins_k = np.array([-120.0, 0.0, 120.0])
         bins_x = np.array([-60.0, 0.0, 60.0])

@@ -30,6 +30,68 @@ def test_verify_cell_bins_each_density_once(monkeypatch):
                for r in records) == 4
 
 
+def test_binned_rows_name_the_widths_they_read(monkeypatch):
+    # each binned row carries the widest bins of the distributions it read:
+    # the lemma rows one side, the binned sums both, the norm ordering the
+    # wavenumber side only; every other row reads no bins
+    pairs = []
+    real = suite.bin_pair
+
+    def holding(*args):
+        pairs.append(real(*args))
+        return pairs[-1]
+
+    monkeypatch.setattr(suite, "bin_pair", holding)
+    config = RunConfig(beta_grid=[1.0], sigma_grid=[0.5, 2.0],
+                       alpha_grid=[1.0, 2.0],
+                       states=[{"name": "raised_cosine_q"}])
+    records = suite._verify_cell(config.states[0], 1.0, config)
+    widths = [(p_k.delta_max, p_x.delta_max) for p_k, p_x in pairs]
+    assert len(widths) == 1 + len(config.sigma_grid)
+    by_sigma = dict(zip([None, *config.sigma_grid], widths))
+    seen = set()
+    for r in records:
+        dk, dx = by_sigma[r["sigma"]]
+        rid = r["relation_id"]
+        if rid == "binning_lemma_k" or rid == "discrete_norm_ordering":
+            want = (dk, None)
+        elif rid == "binning_lemma_x":
+            want = (None, dx)
+        elif "binned" in rid:
+            want = (dk, dx)
+        else:
+            want = (None, None)
+        assert (r["delta_k"], r["delta_x"]) == want, rid
+        seen.add(want != (None, None))
+    assert seen == {True, False}
+
+
+def test_verify_cell_integrates_the_correction_once(monkeypatch):
+    # the corrected, Jensen and smeared Shannon rows of a cell all read the
+    # bundle's correction, which integrates <ln(1 + beta k^2)> once
+    from functools import cached_property
+
+    from gupcert.transform import RepresentationBundle
+
+    taken = []
+    real = RepresentationBundle.correction.func
+
+    def counting(rep):
+        taken.append(rep)
+        return real(rep)
+
+    prop = cached_property(counting)
+    prop.__set_name__(RepresentationBundle, "correction")
+    monkeypatch.setattr(RepresentationBundle, "correction", prop)
+    config = RunConfig(beta_grid=[1.0], sigma_grid=[0.5, 1.0, 2.0],
+                       alpha_grid=[2.0], states=[{"name": "raised_cosine_q"}])
+    records = suite._verify_cell(config.states[0], 1.0, config)
+    assert len(taken) == 1
+    ids = {r["relation_id"] for r in records}
+    assert {"shannon_sum_corrected", "correction_jensen",
+            "shannon_sum_smeared"} <= ids
+
+
 def test_cell_rows_do_not_depend_on_the_other_cells():
     # each cell seeds its own bins, so a cell run alone, in any order,
     # renders the record lines it renders inside a run of every cell
