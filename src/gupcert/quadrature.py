@@ -14,10 +14,17 @@ integrand on each panel (Trefethen, Approximation Theory and Approximation
 Practice, SIAM 2013), a lattice from the gap between the trapezoid sum and
 its every-other-node subsample (Trefethen & Weideman, SIAM Rev. 56 (2014)
 385).
+
+The dense kernel sums behind every Fourier transform and tabulated `J` run
+their row blocks on a thread pool with one worker per usable CPU.  Each
+block makes the same BLAS call on the same shape whichever thread runs it,
+so the sums do not depend on the pool.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
 import numpy as np
@@ -28,11 +35,31 @@ ENTROPY_FLOOR = 1e-300  # below this a density value is treated as exact zero
 _GRADED_LEVELS = 40  # halvings of the outer gap toward a graded endpoint
 _MAX_BULK_PANELS = 48  # cap on the bulk panels of one half interval
 # kernel entries dense_sum forms at once (1 MiB per complex block).  The
-# transient is two block-sized arrays, the kernel's argument and its values;
-# at 4e6 entries they took 128 MB and set the peak memory of the Fourier
-# sums, while 2^14 to 2^18 entries ran as fast (the work is trig-bound)
+# transient is two block-sized arrays per worker, the kernel's argument and
+# its values; at 4e6 entries they took 128 MB and set the peak memory of the
+# Fourier sums, while 2^14 to 2^18 entries ran as fast (the work is
+# trig-bound)
 _BLOCK_ENTRIES = 2 ** 16
+_MAX_WORKERS = 32  # cap on dense_sum's pool, whatever the CPU count
 _TAIL_COEFFS = 4  # trailing Legendre coefficients read by panel_error
+
+
+@lru_cache(maxsize=1)
+def _pool() -> ThreadPoolExecutor | None:
+    """The pool dense_sum runs its blocks on; None when one CPU is usable
+    (or the platform cannot tell which CPUs are).
+
+    NumPy's exp and matmul release the interpreter lock, so the blocks run
+    in parallel.  Created on first use and dropped in a forked child, whose
+    copy of the pool has no threads behind it.
+    """
+    usable = getattr(os, "sched_getaffinity", None)
+    workers = min(len(usable(0)) if usable else 1, _MAX_WORKERS)
+    return ThreadPoolExecutor(workers, "dense_sum") if workers > 1 else None
+
+
+if hasattr(os, "register_at_fork"):  # no fork, and no hook, on Windows
+    os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 @lru_cache(maxsize=128)
@@ -86,20 +113,28 @@ def dense_sum(kernel, targets: np.ndarray, nodes: np.ndarray,
 
     `kernel` is called on broadcast (block, 1) and (1, nodes) arrays; rows are
     formed in blocks of about _BLOCK_ENTRIES entries (at least two rows), so
-    memory stays at a few block-sized temporaries whatever the number of
-    targets.  Each block serves every c; one gives an array, several a
-    tuple.  A last single row joins the block before it: a one-row product
-    takes a dot kernel that rounds differently.  Complex rows then do not
-    depend on the block layout; real rows may differ in the last bit when
+    memory stays at a few block-sized temporaries per worker whatever the
+    number of targets.  Each block serves every c; one gives an array,
+    several a tuple.  A last single row joins the block before it: a one-row
+    product takes a dot kernel that rounds differently.  Complex rows then do
+    not depend on the block layout; real rows may differ in the last bit when
     the layout changes (the BLAS picks its kernel by block shape).
+
+    Several blocks run on `_pool()`, a single block on the calling thread;
+    both make the same product per block, so the sums are the same floats.
+    `kernel` must not call dense_sum itself: a worker waiting on the pool
+    it belongs to can deadlock it.
     """
-    def products(block):  # the block is freed before the next is formed
+    def products(cut):  # each block is freed once its products are taken
+        block = kernel(targets[cut[0]:cut[1], None], nodes[None, :])
         return [block @ c for c in coeffs]
 
     chunk = max(2, _BLOCK_ENTRIES // max(nodes.size, 1))
     cuts = [*range(0, max(targets.size - 1, 1), chunk), targets.size]
-    rows = [products(kernel(targets[a:b, None], nodes[None, :]))
-            for a, b in zip(cuts, cuts[1:])]
+    blocks = list(zip(cuts, cuts[1:]))
+    pool = _pool() if len(blocks) > 1 else None
+    rows = list(map(products, blocks) if pool is None
+                else pool.map(products, blocks))
     sums = tuple(np.concatenate(col) for col in zip(*rows))
     return sums[0] if len(sums) == 1 else sums
 

@@ -1,7 +1,13 @@
+import multiprocessing
+import os
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
-from gupcert import quadrature
+import gupcert as g
+from gupcert import measurement, quadrature
 from gupcert.quadrature import dense_sum
 
 
@@ -57,6 +63,129 @@ def test_fourier_sums_do_not_depend_on_block_layout(data, monkeypatch,
     whole = dense_sum(_wave, targets, nodes, coeff)
     monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", entries)
     assert np.array_equal(dense_sum(_wave, targets, nodes, coeff), whole)
+
+
+@pytest.fixture
+def pool_of(monkeypatch):
+    """Stand in `cpus` usable CPUs and return dense_sum's pool for them;
+    the pool is shut down and dropped afterwards."""
+    def make(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        quadrature._pool.cache_clear()
+        return quadrature._pool()
+
+    yield make
+    pool = quadrature._pool()
+    if pool is not None:
+        pool.shutdown()
+    quadrature._pool.cache_clear()
+
+
+def _serial_blocks(kernel, targets, nodes, coeffs, rows):
+    # the plain loop over dense_sum's blocks; a last single row joins the
+    # block before it
+    cuts = [*range(0, targets.size - 1, rows), targets.size]
+    blocks = [kernel(targets[a:b, None], nodes[None, :])
+              for a, b in zip(cuts, cuts[1:])]
+    return [np.concatenate([block @ c for block in blocks]) for c in coeffs]
+
+
+def _table_j_sum():
+    """The kernel, targets, nodes and masses of a tabulated J sum."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return dense_sum(*args)
+
+    t = np.linspace(-4.0, 4.0, 65)
+    table = g.custom_acceptance(t, np.exp(-0.5 * t * t) / np.sqrt(2 * np.pi))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measurement, "dense_sum", spy)
+        table.j(np.linspace(-9.0, 9.0, 41), 0.3)
+    kernel, targets, nodes, masses = calls[0]
+    return kernel, targets, nodes, (masses,)
+
+
+def _as_tuple(sums):
+    return sums if isinstance(sums, tuple) else (sums,)
+
+
+@pytest.mark.parametrize("rows", [2, 3, 10])
+def test_pooled_sums_equal_the_serial_block_loop(data, monkeypatch, pool_of,
+                                                 rows):
+    # the complex pair of the mirrored position density, and the real
+    # kernel of a tabulated J, whose last bit depends on the block layout
+    targets, nodes, coeff = data
+    j_sum = _table_j_sum()
+    pool = pool_of(3)
+    submitted = []
+    submit = pool.submit
+    monkeypatch.setattr(pool, "submit",
+                        lambda *a: submitted.append(1) or submit(*a))
+    for kernel, t, n, coeffs in ((_wave, targets, nodes,
+                                  (coeff, np.conj(coeff))), j_sum):
+        monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", rows * n.size)
+        want = _serial_blocks(kernel, t, n, coeffs, rows)
+        submitted.clear()
+        got = _as_tuple(dense_sum(kernel, t, n, *coeffs))
+        assert len(submitted) == len(range(0, t.size - 1, rows))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        # a one-block call runs on the calling thread
+        submitted.clear()
+        one = _as_tuple(dense_sum(kernel, t[:rows + 1], n, *coeffs))
+        assert not submitted
+        assert all(np.array_equal(a, b[:rows + 1]) for a, b in zip(
+            one, _serial_blocks(kernel, t[:rows + 1], n, coeffs, rows)))
+
+
+def test_pool_size_follows_the_usable_cpus(data, monkeypatch, pool_of):
+    # one usable CPU starts no thread; a pool never outnumbers the CPUs
+    # and stops at 32 workers (checked without starting a thread)
+    targets, nodes, coeff = data
+    monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", 200)  # 20 blocks
+    usable = len(os.sched_getaffinity(0))
+    assert pool_of(1) is None
+    before = threading.active_count()
+    dense_sum(_wave, targets, nodes, coeff)
+    assert threading.active_count() == before
+    for cpus, workers in ((2, 2), (usable, min(usable, 32)), (64, 32)):
+        pool = pool_of(cpus)
+        assert (pool._max_workers if pool else 1) == workers <= cpus
+
+
+def _x_density_in_child(conn, state):
+    conn.send_bytes(g.x_density(state).values.tobytes())
+    conn.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork on this platform")
+def test_forked_child_builds_its_own_pool(monkeypatch, pool_of):
+    # a child inherits the parent's pool without its threads; it must drop
+    # it, or its first multi-block sum waits forever
+    monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", 2 ** 12)
+    assert pool_of(2) is not None
+    state = g.catalog_state("random_fourier_q", g.make_params(1.0),
+                            shape_args=[8], seed=11)
+    want = g.x_density(state).values
+    ctx = multiprocessing.get_context("fork")
+    parent, child = ctx.Pipe(duplex=False)
+    with warnings.catch_warnings():  # fork of a threaded process warns
+        warnings.simplefilter("ignore", DeprecationWarning)
+        proc = ctx.Process(target=_x_density_in_child, args=(child, state))
+        proc.start()
+    child.close()
+    try:
+        got = parent.recv_bytes() if parent.poll(30.0) else None
+        proc.join(10.0)
+        assert not proc.is_alive() and proc.exitcode == 0
+    finally:
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+    assert got == want.tobytes()
 
 
 def test_panel_error_reads_the_trailing_legendre_coefficients():
