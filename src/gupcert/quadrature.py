@@ -16,9 +16,9 @@ its every-other-node subsample (Trefethen & Weideman, SIAM Rev. 56 (2014)
 385).
 
 The dense kernel sums behind every Fourier transform and tabulated `J` run
-their row blocks on a thread pool with one worker per usable CPU.  Each
-block makes the same BLAS call on the same shape whichever thread runs it,
-so the sums do not depend on the pool.
+their row blocks on a pool of two threads when two or more CPUs are
+usable.  Each block makes the same BLAS call on the same shape whichever
+thread runs it, so the sums do not depend on the pool.
 """
 
 from __future__ import annotations
@@ -40,7 +40,10 @@ _MAX_BULK_PANELS = 48  # cap on the bulk panels of one half interval
 # Fourier sums, while 2^14 to 2^18 entries ran as fast (the work is
 # trig-bound)
 _BLOCK_ENTRIES = 2 ** 16
-_MAX_WORKERS = 32  # cap on dense_sum's pool, whatever the CPU count
+# dense_sum's workers, whatever the CPU count: the most that were measured
+# (2-core VM, BENCH_21.json), and with two 1 MiB blocks each they keep a
+# Fourier sum's transient at a few MB
+_MAX_WORKERS = 2
 _TAIL_COEFFS = 4  # trailing Legendre coefficients read by panel_error
 
 
@@ -50,8 +53,9 @@ def _pool() -> ThreadPoolExecutor | None:
     (or the platform cannot tell which CPUs are).
 
     NumPy's exp and matmul release the interpreter lock, so the blocks run
-    in parallel.  Created on first use and dropped in a forked child, whose
-    copy of the pool has no threads behind it.
+    in parallel.  Created on first use and kept: a pool started per call
+    made the Fourier-heavy passes 3-12% slower.  Dropped in a forked child,
+    whose copy of the pool has no threads behind it.
     """
     usable = getattr(os, "sched_getaffinity", None)
     workers = min(len(usable(0)) if usable else 1, _MAX_WORKERS)

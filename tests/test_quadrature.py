@@ -1,5 +1,4 @@
 import multiprocessing
-import os
 import threading
 import warnings
 
@@ -65,23 +64,6 @@ def test_fourier_sums_do_not_depend_on_block_layout(data, monkeypatch,
     assert np.array_equal(dense_sum(_wave, targets, nodes, coeff), whole)
 
 
-@pytest.fixture
-def pool_of(monkeypatch):
-    """Stand in `cpus` usable CPUs and return dense_sum's pool for them;
-    the pool is shut down and dropped afterwards."""
-    def make(cpus):
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(cpus)))
-        quadrature._pool.cache_clear()
-        return quadrature._pool()
-
-    yield make
-    pool = quadrature._pool()
-    if pool is not None:
-        pool.shutdown()
-    quadrature._pool.cache_clear()
-
-
 def _serial_blocks(kernel, targets, nodes, coeffs, rows):
     # the plain loop over dense_sum's blocks; a last single row joins the
     # block before it
@@ -141,18 +123,16 @@ def test_pooled_sums_equal_the_serial_block_loop(data, monkeypatch, pool_of,
 
 
 def test_pool_size_follows_the_usable_cpus(data, monkeypatch, pool_of):
-    # one usable CPU starts no thread; a pool never outnumbers the CPUs
-    # and stops at 32 workers (checked without starting a thread)
+    # one usable CPU starts no thread; more give two workers, whatever the
+    # count (checked without starting a thread)
     targets, nodes, coeff = data
     monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", 200)  # 20 blocks
-    usable = len(os.sched_getaffinity(0))
     assert pool_of(1) is None
     before = threading.active_count()
     dense_sum(_wave, targets, nodes, coeff)
     assert threading.active_count() == before
-    for cpus, workers in ((2, 2), (usable, min(usable, 32)), (64, 32)):
-        pool = pool_of(cpus)
-        assert (pool._max_workers if pool else 1) == workers <= cpus
+    for cpus in (2, 3, 64):
+        assert pool_of(cpus)._max_workers == 2
 
 
 def _x_density_in_child(conn, state):

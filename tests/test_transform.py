@@ -240,6 +240,12 @@ class TestFourier:
             tracemalloc.stop()
         assert peak <= 8e6
 
+    def test_fourier_sum_memory_holds_on_many_cpus(self, pool_of):
+        # the bound above on a machine with 16 usable CPUs: each worker
+        # holds its own blocks, and dense_sum's pool stops at two workers
+        pool_of(16)
+        self.test_fourier_sum_memory_is_block_sized()
+
     def test_profile_scale_taken_once(self):
         # five window passes, each with its own rule; the profile is read
         # over the state grid only once, for the amplitude scale
