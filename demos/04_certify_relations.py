@@ -42,8 +42,10 @@ def main():
         show(g.check_beckner(pair, rep))
         show(g.check_renyi_smeared(pair, rep, smeared, sf))
 
-        # bin each smeared density once; the binned checks share the result
-        p_m, p_n = g.bin_pair(np.random.default_rng(3), *smeared, 0.05, 2.0)
+        # bin each smeared density once and keep its power sums at the
+        # pair's orders; the binned checks share them
+        p_m, p_n = g.bin_pair(np.random.default_rng(3), *smeared, 0.05, 2.0,
+                              (pair.alpha, pair.gamma))
         show(g.check_renyi_binned(pair, p_m, p_n, sf))
         show(g.check_tsallis_binned(pair, p_m, p_n, sf))
         print()

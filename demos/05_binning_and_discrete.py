@@ -53,9 +53,10 @@ def main():
     f = g.gaussian_acceptance(1.0)
     smeared = (g.smear(rep.u_k, f), g.smear(rep.w_x, f))
     sf = g.s_f(f, params)
+    pair = g.conjugate_order(2.0)
     for dmin, dmax in ((0.05, 0.2), (1.0, 2.0)):
-        p_m, p_n = g.bin_pair(rng, *smeared, dmin, dmax)
-        pair = g.conjugate_order(2.0)
+        p_m, p_n = g.bin_pair(rng, *smeared, dmin, dmax,
+                              (pair.alpha, pair.gamma))
         rpt = g.check_tsallis_binned(pair, p_m, p_n, sf)[0]
         print(f"  widths in [{dmin}, {dmax}]: lhs = {rpt.lhs:8.5f}, "
               f"rhs = {rpt.rhs:8.5f}, margin = {rpt.margin:+.5f}")

@@ -196,13 +196,14 @@ class DiscreteDist:
         if errors.shape != self.probs.shape or not np.all(errors >= 0.0):
             raise ContractError("probability errors must match the "
                                 "probabilities and be nonnegative")
-        if np.any(np.diff(self.edges) <= 0.0):
+        widths = np.diff(self.edges)  # read once, for the check and delta_max
+        if np.any(widths <= 0.0):
             raise ContractError("bin edges must be strictly increasing")
+        object.__setattr__(self, "delta_max", float(np.max(widths)))
         if np.any(self.probs < 0.0):
             raise ContractError("bin probabilities must be nonnegative")
         if abs(float(np.sum(self.probs)) - 1.0) > 1e-10:
             raise ContractError("bin probabilities must sum to one")
-        object.__setattr__(self, "delta_max", float(np.max(np.diff(self.edges))))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ reference these estimates rather than absolute truth.
 
 Binning has one path: a DensityCdf gives a density's coverage window,
 random_edges lays random-width bins over it and bin_density reads them;
-bin_pair does all three for a (wavenumber, position) pair.
+bin_pair does all three for a (wavenumber, position) pair and reduces each
+binned distribution to the BinnedSums the binned checks read.
 
 Every Renyi entropy, norm and Tsallis entropy of order a reads one power
 sum S_a = sum_j w_j p_j^a (w_j = 1 for bins, tail integrals added for
@@ -33,6 +34,7 @@ a = inf taking the limits -ln max p, max p and (for bins) 0.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +48,7 @@ _EPS = float(np.finfo(float).eps)
 _VALUE_ULPS = 4  # rounding carried by a density value, in units of _EPS
 _BUMP_PEAK = 4.0  # bound on 15/4, a pair's peak-to-mean interpolation error
 _OUTSIDE_MASS = 3e-7  # mass per side left outside a coverage window
+_BIN_BLOCK = 2 ** 16  # bins per block of DensityCdf.bin_errors
 
 
 @dataclass(frozen=True)
@@ -284,35 +287,48 @@ class DensityCdf:
         # up to 15/4 of its length share
         gaps = np.cumsum(_BUMP_PEAK * np.abs(at_nodes[i0 + 2] - at_nodes[i0]
                                              - simpson))
-        grown = np.interp(edges, np.append(x[0], x[i0 + 2]),
-                          np.append(0.0, gaps))
+        knots, grown_at = np.append(x[0], x[i0 + 2]), np.append(0.0, gaps)
         full = float(gaps[-1]) if gaps.size else 0.0
 
         m_left, m_right = density.tail_masses
-        if m_left or m_right:
-            # below the window the CDF is the left model's mass and above it
-            # 1 - CDF the right model's; in between the models place m_left
+        tails = bool(m_left or m_right)
+        if tails:
             # a window-extending model is good to 5%; on an image grid the
             # modelled mass is counted twice, so all of it is error
             share = 0.05 if density.tail_mass_bound > 0.0 else 1.0
             lo, hi = density.window
             n_lo = int(np.searchsorted(edges, lo, side="right"))
             n_hi = int(np.searchsorted(edges, hi, side="left"))
-            grown += share * m_left
-            grown[:n_lo] += share * (self.total * cdf[:n_lo] - m_left)
-            grown[n_hi:] += share * (m_right - self.total * (1.0 - cdf[n_hi:]))
             full += share * (m_left + m_right)
-
-        errors = np.diff(grown)
-        errors[0] += grown[0]
-        errors[-1] += full - grown[-1]
-        errors /= self.total
         rule_total = density.grid.integrate(f) + m_left + m_right
-        scratch = grown[1:]  # reused for the two per-bin terms
-        np.multiply(probs, abs(self.total - rule_total) / self.total, out=scratch)
-        errors += scratch
-        np.multiply(cdf[1:], _VALUE_ULPS * _EPS, out=scratch)
-        errors += scratch
+        rescale = abs(self.total - rule_total) / self.total
+
+        # bin by bin the same arithmetic, in blocks of bins, so that besides
+        # the errors only block-sized temporaries are held
+        n = probs.size
+        errors = np.empty(n)
+        for start in range(0, n, _BIN_BLOCK):
+            stop = min(start + _BIN_BLOCK, n)
+            grown = np.interp(edges[start:stop + 1], knots, grown_at)
+            if tails:
+                # below the window the CDF is the left model's mass and
+                # above it 1 - CDF the right model's; in between the models
+                # place m_left
+                c = cdf[start:stop + 1]
+                below = slice(None, max(n_lo - start, 0))
+                above = slice(max(n_hi - start, 0), None)
+                grown += share * m_left
+                grown[below] += share * (self.total * c[below] - m_left)
+                grown[above] += share * (m_right
+                                         - self.total * (1.0 - c[above]))
+            block = np.subtract(grown[1:], grown[:-1], out=errors[start:stop])
+            if start == 0:
+                block[0] += grown[0]
+            if stop == n:
+                block[-1] += full - grown[-1]
+            block /= self.total
+            block += probs[start:stop] * rescale
+            block += cdf[start + 1:stop + 1] * (_VALUE_ULPS * _EPS)
         return np.clip(errors, 0.0, None, out=errors)
 
 
@@ -345,7 +361,7 @@ def bin_density(density: DensityFn | DensityCdf,
     edges = np.asarray(edges, dtype=float)
     if edges.size < 2:
         raise ContractError("need at least two bin edges")
-    if np.any(np.diff(edges) <= 0.0):
+    if np.any(edges[1:] <= edges[:-1]):  # DiscreteDist takes the widths
         raise ContractError("bin edges must be strictly increasing")
     cdf_of = (density if isinstance(density, DensityCdf)
               else DensityCdf(density))
@@ -356,10 +372,11 @@ def bin_density(density: DensityFn | DensityCdf,
     probs = np.diff(cdf)
     probs[0] += cdf[0]
     probs[-1] += 1.0 - cdf[-1]
-    probs = np.clip(probs, 0.0, None)
+    np.clip(probs, 0.0, None, out=probs)
     probs /= probs.sum()
-    return DiscreteDist(edges=edges, probs=probs,
-                        prob_errors=cdf_of.bin_errors(edges, cdf, probs))
+    errors = cdf_of.bin_errors(edges, cdf, probs)
+    del cdf  # before DiscreteDist takes the widths
+    return DiscreteDist(edges=edges, probs=probs, prob_errors=errors)
 
 
 def random_edges(rng: np.random.Generator, lo: float, hi: float,
@@ -367,13 +384,17 @@ def random_edges(rng: np.random.Generator, lo: float, hi: float,
     """Bin edges from lo on, with widths drawn uniformly from [dmin, dmax],
     up to the first edge at or past hi.
 
-    About 1.3 times the widths needed are drawn; the edges are summed in
-    place and the array is cut to its size, so it holds no unused draws.
+    About 1.3 times the widths needed are drawn, straight into the edge
+    array with Generator.uniform's arithmetic (dmin + (dmax - dmin) u on
+    the same draws u); the edges are summed in place and the array is cut
+    to its size, so it holds no unused draws.
     """
     n_est = int((hi - lo) / ((dmin + dmax) / 2.0) * 1.3) + 16
     edges = np.empty(n_est + 1)
     edges[0] = 0.0
-    edges[1:] = rng.uniform(dmin, dmax, size=n_est)
+    widths = rng.random(out=edges[1:])
+    widths *= dmax - dmin
+    widths += dmin
     np.cumsum(edges, out=edges)
     edges += lo
     edges.resize(min(int(np.searchsorted(edges, hi)) + 1, edges.size),
@@ -381,12 +402,48 @@ def random_edges(rng: np.random.Generator, lo: float, hi: float,
     return edges
 
 
-def bin_pair(rng: np.random.Generator, a: DensityFn, b: DensityFn,
-             dmin: float, dmax: float):
-    """Both densities binned on random edges over their coverage windows.
+@dataclass(frozen=True)
+class BinnedSums:
+    """What the binned checks read of one binned distribution: its widest
+    bin and, per order, the Renyi entropy and norm of one power sum.
 
-    Each density's CDF spline is built once, for its window and its bins,
-    and dropped on return; rng draws the edges of a, then those of b.
+    `sums` maps each order to discrete_renyi_and_norm(dist, order) of the
+    distribution it was built from (order 1: the Shannon entropy and norm
+    1), so it holds no array of bin length.
+    """
+
+    delta_max: float
+    sums: dict[float, tuple[EntropyValue, float]]
+
+    @classmethod
+    def of(cls, dist: DiscreteDist, orders: Iterable[float]) -> "BinnedSums":
+        """The sums of `dist` at each of `orders`, each taken once."""
+        return cls(delta_max=dist.delta_max,
+                   sums={order: discrete_renyi_and_norm(dist, order)
+                         for order in dict.fromkeys(orders)})
+
+    def renyi_and_norm(self, order: float) -> tuple[EntropyValue, float]:
+        """The Renyi entropy and norm of one order; a ContractError when
+        that order was not summed."""
+        try:
+            return self.sums[order]
+        except KeyError:
+            raise ContractError(f"no power sum of order {order:g} was taken "
+                                "of these bins") from None
+
+
+def bin_pair(rng: np.random.Generator, a: DensityFn, b: DensityFn,
+             dmin: float, dmax: float,
+             orders: Iterable[float]) -> tuple[BinnedSums, BinnedSums] | None:
+    """Both densities binned on random edges over their coverage windows,
+    each reduced to its BinnedSums at `orders`.
+
+    Both windows are found first, one CDF spline per density, which then
+    reads that density's bins.  rng draws the edges of a, a is binned and
+    reduced to its sums and its bins are dropped; only then are the edges
+    of b drawn and b binned.  So at most one binned distribution is held
+    at a time: for a heavy-tailed density that is millions of bins, three
+    arrays of that length and the temporaries of binning them.
     None, with the generator untouched, when the two windows together would
     take tens of millions of bins at these widths (very heavy tails).  The
     windows there come from tail-model quantiles, so that is decided before
@@ -402,13 +459,15 @@ def bin_pair(rng: np.random.Generator, a: DensityFn, b: DensityFn,
                      - (last if lo is None else lo))
     if not least < cap:
         return None
-    cdf_a, cdf_b = DensityCdf(a), DensityCdf(b)
-    alo, ahi = cdf_a.coverage_window()
-    blo, bhi = cdf_b.coverage_window()
-    if not ((ahi - alo) + (bhi - blo) < cap):
+    cdfs = (DensityCdf(a), DensityCdf(b))
+    windows = [cdf.coverage_window() for cdf in cdfs]
+    if not sum(hi - lo for lo, hi in windows) < cap:
         return None
-    return (bin_density(cdf_a, random_edges(rng, alo, ahi, dmin, dmax)),
-            bin_density(cdf_b, random_edges(rng, blo, bhi, dmin, dmax)))
+    # the bins are an argument only, so they go as soon as their sums return
+    return tuple(BinnedSums.of(bin_density(cdf, random_edges(rng, lo, hi,
+                                                             dmin, dmax)),
+                               orders)
+                 for cdf, (lo, hi) in zip(cdfs, windows))
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +487,14 @@ def _positive(dist: DiscreteDist) -> tuple[np.ndarray, np.ndarray]:
 def _discrete_shannon(dist: DiscreteDist) -> EntropyValue:
     """-sum p ln p, with error sum |dp_i| (1 + |ln p_i|)."""
     p, dp = _positive(dist)
-    log_p = np.log(p)
-    value = float(-np.sum(p * log_p))
-    np.abs(log_p, out=log_p)
-    log_p += 1.0
+    buf = np.log(p)  # the one bin-length temporary, for both sums
+    buf *= p
+    value = float(-np.sum(buf))
+    np.log(p, out=buf)
+    np.abs(buf, out=buf)
+    buf += 1.0
     return EntropyValue(value=value, differential=False,
-                        est_error=float(np.dot(dp, log_p)))
+                        est_error=float(np.dot(dp, buf)))
 
 
 def discrete_renyi_and_norm(dist: DiscreteDist,

@@ -10,7 +10,8 @@ The pass threshold is -(base tolerance + 4 x propagated grid-error estimate);
 numerical certification needs graded evidence rather than a boolean.
 
 A check takes only what its inequality reads: the bundle's densities and
-correction (its source state carries beta), S_f and binned distributions.
+correction (its source state carries beta), S_f and, for a binned row, the
+BinnedSums of each binned distribution: its widest bin and its power sums.
 Reports carry no state label or parameter tags, only the widest bins a row
 read; the suite keys each row by the cell and parameters it passed in.
 
@@ -20,7 +21,9 @@ check_bbm_corrected returns all five rows when given the binned pair, and
 check_binned_shannon is a view.  Likewise the Renyi, norm and Tsallis rows
 of an order pair read one table of power sums, one per density and order:
 check_renyi_binned returns every binned row of the pair, and
-check_tsallis_binned and check_norm_ordering are views.
+check_tsallis_binned and check_norm_ordering are views.  The binned sums
+are taken when the bins are (entropy.bin_pair, BinnedSums.of), so no check
+holds or reads a bin.
 """
 
 from __future__ import annotations
@@ -31,11 +34,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (DensityFn, DiscreteDist, Domain, OrderPair, PureState,
-                   moment, rebuild_state)
-from .entropy import (EntropyValue, _tsallis_of_renyi, alpha_log,
-                      diff_shannon, discrete_renyi, discrete_renyi_and_norm,
-                      renyi_and_norm)
+from .core import (DensityFn, Domain, OrderPair, PureState, moment,
+                   rebuild_state)
+from .entropy import (BinnedSums, EntropyValue, _tsallis_of_renyi, alpha_log,
+                      diff_shannon, renyi_and_norm)
 from .errors import (InvalidParameterError, MomentDivergenceError,
                      NormDivergenceError)
 from .measurement import s_f_gaussian_bound
@@ -257,16 +259,17 @@ def robertson_margin(rep: RepresentationBundle) -> RelationReport:
 # ---------------------------------------------------------------------------
 
 def check_bbm_corrected(rep: RepresentationBundle,
-                        binned: tuple[DiscreteDist, DiscreteDist] | None = None
+                        binned: tuple[BinnedSums, BinnedSums] | None = None
                         ) -> list[RelationReport]:
     """Fourier-pair bound and its minimal-length corrected form.
 
     The base relation is H(Q) + H(X) >= ln(e pi); replacing the auxiliary
     entropy by the physical one adds the correction term to the bound.
-    Given `binned`, the wavenumber and position densities of `rep` binned
-    as (p_k, p_x), three rows follow that read the same entropies: the
-    binning lemma for p_k and for p_x, then the binned Shannon sum.  So
-    H(Q), H(X), H(K), H(p_k) and H(p_x) are each taken once.
+    Given `binned`, the BinnedSums (p_k, p_x) of the wavenumber and
+    position densities of `rep` binned, with order 1 summed, three rows
+    follow that read the same entropies: the binning lemma for p_k and for
+    p_x, then the binned Shannon sum.  So H(Q), H(X), H(K), H(p_k) and
+    H(p_x) are each taken once.
     """
     hq = diff_shannon(rep.v_q)
     hx = diff_shannon(rep.w_x)
@@ -279,7 +282,7 @@ def check_bbm_corrected(rep: RepresentationBundle,
     if binned is None:
         return [base, corrected]
     p_k, p_x = binned
-    h_k, h_x = discrete_renyi(p_k, 1.0), discrete_renyi(p_x, 1.0)
+    h_k, h_x = p_k.renyi_and_norm(1.0)[0], p_x.renyi_and_norm(1.0)[0]
     rhs = LN_E_PI - math.log(p_k.delta_max * p_x.delta_max) + corr
     return [base, corrected,
             _binning_lemma(rep.u_k, hk, p_k, h_k),
@@ -314,35 +317,37 @@ def check_smeared_shannon(rep: RepresentationBundle,
 
 
 def _binning_lemma(density: DensityFn, h_cont: EntropyValue,
-                   dist: DiscreteDist, h_disc: EntropyValue) -> RelationReport:
+                   sums: BinnedSums, h_disc: EntropyValue) -> RelationReport:
     """H(p) >= H(density) - ln(max bin width) from the two entropies."""
     tag = density.grid.domain_tag
     width = "delta_x" if tag in (Domain.X, Domain.XI) else "delta_k"
     return _report(f"binning_lemma_{tag.value.lower()}", h_disc.value,
-                   h_cont.value - math.log(dist.delta_max),
+                   h_cont.value - math.log(sums.delta_max),
                    h_cont.est_error + h_disc.est_error,
-                   **{width: dist.delta_max})
+                   **{width: sums.delta_max})
 
 
-def check_binning_lemma(density: DensityFn, dist: DiscreteDist) -> RelationReport:
+def check_binning_lemma(density: DensityFn, sums: BinnedSums) -> RelationReport:
     """Discretization lemma: H(p) >= H(density) - ln(max bin width).
 
-    `dist` is the density binned on some layout; the density's axis names
-    the row (binning_lemma_k for the wavenumber, binning_lemma_x for the
-    position).  The row carries the errors of both entropies.  For the
-    pair of a bundle, check_bbm_corrected emits both lemma rows from the
-    entropies it has already taken.
+    `sums` are the BinnedSums of the density binned on some layout, order 1
+    among them; the density's axis names the row (binning_lemma_k for the
+    wavenumber, binning_lemma_x for the position).  The row carries the
+    errors of both entropies.  For the pair of a bundle,
+    check_bbm_corrected emits both lemma rows from the entropies it has
+    already taken.
     """
-    return _binning_lemma(density, diff_shannon(density), dist,
-                          discrete_renyi(dist, 1.0))
+    return _binning_lemma(density, diff_shannon(density), sums,
+                          sums.renyi_and_norm(1.0)[0])
 
 
-def check_binned_shannon(p_k: DiscreteDist, p_x: DiscreteDist,
+def check_binned_shannon(p_k: BinnedSums, p_x: BinnedSums,
                          rep: RepresentationBundle) -> RelationReport:
     """Binned Shannon sum against ln(e pi / (dk dx)) plus the correction.
 
-    `p_k` and `p_x` are the wavenumber and position densities of `rep`
-    binned.  The last row of check_bbm_corrected given the pair.
+    `p_k` and `p_x` are the BinnedSums, with order 1, of the wavenumber and
+    position densities of `rep` binned.  The last row of
+    check_bbm_corrected given the pair.
     """
     return check_bbm_corrected(rep, (p_k, p_x))[-1]
 
@@ -447,12 +452,13 @@ _BINNED = {"sum": ("renyi_sum_binned", "renyi_sum_binned_swapped"),
            "tsallis": ("tsallis_sum_binned", "tsallis_sum_binned_swapped")}
 
 
-def check_renyi_binned(pair: OrderPair, p_m: DiscreteDist, p_n: DiscreteDist,
+def check_renyi_binned(pair: OrderPair, p_m: BinnedSums, p_n: BinnedSums,
                        sf_value: float) -> list[RelationReport]:
     """Every binned row of an order pair, from four discrete power sums.
 
-    `p_m` and `p_n` are the smeared wavenumber and position densities
-    binned; `sf_value` is S_f of the momentum acceptance.  The rows, in
+    `p_m` and `p_n` are the BinnedSums of the smeared wavenumber and
+    position densities binned, each with the pair's two orders summed;
+    `sf_value` is S_f of the momentum acceptance.  The rows, in
     order: the Renyi sums against ln(kappa pi / (S_f dzeta dxi)), the norm
     rows, the Tsallis sums against the deformed-log bound with nu = max
     order, and the norm ordering of `p_m`.  All read ln sum p^alpha and
@@ -463,7 +469,7 @@ def check_renyi_binned(pair: OrderPair, p_m: DiscreteDist, p_n: DiscreteDist,
     """
     scale = sf_value * p_m.delta_max * p_n.delta_max
     rids = {"tsallis": _BINNED["tsallis"]} if pair.degenerate else _BINNED
-    rows, powers = _renyi_reports(discrete_renyi_and_norm, p_m, p_n, pair,
+    rows, powers = _renyi_reports(BinnedSums.renyi_and_norm, p_m, p_n, pair,
                                   scale, rids)
     if pair.degenerate:
         (h_m, _), (h_n, _) = powers["m", 1.0], powers["n", 1.0]
@@ -481,17 +487,18 @@ def check_renyi_binned(pair: OrderPair, p_m: DiscreteDist, p_n: DiscreteDist,
                                         delta_k=p_m.delta_max)]
 
 
-def check_tsallis_binned(pair: OrderPair, p_m: DiscreteDist, p_n: DiscreteDist,
+def check_tsallis_binned(pair: OrderPair, p_m: BinnedSums, p_n: BinnedSums,
                          sf_value: float) -> list[RelationReport]:
     """The two Tsallis rows of check_renyi_binned (same inputs)."""
     return [rpt for rpt in check_renyi_binned(pair, p_m, p_n, sf_value)
             if rpt.relation_id in _BINNED["tsallis"]]
 
 
-def check_norm_ordering(dist: DiscreteDist, pair: OrderPair) -> RelationReport:
+def check_norm_ordering(sums: BinnedSums, pair: OrderPair) -> RelationReport:
     """Discrete norm ordering ||p||_alpha <= 1 <= ||p||_gamma for alpha>1>gamma.
 
-    The last row of check_renyi_binned, read for one distribution: lhs is
-    the smaller slack of the two inequalities, rhs is zero.
+    The last row of check_renyi_binned, read for one distribution's
+    BinnedSums with the pair's two orders summed: lhs is the smaller slack
+    of the two inequalities, rhs is zero.
     """
-    return check_renyi_binned(pair, dist, dist, 1.0)[-1]
+    return check_renyi_binned(pair, sums, sums, 1.0)[-1]

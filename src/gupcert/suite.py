@@ -10,7 +10,8 @@ of the order the cells run in; floats serialize with 17 significant digits.
 Verify and the sweeps take one path through a cell: `_bundle` builds the
 bundle of a state spec at one beta and `_smeared` gives S_f and the smeared
 pair at one sigma; `entropy.bin_pair` bins each pair on the cell's own
-generator.  At the degenerate order pair (1, 1) the Beckner and
+generator and keeps only the power sums of the orders the cell's binned
+rows read.  At the degenerate order pair (1, 1) the Beckner and
 smeared Renyi relations are the Shannon ones, so those rows are the cell's
 own shannon_sum_base and smeared Shannon reports: no entropy is taken twice.
 """
@@ -224,17 +225,20 @@ def _verify_cell(spec: dict, beta: float, config: RunConfig) -> list[dict]:
     rng = np.random.default_rng(int(seed) + cell_tag)
     dmin, dmax = float(dmin), float(dmax)
     out: list[dict] = []
+    pairs = [rel.conjugate_order(a) for a in config.alpha_grid]
+    # the binned rows of a sigma read the orders of every pair (1 at the
+    # degenerate pair); those of the unsmeared pair only order 1
+    orders = [order for pair in pairs for order in (pair.alpha, pair.gamma)]
 
     # the Fourier-pair, binning-lemma and binned Shannon rows read one set
     # of entropies, so the unsmeared pair is binned, on rng's first edges,
-    # before they are taken; the bins go with the call
+    # before they are taken
     rows = rel.check_bbm_corrected(rep, bin_pair(rng, rep.u_k, rep.w_x,
-                                                 dmin, dmax))
+                                                 dmin, dmax, (1.0,)))
     out.extend(_record(rpt, label, beta) for rpt in rows)
     out.append(_record(rel.check_jensen(rep), label, beta))
     out.append(_record(rel.robertson_margin(rep), label, beta))
 
-    pairs = [rel.conjugate_order(a) for a in config.alpha_grid]
     for pair in pairs:
         beckner = rows[:1] if pair.degenerate else rel.check_beckner(pair, rep)
         out.extend(_record(rpt, label, beta, pair=pair) for rpt in beckner)
@@ -245,7 +249,7 @@ def _verify_cell(spec: dict, beta: float, config: RunConfig) -> list[dict]:
             shannon = rel.check_smeared_shannon(rep, smeared, sf_val)
             out.extend(_record(rpt, label, beta, sigma=sigma)
                        for rpt in shannon)
-            binned = bin_pair(rng, *smeared, dmin, dmax)
+            binned = bin_pair(rng, *smeared, dmin, dmax, orders)
             for pair in pairs:
                 renyi = shannon if pair.degenerate else rel.check_renyi_smeared(
                     pair, rep, smeared, sf_val)
@@ -253,9 +257,8 @@ def _verify_cell(spec: dict, beta: float, config: RunConfig) -> list[dict]:
                     renyi = renyi + rel.check_renyi_binned(pair, *binned, sf_val)
                 out.extend(_record(rpt, label, beta, sigma=sigma, pair=pair)
                            for rpt in renyi)
-        # the smeared pair and its bins, a cell's largest arrays, go before
-        # the next sigma builds its own
-        del smeared, binned
+        # the smeared pair goes before the next sigma builds its own
+        del smeared
     return out
 
 

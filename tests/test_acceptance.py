@@ -117,7 +117,7 @@ def test_criterion_06_binning_lemma_and_binned_bound():
     rng = np.random.default_rng(2026)
     for name, shape, seed in CATALOG:
         rep = _rep(name, 1.0, shape, seed)
-        p_k, p_x = g.bin_pair(rng, rep.u_k, rep.w_x, 0.05, 2.0)
+        p_k, p_x = g.bin_pair(rng, rep.u_k, rep.w_x, 0.05, 2.0, (1.0,))
         lem_k = g.check_binning_lemma(rep.u_k, p_k)
         lem_x = g.check_binning_lemma(rep.w_x, p_x)
         both = g.check_binned_shannon(p_k, p_x, rep)
@@ -161,9 +161,10 @@ def test_criterion_09_beckner_and_renyi_relations():
         rep = _rep(name, 1.0, shape, seed)
         smeared = (g.smear(rep.u_k, f), g.smear(rep.w_x, f))
         sf_val = g.s_f(f, st.params)
-        p_m, p_n = g.bin_pair(rng, *smeared, 0.05, 2.0)
-        for alpha in (1.25, 1.5, 2.0, 3.0):
-            pair = g.conjugate_order(alpha)
+        pairs = [g.conjugate_order(a) for a in (1.25, 1.5, 2.0, 3.0)]
+        p_m, p_n = g.bin_pair(rng, *smeared, 0.05, 2.0,
+                              [o for p in pairs for o in (p.alpha, p.gamma)])
+        for pair in pairs:
             reports = list(g.check_beckner(pair, rep))
             reports += g.check_renyi_smeared(pair, rep, smeared, sf_val)
             reports += g.check_renyi_binned(pair, p_m, p_n, sf_val)
@@ -188,9 +189,10 @@ def test_criterion_10_tsallis_and_norm_ordering():
         rep = _rep(name, 1.0, shape, seed)
         smeared = (g.smear(rep.u_k, f), g.smear(rep.w_x, f))
         sf_val = g.s_f(f, st.params)
-        p_m, p_n = g.bin_pair(rng, *smeared, 0.05, 2.0)
-        for alpha in (1.25, 1.5, 2.0, 3.0):
-            pair = g.conjugate_order(alpha)
+        pairs = [g.conjugate_order(a) for a in (1.25, 1.5, 2.0, 3.0)]
+        p_m, p_n = g.bin_pair(rng, *smeared, 0.05, 2.0,
+                              [o for p in pairs for o in (p.alpha, p.gamma)])
+        for pair in pairs:
             for rpt in g.check_tsallis_binned(pair, p_m, p_n, sf_val):
                 worst = min(worst, rpt.margin)
             worst = min(worst, g.check_norm_ordering(p_m, pair).margin,

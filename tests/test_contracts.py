@@ -98,6 +98,9 @@ CASES = {
                     g.InvalidParameterError, "positive"),
     "discrete_renyi_order": (lambda s: g.discrete_renyi_and_norm(_DIST, -1.0),
                              g.InvalidParameterError, "positive"),
+    "binned_sums_order": (lambda s: g.BinnedSums.of(_DIST, (2.0,))
+                          .renyi_and_norm(3.0),
+                          g.ContractError, "order 3 was taken"),
     "alpha_log_order": (lambda s: g.alpha_log(2.0, 0.0),
                         g.InvalidParameterError, "nu > 0"),
     "bin_edges": (lambda s: g.bin_density(_density(_FLAT),

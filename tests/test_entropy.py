@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import gupcert as g
 from conftest import random_discrete
+from gupcert import entropy
 
 
 def uniform_density(length, n=801):
@@ -171,6 +173,50 @@ class TestBinning:
             assert edges[-2] < hi <= edges[-1]
         assert rng.random() == old_rng.random()
 
+    @pytest.mark.parametrize("fixture", ["uniform_rep", "cosine_rep"])
+    def test_bin_errors_do_not_depend_on_the_block(self, fixture, request,
+                                                   monkeypatch):
+        # bin_errors runs the same arithmetic bin by bin in blocks of bins:
+        # any block size, one block for all bins included, gives the same
+        # floats.  uniform_q's K window ends in tail-model bins on both
+        # sides; raised_cosine_q's has none.
+        rep = request.getfixturevalue(fixture)
+        for density in (rep.u_k, rep.w_x):
+            cdf_of = g.DensityCdf(density)
+            edges = np.linspace(*cdf_of.coverage_window(), 2001)
+            cdf = cdf_of(edges)
+            probs = g.bin_density(cdf_of, edges).probs
+            results = []
+            for block in (probs.size, 1, 7, 2 ** 16):
+                monkeypatch.setattr(entropy, "_BIN_BLOCK", block)
+                results.append(cdf_of.bin_errors(edges, cdf, probs).tobytes())
+            assert results[1:] == results[:1] * 3
+
+    def test_random_edges_draw_uniform_widths(self):
+        # the widths are drawn into the edge array as dmin + (dmax - dmin) u,
+        # Generator.uniform's arithmetic on the same draws: the edges equal
+        # those of rng.uniform widths over the 2.7 M draws of a Cauchy
+        # wavenumber window
+        lo, hi, dmin, dmax = -1.07e6, 1.07e6, 0.05, 2.0
+        edges = g.random_edges(np.random.default_rng(8), lo, hi, dmin, dmax)
+        n_est = int((hi - lo) / ((dmin + dmax) / 2.0) * 1.3) + 16
+        assert n_est > 2_700_000
+        widths = np.random.default_rng(8).uniform(dmin, dmax, size=n_est)
+        old = lo + np.concatenate([[0.0], np.cumsum(widths)])
+        assert edges.tobytes() == old[:edges.size].tobytes()
+
+
+def _holding_bins(monkeypatch) -> list:
+    """The DiscreteDist of every bin_density call from here on, held."""
+    held, real = [], entropy.bin_density
+
+    def holding(density, edges):
+        held.append(real(density, edges))
+        return held[-1]
+
+    monkeypatch.setattr(entropy, "bin_density", holding)
+    return held
+
 
 class TestBinPair:
     @pytest.fixture(scope="class")
@@ -183,26 +229,73 @@ class TestBinPair:
 
     def test_over_the_cap_builds_no_spline(self, smeared_cauchy,
                                            monkeypatch):
-        from gupcert import entropy
-
         def no_spline(*args, **kw):
             raise AssertionError("a CDF spline was built")
 
         monkeypatch.setattr(entropy, "CubicSpline", no_spline)
         rng = np.random.default_rng(5)
         state = rng.bit_generator.state
-        assert g.bin_pair(rng, *smeared_cauchy, 0.05, 2.0) is None
+        assert g.bin_pair(rng, *smeared_cauchy, 0.05, 2.0, (1.0,)) is None
         assert rng.bit_generator.state == state
 
-    def test_cdf_windows_meet_the_cap(self, cosine_rep):
+    def test_cdf_windows_meet_the_cap(self, cosine_rep, monkeypatch):
         # raised_cosine_q's K window comes from its CDF, so the bound checked
         # before the splines counts it as empty; the full spans still decide
         pair = (cosine_rep.u_k, cosine_rep.w_x)
         windows = [g.DensityCdf(d).coverage_window() for d in pair]
         half = 0.5 * sum(hi - lo for lo, hi in windows) / 4e6
-        assert g.bin_pair(np.random.default_rng(5), *pair, half, half) is None
-        p_k, p_x = g.bin_pair(np.random.default_rng(5), *pair, 0.05, 2.0)
-        assert p_k.edges[0] == windows[0][0] and p_x.edges[0] == windows[1][0]
+        assert g.bin_pair(np.random.default_rng(5), *pair, half, half,
+                          (1.0,)) is None
+        held = _holding_bins(monkeypatch)
+        g.bin_pair(np.random.default_rng(5), *pair, 0.05, 2.0, (1.0,))
+        assert [d.edges[0] for d in held] == [lo for lo, _ in windows]
+
+    def test_edges_are_random_edges_of_a_then_b(self, cosine_rep,
+                                                monkeypatch):
+        # one generator draws the edges of a, then those of b, as two
+        # random_edges calls over the coverage windows would
+        pair = (cosine_rep.u_k, cosine_rep.w_x)
+        held = _holding_bins(monkeypatch)
+        rng, own = np.random.default_rng(21), np.random.default_rng(21)
+        g.bin_pair(rng, *pair, 0.05, 2.0, (1.0,))
+        for dist, density in zip(held, pair, strict=True):
+            lo, hi = g.DensityCdf(density).coverage_window()
+            edges = g.random_edges(own, lo, hi, 0.05, 2.0)
+            assert dist.edges.tobytes() == edges.tobytes()
+        assert rng.bit_generator.state == own.bit_generator.state
+
+    def test_sums_are_the_discrete_sums_of_the_bins(self, cosine_rep,
+                                                     monkeypatch):
+        # each entry is discrete_renyi_and_norm of the same bins, float for
+        # float, Shannon at order 1 and the sup limits at order inf
+        orders = (1.0, 1.5, 0.75, 2.0, 2.0 / 3.0, 4.0, 4.0 / 7.0, math.inf)
+        held = _holding_bins(monkeypatch)
+        binned = g.bin_pair(np.random.default_rng(4), cosine_rep.u_k,
+                            cosine_rep.w_x, 0.05, 2.0, orders)
+        for sums, dist in zip(binned, held, strict=True):
+            assert sums.delta_max == dist.delta_max
+            assert list(sums.sums) == list(orders)
+            for order in orders:
+                assert sums.renyi_and_norm(order) == \
+                    g.discrete_renyi_and_norm(dist, order)
+
+    def test_cauchy_sums_hold_no_bin_length_array(self, uniform_rep,
+                                                  monkeypatch):
+        # uniform_q at beta = 1: the Cauchy wavenumber side takes millions
+        # of bins, and its sums keep a few floats per order
+        sizes, real = [], entropy.bin_density
+
+        def sizing(density, edges):
+            sizes.append(edges.size - 1)
+            return real(density, edges)
+
+        monkeypatch.setattr(entropy, "bin_density", sizing)
+        binned = g.bin_pair(np.random.default_rng(5), uniform_rep.u_k,
+                            uniform_rep.w_x, 0.05, 2.0,
+                            (1.0, 2.0, 2.0 / 3.0, math.inf))
+        assert sizes[0] > 2_000_000
+        for sums in binned:
+            assert len(pickle.dumps(sums)) < 4_000
 
 
 class TestDiscreteEntropies:
@@ -318,7 +411,7 @@ class TestBinningLemma:
     def test_random_layouts(self, fixture, request):
         rep = request.getfixturevalue(fixture)
         binned = g.bin_pair(np.random.default_rng(17), rep.u_k, rep.w_x,
-                            0.05, 2.0)
+                            0.05, 2.0, (1.0,))
         for density, dist, axis in zip((rep.u_k, rep.w_x), binned, "kx"):
             rpt = g.check_binning_lemma(density, dist)
             assert rpt.relation_id == f"binning_lemma_{axis}"
@@ -329,7 +422,8 @@ class TestBinningLemma:
         # keep the margin positive at the tolerance scale
         d = gauss_rep_small_beta.v_q
         edges = np.arange(-8.0, 8.0 + 1e-9, 0.05)
-        rpt = g.check_binning_lemma(d, g.bin_density(d, edges))
+        rpt = g.check_binning_lemma(
+            d, g.BinnedSums.of(g.bin_density(d, edges), (1.0,)))
         assert rpt.margin >= -1e-8
 
     def test_refinement_stability(self, gauss_rep_small_beta):

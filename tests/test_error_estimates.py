@@ -113,7 +113,7 @@ def test_cauchy_bins(uniform_rep):
     dist = g.bin_density(density, edges)
     _assert_bins_sound(dist, exact)
     # the binning lemma's row carries both entropies' errors
-    rpt = g.check_binning_lemma(density, dist)
+    rpt = g.check_binning_lemma(density, g.BinnedSums.of(dist, (1.0,)))
     h_disc = g.discrete_renyi(dist, 1.0)
     assert rpt.est_error == g.diff_shannon(density).est_error + h_disc.est_error
     exact_h = -float(np.sum(exact * np.log(exact)))

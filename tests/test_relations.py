@@ -200,14 +200,15 @@ class TestShannonRelations:
 
     def test_binned_margins(self, cosine_rep):
         p_k, p_x = g.bin_pair(np.random.default_rng(4), cosine_rep.u_k,
-                              cosine_rep.w_x, 0.05, 2.0)
+                              cosine_rep.w_x, 0.05, 2.0, (1.0,))
         rpt = g.check_binned_shannon(p_k, p_x, cosine_rep)
         assert rpt.margin >= -1e-8
 
     def test_binned_pair_adds_the_lemma_and_binned_rows(self, cosine_rep):
         # given the binned pair, the Fourier-pair check appends the rows the
         # single-purpose checks give, float for float
-        p_k, p_x = (g.bin_density(c, np.linspace(*c.coverage_window(), 200))
+        p_k, p_x = (g.BinnedSums.of(g.bin_density(
+            c, np.linspace(*c.coverage_window(), 200)), (1.0,))
                     for c in map(g.DensityCdf, (cosine_rep.u_k, cosine_rep.w_x)))
         rows = g.check_bbm_corrected(cosine_rep, (p_k, p_x))
         assert rows[:2] == g.check_bbm_corrected(cosine_rep)
@@ -221,7 +222,8 @@ class TestShannonRelations:
         # a lemma row names the width on its density's side, smeared or
         # not; the binned sums name both, the norm ordering p_m's alone
         smeared, sf_val = _smeared_cell(cosine_rep, g.gaussian_acceptance(1.0))
-        p_m, p_n = g.bin_pair(np.random.default_rng(9), *smeared, 0.05, 2.0)
+        p_m, p_n = g.bin_pair(np.random.default_rng(9), *smeared, 0.05, 2.0,
+                              (1.0, 2.0, 2.0 / 3.0))
         dm, dn = p_m.delta_max, p_n.delta_max
         assert dm != dn
         for density, dist, want in ((smeared[0], p_m, (dm, None)),
@@ -241,9 +243,10 @@ class TestShannonRelations:
     def test_coarse_bins_vacuous(self, cosine_rep):
         bins_k = np.array([-120.0, 0.0, 120.0])
         bins_x = np.array([-60.0, 0.0, 60.0])
-        rpt = g.check_binned_shannon(g.bin_density(cosine_rep.u_k, bins_k),
-                                     g.bin_density(cosine_rep.w_x, bins_x),
-                                     cosine_rep)
+        rpt = g.check_binned_shannon(
+            g.BinnedSums.of(g.bin_density(cosine_rep.u_k, bins_k), (1.0,)),
+            g.BinnedSums.of(g.bin_density(cosine_rep.w_x, bins_x), (1.0,)),
+            cosine_rep)
         assert rpt.rhs < 0.0
         assert rpt.margin > 1.0
 
@@ -326,7 +329,8 @@ class TestBecknerAndRenyi:
         f = g.gaussian_acceptance(1.0)
         pair = g.conjugate_order(2.0)
         smeared, sf_val = _smeared_cell(cosine_rep, f)
-        p_m, p_n = g.bin_pair(np.random.default_rng(9), *smeared, 0.05, 2.0)
+        p_m, p_n = g.bin_pair(np.random.default_rng(9), *smeared, 0.05, 2.0,
+                              (pair.alpha, pair.gamma))
         for rpt in g.check_renyi_binned(pair, p_m, p_n, sf_val):
             assert rpt.margin >= -1e-8
         for rpt in g.check_tsallis_binned(pair, p_m, p_n, sf_val):
@@ -370,8 +374,8 @@ class TestBecknerAndRenyi:
         xlo, xhi = g.DensityCdf(smeared[1]).coverage_window()
         bins_z = np.linspace(zlo, zhi, int((zhi - zlo) / 0.5) + 2)
         bins_x = np.linspace(xlo, xhi, int((xhi - xlo) / 0.5) + 2)
-        p_m = g.bin_density(smeared[0], bins_z)
-        p_n = g.bin_density(smeared[1], bins_x)
+        p_m = g.BinnedSums.of(g.bin_density(smeared[0], bins_z), (1.0,))
+        p_n = g.BinnedSums.of(g.bin_density(smeared[1], bins_x), (1.0,))
         ts = g.check_tsallis_binned(pair, p_m, p_n, sf_val)
         ren = g.check_renyi_binned(pair, p_m, p_n, sf_val)
         # with nu = 1 the deformed log is the log: same bound as Shannon form

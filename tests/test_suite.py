@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -114,10 +115,8 @@ def test_cell_rows_do_not_depend_on_the_other_cells():
 def test_norm_ordering_reads_the_renyi_norms(monkeypatch):
     # every binned row of an order pair (Renyi and Tsallis sums, norm rows,
     # norm ordering) reads the same four discrete power sums: ln sum p^alpha
-    # and ln sum p^gamma of p_m and p_n, each taken once per sigma.  The
-    # sums are counted under both names the package calls them by.
-    from gupcert import entropy, relations
-
+    # and ln sum p^gamma of p_m and p_n, each taken once per sigma, when
+    # bin_pair bins them; the unsmeared pair is summed at order 1 only
     calls = []
     real = entropy.discrete_renyi_and_norm
 
@@ -125,8 +124,7 @@ def test_norm_ordering_reads_the_renyi_norms(monkeypatch):
         calls.append(alpha)
         return real(dist, alpha)
 
-    for module in (entropy, relations):
-        monkeypatch.setattr(module, "discrete_renyi_and_norm", counting)
+    monkeypatch.setattr(entropy, "discrete_renyi_and_norm", counting)
     config = RunConfig(beta_grid=[1.0], sigma_grid=[0.5, 2.0],
                        alpha_grid=[1.5, 2.0],
                        states=[{"name": "raised_cosine_q"}])
@@ -134,6 +132,7 @@ def test_norm_ordering_reads_the_renyi_norms(monkeypatch):
     power_sums = [alpha for alpha in calls if alpha != 1.0]
     assert len(power_sums) == (4 * len(config.alpha_grid)
                                * len(config.sigma_grid))
+    assert calls[:2] == [1.0, 1.0] and calls.count(1.0) == 2
     rows = [r for r in records if r["relation_id"] == "discrete_norm_ordering"]
     assert len(rows) == 4 and all(r["verdict"] == "pass" for r in rows)
 
@@ -145,29 +144,33 @@ def test_verify_cell_takes_each_shannon_entropy_once(monkeypatch, alpha_grid):
     # of entropies: H(Q), H(X), H(K), H(p_k) and H(p_x), then H of the two
     # smeared densities for every sigma, each taken once; at alpha = 1 the
     # Beckner and smeared Renyi rows are those Shannon rows, so an order of
-    # 1 takes none again
+    # 1 takes none again.  The binned smeared pair is summed at order 1
+    # only when a pair is degenerate.
     from gupcert import relations
 
     taken = []  # holding every argument keeps the ids unique
+    diff_shannon = relations.diff_shannon
+    discrete_sums = entropy.discrete_renyi_and_norm
 
-    def holding(name):
-        real = getattr(relations, name)
+    def shannon(dens):
+        taken.append(dens)
+        return diff_shannon(dens)
 
-        def wrapper(dens, *order):
-            assert order in ((), (1.0,))  # the Shannon order only
-            taken.append(dens)
-            return real(dens, *order)
-        return wrapper
+    def discrete(dist, order):
+        if order == 1.0:
+            taken.append(dist)
+        return discrete_sums(dist, order)
 
-    for name in ("diff_shannon", "discrete_renyi"):
-        monkeypatch.setattr(relations, name, holding(name))
+    monkeypatch.setattr(relations, "diff_shannon", shannon)
+    monkeypatch.setattr(entropy, "discrete_renyi_and_norm", discrete)
     config = RunConfig(beta_grid=[1.0], sigma_grid=[0.5, 2.0],
                        alpha_grid=alpha_grid,
                        states=[{"name": "raised_cosine_q"}])
     records = suite._verify_cell(config.states[0], 1.0, config)
     ids = [id(d) for d in taken]
     assert len(set(ids)) == len(ids)
-    assert len(ids) == 3 + 2 + 2 * len(config.sigma_grid)
+    smeared_bins = 2 if 1.0 in alpha_grid else 0
+    assert len(ids) == 3 + 2 + (2 + smeared_bins) * len(config.sigma_grid)
     assert {r["relation_id"] for r in records} >= {
         "binning_lemma_k", "binning_lemma_x", "shannon_sum_binned"}
 
@@ -213,3 +216,23 @@ def test_render_json_writes_minus_infinity_as_a_string():
 def test_write_text_to_a_directory_raises(tmp_path):
     with pytest.raises(GupcertError, match="cannot write"):
         suite.write_text(str(tmp_path), "text")
+
+
+def test_cauchy_cell_holds_one_binned_distribution():
+    # uniform_q at beta = 1 has an exactly Cauchy wavenumber density: each
+    # binned K distribution takes about 2 M bins, three arrays of 17 MB.
+    # The cell bins one density at a time and keeps its sums only, and
+    # bin_density's own temporaries stay block-sized, so the traced peak
+    # (about 75 MB) stays below that of a cell that held the binned pair
+    # while its rows read it (about 100 MB)
+    config = RunConfig(beta_grid=[1.0], sigma_grid=[1.0, 10.0],
+                       alpha_grid=[1.5, 2.0, 4.0],
+                       states=[{"name": "uniform_q"}])
+    tracemalloc.start()
+    try:
+        records = suite._verify_cell(config.states[0], 1.0, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 83
+    assert peak < 85e6
