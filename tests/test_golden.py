@@ -32,6 +32,10 @@ def _reports() -> dict:
     # both bin counts over the cap: a cell with no binned row
     no_bins = RunConfig(beta_grid=[0.1], sigma_grid=[1.0], alpha_grid=[2.0],
                         states=[{"name": "uniform_q"}])
+    # alpha = 1 alone on the Cauchy cell: the degenerate pair's Shannon
+    # rows, with a binned K distribution of about 2 M bins
+    cauchy_alpha1 = RunConfig(beta_grid=[1.0], sigma_grid=[1.0],
+                              alpha_grid=[1.0], states=[{"name": "uniform_q"}])
     # alpha = 1: the degenerate (1, 1) pair's Shannon-form binned rows
     degenerate = RunConfig(beta_grid=[1.0], sigma_grid=[1.0],
                            alpha_grid=[1.0, 2.0],
@@ -49,12 +53,15 @@ def _reports() -> dict:
                         states=[{"name": "raised_cosine_q"}])
     records, _ = suite.run_verify(verify)
     cauchy_records, _ = suite.run_verify(cauchy)
+    cauchy_alpha1_records, _ = suite.run_verify(cauchy_alpha1)
     undeformed_records, _ = suite.run_verify(undeformed)
     degenerate_records, _ = suite.run_verify(degenerate)
     no_bins_records, _ = suite.run_verify(no_bins)
     return {"verify": suite.render_json(records, verify),
             "verify_csv": suite.render_csv(records),
             "verify_uniform_q": suite.render_json(cauchy_records, cauchy),
+            "verify_uniform_q_alpha1": suite.render_json(
+                cauchy_alpha1_records, cauchy_alpha1),
             "verify_beta0": suite.render_json(undeformed_records, undeformed),
             "verify_alpha1": suite.render_json(degenerate_records, degenerate),
             "verify_no_bins": suite.render_json(no_bins_records, no_bins),
