@@ -23,12 +23,14 @@ import numpy as np
 
 from .errors import (ContractError, DegenerateStateError,
                      InvalidParameterError, MomentDivergenceError)
-from .quadrature import (entropy_sum, lattice_error, panel_error,
-                         symmetric_rule)
+from .quadrature import (ENTROPY_FLOOR, entropy_sum, lattice_error,
+                         panel_error, symmetric_rule)
 from .tails import TailSide, outside_masses
 
 NORM_TOL = 1e-8          # DensityFn normalization defect tolerance
 _GAUSSIAN_SUPPORT = 30.0  # effective support of exp(-q^2/(2 s^2)) in units of s
+_EPS = float(np.finfo(float).eps)
+_VALUE_ULPS = 4  # rounding carried by a density value, in units of _EPS
 
 
 class Domain(Enum):
@@ -129,7 +131,8 @@ class DensityFn:
     integrals past the window; they may be None when the window covers the
     axis.  An image grid's measure is complete (tail_mass_bound is 0): there
     the entropy, alpha-norm and moment integrals read its models only to
-    decide whether they diverge.
+    decide whether they diverge.  The density owns its differential Shannon
+    entropy, `shannon`: taken on first read and kept, never retaken.
     """
 
     grid: Grid
@@ -154,6 +157,11 @@ class DensityFn:
     @property
     def window(self) -> tuple[float, float]:
         return float(self.grid.nodes[0]), float(self.grid.nodes[-1])
+
+    @cached_property
+    def shannon(self) -> "EntropyValue":
+        """-integral p ln p in nats with its error (_shannon), taken once."""
+        return _shannon(self)
 
     @property
     def tail_masses(self) -> tuple[float, float]:
@@ -502,8 +510,46 @@ def q_spread(state: PureState | MixedState) -> float:
 
 
 # ---------------------------------------------------------------------------
-# moments
+# grid functionals with tail-aware errors: the Shannon entropy and moments
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class EntropyValue:
+    value: float
+    differential: bool
+    est_error: float
+
+    def __post_init__(self):
+        if self.est_error < 0.0:
+            raise ContractError("est_error must be nonnegative")
+        if not self.differential and self.value < -1e-12:
+            raise ContractError("discrete entropies are nonnegative")
+
+
+def _shannon(density: DensityFn) -> EntropyValue:
+    """Differential Shannon entropy -integral p ln p in nats.
+
+    Tail models that extend a window (tail_mass_bound > 0) contribute their
+    period-averaged closed forms.  The error estimate adds the grid rule's
+    own estimate, a few ulps of rounding in each density value (which ln p
+    turns into p |1 + ln p| per ulp) and 3% of the tail models'
+    contribution.  Read it as `DensityFn.shannon`, which keeps it.
+    """
+    w, p = density.grid.weights, density.values
+    grid_part = entropy_sum(w, p)
+    tail = 0.0
+    if density.tail_mass_bound > 0.0:
+        for side, start, _ in density.tail_sides():
+            tail += side.entropy_beyond(start)
+    live = p > ENTROPY_FLOOR
+    log_p = np.log(np.clip(p, ENTROPY_FLOOR, None))
+    rounding = _VALUE_ULPS * _EPS * float(
+        np.dot(w, np.where(live, p * np.abs(1.0 + log_p), 0.0)))
+    f = np.where(live, -p * log_p, 0.0)
+    est = density.grid.rule_error(f) + rounding + 0.03 * abs(tail)
+    return EntropyValue(value=grid_part + tail, differential=True,
+                        est_error=est)
+
 
 class MomentEstimate(NamedTuple):
     value: float

@@ -40,28 +40,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .core import DensityFn, DiscreteDist
+from .core import (_EPS, _VALUE_ULPS, DensityFn, DiscreteDist,
+                   EntropyValue)
 from .errors import ContractError, InvalidParameterError, NormDivergenceError
-from .quadrature import ENTROPY_FLOOR, entropy_sum, pchip
+from .quadrature import ENTROPY_FLOOR, pchip
 
-_EPS = float(np.finfo(float).eps)
-_VALUE_ULPS = 4  # rounding carried by a density value, in units of _EPS
 _BUMP_PEAK = 4.0  # bound on 15/4, a pair's peak-to-mean interpolation error
 _OUTSIDE_MASS = 3e-7  # mass per side left outside a coverage window
 _BIN_BLOCK = 2 ** 16  # bins per block of DensityCdf.bin_errors
-
-
-@dataclass(frozen=True)
-class EntropyValue:
-    value: float
-    differential: bool
-    est_error: float
-
-    def __post_init__(self):
-        if self.est_error < 0.0:
-            raise ContractError("est_error must be nonnegative")
-        if not self.differential and self.value < -1e-12:
-            raise ContractError("discrete entropies are nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -69,27 +55,10 @@ class EntropyValue:
 # ---------------------------------------------------------------------------
 
 def diff_shannon(density: DensityFn) -> EntropyValue:
-    """Differential Shannon entropy -integral p ln p in nats.
-
-    Tail models that extend a window (tail_mass_bound > 0) contribute their
-    period-averaged closed forms.  The error estimate adds the grid rule's
-    own estimate, a few ulps of rounding in each density value (which ln p
-    turns into p |1 + ln p| per ulp) and 3% of the tail models'
-    contribution.
-    """
-    w, p = density.grid.weights, density.values
-    core = entropy_sum(w, p)
-    tail = 0.0
-    if density.tail_mass_bound > 0.0:
-        for side, start, _ in density.tail_sides():
-            tail += side.entropy_beyond(start)
-    live = p > ENTROPY_FLOOR
-    log_p = np.log(np.clip(p, ENTROPY_FLOOR, None))
-    rounding = _VALUE_ULPS * _EPS * float(
-        np.dot(w, np.where(live, p * np.abs(1.0 + log_p), 0.0)))
-    f = np.where(live, -p * log_p, 0.0)
-    est = density.grid.rule_error(f) + rounding + 0.03 * abs(tail)
-    return EntropyValue(value=core + tail, differential=True, est_error=est)
+    """Differential Shannon entropy -integral p ln p in nats, with its error:
+    the density's own `DensityFn.shannon`, taken on its first read and kept
+    (core._shannon gives the tail terms and the error estimate)."""
+    return density.shannon
 
 
 def _power_sum(p: np.ndarray, alpha: float, weights=None, tails=()):

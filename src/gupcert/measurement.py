@@ -165,7 +165,7 @@ class TableAcceptance:
 
         def j(zeta: np.ndarray) -> np.ndarray:
             return dense_sum(lambda z, s: 1.0 / (1.0 + beta * (z - s) ** 2),
-                             zeta, nodes, masses)
+                             zeta, nodes, masses)[0]
         return j
 
     def j(self, zeta, beta: float):
@@ -296,7 +296,7 @@ def _lattice_input(density: DensityFn, f: AcceptanceFn):
     if _is_uniform(k):
         h_in = float(k[1] - k[0])
         if h_in <= target * (1.0 + 1e-9):
-            return k, density.values.copy(), h_in, 0, k.size
+            return k, density.values, h_in, 0, k.size
         refine = int(math.ceil(h_in / target))
         n = (k.size - 1) * refine + 1
         _check_budget(f, h_in / refine, n)

@@ -112,17 +112,18 @@ def symmetric_rule(half_width: float, scale: float, n_per_panel: int,
 
 
 def dense_sum(kernel, targets: np.ndarray, nodes: np.ndarray,
-              *coeffs: np.ndarray):
+              *coeffs: np.ndarray) -> tuple[np.ndarray, ...]:
     """sum_j kernel(targets[i], nodes[j]) * c[j] for every target i and c.
 
     `kernel` is called on broadcast (block, 1) and (1, nodes) arrays; rows are
     formed in blocks of about _BLOCK_ENTRIES entries (at least two rows), so
     memory stays at a few block-sized temporaries per worker whatever the
-    number of targets.  Each block serves every c; one gives an array,
-    several a tuple.  A last single row joins the block before it: a one-row
-    product takes a dot kernel that rounds differently.  Complex rows then do
-    not depend on the block layout; real rows may differ in the last bit when
-    the layout changes (the BLAS picks its kernel by block shape).
+    number of targets.  Each block serves every c; the sums come back as a
+    tuple of one array per c, in order (one c gives a 1-tuple).  A last
+    single row joins the block before it: a one-row product takes a dot
+    kernel that rounds differently.  Complex rows then do not depend on the
+    block layout; real rows may differ in the last bit when the layout
+    changes (the BLAS picks its kernel by block shape).
 
     Several blocks run on `_pool()`, a single block on the calling thread;
     both make the same product per block, so the sums are the same floats.
@@ -139,8 +140,7 @@ def dense_sum(kernel, targets: np.ndarray, nodes: np.ndarray,
     pool = _pool() if len(blocks) > 1 else None
     rows = list(map(products, blocks) if pool is None
                 else pool.map(products, blocks))
-    sums = tuple(np.concatenate(col) for col in zip(*rows))
-    return sums[0] if len(sums) == 1 else sums
+    return tuple(np.concatenate(col) for col in zip(*rows))
 
 
 def entropy_sum(weights: np.ndarray, values: np.ndarray) -> float:

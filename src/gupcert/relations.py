@@ -15,21 +15,21 @@ BinnedSums of each binned distribution: its widest bin and its power sums.
 Reports carry no state label or parameter tags, only the widest bins a row
 read; the suite keys each row by the cell and parameters it passed in.
 
-The Fourier-pair, binning-lemma and binned Shannon rows read one set of
-entropies, H(Q), H(X), H(K), H(p_k) and H(p_x), each taken once:
-check_bbm_corrected returns all five rows when given the binned pair, and
-check_binned_shannon is a view.  Likewise the Renyi, norm and Tsallis rows
-of an order pair read one table of power sums, one per density and order:
-check_renyi_binned returns every binned row of the pair, and
-check_tsallis_binned and check_norm_ordering are views.  The binned sums
-are taken when the bins are (entropy.bin_pair, BinnedSums.of), so no check
-holds or reads a bin.
+Each density owns its differential Shannon entropy (DensityFn.shannon)
+and each BinnedSums its discrete one (order 1), so the Fourier-pair,
+binning-lemma and binned Shannon rows, and the Beckner and smeared Renyi
+rows of the degenerate pair (1, 1), read them in any order and take none
+twice.  The Renyi, norm and Tsallis rows of an order pair read one table of
+power sums, one per density and order: check_renyi_binned returns every
+binned row of the pair, and check_tsallis_binned and check_norm_ordering
+are views.  The binned sums are taken when the bins are (entropy.bin_pair,
+BinnedSums.of), so no check holds or reads a bin.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -73,20 +73,24 @@ class RelationReport:
     @property
     def tolerance(self) -> float:
         """How far below zero the margin may fall and still pass."""
-        return BASE_TOLERANCE + 4.0 * self.est_error
+        return _tolerance(self.est_error)
+
+
+def _tolerance(est_error: float) -> float:
+    return BASE_TOLERANCE + 4.0 * est_error
 
 
 def _report(relation_id: str, lhs: float, rhs: float, est_error: float,
             **widths) -> RelationReport:
-    rpt = RelationReport(relation_id=relation_id, lhs=lhs, rhs=rhs,
-                         est_error=est_error, verdict="fail", **widths)
-    return replace(rpt, verdict="pass") if rpt.margin >= -rpt.tolerance else rpt
+    verdict = "pass" if lhs - rhs >= -_tolerance(est_error) else "fail"
+    return RelationReport(relation_id=relation_id, lhs=lhs, rhs=rhs,
+                          est_error=est_error, verdict=verdict, **widths)
 
 
-def _not_applicable(relation_id: str, reason: str) -> RelationReport:
+def _not_applicable(relation_id: str, reason: str, **widths) -> RelationReport:
     return RelationReport(relation_id=relation_id, lhs=math.nan, rhs=math.nan,
                           est_error=0.0, verdict="not_applicable",
-                          reason=reason)
+                          reason=reason, **widths)
 
 
 # ---------------------------------------------------------------------------
@@ -258,18 +262,11 @@ def robertson_margin(rep: RepresentationBundle) -> RelationReport:
 # Shannon relations
 # ---------------------------------------------------------------------------
 
-def check_bbm_corrected(rep: RepresentationBundle,
-                        binned: tuple[BinnedSums, BinnedSums] | None = None
-                        ) -> list[RelationReport]:
+def check_bbm_corrected(rep: RepresentationBundle) -> list[RelationReport]:
     """Fourier-pair bound and its minimal-length corrected form.
 
     The base relation is H(Q) + H(X) >= ln(e pi); replacing the auxiliary
     entropy by the physical one adds the correction term to the bound.
-    Given `binned`, the BinnedSums (p_k, p_x) of the wavenumber and
-    position densities of `rep` binned, with order 1 summed, three rows
-    follow that read the same entropies: the binning lemma for p_k and for
-    p_x, then the binned Shannon sum.  So H(Q), H(X), H(K), H(p_k) and
-    H(p_x) are each taken once.
     """
     hq = diff_shannon(rep.v_q)
     hx = diff_shannon(rep.w_x)
@@ -279,17 +276,7 @@ def check_bbm_corrected(rep: RepresentationBundle,
                    hq.est_error + hx.est_error)
     corrected = _report("shannon_sum_corrected", hk.value + hx.value,
                         LN_E_PI + corr, hk.est_error + hx.est_error + corr_err)
-    if binned is None:
-        return [base, corrected]
-    p_k, p_x = binned
-    h_k, h_x = p_k.renyi_and_norm(1.0)[0], p_x.renyi_and_norm(1.0)[0]
-    rhs = LN_E_PI - math.log(p_k.delta_max * p_x.delta_max) + corr
-    return [base, corrected,
-            _binning_lemma(rep.u_k, hk, p_k, h_k),
-            _binning_lemma(rep.w_x, hx, p_x, h_x),
-            _report("shannon_sum_binned", h_k.value + h_x.value, rhs,
-                    h_k.est_error + h_x.est_error + corr_err,
-                    delta_k=p_k.delta_max, delta_x=p_x.delta_max)]
+    return [base, corrected]
 
 
 def check_smeared_shannon(rep: RepresentationBundle,
@@ -316,9 +303,15 @@ def check_smeared_shannon(rep: RepresentationBundle,
     ]
 
 
-def _binning_lemma(density: DensityFn, h_cont: EntropyValue,
-                   sums: BinnedSums, h_disc: EntropyValue) -> RelationReport:
-    """H(p) >= H(density) - ln(max bin width) from the two entropies."""
+def check_binning_lemma(density: DensityFn, sums: BinnedSums) -> RelationReport:
+    """Discretization lemma: H(p) >= H(density) - ln(max bin width).
+
+    `sums` are the BinnedSums of the density binned on some layout, order 1
+    among them; the density's axis names the row (binning_lemma_k for the
+    wavenumber, binning_lemma_x for the position).  The row carries the
+    errors of both entropies, each read where it is kept.
+    """
+    h_cont, h_disc = diff_shannon(density), sums.renyi_and_norm(1.0)[0]
     tag = density.grid.domain_tag
     width = "delta_x" if tag in (Domain.X, Domain.XI) else "delta_k"
     return _report(f"binning_lemma_{tag.value.lower()}", h_disc.value,
@@ -327,29 +320,20 @@ def _binning_lemma(density: DensityFn, h_cont: EntropyValue,
                    **{width: sums.delta_max})
 
 
-def check_binning_lemma(density: DensityFn, sums: BinnedSums) -> RelationReport:
-    """Discretization lemma: H(p) >= H(density) - ln(max bin width).
-
-    `sums` are the BinnedSums of the density binned on some layout, order 1
-    among them; the density's axis names the row (binning_lemma_k for the
-    wavenumber, binning_lemma_x for the position).  The row carries the
-    errors of both entropies.  For the pair of a bundle,
-    check_bbm_corrected emits both lemma rows from the entropies it has
-    already taken.
-    """
-    return _binning_lemma(density, diff_shannon(density), sums,
-                          sums.renyi_and_norm(1.0)[0])
-
-
 def check_binned_shannon(p_k: BinnedSums, p_x: BinnedSums,
                          rep: RepresentationBundle) -> RelationReport:
     """Binned Shannon sum against ln(e pi / (dk dx)) plus the correction.
 
     `p_k` and `p_x` are the BinnedSums, with order 1, of the wavenumber and
-    position densities of `rep` binned.  The last row of
-    check_bbm_corrected given the pair.
+    position densities of `rep` binned; the row reads their order-1 sums
+    and the bundle's correction, and no continuous entropy.
     """
-    return check_bbm_corrected(rep, (p_k, p_x))[-1]
+    (h_k, _), (h_x, _) = p_k.renyi_and_norm(1.0), p_x.renyi_and_norm(1.0)
+    corr, corr_err = rep.correction
+    return _report("shannon_sum_binned", h_k.value + h_x.value,
+                   LN_E_PI - math.log(p_k.delta_max * p_x.delta_max) + corr,
+                   h_k.est_error + h_x.est_error + corr_err,
+                   delta_k=p_k.delta_max, delta_x=p_x.delta_max)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +364,8 @@ def _log_norm_error(renyi: EntropyValue, order: float) -> float:
 
 
 def _renyi_reports(renyi_and_norm_fn, dens_m, dens_n, pair: OrderPair,
-                   scale: float, rids: dict) -> tuple[list[RelationReport], dict]:
+                   scale: float, rids: dict,
+                   **widths) -> tuple[list[RelationReport], dict]:
     """Rows from one table of the (entropy, norm) pairs of M and N.
 
     `renyi_and_norm_fn` fills the table, keyed by (side, order) and returned
@@ -390,7 +375,7 @@ def _renyi_reports(renyi_and_norm_fn, dens_m, dens_n, pair: OrderPair,
     "sum" R_alpha + R_gamma >= ln(kappa pi / scale), "norm" ||.||_alpha <=
     (scale/(kappa pi))^((1-gamma)/gamma) ||.||_gamma (the Beckner rows at
     scale 1) and "tsallis" H_alpha + H_gamma >= ln_nu(kappa pi / scale),
-    nu = max order.  `scale` is S_f, times the two bin widths when binned.
+    nu = max order.  `scale` is S_f, times the bin widths `widths` when binned.
     """
     powers = {}
     for side, dens in (("m", dens_m), ("n", dens_n)):
@@ -411,19 +396,20 @@ def _renyi_reports(renyi_and_norm_fn, dens_m, dens_n, pair: OrderPair,
             diverged = [p for p in (pa, pg)
                         if isinstance(p, NormDivergenceError)]
             if diverged:
-                out.append(_not_applicable(rid, str(diverged[0])))
+                out.append(_not_applicable(rid, str(diverged[0]), **widths))
             elif kind == "norm":
                 out.append(_report(rid, shift + math.log(pg[1]),
                                    math.log(pa[1]),
                                    _log_norm_error(pg[0], pair.gamma)
-                                   + _log_norm_error(pa[0], pair.alpha)))
+                                   + _log_norm_error(pa[0], pair.alpha),
+                                   **widths))
             else:
                 ea, eg = pa[0], pg[0]
                 if kind == "tsallis":
                     ea = _tsallis_of_renyi(ea, pair.alpha)
                     eg = _tsallis_of_renyi(eg, pair.gamma)
                 out.append(_report(rid, ea.value + eg.value, bounds[kind],
-                                   ea.est_error + eg.est_error))
+                                   ea.est_error + eg.est_error, **widths))
     return out, powers
 
 
@@ -468,23 +454,23 @@ def check_renyi_binned(pair: OrderPair, p_m: BinnedSums, p_n: BinnedSums,
     name dzeta and dxi, the ordering row (of `p_m` only) dzeta alone.
     """
     scale = sf_value * p_m.delta_max * p_n.delta_max
+    widths = {"delta_k": p_m.delta_max, "delta_x": p_n.delta_max}
     rids = {"tsallis": _BINNED["tsallis"]} if pair.degenerate else _BINNED
     rows, powers = _renyi_reports(BinnedSums.renyi_and_norm, p_m, p_n, pair,
-                                  scale, rids)
+                                  scale, rids, **widths)
     if pair.degenerate:
         (h_m, _), (h_n, _) = powers["m", 1.0], powers["n", 1.0]
         rows.insert(0, _report("renyi_sum_binned", h_m.value + h_n.value,
                                LN_E_PI - math.log(scale),
-                               h_m.est_error + h_n.est_error))
+                               h_m.est_error + h_n.est_error, **widths))
     # the ordering folds both slacks into one row; either moves by at most
     # its norm's error, and both norms are 1 at the degenerate pair
     (r_a, n_a), (r_g, n_g) = powers["m", pair.alpha], powers["m", pair.gamma]
     err = max(n_a * _log_norm_error(r_a, pair.alpha),
               n_g * _log_norm_error(r_g, pair.gamma))
-    return [replace(rpt, delta_k=p_m.delta_max, delta_x=p_n.delta_max)
-            for rpt in rows] + [_report("discrete_norm_ordering",
-                                        min(1.0 - n_a, n_g - 1.0), 0.0, err,
-                                        delta_k=p_m.delta_max)]
+    return rows + [_report("discrete_norm_ordering",
+                           min(1.0 - n_a, n_g - 1.0), 0.0, err,
+                           delta_k=p_m.delta_max)]
 
 
 def check_tsallis_binned(pair: OrderPair, p_m: BinnedSums, p_n: BinnedSums,

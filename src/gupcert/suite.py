@@ -11,9 +11,10 @@ Verify and the sweeps take one path through a cell: `_bundle` builds the
 bundle of a state spec at one beta and `_smeared` gives S_f and the smeared
 pair at one sigma; `entropy.bin_pair` bins each pair on the cell's own
 generator and keeps only the power sums of the orders the cell's binned
-rows read.  At the degenerate order pair (1, 1) the Beckner and
-smeared Renyi relations are the Shannon ones, so those rows are the cell's
-own shannon_sum_base and smeared Shannon reports: no entropy is taken twice.
+rows read.  Every check runs for every order pair; the densities and
+binned sums keep their Shannon entropies, so the degenerate pair (1, 1),
+whose Beckner and smeared Renyi rows are the Shannon ones, takes none
+twice.
 """
 
 from __future__ import annotations
@@ -230,29 +231,29 @@ def _verify_cell(spec: dict, beta: float, config: RunConfig) -> list[dict]:
     # degenerate pair); those of the unsmeared pair only order 1
     orders = [order for pair in pairs for order in (pair.alpha, pair.gamma)]
 
-    # the Fourier-pair, binning-lemma and binned Shannon rows read one set
-    # of entropies, so the unsmeared pair is binned, on rng's first edges,
-    # before they are taken
-    rows = rel.check_bbm_corrected(rep, bin_pair(rng, rep.u_k, rep.w_x,
-                                                 dmin, dmax, (1.0,)))
+    rows = rel.check_bbm_corrected(rep)
+    # the unsmeared pair takes rng's first edges
+    binned = bin_pair(rng, rep.u_k, rep.w_x, dmin, dmax, (1.0,))
+    if binned is not None:
+        p_k, p_x = binned
+        rows += [rel.check_binning_lemma(rep.u_k, p_k),
+                 rel.check_binning_lemma(rep.w_x, p_x),
+                 rel.check_binned_shannon(p_k, p_x, rep)]
+    rows += [rel.check_jensen(rep), rel.robertson_margin(rep)]
     out.extend(_record(rpt, label, beta) for rpt in rows)
-    out.append(_record(rel.check_jensen(rep), label, beta))
-    out.append(_record(rel.robertson_margin(rep), label, beta))
 
     for pair in pairs:
-        beckner = rows[:1] if pair.degenerate else rel.check_beckner(pair, rep)
-        out.extend(_record(rpt, label, beta, pair=pair) for rpt in beckner)
+        out.extend(_record(rpt, label, beta, pair=pair)
+                   for rpt in rel.check_beckner(pair, rep))
 
     for sigma in config.sigma_grid:
         with _naming_cell(label, beta, sigma):
             sf_val, smeared = _smeared(rep, sigma)
-            shannon = rel.check_smeared_shannon(rep, smeared, sf_val)
-            out.extend(_record(rpt, label, beta, sigma=sigma)
-                       for rpt in shannon)
+            out.extend(_record(rpt, label, beta, sigma=sigma) for rpt in
+                       rel.check_smeared_shannon(rep, smeared, sf_val))
             binned = bin_pair(rng, *smeared, dmin, dmax, orders)
             for pair in pairs:
-                renyi = shannon if pair.degenerate else rel.check_renyi_smeared(
-                    pair, rep, smeared, sf_val)
+                renyi = rel.check_renyi_smeared(pair, rep, smeared, sf_val)
                 if binned is not None:
                     renyi = renyi + rel.check_renyi_binned(pair, *binned, sf_val)
                 out.extend(_record(rpt, label, beta, sigma=sigma, pair=pair)

@@ -11,7 +11,7 @@ equal in floating point.  Position wave functions come from the Fourier pair
     phi(q) = (2 pi)^{-1/2} integral e^{-iqx} psi(x) dx
 
 evaluated by direct quadrature against the compact q interval.  Position
-nodes come in +-x pairs, and one block of e^{iqx} serves both signs.
+densities take x >= 0 only: one block of e^{iqx} gives psi at x and -x.
 """
 
 from __future__ import annotations
@@ -138,13 +138,13 @@ def _transform_rule(state: PureState, x_max: float) -> tuple[np.ndarray, np.ndar
 
 
 def _fourier_sum(sign: float, targets: np.ndarray, nodes: np.ndarray,
-                 *coeffs: np.ndarray):
-    """(2 pi)^{-1/2} sum_j e^{sign i t n_j} c_j at every target t, for each
-    c as in `dense_sum`: one c gives an array, several a tuple."""
+                 *coeffs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(2 pi)^{-1/2} sum_j e^{sign i t n_j} c_j at every target t, one array
+    per c, as `dense_sum` gives them."""
     sums = dense_sum(lambda t, n: np.exp(sign * 1j * t * n),
                      targets, nodes, *coeffs)
     root = math.sqrt(2.0 * math.pi)
-    return sums / root if len(coeffs) == 1 else tuple(c / root for c in sums)
+    return tuple(c / root for c in sums)
 
 
 def fourier_q_to_x(state: PureState, x_grid: Grid) -> np.ndarray:
@@ -154,7 +154,7 @@ def fourier_q_to_x(state: PureState, x_grid: Grid) -> np.ndarray:
     x = x_grid.nodes
     x_max = float(max(abs(x[0]), abs(x[-1])))
     q, coeff = _transform_rule(state, x_max)
-    return _fourier_sum(1.0, x, q, coeff)
+    return _fourier_sum(1.0, x, q, coeff)[0]
 
 
 def fourier_x_to_q(psi: np.ndarray, x_grid: Grid, params: MinLengthParams,
@@ -164,7 +164,7 @@ def fourier_x_to_q(psi: np.ndarray, x_grid: Grid, params: MinLengthParams,
     The result has no profile, so `bundle` and `fourier_q_to_x` reject it.
     """
     coeff = x_grid.weights * np.asarray(psi, dtype=complex)
-    amp = _fourier_sum(-1.0, q_grid.nodes, x_grid.nodes, coeff)
+    (amp,) = _fourier_sum(-1.0, q_grid.nodes, x_grid.nodes, coeff)
     return PureState(grid=q_grid, amplitudes=amp, params=params)
 
 
@@ -187,24 +187,20 @@ def _edge_wave_period(mixed: MixedState) -> float | None:
     return math.pi / params.q0
 
 
-def _psi_sq_on(mixed: MixedState, nodes: np.ndarray, x_max: float) -> np.ndarray:
-    """Mixture position density (incoherent sum) at mirror-symmetric nodes.
+def _psi_sq_pair(mixed: MixedState, x: np.ndarray,
+                 x_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Mixture position density (incoherent sum) at x and at -x, for x >= 0.
 
-    |psi(-x)|^2 = |sum_j e^{iq_j x} conj(c_j)|^2: one kernel block over x >= 0
-    serves both signs, with the floats of a sum over all nodes.
+    |psi(-x)|^2 = |sum_j e^{iq_j x} conj(c_j)|^2, so one kernel block over
+    x serves both signs, with the floats of a sum at every signed node.
     """
-    if not np.array_equal(nodes[::-1], -nodes):
-        raise ContractError("x nodes must be mirror-symmetric about 0")
-    k = nodes.size // 2  # nodes below 0; nodes[k:] are the ones >= 0
-    out = np.zeros(nodes.size)
+    right, left = np.zeros(x.size), np.zeros(x.size)
     for lam, comp in mixed.components:
         q, coeff = _transform_rule(comp, x_max)
-        plus, minus = _fourier_sum(1.0, nodes[k:], q, coeff, np.conj(coeff))
-        out[k:] += lam * np.abs(plus) ** 2
-        # abs before the reversal: on complex input numpy's contiguous loop
-        # and its strided loop can round differently
-        out[:k] += lam * np.abs(minus)[nodes.size % 2:][::-1] ** 2
-    return out
+        plus, minus = _fourier_sum(1.0, x, q, coeff, np.conj(coeff))
+        right += lam * np.abs(plus) ** 2
+        left += lam * np.abs(minus) ** 2
+    return right, left
 
 
 def x_density(state: PureState | MixedState) -> DensityFn:
@@ -217,7 +213,8 @@ def x_density(state: PureState | MixedState) -> DensityFn:
     fitted tail model to within the density normalization tolerance; slowly
     decaying sinc-type tails are accounted for analytically rather than
     chased to numerical zero, which would need windows of order 1e8.
-    Extensions reuse previously evaluated interior values.
+    Each pass evaluates only its new nodes x >= 0, both signs at once
+    (`_psi_sq_pair`); the two halves are kept apart, each with its own tail.
     """
     mixed = as_mixed(state)
     period = _edge_wave_period(mixed)
@@ -232,32 +229,31 @@ def x_density(state: PureState | MixedState) -> DensityFn:
     m = int(math.ceil(max(24.0 * width, 40.0 * h) / h))
     if period is not None:
         m = int(math.ceil(max(m, 30 * per_steps) / per_steps)) * per_steps
-    w_vals = None
+    right = left = np.zeros(0)  # |psi|^2 at x and at -x, x = 0, h, 2h, ...
     for _ in range(24):
         half_span = m * h
         n = 2 * m + 1
         if n > _X_NODE_BUDGET:
             raise ResolutionError("x grid exceeds the node budget before the "
                                   "tail model stabilizes")
+        new_right, new_left = _psi_sq_pair(
+            mixed, np.arange(right.size, m + 1) * h, half_span)
+        right = np.concatenate([right, new_right])
+        left = np.concatenate([left, new_left])
+        w_vals = np.concatenate([left[:0:-1], right])
         nodes = np.arange(-m, m + 1) * h
-        if w_vals is None:
-            w_vals = _psi_sq_on(mixed, nodes, half_span)
-        else:
-            grow = (n - w_vals.size) // 2
-            ends = np.concatenate([nodes[:grow], nodes[-grow:]])
-            fresh = _psi_sq_on(mixed, ends, half_span)
-            w_vals = np.concatenate([fresh[:grow], w_vals, fresh[grow:]])
         weights = np.full(n, h)
         weights[0] = weights[-1] = 0.5 * h
         grid = Grid(nodes=nodes, weights=weights, domain_tag=Domain.X)
-        right, ok_r = fit_x_tail(nodes, w_vals, period)
-        left, ok_l = fit_x_tail(-nodes[::-1], w_vals[::-1], period)
-        tail = sum(outside_masses(left, right, -half_span, half_span))
+        tail_right, ok_r = fit_x_tail(nodes[m:], right, period)
+        tail_left, ok_l = fit_x_tail(nodes[m:], left, period)
+        tail = sum(outside_masses(tail_left, tail_right, -half_span,
+                                  half_span))
         defect = abs(grid.integrate(w_vals) + tail - 1.0)
         if defect < _DEFECT_TOL and ok_l and ok_r and tail < 0.05:
             return DensityFn(grid=grid, values=np.clip(w_vals, 0.0, None),
-                             tail_mass_bound=tail, tail_left=left,
-                             tail_right=right)
+                             tail_mass_bound=tail, tail_left=tail_left,
+                             tail_right=tail_right)
         m = int(math.ceil(1.8 * m / per_steps)) * per_steps
     raise ResolutionError("x window failed to converge")
 

@@ -2,14 +2,20 @@
 
 `tests/data/golden_small.json` holds the `render_json` text of a small
 verify run (and its `render_csv` text), of verify cells with the degenerate
-order pair (alpha = 1), in the undeformed limit (beta = 0) and with neither
-pair binned, and of beta, sigma and alpha sweeps.  Optimisations that must
-not move a single float (reordered or shared exponentials, blocked sums)
-are checked here.  A mismatch names the report and its first differing
-line.  Regenerate the file only for a change that is meant to alter report
-bytes:
+order pair (alpha = 1, also alone on the Cauchy cell), in the undeformed
+limit (beta = 0) and with neither pair binned, and of beta, sigma and alpha
+sweeps.  Optimisations that must not move a single float (reordered or
+shared exponentials, blocked sums) are checked here.  A mismatch names the
+report and its first differing line.  Regenerate the file only for a change
+that is meant to alter report bytes:
 
     PYTHONPATH=src python tests/test_golden.py
+
+The file was recorded under OpenBLAS's default threads, and the test
+passes only there.  OpenBLAS splits a long dot product over its threads,
+so with OPENBLAS_NUM_THREADS=1 the last bits of a few long sums differ and
+the test fails first at `verify_uniform_q` line 6, on `est_error` (and the
+`tolerance` derived from it).
 """
 
 import json

@@ -32,22 +32,24 @@ def test_two_vectors_equal_two_single_calls(data, monkeypatch):
     monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", 1000)  # 10-row blocks
     both = dense_sum(_wave, targets, nodes, coeff, np.conj(coeff))
     assert isinstance(both, tuple) and len(both) == 2
-    assert np.array_equal(both[0], dense_sum(_wave, targets, nodes, coeff))
+    assert np.array_equal(both[0], dense_sum(_wave, targets, nodes, coeff)[0])
     assert np.array_equal(both[1],
-                          dense_sum(_wave, targets, nodes, np.conj(coeff)))
+                          dense_sum(_wave, targets, nodes, np.conj(coeff))[0])
 
 
 def test_single_vector_returns_the_blocked_product(data, monkeypatch):
-    # 40 targets in 10-row blocks: the layout the plain blocked loop used
+    # 40 targets in 10-row blocks: the layout the plain blocked loop used;
+    # one vector gives a 1-tuple, as any number of vectors gives a tuple
     targets, nodes, coeff = data[0][:40], data[1], data[2]
     monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", 1000)
     for kernel, c in ((_wave, coeff), (_lorentz, coeff.real.copy())):
         want = np.concatenate([kernel(targets[i:i + 10, None], nodes[None, :])
                                @ c for i in range(0, 40, 10)])
         got = dense_sum(kernel, targets, nodes, c)
-        assert type(got) is np.ndarray
-        assert np.array_equal(got, want)
-    one = dense_sum(_wave, targets[:1], nodes, coeff)
+        assert type(got) is tuple and len(got) == 1
+        assert type(got[0]) is np.ndarray
+        assert np.array_equal(got[0], want)
+    (one,) = dense_sum(_wave, targets[:1], nodes, coeff)
     assert one.shape == (1,)
     assert np.array_equal(one, _wave(targets[:1, None], nodes[None, :]) @ coeff)
 
@@ -57,11 +59,11 @@ def test_fourier_sums_do_not_depend_on_block_layout(data, monkeypatch,
                                                      entries):
     # 41 targets: plain 10-row blocks would leave a one-row block, whose
     # product rounds differently from the same row inside a larger block;
-    # the mirror pairing of the position density relies on this
+    # the half-lattice position density relies on this
     targets, nodes, coeff = data
-    whole = dense_sum(_wave, targets, nodes, coeff)
+    (whole,) = dense_sum(_wave, targets, nodes, coeff)
     monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", entries)
-    assert np.array_equal(dense_sum(_wave, targets, nodes, coeff), whole)
+    assert np.array_equal(dense_sum(_wave, targets, nodes, coeff)[0], whole)
 
 
 def _serial_blocks(kernel, targets, nodes, coeffs, rows):
@@ -90,14 +92,10 @@ def _table_j_sum():
     return kernel, targets, nodes, (masses,)
 
 
-def _as_tuple(sums):
-    return sums if isinstance(sums, tuple) else (sums,)
-
-
 @pytest.mark.parametrize("rows", [2, 3, 10])
 def test_pooled_sums_equal_the_serial_block_loop(data, monkeypatch, pool_of,
                                                  rows):
-    # the complex pair of the mirrored position density, and the real
+    # the complex pair of the half-lattice position density, and the real
     # kernel of a tabulated J, whose last bit depends on the block layout
     targets, nodes, coeff = data
     j_sum = _table_j_sum()
@@ -111,12 +109,12 @@ def test_pooled_sums_equal_the_serial_block_loop(data, monkeypatch, pool_of,
         monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", rows * n.size)
         want = _serial_blocks(kernel, t, n, coeffs, rows)
         submitted.clear()
-        got = _as_tuple(dense_sum(kernel, t, n, *coeffs))
+        got = dense_sum(kernel, t, n, *coeffs)
         assert len(submitted) == len(range(0, t.size - 1, rows))
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         # a one-block call runs on the calling thread
         submitted.clear()
-        one = _as_tuple(dense_sum(kernel, t[:rows + 1], n, *coeffs))
+        one = dense_sum(kernel, t[:rows + 1], n, *coeffs)
         assert not submitted
         assert all(np.array_equal(a, b[:rows + 1]) for a, b in zip(
             one, _serial_blocks(kernel, t[:rows + 1], n, coeffs, rows)))

@@ -205,18 +205,87 @@ class TestShannonRelations:
         assert rpt.margin >= -1e-8
 
     def test_binned_pair_adds_the_lemma_and_binned_rows(self, cosine_rep):
-        # given the binned pair, the Fourier-pair check appends the rows the
-        # single-purpose checks give, float for float
+        # the rows of a binned pair read the entropies the Fourier-pair rows
+        # read, float for float: H(K) and H(X) kept by the densities,
+        # H(p_k) and H(p_x) by the binned sums, and the bundle's correction
         p_k, p_x = (g.BinnedSums.of(g.bin_density(
             c, np.linspace(*c.coverage_window(), 200)), (1.0,))
                     for c in map(g.DensityCdf, (cosine_rep.u_k, cosine_rep.w_x)))
-        rows = g.check_bbm_corrected(cosine_rep, (p_k, p_x))
-        assert rows[:2] == g.check_bbm_corrected(cosine_rep)
-        assert rows[2:] == [g.check_binning_lemma(cosine_rep.u_k, p_k),
-                            g.check_binning_lemma(cosine_rep.w_x, p_x),
-                            g.check_binned_shannon(p_k, p_x, cosine_rep)]
-        assert [r.relation_id for r in rows[2:]] == [
+        hq, hk, hx = (d.shannon for d in (cosine_rep.v_q, cosine_rep.u_k,
+                                          cosine_rep.w_x))
+        (h_k, _), (h_x, _) = p_k.renyi_and_norm(1.0), p_x.renyi_and_norm(1.0)
+        corr, corr_err = cosine_rep.correction
+        base, corrected = g.check_bbm_corrected(cosine_rep)
+        assert (base.lhs, base.est_error) == (hq.value + hx.value,
+                                              hq.est_error + hx.est_error)
+        assert (corrected.lhs, corrected.rhs, corrected.est_error) == (
+            hk.value + hx.value, g.LN_E_PI + corr,
+            hk.est_error + hx.est_error + corr_err)
+        rows = [g.check_binning_lemma(cosine_rep.u_k, p_k),
+                g.check_binning_lemma(cosine_rep.w_x, p_x),
+                g.check_binned_shannon(p_k, p_x, cosine_rep)]
+        assert [r.relation_id for r in rows] == [
             "binning_lemma_k", "binning_lemma_x", "shannon_sum_binned"]
+        assert [(r.lhs, r.rhs, r.est_error) for r in rows] == [
+            (h_k.value, hk.value - math.log(p_k.delta_max),
+             hk.est_error + h_k.est_error),
+            (h_x.value, hx.value - math.log(p_x.delta_max),
+             hx.est_error + h_x.est_error),
+            (h_k.value + h_x.value,
+             g.LN_E_PI - math.log(p_k.delta_max * p_x.delta_max) + corr,
+             h_k.est_error + h_x.est_error + corr_err)]
+
+    @staticmethod
+    def _spy_shannon(monkeypatch) -> list:
+        """The densities whose Shannon entropy is computed from now on."""
+        from gupcert import core
+
+        taken = []  # holding every density keeps the ids unique
+        real = core._shannon
+
+        def spy(density):
+            taken.append(density)
+            return real(density)
+
+        monkeypatch.setattr(core, "_shannon", spy)
+        return taken
+
+    def test_shannon_checks_take_each_entropy_once(self, cosine_state,
+                                                   monkeypatch):
+        # in any order, and repeated, the Shannon checks of one bundle (at
+        # the degenerate pair the Beckner and smeared Renyi rows are Shannon
+        # rows too) compute the entropy of each density once, and give the
+        # same reports every time
+        rep = g.bundle(cosine_state)
+        smeared, sf_val = _smeared_cell(rep, g.gaussian_acceptance(1.0))
+        p_k, p_x = g.bin_pair(np.random.default_rng(4), rep.u_k, rep.w_x,
+                              0.05, 2.0, (1.0,))
+        pair = g.conjugate_order(1.0)
+        checks = [lambda: g.check_binning_lemma(rep.u_k, p_k),
+                  lambda: g.check_bbm_corrected(rep),
+                  lambda: g.check_binning_lemma(rep.w_x, p_x),
+                  lambda: g.check_beckner(pair, rep),
+                  lambda: g.check_smeared_shannon(rep, smeared, sf_val),
+                  lambda: g.check_renyi_smeared(pair, rep, smeared, sf_val),
+                  lambda: g.check_binned_shannon(p_k, p_x, rep)]
+        taken = self._spy_shannon(monkeypatch)
+        first = [check() for check in checks]
+        assert len(taken) == 5
+        assert {id(d) for d in taken} == {
+            id(d) for d in (rep.v_q, rep.w_x, rep.u_k, *smeared)}
+        for order in (range(6, -1, -1), [1, 3, 5, 0, 2, 4, 6, 1, 3]):
+            assert [checks[i]() for i in order] == [first[i] for i in order]
+        assert len(taken) == 5
+
+    def test_binned_shannon_takes_no_continuous_entropy(self, cosine_state,
+                                                        monkeypatch):
+        # the binned row reads the order-1 sums and the correction only
+        rep = g.bundle(cosine_state)
+        p_k, p_x = g.bin_pair(np.random.default_rng(4), rep.u_k, rep.w_x,
+                              0.05, 2.0, (1.0,))
+        taken = self._spy_shannon(monkeypatch)
+        rpt = g.check_binned_shannon(p_k, p_x, rep)
+        assert rpt.relation_id == "shannon_sum_binned" and taken == []
 
     def test_binned_rows_name_their_widths(self, cosine_rep):
         # a lemma row names the width on its density's side, smeared or

@@ -145,23 +145,24 @@ def test_verify_cell_takes_each_shannon_entropy_once(monkeypatch, alpha_grid):
     # smeared densities for every sigma, each taken once; at alpha = 1 the
     # Beckner and smeared Renyi rows are those Shannon rows, so an order of
     # 1 takes none again.  The binned smeared pair is summed at order 1
-    # only when a pair is degenerate.
-    from gupcert import relations
+    # only when a pair is degenerate.  The spy sits on the functional that
+    # fills DensityFn.shannon.
+    from gupcert import core
 
     taken = []  # holding every argument keeps the ids unique
-    diff_shannon = relations.diff_shannon
+    real_shannon = core._shannon
     discrete_sums = entropy.discrete_renyi_and_norm
 
     def shannon(dens):
         taken.append(dens)
-        return diff_shannon(dens)
+        return real_shannon(dens)
 
     def discrete(dist, order):
         if order == 1.0:
             taken.append(dist)
         return discrete_sums(dist, order)
 
-    monkeypatch.setattr(relations, "diff_shannon", shannon)
+    monkeypatch.setattr(core, "_shannon", shannon)
     monkeypatch.setattr(entropy, "discrete_renyi_and_norm", discrete)
     config = RunConfig(beta_grid=[1.0], sigma_grid=[0.5, 2.0],
                        alpha_grid=alpha_grid,

@@ -156,20 +156,23 @@ class TestFourier:
 
     def test_one_evaluation_per_extension_pass(self, uniform_state,
                                                monkeypatch):
-        # each window pass evaluates only its new nodes, both ends at once
+        # each window pass evaluates only its new nodes x >= 0, both signs
+        # at once: 3,895 of the 7,789 lattice nodes over four passes
         from gupcert import transform
 
-        sizes = []
-        real = transform._psi_sq_on
+        seen = []
+        real = transform._psi_sq_pair
 
-        def spy(mixed, nodes, x_max):
-            sizes.append(nodes.size)
-            return real(mixed, nodes, x_max)
+        def spy(mixed, x, x_max):
+            seen.append(x)
+            return real(mixed, x, x_max)
 
-        monkeypatch.setattr(transform, "_psi_sq_on", spy)
+        monkeypatch.setattr(transform, "_psi_sq_pair", spy)
         w = g.x_density(uniform_state)
-        assert len(sizes) == 4
-        assert sum(sizes) == len(w.grid) == 7789
+        assert len(seen) == 4
+        x = np.concatenate(seen)
+        assert len(w.grid) == 7789 and x.size == (7789 + 1) // 2 == 3895
+        assert np.array_equal(x, w.grid.nodes[3894:])
 
     def test_transform_rule_doubles_until_the_norm_holds(self, params_1,
                                                          monkeypatch):
@@ -194,8 +197,9 @@ class TestFourier:
     @pytest.mark.parametrize("blocks", ["default", "two_rows"])
     def test_mirror_pairing_matches_full_sum_bitwise(self, params_1, blocks,
                                                       monkeypatch):
-        # oracle: the plain Fourier sum over every node, both halves included;
-        # small blocks check that the pairing holds across block boundaries
+        # oracle: the plain Fourier sum over every signed node; both halves
+        # of the pair must match it, and small blocks check that the pairing
+        # holds across block boundaries
         from gupcert import quadrature, transform
 
         if blocks == "two_rows":
@@ -212,19 +216,20 @@ class TestFourier:
                 "truncated_gaussian_q", params_1, shape_args=[0.3])]),
         ]
         h = 0.37
-        odd = np.arange(-40, 41) * h
-        even = np.concatenate([np.arange(-61, -40), np.arange(41, 62)]) * h
+        # a first pass from x = 0 and an extension pass beyond it
         for state in states:
             mixed = g.as_mixed(state)
-            for nodes in (odd, even):
-                x_max = float(nodes[-1])
-                want = np.zeros(nodes.size)
+            for x in (np.arange(0, 41) * h, np.arange(41, 62) * h):
+                x_max = float(x[-1])
+                signed = np.concatenate([x, -x])
+                want = np.zeros(signed.size)
                 for lam, comp in mixed.components:
                     q, coeff = transform._transform_rule(comp, x_max)
-                    want += lam * np.abs(
-                        transform._fourier_sum(1.0, nodes, q, coeff)) ** 2
-                got = transform._psi_sq_on(mixed, nodes, x_max)
-                assert np.array_equal(got, want)
+                    want += lam * np.abs(transform._fourier_sum(
+                        1.0, signed, q, coeff)[0]) ** 2
+                right, left = transform._psi_sq_pair(mixed, x, x_max)
+                assert np.array_equal(right, want[:x.size])
+                assert np.array_equal(left, want[x.size:])
 
     def test_fourier_sum_memory_is_block_sized(self):
         # 48 modes at beta = 0.1: 14,037 X nodes against 5,024 rule nodes;
@@ -260,14 +265,6 @@ class TestFourier:
         w = g.x_density(replace(state, profile=counting))
         assert sum(grid_reads) == 1 and len(grid_reads) >= 5
         assert w.values.tobytes() == g.x_density(state).values.tobytes()
-
-    def test_mirror_pairing_needs_symmetric_nodes(self, uniform_state):
-        from gupcert import transform
-
-        mixed = g.as_mixed(uniform_state)
-        for nodes in (np.arange(0, 9) * 0.5, np.array([-1.0, 0.0, 1.5])):
-            with pytest.raises(g.ContractError):
-                transform._psi_sq_on(mixed, nodes, 4.0)
 
     def test_beta_to_zero_continuity(self):
         # narrow state: u at tiny beta agrees with v reinterpreted on one axis
