@@ -2,9 +2,10 @@
 
 `tests/data/golden_small.json` holds the `render_json` text of a small
 verify run (and its `render_csv` text), of verify cells with the degenerate
-order pair (alpha = 1, also alone on the Cauchy cell), in the undeformed
-limit (beta = 0) and with neither pair binned, and of beta, sigma and alpha
-sweeps.  Optimisations that must not move a single float (reordered or
+order pair (alpha = 1, also alone on the Cauchy cell), of the Cauchy cell at
+alpha = 1000 (Beckner and smeared Renyi rows made not applicable by a
+divergent power sum), in the undeformed limit (beta = 0) and with neither
+pair binned, and of beta, sigma and alpha sweeps.  Optimisations that must not move a single float (reordered or
 shared exponentials, blocked sums) are checked here.  A mismatch names the
 report and its first differing line.  Regenerate the file only for a change
 that is meant to alter report bytes:
@@ -42,6 +43,12 @@ def _reports() -> dict:
     # rows, with a binned K distribution of about 2 M bins
     cauchy_alpha1 = RunConfig(beta_grid=[1.0], sigma_grid=[1.0],
                               alpha_grid=[1.0], states=[{"name": "uniform_q"}])
+    # alpha = 1000 on the Cauchy cell: power sums at gamma near 1/2 that
+    # converge too slowly, so beckner_qx and the smeared Renyi rows are not
+    # applicable while beckner_xq passes
+    cauchy_alpha1000 = RunConfig(beta_grid=[1.0], sigma_grid=[1.0],
+                                 alpha_grid=[1000.0],
+                                 states=[{"name": "uniform_q"}])
     # alpha = 1: the degenerate (1, 1) pair's Shannon-form binned rows
     degenerate = RunConfig(beta_grid=[1.0], sigma_grid=[1.0],
                            alpha_grid=[1.0, 2.0],
@@ -60,6 +67,7 @@ def _reports() -> dict:
     records, _ = suite.run_verify(verify)
     cauchy_records, _ = suite.run_verify(cauchy)
     cauchy_alpha1_records, _ = suite.run_verify(cauchy_alpha1)
+    cauchy_alpha1000_records, _ = suite.run_verify(cauchy_alpha1000)
     undeformed_records, _ = suite.run_verify(undeformed)
     degenerate_records, _ = suite.run_verify(degenerate)
     no_bins_records, _ = suite.run_verify(no_bins)
@@ -68,6 +76,8 @@ def _reports() -> dict:
             "verify_uniform_q": suite.render_json(cauchy_records, cauchy),
             "verify_uniform_q_alpha1": suite.render_json(
                 cauchy_alpha1_records, cauchy_alpha1),
+            "verify_uniform_q_alpha1000": suite.render_json(
+                cauchy_alpha1000_records, cauchy_alpha1000),
             "verify_beta0": suite.render_json(undeformed_records, undeformed),
             "verify_alpha1": suite.render_json(degenerate_records, degenerate),
             "verify_no_bins": suite.render_json(no_bins_records, no_bins),
