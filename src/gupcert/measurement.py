@@ -286,10 +286,9 @@ def _lattice_input(density: DensityFn, f: AcceptanceFn):
     exp(-2 pi^2 sigma^2 / h^2), so h <= sigma/2 keeps kernel aliasing below
     1e-30.  Nonuniform grids cannot resolve a narrow kernel where their node
     spacing exceeds its width (image grids stretch like k^2 in the tail), so
-    they are resampled through a monotone interpolant; the graded source
-    nodes are a few percent apart in relative terms, which keeps the
-    resampling error near 1e-6 of the local value.  Uniform inputs are only
-    ever refined, never coarsened.
+    they are resampled through a cubic spline.  No error term counts that
+    resampling: the est_error of an entropy of the smeared density leaves
+    it out.  Uniform inputs are only ever refined, never coarsened.
     """
     k = density.grid.nodes
     target = min(f.width / 2.0, _feature_scale(density) / 8.0)

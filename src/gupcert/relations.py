@@ -19,11 +19,11 @@ Each density owns its differential Shannon entropy (DensityFn.shannon)
 and each BinnedSums its discrete one (order 1), so the Fourier-pair,
 binning-lemma and binned Shannon rows, and the Beckner and smeared Renyi
 rows of the degenerate pair (1, 1), read them in any order and take none
-twice.  The Renyi, norm and Tsallis rows of an order pair read one table of
-power sums, one per density and order: check_renyi_binned returns every
-binned row of the pair, and check_tsallis_binned and check_norm_ordering
-are views.  The binned sums are taken when the bins are (entropy.bin_pair,
-BinnedSums.of), so no check holds or reads a bin.
+twice.  A check builds only the rows it returns, from one power sum per
+density and order: one helper builds every "first + second >= bound" row,
+one a norm, Renyi-sum or Tsallis-sum row and its swapped twin.  The binned
+sums are taken when the bins are (entropy.bin_pair, BinnedSums.of), so no
+check holds or reads a bin.
 """
 
 from __future__ import annotations
@@ -262,21 +262,26 @@ def robertson_margin(rep: RepresentationBundle) -> RelationReport:
 # Shannon relations
 # ---------------------------------------------------------------------------
 
+def _sum_row(rid: str, first: EntropyValue, second: EntropyValue,
+             bound: float, extra_error: float = 0.0,
+             **widths) -> RelationReport:
+    """first + second >= bound, with the two entropies' errors and then
+    `extra_error` (that of a correction in the bound) summed."""
+    return _report(rid, first.value + second.value, bound,
+                   first.est_error + second.est_error + extra_error, **widths)
+
+
 def check_bbm_corrected(rep: RepresentationBundle) -> list[RelationReport]:
     """Fourier-pair bound and its minimal-length corrected form.
 
     The base relation is H(Q) + H(X) >= ln(e pi); replacing the auxiliary
     entropy by the physical one adds the correction term to the bound.
     """
-    hq = diff_shannon(rep.v_q)
     hx = diff_shannon(rep.w_x)
-    hk = diff_shannon(rep.u_k)
     corr, corr_err = rep.correction
-    base = _report("shannon_sum_base", hq.value + hx.value, LN_E_PI,
-                   hq.est_error + hx.est_error)
-    corrected = _report("shannon_sum_corrected", hk.value + hx.value,
-                        LN_E_PI + corr, hk.est_error + hx.est_error + corr_err)
-    return [base, corrected]
+    return [_sum_row("shannon_sum_base", diff_shannon(rep.v_q), hx, LN_E_PI),
+            _sum_row("shannon_sum_corrected", diff_shannon(rep.u_k), hx,
+                     LN_E_PI + corr, corr_err)]
 
 
 def check_smeared_shannon(rep: RepresentationBundle,
@@ -290,17 +295,11 @@ def check_smeared_shannon(rep: RepresentationBundle,
     ln(e pi / S_f), which exceeds ln(e pi) once the momentum acceptance is
     wide enough that S_f < 1.
     """
-    u_s, w_s = smeared
-    hm = diff_shannon(u_s)
-    hn = diff_shannon(w_s)
+    hm, hn = diff_shannon(smeared[0]), diff_shannon(smeared[1])
     corr, corr_err = rep.correction
-    err = hm.est_error + hn.est_error
-    lhs = hm.value + hn.value
-    return [
-        _report("shannon_sum_smeared", lhs, LN_E_PI + corr, err + corr_err),
-        _report("shannon_sum_smeared_resolution", lhs,
-                LN_E_PI - math.log(sf_value), err),
-    ]
+    return [_sum_row("shannon_sum_smeared", hm, hn, LN_E_PI + corr, corr_err),
+            _sum_row("shannon_sum_smeared_resolution", hm, hn,
+                     LN_E_PI - math.log(sf_value))]
 
 
 def check_binning_lemma(density: DensityFn, sums: BinnedSums) -> RelationReport:
@@ -330,30 +329,14 @@ def check_binned_shannon(p_k: BinnedSums, p_x: BinnedSums,
     """
     (h_k, _), (h_x, _) = p_k.renyi_and_norm(1.0), p_x.renyi_and_norm(1.0)
     corr, corr_err = rep.correction
-    return _report("shannon_sum_binned", h_k.value + h_x.value,
-                   LN_E_PI - math.log(p_k.delta_max * p_x.delta_max) + corr,
-                   h_k.est_error + h_x.est_error + corr_err,
-                   delta_k=p_k.delta_max, delta_x=p_x.delta_max)
+    return _sum_row("shannon_sum_binned", h_k, h_x,
+                    LN_E_PI - math.log(p_k.delta_max * p_x.delta_max) + corr,
+                    corr_err, delta_k=p_k.delta_max, delta_x=p_x.delta_max)
 
 
 # ---------------------------------------------------------------------------
 # Renyi and Tsallis relations
 # ---------------------------------------------------------------------------
-
-def check_beckner(pair: OrderPair,
-                  rep: RepresentationBundle) -> list[RelationReport]:
-    """Conjugate-norm inequalities between the auxiliary and position pair.
-
-    In log form: ln ||w||_gamma - ((1-gamma)/gamma) ln(kappa pi) >= ln ||v||_alpha
-    together with the twin obtained by swapping the two densities: the norm
-    rows of the Renyi relations with S_f = 1.  The degenerate (1, 1) pair
-    dispatches to the base Shannon relation.
-    """
-    if pair.degenerate:
-        return [check_bbm_corrected(rep)[0]]
-    return _renyi_reports(renyi_and_norm, rep.v_q, rep.w_x, pair, 1.0,
-                          {"norm": ("beckner_qx", "beckner_xq")})[0]
-
 
 def _log_norm_error(renyi: EntropyValue, order: float) -> float:
     """Error of ln ||p||_order from that of the Renyi entropy of the order;
@@ -363,54 +346,71 @@ def _log_norm_error(renyi: EntropyValue, order: float) -> float:
     return renyi.est_error * abs(1.0 - order) / order
 
 
-def _renyi_reports(renyi_and_norm_fn, dens_m, dens_n, pair: OrderPair,
-                   scale: float, rids: dict,
-                   **widths) -> tuple[list[RelationReport], dict]:
-    """Rows from one table of the (entropy, norm) pairs of M and N.
+def _sums(read, source, pair: OrderPair) -> dict:
+    """read(source, order), one source's (entropy, norm) pair, once per order
+    of `pair`; a divergent sum is kept as its NormDivergenceError."""
+    out = {}
+    for order in dict.fromkeys((pair.alpha, pair.gamma)):
+        try:
+            out[order] = read(source, order)
+        except NormDivergenceError as exc:
+            out[order] = exc
+    return out
 
-    `renyi_and_norm_fn` fills the table, keyed by (side, order) and returned
-    with the rows, once per density and order; a divergent sum turns the
-    rows that read it into not-applicable records that carry its message.
-    `rids` names the two rows of each kind, alpha on M first, then swapped:
-    "sum" R_alpha + R_gamma >= ln(kappa pi / scale), "norm" ||.||_alpha <=
-    (scale/(kappa pi))^((1-gamma)/gamma) ||.||_gamma (the Beckner rows at
-    scale 1) and "tsallis" H_alpha + H_gamma >= ln_nu(kappa pi / scale),
-    nu = max order.  `scale` is S_f, times the bin widths `widths` when binned.
+
+def _twin_rows(kind: str, rids: tuple, m: dict, n: dict, pair: OrderPair,
+               scale: float, **widths) -> list[RelationReport]:
+    """The row of `kind` with alpha on M and gamma on N (the _sums of each),
+    then its twin with M and N swapped.
+
+    "sum": R_alpha + R_gamma >= ln(kappa pi / scale); "norm": ||.||_alpha <=
+    (scale/(kappa pi))^((1-gamma)/gamma) ||.||_gamma in log form (the Beckner
+    rows at scale 1); "tsallis": H_alpha + H_gamma >= ln_nu(kappa pi / scale),
+    nu = max order.  `scale` is S_f, times the bin widths `widths` when
+    binned.  A row that reads a divergent sum is not applicable, with the
+    message of the first (the alpha side first).
     """
-    powers = {}
-    for side, dens in (("m", dens_m), ("n", dens_n)):
-        for order in dict.fromkeys((pair.alpha, pair.gamma)):
-            try:
-                powers[side, order] = renyi_and_norm_fn(dens, order)
-            except NormDivergenceError as exc:
-                powers[side, order] = exc
     kp = kappa(pair)
-    shift = (1.0 - pair.gamma) / pair.gamma * math.log(scale / (kp * math.pi))
-    bounds = {"sum": math.log(kp * math.pi / scale),
-              "tsallis": alpha_log(kp * math.pi / scale,
-                                   max(pair.alpha, pair.gamma))}
     out = []
-    for kind, (rid_mn, rid_nm) in rids.items():
-        for rid, first, second in ((rid_mn, "m", "n"), (rid_nm, "n", "m")):
-            pa, pg = powers[first, pair.alpha], powers[second, pair.gamma]
-            diverged = [p for p in (pa, pg)
-                        if isinstance(p, NormDivergenceError)]
-            if diverged:
-                out.append(_not_applicable(rid, str(diverged[0]), **widths))
-            elif kind == "norm":
-                out.append(_report(rid, shift + math.log(pg[1]),
-                                   math.log(pa[1]),
-                                   _log_norm_error(pg[0], pair.gamma)
-                                   + _log_norm_error(pa[0], pair.alpha),
-                                   **widths))
-            else:
-                ea, eg = pa[0], pg[0]
-                if kind == "tsallis":
-                    ea = _tsallis_of_renyi(ea, pair.alpha)
-                    eg = _tsallis_of_renyi(eg, pair.gamma)
-                out.append(_report(rid, ea.value + eg.value, bounds[kind],
-                                   ea.est_error + eg.est_error, **widths))
-    return out, powers
+    for rid, (first, second) in zip(rids, ((m, n), (n, m))):
+        pa, pg = first[pair.alpha], second[pair.gamma]
+        diverged = [p for p in (pa, pg) if isinstance(p, NormDivergenceError)]
+        if diverged:
+            out.append(_not_applicable(rid, str(diverged[0]), **widths))
+        elif kind == "norm":
+            shift = ((1.0 - pair.gamma) / pair.gamma
+                     * math.log(scale / (kp * math.pi)))
+            out.append(_report(rid, shift + math.log(pg[1]), math.log(pa[1]),
+                               _log_norm_error(pg[0], pair.gamma)
+                               + _log_norm_error(pa[0], pair.alpha),
+                               **widths))
+        elif kind == "sum":
+            out.append(_sum_row(rid, pa[0], pg[0],
+                                math.log(kp * math.pi / scale), **widths))
+        else:
+            out.append(_sum_row(rid, _tsallis_of_renyi(pa[0], pair.alpha),
+                                _tsallis_of_renyi(pg[0], pair.gamma),
+                                alpha_log(kp * math.pi / scale,
+                                          max(pair.alpha, pair.gamma)),
+                                **widths))
+    return out
+
+
+def check_beckner(pair: OrderPair,
+                  rep: RepresentationBundle) -> list[RelationReport]:
+    """Conjugate-norm inequalities between the auxiliary and position pair.
+
+    In log form: ln ||w||_gamma - ((1-gamma)/gamma) ln(kappa pi) >= ln ||v||_alpha
+    together with the twin obtained by swapping the two densities: the norm
+    rows of the Renyi relations with S_f = 1.  The degenerate (1, 1) pair
+    gives the base Shannon row alone, which reads no correction.
+    """
+    if pair.degenerate:
+        return [_sum_row("shannon_sum_base", diff_shannon(rep.v_q),
+                         diff_shannon(rep.w_x), LN_E_PI)]
+    return _twin_rows("norm", ("beckner_qx", "beckner_xq"),
+                      _sums(renyi_and_norm, rep.v_q, pair),
+                      _sums(renyi_and_norm, rep.w_x, pair), pair, 1.0)
 
 
 def check_renyi_smeared(pair: OrderPair, rep: RepresentationBundle,
@@ -425,17 +425,13 @@ def check_renyi_smeared(pair: OrderPair, rep: RepresentationBundle,
     """
     if pair.degenerate:
         return check_smeared_shannon(rep, smeared, sf_value)
-    return _renyi_reports(renyi_and_norm, smeared[0], smeared[1], pair,
-                          sf_value,
-                          {"sum": ("renyi_sum_smeared",
-                                   "renyi_sum_smeared_swapped"),
-                           "norm": ("renyi_norm_smeared_uw",
-                                    "renyi_norm_smeared_wu")})[0]
-
-
-_BINNED = {"sum": ("renyi_sum_binned", "renyi_sum_binned_swapped"),
-           "norm": ("renyi_norm_binned_mn", "renyi_norm_binned_nm"),
-           "tsallis": ("tsallis_sum_binned", "tsallis_sum_binned_swapped")}
+    m, n = (_sums(renyi_and_norm, dens, pair) for dens in smeared)
+    return (_twin_rows("sum", ("renyi_sum_smeared",
+                               "renyi_sum_smeared_swapped"),
+                       m, n, pair, sf_value)
+            + _twin_rows("norm", ("renyi_norm_smeared_uw",
+                                  "renyi_norm_smeared_wu"),
+                         m, n, pair, sf_value))
 
 
 def check_renyi_binned(pair: OrderPair, p_m: BinnedSums, p_n: BinnedSums,
@@ -444,47 +440,51 @@ def check_renyi_binned(pair: OrderPair, p_m: BinnedSums, p_n: BinnedSums,
 
     `p_m` and `p_n` are the BinnedSums of the smeared wavenumber and
     position densities binned, each with the pair's two orders summed;
-    `sf_value` is S_f of the momentum acceptance.  The rows, in
-    order: the Renyi sums against ln(kappa pi / (S_f dzeta dxi)), the norm
-    rows, the Tsallis sums against the deformed-log bound with nu = max
-    order, and the norm ordering of `p_m`.  All read ln sum p^alpha and
-    ln sum p^gamma of both distributions, each taken once.  The degenerate
-    pair gives one Shannon sum against ln(e pi / (S_f dzeta dxi)), the two
-    Tsallis sums in their Shannon form and a flat ordering row.  The rows
-    name dzeta and dxi, the ordering row (of `p_m` only) dzeta alone.
+    `sf_value` is S_f of the momentum acceptance.  The rows, in order: the
+    Renyi sums against ln(kappa pi / (S_f dzeta dxi)) and the norm rows (at
+    the degenerate pair one Shannon sum against ln(e pi / (S_f dzeta dxi))),
+    then check_tsallis_binned and check_norm_ordering of `p_m`.
     """
     scale = sf_value * p_m.delta_max * p_n.delta_max
     widths = {"delta_k": p_m.delta_max, "delta_x": p_n.delta_max}
-    rids = {"tsallis": _BINNED["tsallis"]} if pair.degenerate else _BINNED
-    rows, powers = _renyi_reports(BinnedSums.renyi_and_norm, p_m, p_n, pair,
-                                  scale, rids, **widths)
     if pair.degenerate:
-        (h_m, _), (h_n, _) = powers["m", 1.0], powers["n", 1.0]
-        rows.insert(0, _report("renyi_sum_binned", h_m.value + h_n.value,
-                               LN_E_PI - math.log(scale),
-                               h_m.est_error + h_n.est_error, **widths))
-    # the ordering folds both slacks into one row; either moves by at most
-    # its norm's error, and both norms are 1 at the degenerate pair
-    (r_a, n_a), (r_g, n_g) = powers["m", pair.alpha], powers["m", pair.gamma]
-    err = max(n_a * _log_norm_error(r_a, pair.alpha),
-              n_g * _log_norm_error(r_g, pair.gamma))
-    return rows + [_report("discrete_norm_ordering",
-                           min(1.0 - n_a, n_g - 1.0), 0.0, err,
-                           delta_k=p_m.delta_max)]
+        (h_m, _), (h_n, _) = p_m.renyi_and_norm(1.0), p_n.renyi_and_norm(1.0)
+        rows = [_sum_row("renyi_sum_binned", h_m, h_n,
+                         LN_E_PI - math.log(scale), **widths)]
+    else:
+        m, n = (_sums(BinnedSums.renyi_and_norm, p, pair) for p in (p_m, p_n))
+        rows = (_twin_rows("sum", ("renyi_sum_binned",
+                                   "renyi_sum_binned_swapped"),
+                           m, n, pair, scale, **widths)
+                + _twin_rows("norm", ("renyi_norm_binned_mn",
+                                      "renyi_norm_binned_nm"),
+                             m, n, pair, scale, **widths))
+    return (rows + check_tsallis_binned(pair, p_m, p_n, sf_value)
+            + [check_norm_ordering(p_m, pair)])
 
 
 def check_tsallis_binned(pair: OrderPair, p_m: BinnedSums, p_n: BinnedSums,
                          sf_value: float) -> list[RelationReport]:
-    """The two Tsallis rows of check_renyi_binned (same inputs)."""
-    return [rpt for rpt in check_renyi_binned(pair, p_m, p_n, sf_value)
-            if rpt.relation_id in _BINNED["tsallis"]]
+    """Binned Tsallis sums H_alpha + H_gamma >= ln_nu(kappa pi / (S_f dzeta
+    dxi)), nu = max order, and the swapped assignment, from the inputs of
+    check_renyi_binned; the degenerate pair gives two Shannon sums."""
+    m, n = (_sums(BinnedSums.renyi_and_norm, p, pair) for p in (p_m, p_n))
+    return _twin_rows("tsallis", ("tsallis_sum_binned",
+                                  "tsallis_sum_binned_swapped"), m, n, pair,
+                      sf_value * p_m.delta_max * p_n.delta_max,
+                      delta_k=p_m.delta_max, delta_x=p_n.delta_max)
 
 
 def check_norm_ordering(sums: BinnedSums, pair: OrderPair) -> RelationReport:
     """Discrete norm ordering ||p||_alpha <= 1 <= ||p||_gamma for alpha>1>gamma.
 
-    The last row of check_renyi_binned, read for one distribution's
-    BinnedSums with the pair's two orders summed: lhs is the smaller slack
-    of the two inequalities, rhs is zero.
+    Read for one distribution's BinnedSums with the pair's two orders
+    summed: lhs is the smaller slack of the two inequalities (either moves
+    by at most its norm's error; both norms are 1 at the degenerate pair),
+    rhs is zero, and dzeta is the widest bin.
     """
-    return check_renyi_binned(pair, sums, sums, 1.0)[-1]
+    (r_a, n_a), (r_g, n_g) = map(sums.renyi_and_norm, (pair.alpha, pair.gamma))
+    err = max(n_a * _log_norm_error(r_a, pair.alpha),
+              n_g * _log_norm_error(r_g, pair.gamma))
+    return _report("discrete_norm_ordering", min(1.0 - n_a, n_g - 1.0), 0.0,
+                   err, delta_k=sums.delta_max)

@@ -368,6 +368,14 @@ class TestBecknerAndRenyi:
     def test_degenerate_dispatches_to_base(self, cosine_rep):
         reports = g.check_beckner(g.OrderPair(1.0, 1.0), cosine_rep)
         assert reports[0].relation_id == "shannon_sum_base"
+        assert reports == [g.check_bbm_corrected(cosine_rep)[0]]
+
+    def test_degenerate_beckner_takes_no_correction(self, cosine_state):
+        # the base Shannon row reads H(Q) and H(X) only
+        rep = g.bundle(cosine_state)
+        reports = g.check_beckner(g.OrderPair(1.0, 1.0), rep)
+        assert "correction" not in vars(rep)
+        assert reports == [g.check_bbm_corrected(rep)[0]]
 
     def test_renyi_smeared(self, cosine_rep):
         f = g.gaussian_acceptance(1.0)
@@ -405,6 +413,58 @@ class TestBecknerAndRenyi:
         for rpt in g.check_tsallis_binned(pair, p_m, p_n, sf_val):
             assert rpt.margin >= -1e-8
         assert g.check_norm_ordering(p_m, pair).margin >= -1e-12
+
+    @staticmethod
+    def _count_calls(monkeypatch, name: str) -> list:
+        """The calls made from now on to the relations function `name`."""
+        from gupcert import relations
+
+        calls = []
+        real = getattr(relations, name)
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(relations, name, spy)
+        return calls
+
+    @pytest.fixture(scope="class")
+    def binned_cell(self, cosine_rep):
+        """One bin_pair of the smeared cosine cell at every order of the
+        pairs (1, 1), (2, 2/3) and (4, 4/7), with those pairs and S_f."""
+        pairs = [g.OrderPair(1.0, 1.0), g.conjugate_order(2.0),
+                 g.conjugate_order(4.0)]
+        smeared, sf_val = _smeared_cell(cosine_rep, g.gaussian_acceptance(1.0))
+        orders = [o for pair in pairs for o in (pair.alpha, pair.gamma)]
+        p_m, p_n = g.bin_pair(np.random.default_rng(9), *smeared, 0.05, 2.0,
+                              orders)
+        return pairs, p_m, p_n, sf_val
+
+    def test_binned_checks_match_renyi_binned(self, binned_cell):
+        # check_renyi_binned's Tsallis rows and last row are those of the
+        # Tsallis and norm-ordering checks on the same sums
+        pairs, p_m, p_n, sf_val = binned_cell
+        for pair in pairs:
+            rows = g.check_renyi_binned(pair, p_m, p_n, sf_val)
+            assert g.check_tsallis_binned(pair, p_m, p_n, sf_val) == [
+                r for r in rows if r.relation_id.startswith("tsallis_")]
+            assert g.check_norm_ordering(p_m, pair) == rows[-1]
+
+    def test_norm_ordering_takes_no_kappa(self, binned_cell, monkeypatch):
+        pairs, p_m, _, _ = binned_cell
+        calls = self._count_calls(monkeypatch, "kappa")
+        for pair in pairs:
+            g.check_norm_ordering(p_m, pair)
+        assert calls == []
+
+    def test_tsallis_binned_takes_no_norm_error(self, binned_cell,
+                                                monkeypatch):
+        # the Tsallis rows read Renyi entropies, never a norm
+        pairs, p_m, p_n, sf_val = binned_cell
+        calls = self._count_calls(monkeypatch, "_log_norm_error")
+        for pair in pairs:
+            g.check_tsallis_binned(pair, p_m, p_n, sf_val)
+        assert calls == []
 
     def test_randomized_margins_sweep(self):
         # a slice of the randomized certification: every applicable check
