@@ -16,13 +16,15 @@ S_f: `GaussianAcceptance`, whose kernel is a Voigt profile evaluated through
 the Faddeeva function, and `TableAcceptance`, a tabulated |f|^2 that vanishes
 off its table, so that J is a finite Gauss-Legendre sum over the table
 intervals; the tests cross-check it against the Voigt form and against
-adaptive quadrature of the same interpolant.
+adaptive quadrature of the same interpolant.  A table builds that
+interpolant and its antiderivative once, with the profile.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -92,7 +94,8 @@ class TableAcceptance:
     """Tabulated |f|^2 profile, monotone-interpolated and zero off its table.
 
     The values are renormalized to unit trapezoid mass; a table that is far
-    from normalized is rejected.
+    from normalized is rejected.  The interpolant and its antiderivative are
+    built once, with the profile; the width is taken on first read and kept.
     """
 
     table_nodes: np.ndarray
@@ -113,21 +116,20 @@ class TableAcceptance:
             raise InvalidParameterError("tabulated profile is too far from normalized")
         object.__setattr__(self, "table_nodes", nodes)
         object.__setattr__(self, "table_values", values / total)
+        interp = PchipInterpolator(nodes, self.table_values, extrapolate=False)
+        object.__setattr__(self, "_interp", interp)
+        object.__setattr__(self, "_antiderivative", interp.antiderivative())
 
     def density(self, z):
         z = np.asarray(z, dtype=float)
-        interp = PchipInterpolator(self.table_nodes, self.table_values,
-                                   extrapolate=False)
-        return np.nan_to_num(np.clip(interp(z), 0.0, None))
+        return np.nan_to_num(np.clip(self._interp(z), 0.0, None))
 
     def window_mass(self, lo, hi):
-        anti = PchipInterpolator(self.table_nodes, self.table_values).antiderivative()
         a, b = self.table_nodes[0], self.table_nodes[-1]
-        top = np.clip(hi, a, b)
-        bot = np.clip(lo, a, b)
-        return anti(top) - anti(bot)
+        anti = self._antiderivative
+        return anti(np.clip(hi, a, b)) - anti(np.clip(lo, a, b))
 
-    @property
+    @cached_property
     def width(self) -> float:
         m1 = np.trapezoid(self.table_nodes * self.table_values, self.table_nodes)
         m2 = np.trapezoid((self.table_nodes - m1) ** 2 * self.table_values,
@@ -227,40 +229,35 @@ def _bulk_window(density: DensityFn) -> tuple[float, float]:
     describes the density at that cut (the dropped mass is then modeled);
     models fitted far out may not hold yet at the 1e-4 point, in which case
     the quantile tightens to 1e-9 so essentially nothing unaccounted is
-    dropped.  The model validity test compares modeled against actual
+    dropped.  Each side reads its own mass beyond each node, grid plus that
+    side's model; the model validity test compares modeled against actual
     remaining mass at the candidate cut.
     """
-    masses = density.grid.weights * density.values
-    cum = np.cumsum(masses)
+    cum = np.cumsum(density.grid.weights * density.values)
     total = cum[-1]
     x = density.grid.nodes
     m_left, m_right = density.tail_masses
     grand = total + m_left + m_right
-
-    def pick(side, leftward: bool) -> float:
-        def cut_at(frac):
+    below = cum + m_left               # grid mass at or below each node
+    above = (total - cum) + m_right    # grid mass above each node
+    cuts = []
+    for side, leftward in ((density.tail_left, True), (density.tail_right, False)):
+        for frac in (1e-4, 1e-9):  # the 1e-9 cut stands whatever the test says
             target = frac * grand
             if leftward:
-                i = int(np.searchsorted(cum + m_left, target))
-                return float(x[min(i, x.size - 1)])
-            i = int(np.searchsorted(cum, grand - target - m_right))
-            return float(x[min(i, x.size - 1)])
-
-        t = cut_at(1e-4)
-        if side is not None:
-            if leftward:
-                actual = m_left + float(cum[max(np.searchsorted(x, t) - 1, 0)])
-            else:
-                j = int(np.searchsorted(x, t))
-                actual = m_right + float(total - cum[min(j, x.size - 1)])
+                i = int(np.searchsorted(below, target))
+            else:  # the first node at which the falling `above` meets it
+                i = x.size - int(np.searchsorted(above[::-1], target, side="right"))
+            i = min(i, x.size - 1)
+            actual = float(below[max(i - 1, 0)] if leftward else above[i])
+            t = float(x[i])
+            if side is None:
+                continue
             modeled = side.mass_beyond(abs(t))
             if actual <= 0.0 or 0.6 < modeled / max(actual, 1e-300) < 1.6:
-                return t
-        return cut_at(1e-9)
-
-    lo = pick(density.tail_left, leftward=True)
-    hi = pick(density.tail_right, leftward=False)
-    return lo, hi
+                break
+        cuts.append(t)
+    return cuts[0], cuts[1]
 
 
 def _is_uniform(nodes: np.ndarray) -> bool:

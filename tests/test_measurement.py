@@ -6,13 +6,32 @@ from scipy.integrate import quad
 from scipy.special import erfc
 
 import gupcert as g
-from gupcert.quadrature import pchip
+from gupcert import measurement
+from gupcert.quadrature import composite_rule, pchip
+from gupcert.tails import TailSide
 
 
 def _raised_cosine2():
     """Raised-cosine-squared |f|^2 table: 513 nodes on [-3, 3], unit mass."""
     t = np.linspace(-3.0, 3.0, 513)
     return t, (0.5 * (1.0 + np.cos(math.pi * t / 3.0))) ** 2 / 2.25
+
+
+def _two_tail_density(c_left, c_right, edge=2e4):
+    """Gauss panels on [-edge, edge] carrying
+    (c_left + (c_right - c_left)(1 + tanh x)/2) / (1 + x^2), extended on each
+    side by a c/x^2 tail model of that side's weight."""
+    nodes, weights = composite_rule(np.linspace(-edge, edge, 4001), 8)
+    values = (c_left + (c_right - c_left) * 0.5 * (1.0 + np.tanh(nodes))) \
+        / (1.0 + nodes ** 2)
+    beyond = (c_left + c_right) / edge  # c/x^2 holds c/edge past |x| = edge
+    scale = 1.0 / (np.dot(weights, values) + beyond)
+    left, right = (TailSide(coeff=c * scale, exponent=2.0, oscillatory=False,
+                            valid_from=edge) for c in (c_left, c_right))
+    grid = g.Grid(nodes=nodes, weights=weights, domain_tag=g.Domain.K)
+    return g.DensityFn(grid=grid, values=values * scale,
+                       tail_mass_bound=beyond * scale, tail_left=left,
+                       tail_right=right)
 
 
 _ONES = np.full(5, 0.5)
@@ -52,6 +71,65 @@ class TestGaussianAcceptance:
     def test_constructor_validates(self, sigma):
         with pytest.raises(g.InvalidParameterError):
             g.GaussianAcceptance(sigma)
+
+
+class TestTableAcceptance:
+    def test_window_mass(self):
+        f = g.custom_acceptance(*_raised_cosine2())
+        a, b = f.table_nodes[0], f.table_nodes[-1]
+        whole = f.window_mass(a, b)
+        assert f.window_mass(3.5, 9.0) == 0.0
+        assert f.window_mass(-9.0, -3.5) == 0.0
+        for lo, hi in ((a - 1.0, b), (a, b + 2.0), (-50.0, 50.0)):
+            assert f.window_mass(lo, hi) == whole
+        for split in (-2.0, 0.3, 2.9):
+            assert f.window_mass(a, split) + f.window_mass(split, b) \
+                == pytest.approx(whole, rel=0.0, abs=1e-15)
+        lo, hi = np.array([-4.0, -1.0, 0.5]), np.array([-2.5, 1.0, 4.0])
+        assert np.array_equal(f.window_mass(lo, hi),
+                              [f.window_mass(x, y) for x, y in zip(lo, hi)])
+
+    def test_builds_one_interpolant(self, cosine_rep, monkeypatch):
+        # every read of |f|^2 and of its window masses, the J rules and the
+        # smears included, goes through the interpolant the profile holds
+        built = []
+
+        class Counting(measurement.PchipInterpolator):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(measurement, "PchipInterpolator", Counting)
+        f = g.custom_acceptance(*_raised_cosine2())
+        f.density(np.linspace(-4.0, 4.0, 9))
+        f.window_mass(-1.0, 1.0)
+        f.lattice_kernel(64, 0.05)
+        grid = g.Grid(nodes=np.linspace(-5.0, 5.0, 11), weights=np.ones(11),
+                      domain_tag=g.Domain.ZETA)
+        for beta in (1.0, 10.0):
+            g.j_profile(f, g.make_params(beta), grid)
+        g.s_f(f, g.make_params(1.0))
+        g.smear(cosine_rep.w_x, f)
+        g.smear(cosine_rep.u_k, f)
+        assert len(built) == 1
+
+
+class TestBulkWindow:
+    def test_each_side_reads_its_own_mass(self):
+        # window-extending tails of unequal weight: a cut that read the
+        # other side's model mass would break the mirror symmetry and leave
+        # more than the 1e-4 quantile beyond it
+        densities = [_two_tail_density(0.4, 0.1), _two_tail_density(0.1, 0.4)]
+        windows = [measurement._bulk_window(d) for d in densities]
+        (lo, hi), (mlo, mhi) = windows
+        assert mlo == pytest.approx(-hi, rel=1e-12, abs=0.0)
+        assert mhi == pytest.approx(-lo, rel=1e-12, abs=0.0)
+        for d, (cut_lo, cut_hi) in zip(densities, windows):
+            x, masses = d.grid.nodes, d.grid.weights * d.values
+            m_left, m_right = d.tail_masses
+            grand = masses.sum() + m_left + m_right
+            assert masses[x < cut_lo].sum() + m_left <= 1e-4 * grand
+            assert masses[x > cut_hi].sum() + m_right <= 1e-4 * grand
 
 
 class TestSmear:
