@@ -14,9 +14,9 @@ from .core import (CATALOG_NAMES, DensityFn, DiscreteDist, Domain, Grid,
                    PureState, as_mixed, catalog_state, make_params, mix_states,
                    moment, normalize, rebuild_state)
 from .entropy import (BinnedSums, DensityCdf, EntropyValue, alpha_log,
-                      alpha_norm, bin_density, bin_pair, density_cdf, diff_renyi,
-                      diff_shannon, discrete_norm, discrete_renyi,
-                      discrete_renyi_and_norm, discrete_tsallis,
+                      alpha_norm, bin_density, bin_pair, binned_sums,
+                      density_cdf, diff_renyi, diff_shannon, discrete_norm,
+                      discrete_renyi, discrete_renyi_and_norm, discrete_tsallis,
                       mc_diff_shannon, random_edges, renyi_and_norm)
 from .errors import (ConfigError, ContractError, DegenerateStateError,
                      DomainError, GupcertError, InvalidParameterError,

@@ -16,7 +16,12 @@ reference these estimates rather than absolute truth.
 Binning has one path: a DensityCdf gives a density's coverage window,
 random_edges lays random-width bins over it and bin_density reads them;
 bin_pair does all three for a (wavenumber, position) pair and reduces each
-binned distribution to the BinnedSums the binned checks read.
+binned distribution to the BinnedSums the binned checks read.  That
+reduction, binned_sums, folds the bins into their sums one block of
+_BIN_BLOCK bins at a time: of a heavy-tailed density's millions of bins it
+holds only the edges and the probabilities, while bin_density's
+DiscreteDist, built from the same per-block arithmetic, also holds every
+bin's error bound.
 
 Every Renyi entropy, norm and Tsallis entropy of order a reads one power
 sum S_a = sum_j w_j p_j^a (w_j = 1 for bins, tail integrals added for
@@ -47,7 +52,7 @@ from .quadrature import ENTROPY_FLOOR, pchip
 
 _BUMP_PEAK = 4.0  # bound on 15/4, a pair's peak-to-mean interpolation error
 _OUTSIDE_MASS = 3e-7  # mass per side left outside a coverage window
-_BIN_BLOCK = 2 ** 16  # bins per block of DensityCdf.bin_errors
+_BIN_BLOCK = 2 ** 16  # bins (or CDF points) per block of binning work
 
 
 # ---------------------------------------------------------------------------
@@ -61,9 +66,9 @@ def diff_shannon(density: DensityFn) -> EntropyValue:
     return density.shannon
 
 
-def _power_sum(p: np.ndarray, alpha: float, weights=None, tails=()):
+def _power_sum(p: np.ndarray, alpha: float, weights: np.ndarray, tails):
     """ln of sum_j w_j p_j**alpha plus the integrals of p**alpha beyond the
-    starts of (TailSide, start) tails; the weights default to one (bins).
+    starts of (TailSide, start) tails.
 
     Formed as alpha ln p_max + ln sum_j w_j (p_j / p_max)**alpha, the tails
     in the same unit p_max**alpha, so no order under- or overflows.  Also
@@ -73,7 +78,7 @@ def _power_sum(p: np.ndarray, alpha: float, weights=None, tails=()):
     p_max = float(np.max(p))
     terms = p / p_max
     np.power(terms, alpha, out=terms)
-    core = float(np.sum(terms) if weights is None else np.dot(weights, terms))
+    core = float(np.dot(weights, terms))
     tail = sum(side.alpha_mass_beyond(alpha, start, p_max)
                for side, start in tails)
     return alpha * math.log(p_max) + math.log(core + tail), terms, core, tail
@@ -162,11 +167,12 @@ class DensityCdf:
     integrated (a monotone interpolant falls an order short of the interval
     probability tolerance); outside it the fitted power-law mass takes over.
     Calling it gives the CDF at arbitrary points, clipped monotone into
-    [0, 1] and scaled so the total mass is exactly one; `node_cdf` holds
-    those values at the grid nodes.  A caller that reads the CDF more than
-    once (a coverage window, then the bins) builds one and passes it to
-    `bin_density`; its spline holds five coefficients per grid interval, so
-    drop it with the bins.
+    [0, 1] and scaled so the total mass is exactly one, read in blocks of
+    points so that only the result is as long as the points; `node_cdf`
+    holds those values at the grid nodes.  A caller that reads the CDF more
+    than once (a coverage window, then the bins) builds one and passes it
+    to `bin_density` or `binned_sums`; its spline holds five coefficients
+    per grid interval, so drop it with the bins.
     """
 
     def __init__(self, density: DensityFn):
@@ -183,11 +189,21 @@ class DensityCdf:
         self.node_cdf = np.concatenate([ends[:1], inner, ends[1:]])
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
+        pts = np.asarray(points, dtype=float)
+        out = np.empty(pts.shape)
+        flat, into = pts.reshape(-1), out.reshape(-1)
+        # point by point the same arithmetic, in blocks of points, so that
+        # besides the result only block-sized temporaries are held
+        for start in range(0, flat.size, _BIN_BLOCK):
+            block = slice(start, start + _BIN_BLOCK)
+            self._read(flat[block], into[block])
+        return out
+
+    def _read(self, pts: np.ndarray, out: np.ndarray) -> None:
+        """The CDF at the 1-d `pts`, written into `out`."""
         density, anti, total = self.density, self._anti, self.total
         lo, hi = density.window
         m_left = density.tail_masses[0]
-        pts = np.asarray(points, dtype=float)
-        out = np.empty(pts.shape)
         below = pts <= lo
         above = pts >= hi
         inside = ~(below | above)
@@ -201,7 +217,7 @@ class DensityCdf:
             out[above] = total
         out[inside] = m_left + anti(pts[inside])
         out /= total
-        return np.clip(out, 0.0, 1.0, out=out)
+        np.clip(out, 0.0, 1.0, out=out)
 
     def coverage_window(self) -> tuple[float, float]:
         """Window with less than _OUTSIDE_MASS of the mass beyond each end.
@@ -219,10 +235,10 @@ class DensityCdf:
             hi = float(x[min(x.size - 1, np.searchsorted(at, 1.0 - frac))])
         return lo, hi
 
-    def bin_errors(self, edges: np.ndarray, cdf: np.ndarray,
-                   probs: np.ndarray) -> np.ndarray:
+    def bin_errors(self, edges: np.ndarray, probs: np.ndarray):
         """Bound on |dp_i| of the bin probabilities `probs` read from this
-        CDF, whose values at the edges are `cdf`.
+        CDF at `edges`, block by block: yields, for each block of
+        _BIN_BLOCK bins, its first bin's index and its bins' bounds.
 
         Two error measures grow from left to right; the increase of their
         sum across a bin, with what lies beyond the end edges folded into
@@ -234,7 +250,9 @@ class DensityCdf:
         Two terms are added per bin: the relative gap between the spline's
         total mass and the grid rule's, by which every probability is
         rescaled, and a few ulps of the bin's upper CDF value for rounding,
-        since every probability is a difference of two CDF values.
+        since every probability is a difference of two CDF values.  Each
+        block reads the CDF at its own edges again, so that besides the
+        edges and probabilities only block-sized arrays are held.
         """
         density = self.density
         x = density.grid.nodes
@@ -266,39 +284,35 @@ class DensityCdf:
             # modelled mass is counted twice, so all of it is error
             share = 0.05 if density.tail_mass_bound > 0.0 else 1.0
             lo, hi = density.window
-            n_lo = int(np.searchsorted(edges, lo, side="right"))
-            n_hi = int(np.searchsorted(edges, hi, side="left"))
             full += share * (m_left + m_right)
         rule_total = density.grid.integrate(f) + m_left + m_right
         rescale = abs(self.total - rule_total) / self.total
 
-        # bin by bin the same arithmetic, in blocks of bins, so that besides
-        # the errors only block-sized temporaries are held
         n = probs.size
-        errors = np.empty(n)
         for start in range(0, n, _BIN_BLOCK):
             stop = min(start + _BIN_BLOCK, n)
-            grown = np.interp(edges[start:stop + 1], knots, grown_at)
+            at = edges[start:stop + 1]
+            cdf = self(at)
+            grown = np.interp(at, knots, grown_at)
             if tails:
                 # below the window the CDF is the left model's mass and
                 # above it 1 - CDF the right model's; in between the models
                 # place m_left
-                c = cdf[start:stop + 1]
-                below = slice(None, max(n_lo - start, 0))
-                above = slice(max(n_hi - start, 0), None)
+                below = slice(None, int(np.searchsorted(at, lo, side="right")))
+                above = slice(int(np.searchsorted(at, hi, side="left")), None)
                 grown += share * m_left
-                grown[below] += share * (self.total * c[below] - m_left)
+                grown[below] += share * (self.total * cdf[below] - m_left)
                 grown[above] += share * (m_right
-                                         - self.total * (1.0 - c[above]))
-            block = np.subtract(grown[1:], grown[:-1], out=errors[start:stop])
+                                         - self.total * (1.0 - cdf[above]))
+            block = np.subtract(grown[1:], grown[:-1])
             if start == 0:
                 block[0] += grown[0]
             if stop == n:
                 block[-1] += full - grown[-1]
             block /= self.total
             block += probs[start:stop] * rescale
-            block += cdf[start + 1:stop + 1] * (_VALUE_ULPS * _EPS)
-        return np.clip(errors, 0.0, None, out=errors)
+            block += cdf[1:] * (_VALUE_ULPS * _EPS)
+            yield start, np.clip(block, 0.0, None, out=block)
 
 
 def _model_window(density: DensityFn) -> tuple[float | None, float | None]:
@@ -317,6 +331,47 @@ def density_cdf(density: DensityFn, points: np.ndarray) -> np.ndarray:
     return DensityCdf(density)(points)
 
 
+def _binned_probs(cdf_of: DensityCdf,
+                  edges: np.ndarray) -> tuple[np.ndarray, float]:
+    """The bin probabilities of bin_density and the widest bin's width.
+
+    The probabilities are formed in place from the CDF values at the edges,
+    read block by block, so no other array of bin length is held; their
+    sum normalizes them.  Raises ContractError on fewer than two edges, on
+    edges that do not increase, and on bins that miss more than 1e-6 of
+    the mass.
+    """
+    n = edges.size - 1
+    if n < 1:
+        raise ContractError("need at least two bin edges")
+    probs = np.empty(n)
+    delta_max = 0.0
+    for start in range(0, n, _BIN_BLOCK):
+        at = edges[start:start + _BIN_BLOCK + 1]
+        widths = np.diff(at)
+        if np.any(widths <= 0.0):
+            raise ContractError("bin edges must be strictly increasing")
+        delta_max = max(delta_max, float(np.max(widths)))
+        cdf = cdf_of(at)
+        np.subtract(cdf[1:], cdf[:-1], out=probs[start:start + widths.size])
+        if start == 0:
+            first = cdf[0]
+    last = cdf[-1]
+    coverage = last - first
+    if coverage < 1.0 - 1e-6:
+        raise ContractError(f"bins cover only {coverage:.8f} of the mass")
+    probs[0] += first
+    probs[-1] += 1.0 - last
+    np.clip(probs, 0.0, None, out=probs)
+    probs /= probs.sum()
+    return probs, delta_max
+
+
+def _cdf_of(density: DensityFn | DensityCdf) -> DensityCdf:
+    """The CDF a caller passed, or a new one of the density it passed."""
+    return density if isinstance(density, DensityCdf) else DensityCdf(density)
+
+
 def bin_density(density: DensityFn | DensityCdf,
                 edges: np.ndarray) -> DiscreteDist:
     """Interval probabilities of a density, out-of-range mass folded inward.
@@ -325,27 +380,33 @@ def bin_density(density: DensityFn | DensityCdf,
     outside is folded into the first and last bins so the discrete
     distribution is exactly normalized.  The density may come as the
     DensityCdf a caller already built for it.  Each probability carries the
-    error bound of DensityCdf.bin_errors.
+    error bound of DensityCdf.bin_errors.  The distribution holds three
+    arrays of bin length; binned_sums reduces the same bins to their power
+    sums while holding two.
     """
-    edges = np.asarray(edges, dtype=float)
-    if edges.size < 2:
-        raise ContractError("need at least two bin edges")
-    if np.any(edges[1:] <= edges[:-1]):  # DiscreteDist takes the widths
-        raise ContractError("bin edges must be strictly increasing")
-    cdf_of = (density if isinstance(density, DensityCdf)
-              else DensityCdf(density))
-    cdf = cdf_of(edges)
-    coverage = cdf[-1] - cdf[0]
-    if coverage < 1.0 - 1e-6:
-        raise ContractError(f"bins cover only {coverage:.8f} of the mass")
-    probs = np.diff(cdf)
-    probs[0] += cdf[0]
-    probs[-1] += 1.0 - cdf[-1]
-    np.clip(probs, 0.0, None, out=probs)
-    probs /= probs.sum()
-    errors = cdf_of.bin_errors(edges, cdf, probs)
-    del cdf  # before DiscreteDist takes the widths
+    cdf_of, edges = _cdf_of(density), np.asarray(edges, dtype=float)
+    probs, _ = _binned_probs(cdf_of, edges)
+    errors = np.empty(probs.size)
+    for start, block in cdf_of.bin_errors(edges, probs):
+        errors[start:start + block.size] = block
     return DiscreteDist(edges=edges, probs=probs, prob_errors=errors)
+
+
+def binned_sums(density: DensityFn | DensityCdf, edges: np.ndarray,
+                orders: Iterable[float]) -> "BinnedSums":
+    """BinnedSums.of(bin_density(density, edges), orders), folded block by
+    block.
+
+    Only the edges and the probabilities are held at bin length: each block
+    of _BIN_BLOCK bins forms its error bounds and adds to every order's
+    sums, so the result equals the distribution's own sums float for float
+    up to _BIN_BLOCK bins and to the rounding of a blocked sum beyond.
+    """
+    cdf_of, edges = _cdf_of(density), np.asarray(edges, dtype=float)
+    probs, delta_max = _binned_probs(cdf_of, edges)
+    return BinnedSums(delta_max=delta_max,
+                      sums=_fold(probs, cdf_of.bin_errors(edges, probs),
+                                 orders))
 
 
 def random_edges(rng: np.random.Generator, lo: float, hi: float,
@@ -388,8 +449,7 @@ class BinnedSums:
     def of(cls, dist: DiscreteDist, orders: Iterable[float]) -> "BinnedSums":
         """The sums of `dist` at each of `orders`, each taken once."""
         return cls(delta_max=dist.delta_max,
-                   sums={order: discrete_renyi_and_norm(dist, order)
-                         for order in dict.fromkeys(orders)})
+                   sums=_fold(dist.probs, [(0, dist.prob_errors)], orders))
 
     def renyi_and_norm(self, order: float) -> tuple[EntropyValue, float]:
         """The Renyi entropy and norm of one order; a ContractError when
@@ -409,10 +469,11 @@ def bin_pair(rng: np.random.Generator, a: DensityFn, b: DensityFn,
 
     Both windows are found first, one CDF spline per density, which then
     reads that density's bins.  rng draws the edges of a, a is binned and
-    reduced to its sums and its bins are dropped; only then are the edges
-    of b drawn and b binned.  So at most one binned distribution is held
-    at a time: for a heavy-tailed density that is millions of bins, three
-    arrays of that length and the temporaries of binning them.
+    reduced to its sums (binned_sums) and its edges are dropped; only then
+    are the edges of b drawn and b binned.  So at most one binned
+    distribution is held at a time: for a heavy-tailed density that is
+    millions of bins, whose edges and probabilities are the only arrays of
+    that length.
     None, with the generator untouched, when the two windows together would
     take tens of millions of bins at these widths (very heavy tails).  The
     windows there come from tail-model quantiles, so that is decided before
@@ -432,10 +493,9 @@ def bin_pair(rng: np.random.Generator, a: DensityFn, b: DensityFn,
     windows = [cdf.coverage_window() for cdf in cdfs]
     if not sum(hi - lo for lo, hi in windows) < cap:
         return None
-    # the bins are an argument only, so they go as soon as their sums return
-    return tuple(BinnedSums.of(bin_density(cdf, random_edges(rng, lo, hi,
-                                                             dmin, dmax)),
-                               orders)
+    # the edges are an argument only, so they go as soon as their sums return
+    return tuple(binned_sums(cdf, random_edges(rng, lo, hi, dmin, dmax),
+                             orders)
                  for cdf, (lo, hi) in zip(cdfs, windows))
 
 
@@ -443,55 +503,80 @@ def bin_pair(rng: np.random.Generator, a: DensityFn, b: DensityFn,
 # discrete entropies
 # ---------------------------------------------------------------------------
 
-def _positive(dist: DiscreteDist) -> tuple[np.ndarray, np.ndarray]:
-    """The nonzero probabilities and their errors (views when none is zero)."""
-    mask = dist.probs > 0.0
-    if mask.all():
-        return dist.probs, dist.prob_errors
-    return dist.probs[mask], dist.prob_errors[mask]
+def _fold(probs: np.ndarray, error_blocks: Iterable[tuple[int, np.ndarray]],
+          orders: Iterable[float]) -> dict[float, tuple[EntropyValue, float]]:
+    """discrete_renyi_and_norm at each of `orders` of the distribution
+    `probs`, whose error bounds come as (first index, block) pairs that
+    tile it; each block adds to every order's sums and is then dropped.
+    Zero probabilities are left out.  Over one block of all the bins this
+    is discrete_renyi_and_norm itself.
+    """
+    orders = list(dict.fromkeys(orders))
+    if any(not order > 0.0 for order in orders):
+        raise InvalidParameterError("alpha must be positive")
+    finite = [a for a in orders if a != 1.0 and not math.isinf(a)]
+    i_top = int(np.argmax(probs))
+    p_max = float(probs[i_top])
+    shannon = [0.0, 0.0]  # sum p ln p and its error
+    power = {a: [0.0, 0.0] for a in finite}  # sum (p/p_max)^a, error's dot
+    rise, top_error = -math.inf, 0.0
+    for start, dp in error_blocks:
+        p = probs[start:start + dp.size]
+        if start <= i_top < start + dp.size:
+            top_error = float(dp[i_top - start])
+        mask = p > 0.0
+        if not mask.all():
+            p, dp = p[mask], dp[mask]
+            if not p.size:
+                continue
+        if 1.0 in orders:
+            buf = np.log(p)  # the one temporary, for both sums
+            buf *= p
+            shannon[0] += float(np.sum(buf))
+            np.log(p, out=buf)
+            np.abs(buf, out=buf)
+            buf += 1.0
+            shannon[1] += float(np.dot(dp, buf))
+        if math.inf in orders:
+            rise = max(rise, float(np.max(p + dp)))
+        for a in finite:
+            terms = p / p_max
+            np.power(terms, a, out=terms)
+            power[a][0] += float(np.sum(terms))
+            terms /= p  # p^(a-1) / sum p^a is terms / (p core)
+            power[a][1] += float(np.dot(terms, dp))
 
-
-# The errors below propagate each bin's |dp_i| to first order.
-
-def _discrete_shannon(dist: DiscreteDist) -> EntropyValue:
-    """-sum p ln p, with error sum |dp_i| (1 + |ln p_i|)."""
-    p, dp = _positive(dist)
-    buf = np.log(p)  # the one bin-length temporary, for both sums
-    buf *= p
-    value = float(-np.sum(buf))
-    np.log(p, out=buf)
-    np.abs(buf, out=buf)
-    buf += 1.0
-    return EntropyValue(value=value, differential=False,
-                        est_error=float(np.dot(dp, buf)))
+    sums = {}
+    for a in orders:
+        if a == 1.0:
+            sums[a] = EntropyValue(value=-shannon[0], differential=False,
+                                   est_error=shannon[1]), 1.0
+        elif math.isinf(a):
+            err = max(rise - p_max, top_error) / p_max
+            sums[a] = EntropyValue(value=-math.log(p_max), differential=False,
+                                   est_error=err), p_max
+        else:
+            core, slope = power[a]
+            log_sum = a * math.log(p_max) + math.log(core)
+            renyi = EntropyValue(value=log_sum / (1.0 - a), differential=False,
+                                 est_error=a / abs(1.0 - a) * slope / core)
+            sums[a] = renyi, math.exp(log_sum / a)
+    return sums
 
 
 def discrete_renyi_and_norm(dist: DiscreteDist,
                             alpha: float) -> tuple[EntropyValue, float]:
     """Renyi entropy and ||p||_alpha of one order from one power sum.
 
-    Both are functions of ln sum_j p_j**alpha, whose error is
-    alpha sum p^(alpha-1) |dp| / sum p^alpha; the entropy's error is that
-    over |1 - alpha|.  alpha = 1 gives the Shannon entropy and norm 1,
+    Both are functions of ln sum_j p_j**alpha, taken relative to the
+    largest p, whose error is alpha sum p^(alpha-1) |dp| / sum p^alpha; the
+    entropy's error is that over |1 - alpha|.  alpha = 1 gives the Shannon
+    entropy -sum p ln p, with error sum |dp| (1 + |ln p|), and norm 1;
     alpha = inf -ln max p and max p, whose error is the largest bin's own
-    or the most any other bin may rise above it.
+    or the most any other bin may rise above it.  Each bin's |dp| is the
+    distribution's prob_errors, propagated to first order.
     """
-    if alpha <= 0.0:
-        raise InvalidParameterError("alpha must be positive")
-    if alpha == 1.0:
-        return _discrete_shannon(dist), 1.0
-    p, dp = _positive(dist)
-    if math.isinf(alpha):
-        i = int(np.argmax(p))
-        p_max = float(p[i])
-        err = max(float(np.max(p + dp)) - p_max, float(dp[i])) / p_max
-        return EntropyValue(value=-math.log(p_max), differential=False,
-                            est_error=err), p_max
-    log_sum, terms, core, _ = _power_sum(p, alpha)
-    terms /= p  # p^(alpha-1) / sum p^alpha is terms / (p core)
-    err = alpha / abs(1.0 - alpha) * float(np.dot(terms, dp)) / core
-    return EntropyValue(value=log_sum / (1.0 - alpha), differential=False,
-                        est_error=err), math.exp(log_sum / alpha)
+    return _fold(dist.probs, [(0, dist.prob_errors)], (alpha,))[alpha]
 
 
 def discrete_norm(dist: DiscreteDist, alpha: float) -> float:

@@ -42,6 +42,7 @@ _TABLE_GAUSS = 8  # Gauss nodes per panel of the tabulated-profile J rule
 # lattice plus kernel nodes of one smear convolution (64 MB per float array);
 # the default states need at most 0.4 M at sigma 1 and 4 M at sigma 0.1
 _SMEAR_NODE_BUDGET = 1 << 23
+_MASS_BLOCK = 1 << 16  # sources per block of the captured-mass sum
 
 
 @dataclass(frozen=True)
@@ -231,12 +232,15 @@ def _bulk_window(density: DensityFn) -> tuple[float, float]:
     the quantile tightens to 1e-9 so essentially nothing unaccounted is
     dropped.  Each side reads its own mass beyond each node, grid plus that
     side's model; the model validity test compares modeled against actual
-    remaining mass at the candidate cut.
+    remaining mass at the candidate cut.  An image grid's measure already
+    covers the axis (its tail_mass_bound is 0), so there the models add no
+    mass and only that test reads them.
     """
     cum = np.cumsum(density.grid.weights * density.values)
     total = cum[-1]
     x = density.grid.nodes
-    m_left, m_right = density.tail_masses
+    m_left, m_right = (density.tail_masses if density.tail_mass_bound > 0.0
+                       else (0.0, 0.0))
     grand = total + m_left + m_right
     below = cum + m_left               # grid mass at or below each node
     above = (total - cum) + m_right    # grid mass above each node
@@ -323,7 +327,9 @@ def _full_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a fast length (the floats of scipy.signal.fftconvolve)."""
     n = a.size + b.size - 1
     size = next_fast_len(n, True)
-    return irfft(rfft(a, size) * rfft(b, size), size)[:n]
+    spectrum = rfft(a, size)
+    spectrum *= rfft(b, size)
+    return irfft(spectrum, size)[:n]
 
 
 def smear(density: DensityFn, f: AcceptanceFn) -> DensityFn:
@@ -341,6 +347,7 @@ def smear(density: DensityFn, f: AcceptanceFn) -> DensityFn:
     m = _check_budget(f, h, lattice.size)
     kernel = f.lattice_kernel(m, h)
     src_masses = lat_vals * h
+    del lat_vals
     conv = _full_convolution(src_masses, kernel)
 
     # conv index j + m corresponds to lattice node j.  On a side whose
@@ -354,18 +361,26 @@ def smear(density: DensityFn, f: AcceptanceFn) -> DensityFn:
     c_lo = m + i_lo if _cut(density.tail_left, lattice[i_lo]) else 0
     c_hi = m + i_hi if _cut(density.tail_right, lattice[i_hi - 1]) \
         else conv.size
-    nodes = lattice[0] + (np.arange(c_lo, c_hi) - m) * h
+    first = lattice[0]
+    # the output window's end nodes, as the node array below forms them
+    lo, hi = (float(first + (c - m) * h) for c in (c_lo, c_hi - 1))
+    # each source's mass inside the output window, formed block by block
+    # so that its temporaries stay block-sized; the sources then go
+    inside = np.empty(lattice.size)
+    for start in range(0, lattice.size, _MASS_BLOCK):
+        at = lattice[start:start + _MASS_BLOCK]
+        inside[start:start + at.size] = f.window_mass(lo - at, hi - at)
+    captured = float(np.dot(src_masses, inside))
+    del lattice, src_masses, inside
+    # sources dropped by the lattice restriction sit beyond the output
+    # window's reach, so their in-window contribution is negligible
+    tail_mass = max(0.0, 1.0 - captured)
+
+    nodes = first + (np.arange(c_lo, c_hi) - m) * h
     u_out = conv[c_lo:c_hi]
     w = np.full(nodes.size, h)
     w[0] = w[-1] = 0.5 * h
     out_grid = Grid(nodes=nodes, weights=w, domain_tag=tag)
-
-    lo, hi = float(out_grid.nodes[0]), float(out_grid.nodes[-1])
-    captured = float(np.dot(src_masses,
-                            f.window_mass(lo - lattice, hi - lattice)))
-    # sources dropped by the lattice restriction sit beyond the output
-    # window's reach, so their in-window contribution is negligible
-    tail_mass = max(0.0, 1.0 - captured)
     left, right = density.tail_left, density.tail_right
     modeled = sum(outside_masses(left, right, lo, hi))
     if tail_mass > 4e-6 and left is None and right is None:

@@ -176,20 +176,21 @@ class TestBinning:
     @pytest.mark.parametrize("fixture", ["uniform_rep", "cosine_rep"])
     def test_bin_errors_do_not_depend_on_the_block(self, fixture, request,
                                                    monkeypatch):
-        # bin_errors runs the same arithmetic bin by bin in blocks of bins:
-        # any block size, one block for all bins included, gives the same
-        # floats.  uniform_q's K window ends in tail-model bins on both
-        # sides; raised_cosine_q's has none.
+        # the CDF reads, the probabilities and bin_errors run the same
+        # arithmetic bin by bin in blocks of bins: any block size, one block
+        # for all bins included, gives the same floats.  uniform_q's K
+        # window ends in tail-model bins on both sides; raised_cosine_q's
+        # has none.
         rep = request.getfixturevalue(fixture)
         for density in (rep.u_k, rep.w_x):
             cdf_of = g.DensityCdf(density)
             edges = np.linspace(*cdf_of.coverage_window(), 2001)
-            cdf = cdf_of(edges)
-            probs = g.bin_density(cdf_of, edges).probs
             results = []
-            for block in (probs.size, 1, 7, 2 ** 16):
+            for block in (edges.size - 1, 1, 7, 2 ** 16):
                 monkeypatch.setattr(entropy, "_BIN_BLOCK", block)
-                results.append(cdf_of.bin_errors(edges, cdf, probs).tobytes())
+                dist = g.bin_density(cdf_of, edges)
+                results.append((cdf_of(edges).tobytes(), dist.probs.tobytes(),
+                                dist.prob_errors.tobytes()))
             assert results[1:] == results[:1] * 3
 
     def test_random_edges_draw_uniform_widths(self):
@@ -207,14 +208,14 @@ class TestBinning:
 
 
 def _holding_bins(monkeypatch) -> list:
-    """The DiscreteDist of every bin_density call from here on, held."""
-    held, real = [], entropy.bin_density
+    """The (density, edges) of every binned_sums call from here on, held."""
+    held, real = [], entropy.binned_sums
 
-    def holding(density, edges):
-        held.append(real(density, edges))
-        return held[-1]
+    def holding(density, edges, orders):
+        held.append((density, edges))
+        return real(density, edges, orders)
 
-    monkeypatch.setattr(entropy, "bin_density", holding)
+    monkeypatch.setattr(entropy, "binned_sums", holding)
     return held
 
 
@@ -248,7 +249,7 @@ class TestBinPair:
                           (1.0,)) is None
         held = _holding_bins(monkeypatch)
         g.bin_pair(np.random.default_rng(5), *pair, 0.05, 2.0, (1.0,))
-        assert [d.edges[0] for d in held] == [lo for lo, _ in windows]
+        assert [edges[0] for _, edges in held] == [lo for lo, _ in windows]
 
     def test_edges_are_random_edges_of_a_then_b(self, cosine_rep,
                                                 monkeypatch):
@@ -258,10 +259,10 @@ class TestBinPair:
         held = _holding_bins(monkeypatch)
         rng, own = np.random.default_rng(21), np.random.default_rng(21)
         g.bin_pair(rng, *pair, 0.05, 2.0, (1.0,))
-        for dist, density in zip(held, pair, strict=True):
+        for (_, edges), density in zip(held, pair, strict=True):
             lo, hi = g.DensityCdf(density).coverage_window()
-            edges = g.random_edges(own, lo, hi, 0.05, 2.0)
-            assert dist.edges.tobytes() == edges.tobytes()
+            assert edges.tobytes() == g.random_edges(own, lo, hi, 0.05,
+                                                     2.0).tobytes()
         assert rng.bit_generator.state == own.bit_generator.state
 
     def test_sums_are_the_discrete_sums_of_the_bins(self, cosine_rep,
@@ -272,7 +273,9 @@ class TestBinPair:
         held = _holding_bins(monkeypatch)
         binned = g.bin_pair(np.random.default_rng(4), cosine_rep.u_k,
                             cosine_rep.w_x, 0.05, 2.0, orders)
-        for sums, dist in zip(binned, held, strict=True):
+        for sums, (density, edges) in zip(binned, held, strict=True):
+            dist = g.bin_density(density, edges)
+            assert dist.probs.size <= entropy._BIN_BLOCK
             assert sums.delta_max == dist.delta_max
             assert list(sums.sums) == list(orders)
             for order in orders:
@@ -283,19 +286,43 @@ class TestBinPair:
                                                   monkeypatch):
         # uniform_q at beta = 1: the Cauchy wavenumber side takes millions
         # of bins, and its sums keep a few floats per order
-        sizes, real = [], entropy.bin_density
+        sizes, real = [], entropy.binned_sums
 
-        def sizing(density, edges):
+        def sizing(density, edges, orders):
             sizes.append(edges.size - 1)
-            return real(density, edges)
+            return real(density, edges, orders)
 
-        monkeypatch.setattr(entropy, "bin_density", sizing)
+        monkeypatch.setattr(entropy, "binned_sums", sizing)
         binned = g.bin_pair(np.random.default_rng(5), uniform_rep.u_k,
                             uniform_rep.w_x, 0.05, 2.0,
                             (1.0, 2.0, 2.0 / 3.0, math.inf))
         assert sizes[0] > 2_000_000
         for sums in binned:
             assert len(pickle.dumps(sums)) < 4_000
+
+    @pytest.mark.parametrize("fixture, rel", [("cosine_rep", 0.0),
+                                              ("uniform_rep", 1e-14)],
+                             ids=["one_block", "cauchy"])
+    def test_binned_sums_are_the_sums_of_bin_density(self, fixture, rel,
+                                                      request):
+        # binned_sums folds the bins into their sums block by block; on the
+        # same edges it gives the sums of bin_density's distribution, float
+        # for float in one block of bins and to the rounding of a blocked
+        # sum on the 2.1 M bins of the Cauchy wavenumber distribution
+        cdf_of = g.DensityCdf(request.getfixturevalue(fixture).u_k)
+        edges = g.random_edges(np.random.default_rng(5),
+                               *cdf_of.coverage_window(), 0.05, 2.0)
+        assert (edges.size - 1 <= entropy._BIN_BLOCK) == (rel == 0.0)
+        orders = (1.0, 2.0, 2.0 / 3.0, 4.0, 4.0 / 7.0, math.inf)
+        folded = g.binned_sums(cdf_of, edges, orders)
+        reference = g.BinnedSums.of(g.bin_density(cdf_of, edges), orders)
+        assert folded.delta_max == reference.delta_max
+        assert list(folded.sums) == list(reference.sums)
+        for order, (renyi, norm) in reference.sums.items():
+            got, got_norm = folded.sums[order]
+            for a, b in ((got.value, renyi.value),
+                         (got.est_error, renyi.est_error), (got_norm, norm)):
+                assert abs(a - b) <= rel * abs(b), order
 
 
 class TestDiscreteEntropies:

@@ -12,6 +12,10 @@ that is meant to alter report bytes:
 
     PYTHONPATH=src python tests/test_golden.py
 
+which rewrites the file and prints, for each report whose bytes change, its
+changed rows and the largest |delta margin| and |delta est_error| among
+them, so that a regeneration states how far it moved the reports.
+
 The file was recorded under OpenBLAS's default threads, and the test
 passes only there.  OpenBLAS splits a long dot product over its threads,
 so with OPENBLAS_NUM_THREADS=1 the last bits of a few long sums differ and
@@ -19,7 +23,10 @@ the test fails first at `verify_uniform_q` line 6, on `est_error` (and the
 `tolerance` derived from it).
 """
 
+import csv
+import io
 import json
+import math
 import pathlib
 
 from gupcert import suite
@@ -100,6 +107,79 @@ def test_reports_match_golden_bytes():
         assert text == golden[key], f"{key}: line counts differ"
 
 
+def test_moves_name_each_changed_row():
+    # what a regeneration prints of one report: a line per moved row, named
+    # by its fields, and the largest moves
+    text = json.loads(GOLDEN.read_text(encoding="utf-8"))["verify"]
+    report = json.loads(text)
+    row = report["records"][1]
+    name = ";".join(str(row[f]) for f in _ROW_NAME)
+    est_error = row["est_error"]
+    row.update(margin=row["margin"] + 2e-12, est_error=2.0 * est_error,
+               verdict="fail")
+    assert _moves(text, text) == ["  largest |delta margin| 0, "
+                                  "|delta est_error| 0"]
+    assert _moves(text, json.dumps(report)) == [
+        f"  {name}: |delta margin| 2e-12, |delta est_error| {est_error:.3g}, "
+        "verdict pass -> fail",
+        f"  largest |delta margin| 2e-12, |delta est_error| {est_error:.3g}"]
+
+
+# the fields that name a row; a row keeps its name when its values move
+_ROW_NAME = ("relation_id", "state", "beta", "sigma", "alpha", "gamma",
+             "delta_k", "delta_x")
+
+
+def _rows(text: str) -> dict:
+    """The records of a rendered JSON or CSV report, keyed by their names."""
+    if text.startswith("{"):
+        records = json.loads(text)["records"]
+    else:
+        records = list(csv.DictReader(io.StringIO(text)))
+    return {";".join(str(r[f]) for f in _ROW_NAME): r for r in records}
+
+
+def _delta(old, new) -> float:
+    """|new - old| of two rendered numbers (null and "" read as NaN)."""
+    a, b = (math.nan if v in (None, "") else float(v) for v in (old, new))
+    return 0.0 if a == b else abs(b - a)
+
+
+def _moves(old: str, new: str) -> list[str]:
+    """One line per row of a report that changed between two renderings,
+    then the largest |delta margin| and |delta est_error| among them."""
+    before, after = _rows(old), _rows(new)
+    lines, d_margin, d_error = [], 0.0, 0.0
+    for name in sorted(before.keys() | after.keys()):
+        a, b = before.get(name), after.get(name)
+        if a == b:
+            continue
+        if a is None or b is None:
+            lines.append(f"  {'added' if a is None else 'removed'}: {name}")
+            continue
+        dm = _delta(a["margin"], b["margin"])
+        de = _delta(a["est_error"], b["est_error"])
+        d_margin, d_error = max(d_margin, dm), max(d_error, de)
+        verdict = ("" if a["verdict"] == b["verdict"]
+                   else f", verdict {a['verdict']} -> {b['verdict']}")
+        lines.append(f"  {name}: |delta margin| {dm:.3g}, "
+                     f"|delta est_error| {de:.3g}{verdict}")
+    lines.append(f"  largest |delta margin| {d_margin:.3g}, "
+                 f"|delta est_error| {d_error:.3g}")
+    return lines
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(_reports(), indent=1, sort_keys=True) + "\n",
+    old = (json.loads(GOLDEN.read_text(encoding="utf-8"))
+           if GOLDEN.is_file() else {})
+    reports = _reports()
+    GOLDEN.write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n",
                       encoding="utf-8")
+    for key in sorted(reports.keys() | old.keys()):
+        if key not in reports or key not in old:
+            print(f"{key}: {'new' if key in reports else 'dropped'} report")
+        elif reports[key] != old[key]:
+            print(f"{key}: changed")
+            print("\n".join(_moves(old[key], reports[key])))
+    unchanged = sum(old.get(key) == text for key, text in reports.items())
+    print(f"{unchanged} of {len(reports)} reports unchanged")

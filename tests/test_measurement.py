@@ -17,14 +17,17 @@ def _raised_cosine2():
     return t, (0.5 * (1.0 + np.cos(math.pi * t / 3.0))) ** 2 / 2.25
 
 
-def _two_tail_density(c_left, c_right, edge=2e4):
+def _two_tail_density(c_left, c_right, edge=2e4, image=False):
     """Gauss panels on [-edge, edge] carrying
     (c_left + (c_right - c_left)(1 + tanh x)/2) / (1 + x^2), extended on each
-    side by a c/x^2 tail model of that side's weight."""
+    side by a c/x^2 tail model of that side's weight; with `image` the grid
+    stands for the whole axis, as an image grid does, and the models extend
+    nothing (tail_mass_bound 0)."""
     nodes, weights = composite_rule(np.linspace(-edge, edge, 4001), 8)
     values = (c_left + (c_right - c_left) * 0.5 * (1.0 + np.tanh(nodes))) \
         / (1.0 + nodes ** 2)
-    beyond = (c_left + c_right) / edge  # c/x^2 holds c/edge past |x| = edge
+    # c/x^2 holds c/edge past |x| = edge
+    beyond = 0.0 if image else (c_left + c_right) / edge
     scale = 1.0 / (np.dot(weights, values) + beyond)
     left, right = (TailSide(coeff=c * scale, exponent=2.0, oscillatory=False,
                             valid_from=edge) for c in (c_left, c_right))
@@ -130,6 +133,21 @@ class TestBulkWindow:
             grand = masses.sum() + m_left + m_right
             assert masses[x < cut_lo].sum() + m_left <= 1e-4 * grand
             assert masses[x > cut_hi].sum() + m_right <= 1e-4 * grand
+
+    def test_image_grid_cuts_read_grid_mass_only(self):
+        # an image grid's measure covers the axis, so its tail models add no
+        # mass: each cut is the 1e-4 quantile of the grid mass alone, the
+        # first node with that much at or below it on the left and the
+        # first with at most that much above it on the right
+        d = _two_tail_density(0.4, 0.1, image=True)
+        assert d.tail_mass_bound == 0.0 and min(d.tail_masses) > 1e-6
+        x = d.grid.nodes
+        cum = np.cumsum(d.grid.weights * d.values)
+        target, above = 1e-4 * cum[-1], cum[-1] - cum
+        lo, hi = measurement._bulk_window(d)
+        i, j = np.flatnonzero(x == lo)[0], np.flatnonzero(x == hi)[0]
+        assert cum[i - 1] < target <= cum[i]
+        assert above[j] <= target < above[j - 1]
 
 
 class TestSmear:

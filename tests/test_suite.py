@@ -13,13 +13,13 @@ def test_verify_cell_bins_each_density_once(monkeypatch):
     # densities, then the two smeared densities for every sigma; all binned
     # checks of the cell share those distributions
     calls = []
-    real = entropy.bin_density
+    real = entropy.binned_sums
 
-    def counting(density, edges):
+    def counting(density, edges, orders):
         calls.append((density, edges))  # holding both keeps their ids unique
-        return real(density, edges)
+        return real(density, edges, orders)
 
-    monkeypatch.setattr(entropy, "bin_density", counting)
+    monkeypatch.setattr(entropy, "binned_sums", counting)
     config = RunConfig(beta_grid=[1.0], sigma_grid=[0.5, 2.0],
                        alpha_grid=[1.5, 2.0],
                        states=[{"name": "raised_cosine_q"}])
@@ -118,13 +118,13 @@ def test_norm_ordering_reads_the_renyi_norms(monkeypatch):
     # and ln sum p^gamma of p_m and p_n, each taken once per sigma, when
     # bin_pair bins them; the unsmeared pair is summed at order 1 only
     calls = []
-    real = entropy.discrete_renyi_and_norm
+    real = entropy.binned_sums
 
-    def counting(dist, alpha):
-        calls.append(alpha)
-        return real(dist, alpha)
+    def counting(density, edges, orders):
+        calls.extend(dict.fromkeys(orders))
+        return real(density, edges, orders)
 
-    monkeypatch.setattr(entropy, "discrete_renyi_and_norm", counting)
+    monkeypatch.setattr(entropy, "binned_sums", counting)
     config = RunConfig(beta_grid=[1.0], sigma_grid=[0.5, 2.0],
                        alpha_grid=[1.5, 2.0],
                        states=[{"name": "raised_cosine_q"}])
@@ -145,25 +145,25 @@ def test_verify_cell_takes_each_shannon_entropy_once(monkeypatch, alpha_grid):
     # smeared densities for every sigma, each taken once; at alpha = 1 the
     # Beckner and smeared Renyi rows are those Shannon rows, so an order of
     # 1 takes none again.  The binned smeared pair is summed at order 1
-    # only when a pair is degenerate.  The spy sits on the functional that
-    # fills DensityFn.shannon.
+    # only when a pair is degenerate.  The spies sit on the functional that
+    # fills DensityFn.shannon and on the sums of each binned distribution.
     from gupcert import core
 
     taken = []  # holding every argument keeps the ids unique
     real_shannon = core._shannon
-    discrete_sums = entropy.discrete_renyi_and_norm
+    real_sums = entropy.binned_sums
 
     def shannon(dens):
         taken.append(dens)
         return real_shannon(dens)
 
-    def discrete(dist, order):
-        if order == 1.0:
-            taken.append(dist)
-        return discrete_sums(dist, order)
+    def discrete(density, edges, orders):
+        if 1.0 in orders:
+            taken.append(edges)
+        return real_sums(density, edges, orders)
 
     monkeypatch.setattr(core, "_shannon", shannon)
-    monkeypatch.setattr(entropy, "discrete_renyi_and_norm", discrete)
+    monkeypatch.setattr(entropy, "binned_sums", discrete)
     config = RunConfig(beta_grid=[1.0], sigma_grid=[0.5, 2.0],
                        alpha_grid=alpha_grid,
                        states=[{"name": "raised_cosine_q"}])
@@ -221,11 +221,12 @@ def test_write_text_to_a_directory_raises(tmp_path):
 
 def test_cauchy_cell_holds_one_binned_distribution():
     # uniform_q at beta = 1 has an exactly Cauchy wavenumber density: each
-    # binned K distribution takes about 2 M bins, three arrays of 17 MB.
-    # The cell bins one density at a time and keeps its sums only, and
-    # bin_density's own temporaries stay block-sized, so the traced peak
-    # (about 75 MB) stays below that of a cell that held the binned pair
-    # while its rows read it (about 100 MB)
+    # binned K distribution takes about 2.1 M bins, 17 MB per array.  The
+    # cell bins one density at a time and keeps its sums only, and the sums
+    # are folded block by block from two arrays of that length, the edges
+    # and the probabilities, so the traced peak (about 43 MB) stays below
+    # that of a binning that held the whole distribution with its CDF and
+    # power terms (about 72 MB)
     config = RunConfig(beta_grid=[1.0], sigma_grid=[1.0, 10.0],
                        alpha_grid=[1.5, 2.0, 4.0],
                        states=[{"name": "uniform_q"}])
@@ -236,4 +237,23 @@ def test_cauchy_cell_holds_one_binned_distribution():
     finally:
         tracemalloc.stop()
     assert len(records) == 83
-    assert peak < 85e6
+    assert peak < 60e6
+
+
+def test_narrow_smear_cell_stays_lean():
+    # uniform_q at beta = 1e-3 and sigma = 0.1 smears its K density on a
+    # lattice of 4 M nodes, 32 MB per array.  The smear sums its captured
+    # mass from block-sized window masses, multiplies the two spectra in
+    # place and drops its sources before it builds the output grid, so the
+    # cell's traced peak (about 230 MB) stays below that of a smear that
+    # held them all at once (about 354 MB)
+    config = RunConfig(beta_grid=[1e-3], sigma_grid=[0.1], alpha_grid=[2.0],
+                       states=[{"name": "uniform_q"}])
+    tracemalloc.start()
+    try:
+        records = suite._verify_cell(config.states[0], 1e-3, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 12
+    assert peak < 250e6

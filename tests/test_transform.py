@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gupcert as g
+from exact_psi import psi
 
 
 class TestWavenumberMap:
@@ -278,6 +279,20 @@ class TestFourier:
         diff = np.abs(u.values[sel] - interp(u.grid.nodes[sel]))
         l1 = float(np.trapezoid(diff, u.grid.nodes[sel]))
         assert l1 < 1e-4
+
+
+class TestClosedFormPsi:
+    @pytest.mark.parametrize("beta", [1e-3, 0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("name", ["uniform_q", "raised_cosine_q"])
+    def test_lattice_w_x_matches_closed_form(self, name, beta):
+        # |psi|^2 from the closed forms of tests/exact_psi.py at every
+        # lattice node of w_x, removable points included, within 1e-13 of
+        # the peak (the lattice reads 3e-15); a node's own relative error
+        # grows from there into the tails, to 3e-11 where w_x is 1e-8 of
+        # its peak
+        w = g.x_density(g.catalog_state(name, g.make_params(beta)))
+        exact = psi(name, w.grid.nodes, beta) ** 2
+        assert np.max(np.abs(w.values - exact)) <= 1e-13 * np.max(exact)
 
 
 class TestBundle:
