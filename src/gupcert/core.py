@@ -248,15 +248,15 @@ Profile = Callable[[np.ndarray, MinLengthParams], np.ndarray]
 class PureState:
     """Auxiliary-space amplitudes phi(q) on a Q grid.
 
-    phi is treated as zero outside (-q0, q0).  `profile` optionally retains
-    the generating closure so the state can be re-evaluated on refined grids
-    or at a different deformation parameter.
+    phi is treated as zero outside (-q0, q0).  `profile` is the generating
+    closure: the Fourier transform evaluates it on its own rules, and it
+    re-evaluates the state on another grid or at another beta.
     """
 
     grid: Grid
     amplitudes: np.ndarray
     params: MinLengthParams
-    profile: Optional[Profile] = field(default=None, repr=False, compare=False)
+    profile: Profile = field(repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "amplitudes",
@@ -277,8 +277,6 @@ class PureState:
     def profile_scale(self) -> complex:
         """Tabulated amplitude per unit of the profile, read at the node of
         largest |profile|; evaluates the profile over the grid once."""
-        if self.profile is None:
-            raise ContractError("state has no profile; cannot transform it")
         prof = self.profile(self.grid.nodes, self.params)
         i = int(np.argmax(np.abs(prof)))
         return self.amplitudes[i] / prof[i]
@@ -347,12 +345,10 @@ def mix_states(weights: Sequence[float], states: Sequence[PureState]) -> MixedSt
     for st in states[1:]:
         if np.array_equal(st.grid.nodes, base.grid.nodes):
             rebuilt.append(st)
-        elif st.profile is not None:
+        else:
             amp = st.profile(base.grid.nodes, st.params)
             rebuilt.append(normalize(PureState(grid=base.grid, amplitudes=amp,
                                                params=st.params, profile=st.profile)))
-        else:
-            raise ContractError("cannot mix states on different grids without profiles")
     return MixedState(components=tuple((float(w), s) for w, s in zip(weights, rebuilt)))
 
 
@@ -494,9 +490,7 @@ def catalog_state(name: str, params: MinLengthParams,
 
 
 def rebuild_state(state: PureState, beta: float) -> PureState:
-    """Re-evaluate a profiled state at a different deformation parameter."""
-    if state.profile is None:
-        raise ContractError("state has no profile; cannot rebuild at a new beta")
+    """Re-evaluate a state's profile at a different deformation parameter."""
     return _build_catalog_state(state.profile, make_params(beta),
                                 max(q_spread(state), 1e-6))
 
@@ -536,13 +530,14 @@ def _shannon(density: DensityFn) -> EntropyValue:
     contribution.  Read it as `DensityFn.shannon`, which keeps it.
     """
     w, p = density.grid.weights, density.values
-    grid_part = entropy_sum(w, p)
+    live = p > ENTROPY_FLOOR
+    log_p = np.log(np.clip(p, ENTROPY_FLOOR, None))
+    # entropy_sum's value and product order, with the logarithms above
+    grid_part = float(-np.sum(w[live] * p[live] * log_p[live]))
     tail = 0.0
     if density.tail_mass_bound > 0.0:
         for side, start, _ in density.tail_sides():
             tail += side.entropy_beyond(start)
-    live = p > ENTROPY_FLOOR
-    log_p = np.log(np.clip(p, ENTROPY_FLOOR, None))
     rounding = _VALUE_ULPS * _EPS * float(
         np.dot(w, np.where(live, p * np.abs(1.0 + log_p), 0.0)))
     f = np.where(live, -p * log_p, 0.0)

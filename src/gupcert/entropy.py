@@ -18,10 +18,10 @@ random_edges lays random-width bins over it and bin_density reads them;
 bin_pair does all three for a (wavenumber, position) pair and reduces each
 binned distribution to the BinnedSums the binned checks read.  That
 reduction, binned_sums, folds the bins into their sums one block of
-_BIN_BLOCK bins at a time: of a heavy-tailed density's millions of bins it
-holds only the edges and the probabilities, while bin_density's
-DiscreteDist, built from the same per-block arithmetic, also holds every
-bin's error bound.
+quadrature._BLOCK_ENTRIES bins at a time: of a heavy-tailed density's
+millions of bins it holds only the edges and the probabilities, while
+bin_density's DiscreteDist, built from the same per-block arithmetic, also
+holds every bin's error bound.
 
 Every Renyi entropy, norm and Tsallis entropy of order a reads one power
 sum S_a = sum_j w_j p_j^a (w_j = 1 for bins, tail integrals added for
@@ -45,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from . import quadrature
 from .core import (_EPS, _VALUE_ULPS, DensityFn, DiscreteDist,
                    EntropyValue)
 from .errors import ContractError, InvalidParameterError, NormDivergenceError
@@ -52,7 +53,6 @@ from .quadrature import ENTROPY_FLOOR, pchip
 
 _BUMP_PEAK = 4.0  # bound on 15/4, a pair's peak-to-mean interpolation error
 _OUTSIDE_MASS = 3e-7  # mass per side left outside a coverage window
-_BIN_BLOCK = 2 ** 16  # bins (or CDF points) per block of binning work
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +167,13 @@ class DensityCdf:
     integrated (a monotone interpolant falls an order short of the interval
     probability tolerance); outside it the fitted power-law mass takes over.
     Calling it gives the CDF at arbitrary points, clipped monotone into
-    [0, 1] and scaled so the total mass is exactly one, read in blocks of
-    points so that only the result is as long as the points; `node_cdf`
-    holds those values at the grid nodes.  A caller that reads the CDF more
-    than once (a coverage window, then the bins) builds one and passes it
-    to `bin_density` or `binned_sums`; its spline holds five coefficients
-    per grid interval, so drop it with the bins.
+    [0, 1] and scaled so the total mass is exactly one, in one pass over
+    the points: the binning hands it one block of edges at a time, so its
+    temporaries stay block-sized.  `node_cdf` holds those values at the
+    grid nodes.  A caller that reads the CDF more than once (a coverage
+    window, then the bins) builds one and passes it to `bin_density` or
+    `binned_sums`; its spline holds five coefficients per grid interval, so
+    drop it with the bins.
     """
 
     def __init__(self, density: DensityFn):
@@ -190,23 +191,12 @@ class DensityCdf:
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        out = np.empty(pts.shape)
-        flat, into = pts.reshape(-1), out.reshape(-1)
-        # point by point the same arithmetic, in blocks of points, so that
-        # besides the result only block-sized temporaries are held
-        for start in range(0, flat.size, _BIN_BLOCK):
-            block = slice(start, start + _BIN_BLOCK)
-            self._read(flat[block], into[block])
-        return out
-
-    def _read(self, pts: np.ndarray, out: np.ndarray) -> None:
-        """The CDF at the 1-d `pts`, written into `out`."""
-        density, anti, total = self.density, self._anti, self.total
+        density, total = self.density, self.total
         lo, hi = density.window
-        m_left = density.tail_masses[0]
         below = pts <= lo
         above = pts >= hi
         inside = ~(below | above)
+        out = np.empty(pts.shape)
         if density.tail_left is not None:
             out[below] = density.tail_left.mass_beyond(np.abs(pts[below]))
         else:
@@ -215,9 +205,9 @@ class DensityCdf:
             out[above] = total - density.tail_right.mass_beyond(pts[above])
         else:
             out[above] = total
-        out[inside] = m_left + anti(pts[inside])
+        out[inside] = density.tail_masses[0] + self._anti(pts[inside])
         out /= total
-        np.clip(out, 0.0, 1.0, out=out)
+        return np.clip(out, 0.0, 1.0, out=out)
 
     def coverage_window(self) -> tuple[float, float]:
         """Window with less than _OUTSIDE_MASS of the mass beyond each end.
@@ -238,7 +228,8 @@ class DensityCdf:
     def bin_errors(self, edges: np.ndarray, probs: np.ndarray):
         """Bound on |dp_i| of the bin probabilities `probs` read from this
         CDF at `edges`, block by block: yields, for each block of
-        _BIN_BLOCK bins, its first bin's index and its bins' bounds.
+        quadrature._BLOCK_ENTRIES bins, its first bin's index and its bins'
+        bounds.
 
         Two error measures grow from left to right; the increase of their
         sum across a bin, with what lies beyond the end edges folded into
@@ -288,9 +279,9 @@ class DensityCdf:
         rule_total = density.grid.integrate(f) + m_left + m_right
         rescale = abs(self.total - rule_total) / self.total
 
-        n = probs.size
-        for start in range(0, n, _BIN_BLOCK):
-            stop = min(start + _BIN_BLOCK, n)
+        n, size = probs.size, quadrature._BLOCK_ENTRIES
+        for start in range(0, n, size):
+            stop = min(start + size, n)
             at = edges[start:stop + 1]
             cdf = self(at)
             grown = np.interp(at, knots, grown_at)
@@ -345,9 +336,9 @@ def _binned_probs(cdf_of: DensityCdf,
     if n < 1:
         raise ContractError("need at least two bin edges")
     probs = np.empty(n)
-    delta_max = 0.0
-    for start in range(0, n, _BIN_BLOCK):
-        at = edges[start:start + _BIN_BLOCK + 1]
+    delta_max, size = 0.0, quadrature._BLOCK_ENTRIES
+    for start in range(0, n, size):
+        at = edges[start:start + size + 1]
         widths = np.diff(at)
         if np.any(widths <= 0.0):
             raise ContractError("bin edges must be strictly increasing")
@@ -398,9 +389,10 @@ def binned_sums(density: DensityFn | DensityCdf, edges: np.ndarray,
     block.
 
     Only the edges and the probabilities are held at bin length: each block
-    of _BIN_BLOCK bins forms its error bounds and adds to every order's
-    sums, so the result equals the distribution's own sums float for float
-    up to _BIN_BLOCK bins and to the rounding of a blocked sum beyond.
+    of quadrature._BLOCK_ENTRIES bins forms its error bounds and adds to
+    every order's sums, so the result equals the distribution's own sums
+    float for float within one block and to the rounding of a blocked sum
+    beyond.
     """
     cdf_of, edges = _cdf_of(density), np.asarray(edges, dtype=float)
     probs, delta_max = _binned_probs(cdf_of, edges)

@@ -32,6 +32,7 @@ from scipy.interpolate import CubicSpline, PchipInterpolator
 from scipy.optimize import minimize_scalar
 from scipy.special import ndtr, wofz
 
+from . import quadrature
 from .core import DensityFn, Domain, Grid, MinLengthParams
 from .errors import InvalidParameterError, ResolutionError
 from .quadrature import composite_rule, dense_sum
@@ -42,7 +43,6 @@ _TABLE_GAUSS = 8  # Gauss nodes per panel of the tabulated-profile J rule
 # lattice plus kernel nodes of one smear convolution (64 MB per float array);
 # the default states need at most 0.4 M at sigma 1 and 4 M at sigma 0.1
 _SMEAR_NODE_BUDGET = 1 << 23
-_MASS_BLOCK = 1 << 16  # sources per block of the captured-mass sum
 
 
 @dataclass(frozen=True)
@@ -366,9 +366,9 @@ def smear(density: DensityFn, f: AcceptanceFn) -> DensityFn:
     lo, hi = (float(first + (c - m) * h) for c in (c_lo, c_hi - 1))
     # each source's mass inside the output window, formed block by block
     # so that its temporaries stay block-sized; the sources then go
-    inside = np.empty(lattice.size)
-    for start in range(0, lattice.size, _MASS_BLOCK):
-        at = lattice[start:start + _MASS_BLOCK]
+    inside, size = np.empty(lattice.size), quadrature._BLOCK_ENTRIES
+    for start in range(0, lattice.size, size):
+        at = lattice[start:start + size]
         inside[start:start + at.size] = f.window_mass(lo - at, hi - at)
     captured = float(np.dot(src_masses, inside))
     del lattice, src_masses, inside

@@ -16,9 +16,10 @@ its every-other-node subsample (Trefethen & Weideman, SIAM Rev. 56 (2014)
 385).
 
 The dense kernel sums behind every Fourier transform and tabulated `J` run
-their row blocks on a pool of two threads when two or more CPUs are
-usable.  Each block makes the same BLAS call on the same shape whichever
-thread runs it, so the sums do not depend on the pool.
+their row blocks on a pool of two threads.  Each block makes the same BLAS
+call on the same shape whichever thread runs it, so the sums do not depend
+on the pool.  Their block size, _BLOCK_ENTRIES, is also read at call time
+by the binning in `entropy` and a smear's captured mass in `measurement`.
 """
 
 from __future__ import annotations
@@ -34,32 +35,29 @@ from scipy.special import eval_legendre, roots_legendre
 ENTROPY_FLOOR = 1e-300  # below this a density value is treated as exact zero
 _GRADED_LEVELS = 40  # halvings of the outer gap toward a graded endpoint
 _MAX_BULK_PANELS = 48  # cap on the bulk panels of one half interval
-# kernel entries dense_sum forms at once (1 MiB per complex block).  The
-# transient is two block-sized arrays per worker, the kernel's argument and
-# its values; at 4e6 entries they took 128 MB and set the peak memory of the
-# Fourier sums, while 2^14 to 2^18 entries ran as fast (the work is
-# trig-bound)
+# kernel entries dense_sum forms at once (1 MiB per complex block), and the
+# bins or smear sources of one block elsewhere.  The transient is two
+# block-sized arrays per worker, the kernel's argument and its values; at
+# 4e6 entries they took 128 MB and set the peak memory of the Fourier sums,
+# while 2^14 to 2^18 entries ran as fast (the work is trig-bound)
 _BLOCK_ENTRIES = 2 ** 16
 # dense_sum's workers, whatever the CPU count: the most that were measured
 # (2-core VM, BENCH_21.json), and with two 1 MiB blocks each they keep a
 # Fourier sum's transient at a few MB
-_MAX_WORKERS = 2
+_WORKERS = 2
 _TAIL_COEFFS = 4  # trailing Legendre coefficients read by panel_error
 
 
 @lru_cache(maxsize=1)
-def _pool() -> ThreadPoolExecutor | None:
-    """The pool dense_sum runs its blocks on; None when one CPU is usable
-    (or the platform cannot tell which CPUs are).
+def _pool() -> ThreadPoolExecutor:
+    """The pool of _WORKERS threads that dense_sum runs its blocks on.
 
     NumPy's exp and matmul release the interpreter lock, so the blocks run
     in parallel.  Created on first use and kept: a pool started per call
     made the Fourier-heavy passes 3-12% slower.  Dropped in a forked child,
     whose copy of the pool has no threads behind it.
     """
-    usable = getattr(os, "sched_getaffinity", None)
-    workers = min(len(usable(0)) if usable else 1, _MAX_WORKERS)
-    return ThreadPoolExecutor(workers, "dense_sum") if workers > 1 else None
+    return ThreadPoolExecutor(_WORKERS, "dense_sum")
 
 
 if hasattr(os, "register_at_fork"):  # no fork, and no hook, on Windows
@@ -137,9 +135,8 @@ def dense_sum(kernel, targets: np.ndarray, nodes: np.ndarray,
     chunk = max(2, _BLOCK_ENTRIES // max(nodes.size, 1))
     cuts = [*range(0, max(targets.size - 1, 1), chunk), targets.size]
     blocks = list(zip(cuts, cuts[1:]))
-    pool = _pool() if len(blocks) > 1 else None
-    rows = list(map(products, blocks) if pool is None
-                else pool.map(products, blocks))
+    rows = ([products(blocks[0])] if len(blocks) == 1
+            else list(_pool().map(products, blocks)))
     return tuple(np.concatenate(col) for col in zip(*rows))
 
 

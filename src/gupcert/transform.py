@@ -117,9 +117,7 @@ def _transform_rule(state: PureState, x_max: float) -> tuple[np.ndarray, np.ndar
     phase wavelengths across the interval, and the rule is accepted once it
     reproduces the state's unit norm.  The new nodes take the state's
     profile, scaled to its tabulated amplitudes (`PureState.profile_scale`,
-    taken once per state however often the window grows).  Catalog states,
-    `normalize` and `mix_states` keep a profile; the output of
-    `fourier_x_to_q` has none.
+    taken once per state however often the window grows).
     """
     scale = state.profile_scale
     q = state.grid.nodes
@@ -157,15 +155,11 @@ def fourier_q_to_x(state: PureState, x_grid: Grid) -> np.ndarray:
     return _fourier_sum(1.0, x, q, coeff)[0]
 
 
-def fourier_x_to_q(psi: np.ndarray, x_grid: Grid, params: MinLengthParams,
-                   q_grid: Grid) -> PureState:
-    """Inverse transform onto q_grid inside (-q0, q0); no renormalization.
-
-    The result has no profile, so `bundle` and `fourier_q_to_x` reject it.
-    """
+def fourier_x_to_q(psi: np.ndarray, x_grid: Grid, q_grid: Grid) -> np.ndarray:
+    """phi at the nodes of q_grid by quadrature of psi against e^{-iqx} on
+    x_grid; no renormalization."""
     coeff = x_grid.weights * np.asarray(psi, dtype=complex)
-    (amp,) = _fourier_sum(-1.0, q_grid.nodes, x_grid.nodes, coeff)
-    return PureState(grid=q_grid, amplitudes=amp, params=params)
+    return _fourier_sum(-1.0, q_grid.nodes, x_grid.nodes, coeff)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,7 @@
-import os
-
 import numpy as np
 import pytest
 
 import gupcert as g
-from gupcert import quadrature
 
 
 @pytest.fixture(scope="session")
@@ -63,20 +60,3 @@ def random_discrete(rng, n):
     p = rng.random(n) + 1e-6
     p /= p.sum()
     return g.DiscreteDist(edges=np.arange(n + 1.0), probs=p)
-
-
-@pytest.fixture
-def pool_of(monkeypatch):
-    """Stand in `cpus` usable CPUs and return dense_sum's pool for them;
-    the pool is shut down and dropped afterwards."""
-    def make(cpus):
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(cpus)))
-        quadrature._pool.cache_clear()
-        return quadrature._pool()
-
-    yield make
-    pool = quadrature._pool()
-    if pool is not None:
-        pool.shutdown()
-    quadrature._pool.cache_clear()

@@ -23,12 +23,16 @@ def _density(values, tag=Domain.X, **kw):
                        **kw)
 
 
+def _flat(q, params):
+    return np.ones_like(q, dtype=complex)
+
+
 def _state(nodes, amplitudes):
-    """A profile-less state at beta = 1 (q0 = pi/2) on unit weights."""
+    """A state of flat profile at beta = 1 (q0 = pi/2) on unit weights."""
     grid = g.Grid(nodes=np.asarray(nodes, float),
                   weights=np.full(len(nodes), 1.0), domain_tag=Domain.Q)
     return g.PureState(grid=grid, amplitudes=np.asarray(amplitudes),
-                       params=g.make_params(1.0))
+                       params=g.make_params(1.0), profile=_flat)
 
 
 _FLAT = np.full(5, 1.0)  # a unit-mass density on _grid(5)
@@ -85,11 +89,6 @@ CASES = {
                    g.ContractError, "matching, nonempty"),
     "mix_empty": (lambda s: g.mix_states([], []),
                   g.ContractError, "matching, nonempty"),
-    "mix_no_profile": (lambda s: g.mix_states([0.5, 0.5],
-                                              [s.cosine, s.bare]),
-                       g.ContractError, "without profiles"),
-    "rebuild_no_profile": (lambda s: g.rebuild_state(s.bare, 0.5),
-                           g.ContractError, "no profile"),
     "entropy_error": (lambda s: g.EntropyValue(0.0, True, -1e-3),
                       g.ContractError, "est_error"),
     "entropy_discrete": (lambda s: g.EntropyValue(-1e-9, False, 0.0),

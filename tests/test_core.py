@@ -49,7 +49,8 @@ class TestNormalize:
     def test_scale_invariance(self, uniform_state):
         scaled = g.PureState(grid=uniform_state.grid,
                              amplitudes=2.0 * uniform_state.amplitudes,
-                             params=uniform_state.params)
+                             params=uniform_state.params,
+                             profile=uniform_state.profile)
         back = g.normalize(scaled)
         assert np.allclose(back.amplitudes, uniform_state.amplitudes,
                            atol=1e-12)
@@ -57,7 +58,8 @@ class TestNormalize:
     def test_zero_norm(self, uniform_state):
         dead = g.PureState(grid=uniform_state.grid,
                            amplitudes=np.zeros(len(uniform_state.grid)),
-                           params=uniform_state.params)
+                           params=uniform_state.params,
+                           profile=uniform_state.profile)
         with pytest.raises(g.DegenerateStateError):
             g.normalize(dead)
 

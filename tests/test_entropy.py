@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import gupcert as g
 from conftest import random_discrete
-from gupcert import entropy
+from gupcert import entropy, quadrature
 
 
 def uniform_density(length, n=801):
@@ -176,22 +176,36 @@ class TestBinning:
     @pytest.mark.parametrize("fixture", ["uniform_rep", "cosine_rep"])
     def test_bin_errors_do_not_depend_on_the_block(self, fixture, request,
                                                    monkeypatch):
-        # the CDF reads, the probabilities and bin_errors run the same
-        # arithmetic bin by bin in blocks of bins: any block size, one block
-        # for all bins included, gives the same floats.  uniform_q's K
-        # window ends in tail-model bins on both sides; raised_cosine_q's
-        # has none.
+        # the probabilities and bin_errors run the same arithmetic bin by
+        # bin in blocks of bins, each block's CDF values read in one pass:
+        # any block size, one block for all bins included, gives the same
+        # floats.  uniform_q's K window ends in tail-model bins on both
+        # sides; raised_cosine_q's has none.
         rep = request.getfixturevalue(fixture)
         for density in (rep.u_k, rep.w_x):
             cdf_of = g.DensityCdf(density)
             edges = np.linspace(*cdf_of.coverage_window(), 2001)
             results = []
             for block in (edges.size - 1, 1, 7, 2 ** 16):
-                monkeypatch.setattr(entropy, "_BIN_BLOCK", block)
+                monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", block)
                 dist = g.bin_density(cdf_of, edges)
                 results.append((cdf_of(edges).tobytes(), dist.probs.tobytes(),
                                 dist.prob_errors.tobytes()))
             assert results[1:] == results[:1] * 3
+
+    def test_binning_reads_the_spline_once_per_block_per_pass(
+            self, cosine_rep, monkeypatch):
+        # binned_sums reads the CDF at each block's edges twice, for the
+        # probabilities and for their bounds, each time in one evaluation
+        # of the spline's antiderivative: 2 per block of bins
+        cdf_of = g.DensityCdf(cosine_rep.w_x)
+        edges = np.linspace(*cdf_of.coverage_window(), 2501)
+        monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", 1000)  # 3 blocks
+        calls, anti = [], cdf_of._anti
+        monkeypatch.setattr(cdf_of, "_anti",
+                            lambda x: calls.append(1) or anti(x))
+        g.binned_sums(cdf_of, edges, (1.0, 2.0))
+        assert len(calls) == 2 * 3
 
     def test_random_edges_draw_uniform_widths(self):
         # the widths are drawn into the edge array as dmin + (dmax - dmin) u,
@@ -275,7 +289,7 @@ class TestBinPair:
                             cosine_rep.w_x, 0.05, 2.0, orders)
         for sums, (density, edges) in zip(binned, held, strict=True):
             dist = g.bin_density(density, edges)
-            assert dist.probs.size <= entropy._BIN_BLOCK
+            assert dist.probs.size <= quadrature._BLOCK_ENTRIES
             assert sums.delta_max == dist.delta_max
             assert list(sums.sums) == list(orders)
             for order in orders:
@@ -312,7 +326,7 @@ class TestBinPair:
         cdf_of = g.DensityCdf(request.getfixturevalue(fixture).u_k)
         edges = g.random_edges(np.random.default_rng(5),
                                *cdf_of.coverage_window(), 0.05, 2.0)
-        assert (edges.size - 1 <= entropy._BIN_BLOCK) == (rel == 0.0)
+        assert (edges.size - 1 <= quadrature._BLOCK_ENTRIES) == (rel == 0.0)
         orders = (1.0, 2.0, 2.0 / 3.0, 4.0, 4.0 / 7.0, math.inf)
         folded = g.binned_sums(cdf_of, edges, orders)
         reference = g.BinnedSums.of(g.bin_density(cdf_of, edges), orders)
@@ -375,6 +389,25 @@ class TestDiscreteEntropies:
         point = g.DiscreteDist(edges=np.arange(3.0), probs=np.array([1.0, 0.0]))
         assert g.discrete_renyi(point, math.inf).value == 0.0
         assert g.discrete_tsallis(point, math.inf).value == 0.0
+
+    def test_an_all_zero_block_adds_nothing(self):
+        # a block of bins that all hold zero probability is skipped whole,
+        # its bounds included: the sums over the tiled blocks are those of
+        # the bins that hold mass
+        probs = np.array([0.25, 0.25, 0.0, 0.0, 0.5])
+        errors = np.array([1e-3, 2e-3, 3e-3, 4e-3, 5e-3])
+        orders = (1.0, 2.0, 0.5, math.inf)
+        tiled = entropy._fold(probs, [(0, errors[:2]), (2, errors[2:4]),
+                                      (4, errors[4:])], orders)
+        held = [0, 1, 4]
+        live = g.DiscreteDist(edges=np.arange(4.0), probs=probs[held],
+                              prob_errors=errors[held])
+        for order in orders:
+            (renyi, norm), (want, want_norm) = (
+                tiled[order], g.discrete_renyi_and_norm(live, order))
+            assert norm == pytest.approx(want_norm, rel=1e-15)
+            assert renyi.value == pytest.approx(want.value, rel=1e-15)
+            assert renyi.est_error == pytest.approx(want.est_error, rel=1e-15)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=60, deadline=None)

@@ -1,5 +1,4 @@
 import multiprocessing
-import threading
 import warnings
 
 import numpy as np
@@ -93,13 +92,14 @@ def _table_j_sum():
 
 
 @pytest.mark.parametrize("rows", [2, 3, 10])
-def test_pooled_sums_equal_the_serial_block_loop(data, monkeypatch, pool_of,
-                                                 rows):
+def test_pooled_sums_equal_the_serial_block_loop(data, monkeypatch, rows):
     # the complex pair of the half-lattice position density, and the real
-    # kernel of a tabulated J, whose last bit depends on the block layout
+    # kernel of a tabulated J, whose last bit depends on the block layout;
+    # the pool has two workers whatever the number of CPUs
     targets, nodes, coeff = data
     j_sum = _table_j_sum()
-    pool = pool_of(3)
+    pool = quadrature._pool()
+    assert pool._max_workers == 2
     submitted = []
     submit = pool.submit
     monkeypatch.setattr(pool, "submit",
@@ -120,19 +120,6 @@ def test_pooled_sums_equal_the_serial_block_loop(data, monkeypatch, pool_of,
             one, _serial_blocks(kernel, t[:rows + 1], n, coeffs, rows)))
 
 
-def test_pool_size_follows_the_usable_cpus(data, monkeypatch, pool_of):
-    # one usable CPU starts no thread; more give two workers, whatever the
-    # count (checked without starting a thread)
-    targets, nodes, coeff = data
-    monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", 200)  # 20 blocks
-    assert pool_of(1) is None
-    before = threading.active_count()
-    dense_sum(_wave, targets, nodes, coeff)
-    assert threading.active_count() == before
-    for cpus in (2, 3, 64):
-        assert pool_of(cpus)._max_workers == 2
-
-
 def _x_density_in_child(conn, state):
     conn.send_bytes(g.x_density(state).values.tobytes())
     conn.close()
@@ -140,11 +127,10 @@ def _x_density_in_child(conn, state):
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="no fork on this platform")
-def test_forked_child_builds_its_own_pool(monkeypatch, pool_of):
+def test_forked_child_builds_its_own_pool(monkeypatch):
     # a child inherits the parent's pool without its threads; it must drop
     # it, or its first multi-block sum waits forever
     monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", 2 ** 12)
-    assert pool_of(2) is not None
     state = g.catalog_state("random_fourier_q", g.make_params(1.0),
                             shape_args=[8], seed=11)
     want = g.x_density(state).values

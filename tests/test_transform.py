@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gupcert as g
-from exact_psi import psi
+from exact_psi import psi, q0_of, renyi2_x
+
+# shape_args and seed of each catalog state held against its closed forms
+_EXACT = {"uniform_q": ((), None), "raised_cosine_q": ((), None),
+          "truncated_gaussian_q": ((0.25,), None),
+          "random_fourier_q": ((6,), 11)}
 
 
 class TestWavenumberMap:
@@ -132,8 +137,8 @@ class TestFourier:
         st_ = g.catalog_state("truncated_gaussian_q", p, shape_args=[1.0])
         grid = g.x_density(st_).grid
         psi = g.fourier_q_to_x(st_, grid)
-        back = g.fourier_x_to_q(psi, grid, p, q_grid=st_.grid)
-        err2 = st_.grid.integrate(np.abs(back.amplitudes - st_.amplitudes) ** 2)
+        back = g.fourier_x_to_q(psi, grid, st_.grid)
+        err2 = st_.grid.integrate(np.abs(back - st_.amplitudes) ** 2)
         assert math.sqrt(err2) < 1e-6
 
     @pytest.mark.parametrize("name,shape,seed", [
@@ -149,9 +154,8 @@ class TestFourier:
         st_ = g.catalog_state(name, params_1, shape_args=shape, seed=seed)
         w = g.x_density(st_)
         psi = g.fourier_q_to_x(st_, w.grid)
-        back = g.fourier_x_to_q(psi, w.grid, params_1, q_grid=st_.grid)
-        err2 = st_.grid.integrate(
-            np.abs(back.amplitudes - st_.amplitudes) ** 2)
+        back = g.fourier_x_to_q(psi, w.grid, st_.grid)
+        err2 = st_.grid.integrate(np.abs(back - st_.amplitudes) ** 2)
         floor = math.sqrt(max(w.tail_mass_bound, 1e-18))
         assert math.sqrt(err2) < max(8.0 * floor, 1e-6)
 
@@ -246,12 +250,6 @@ class TestFourier:
             tracemalloc.stop()
         assert peak <= 8e6
 
-    def test_fourier_sum_memory_holds_on_many_cpus(self, pool_of):
-        # the bound above on a machine with 16 usable CPUs: each worker
-        # holds its own blocks, and dense_sum's pool stops at two workers
-        pool_of(16)
-        self.test_fourier_sum_memory_is_block_sized()
-
     def test_profile_scale_taken_once(self):
         # five window passes, each with its own rule; the profile is read
         # over the state grid only once, for the amplitude scale
@@ -283,16 +281,41 @@ class TestFourier:
 
 class TestClosedFormPsi:
     @pytest.mark.parametrize("beta", [1e-3, 0.1, 1.0, 10.0])
-    @pytest.mark.parametrize("name", ["uniform_q", "raised_cosine_q"])
+    @pytest.mark.parametrize("name", list(_EXACT))
     def test_lattice_w_x_matches_closed_form(self, name, beta):
         # |psi|^2 from the closed forms of tests/exact_psi.py at every
         # lattice node of w_x, removable points included, within 1e-13 of
         # the peak (the lattice reads 3e-15); a node's own relative error
         # grows from there into the tails, to 3e-11 where w_x is 1e-8 of
         # its peak
-        w = g.x_density(g.catalog_state(name, g.make_params(beta)))
-        exact = psi(name, w.grid.nodes, beta) ** 2
+        shape, seed = _EXACT[name]
+        w = g.x_density(g.catalog_state(name, g.make_params(beta),
+                                        shape_args=shape, seed=seed))
+        exact = np.abs(psi(name, w.grid.nodes, beta, shape, seed)) ** 2
         assert np.max(np.abs(w.values - exact)) <= 1e-13 * np.max(exact)
+
+    @pytest.mark.parametrize("beta", [0.1, 1.0, 10.0])
+    def test_parseval_reference_meets_the_uniform_closed_form(self, beta):
+        # A(t) = 1 - t/(2 q0) for uniform_q, so R_2(X) = ln(3 pi / (2 q0))
+        assert renyi2_x("uniform_q", beta) == pytest.approx(
+            math.log(3.0 * math.pi / (2.0 * q0_of(beta))), rel=0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("beta", [0.1, 1.0])
+    @pytest.mark.parametrize("name", [
+        *(n for n in _EXACT if n != "random_fourier_q"),
+        pytest.param("random_fourier_q", marks=pytest.mark.xfail(
+            strict=True, reason="the x^-4 tail model over-adds the "
+            "integral of w^2 beyond the window by 46% against the 5% "
+            "est_error counts (it assumes full modulation)"))])
+    def test_unsmeared_renyi2_within_est_error(self, name, beta):
+        # R_2(X) against Parseval's reference, which uses no lattice,
+        # window or tail model
+        shape, seed = _EXACT[name]
+        w = g.x_density(g.catalog_state(name, g.make_params(beta),
+                                        shape_args=shape, seed=seed))
+        renyi = g.diff_renyi(w, 2.0)
+        exact = renyi2_x(name, beta, 0.0, shape, seed)
+        assert abs(renyi.value - exact) <= renyi.est_error
 
 
 class TestBundle:
@@ -313,11 +336,11 @@ class TestBundle:
         assert np.allclose(rep.u_k.values, cosine_rep.u_k.values, atol=1e-13)
 
     def test_profile_less_state_rejected(self, cosine_state):
-        bare = g.PureState(grid=cosine_state.grid,
-                           amplitudes=cosine_state.amplitudes,
-                           params=cosine_state.params)
-        with pytest.raises(g.ContractError, match="profile"):
-            g.bundle(bare)
+        # the profile is a required field: every state can be transformed
+        with pytest.raises(TypeError, match="'profile'"):
+            g.PureState(grid=cosine_state.grid,
+                        amplitudes=cosine_state.amplitudes,
+                        params=cosine_state.params)
 
     def test_mixture_regrids_through_profile(self, params_1, cosine_state):
         other = g.catalog_state("truncated_gaussian_q", params_1,
