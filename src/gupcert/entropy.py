@@ -17,11 +17,15 @@ Binning has one path: a DensityCdf gives a density's coverage window,
 random_edges lays random-width bins over it and bin_density reads them;
 bin_pair does all three for a (wavenumber, position) pair and reduces each
 binned distribution to the BinnedSums the binned checks read.  That
-reduction, binned_sums, folds the bins into their sums one block of
-quadrature._BLOCK_ENTRIES bins at a time: of a heavy-tailed density's
-millions of bins it holds only the edges and the probabilities, while
-bin_density's DiscreteDist, built from the same per-block arithmetic, also
-holds every bin's error bound.
+reduction, binned_sums, makes two passes over blocks of
+quadrature._BLOCK_ENTRIES bins, each on the thread pool of quadrature: the
+first reads the CDF once at every edge, the second forms each block's
+error bounds from those CDF values and folds the block into its sums.
+bin_pair hands it the edges as a RandomEdges stream, which each pass draws
+again, block by block, rather than holds, so of a heavy-tailed density's
+millions of bins only the CDF values and the probabilities are held, while
+bin_density's DiscreteDist, built from the same per-block arithmetic, holds
+the edges, the probabilities and every bin's error bound.
 
 Every Renyi entropy, norm and Tsallis entropy of order a reads one power
 sum S_a = sum_j w_j p_j^a (w_j = 1 for bins, tail integrals added for
@@ -168,12 +172,15 @@ class DensityCdf:
     probability tolerance); outside it the fitted power-law mass takes over.
     Calling it gives the CDF at arbitrary points, clipped monotone into
     [0, 1] and scaled so the total mass is exactly one, in one pass over
-    the points: the binning hands it one block of edges at a time, so its
-    temporaries stay block-sized.  `node_cdf` holds those values at the
-    grid nodes.  A caller that reads the CDF more than once (a coverage
-    window, then the bins) builds one and passes it to `bin_density` or
-    `binned_sums`; its spline holds five coefficients per grid interval, so
-    drop it with the bins.
+    the points: the binning hands it one block of edges at a time, each
+    edge once, so its temporaries stay block-sized.  Each point's value
+    depends on that point alone, so any blocking gives the same floats.
+    `node_cdf` holds those values at the grid nodes.  A caller that reads
+    the CDF more than once (a coverage window, then the bins) builds one
+    and passes it to `bin_density` or `binned_sums`; its spline holds five
+    coefficients per grid interval, so drop it with the bins.  The
+    spline's reads hold the interpreter lock (scipy's PPoly), so blocks on
+    the pool read it one at a time.
     """
 
     def __init__(self, density: DensityFn):
@@ -225,11 +232,11 @@ class DensityCdf:
             hi = float(x[min(x.size - 1, np.searchsorted(at, 1.0 - frac))])
         return lo, hi
 
-    def bin_errors(self, edges: np.ndarray, probs: np.ndarray):
+    def bin_errors(self, probs: np.ndarray):
         """Bound on |dp_i| of the bin probabilities `probs` read from this
-        CDF at `edges`, block by block: yields, for each block of
-        quadrature._BLOCK_ENTRIES bins, its first bin's index and its bins'
-        bounds.
+        CDF, one block of bins at a time: returns a function of a block's
+        first bin index, its edges and the CDF values at them, which gives
+        its bins' bounds.
 
         Two error measures grow from left to right; the increase of their
         sum across a bin, with what lies beyond the end edges folded into
@@ -241,9 +248,11 @@ class DensityCdf:
         Two terms are added per bin: the relative gap between the spline's
         total mass and the grid rule's, by which every probability is
         rescaled, and a few ulps of the bin's upper CDF value for rounding,
-        since every probability is a difference of two CDF values.  Each
-        block reads the CDF at its own edges again, so that besides the
-        edges and probabilities only block-sized arrays are held.
+        since every probability is a difference of two CDF values.  The
+        CDF values are those the probabilities were formed from, so the
+        spline is read once per edge; a block takes nothing but its own
+        slices of the bin-length arrays, so blocks may run in any order and
+        on any thread.
         """
         density = self.density
         x = density.grid.nodes
@@ -278,12 +287,10 @@ class DensityCdf:
             full += share * (m_left + m_right)
         rule_total = density.grid.integrate(f) + m_left + m_right
         rescale = abs(self.total - rule_total) / self.total
+        total, n = self.total, probs.size
 
-        n, size = probs.size, quadrature._BLOCK_ENTRIES
-        for start in range(0, n, size):
-            stop = min(start + size, n)
-            at = edges[start:stop + 1]
-            cdf = self(at)
+        def block_errors(start: int, at: np.ndarray,
+                         cdf: np.ndarray) -> np.ndarray:
             grown = np.interp(at, knots, grown_at)
             if tails:
                 # below the window the CDF is the left model's mass and
@@ -292,18 +299,19 @@ class DensityCdf:
                 below = slice(None, int(np.searchsorted(at, lo, side="right")))
                 above = slice(int(np.searchsorted(at, hi, side="left")), None)
                 grown += share * m_left
-                grown[below] += share * (self.total * cdf[below] - m_left)
-                grown[above] += share * (m_right
-                                         - self.total * (1.0 - cdf[above]))
+                grown[below] += share * (total * cdf[below] - m_left)
+                grown[above] += share * (m_right - total * (1.0 - cdf[above]))
             block = np.subtract(grown[1:], grown[:-1])
             if start == 0:
                 block[0] += grown[0]
-            if stop == n:
+            if start + block.size == n:
                 block[-1] += full - grown[-1]
-            block /= self.total
-            block += probs[start:stop] * rescale
+            block /= total
+            block += probs[start:start + block.size] * rescale
             block += cdf[1:] * (_VALUE_ULPS * _EPS)
-            yield start, np.clip(block, 0.0, None, out=block)
+            return np.clip(block, 0.0, None, out=block)
+
+        return block_errors
 
 
 def _model_window(density: DensityFn) -> tuple[float | None, float | None]:
@@ -322,32 +330,129 @@ def density_cdf(density: DensityFn, points: np.ndarray) -> np.ndarray:
     return DensityCdf(density)(points)
 
 
-def _binned_probs(cdf_of: DensityCdf,
-                  edges: np.ndarray) -> tuple[np.ndarray, float]:
-    """The bin probabilities of bin_density and the widest bin's width.
+class _EdgeArray:
+    """Bin edges held in one array, read as a RandomEdges stream is: in
+    blocks of quadrature._BLOCK_ENTRIES bins, each block's edges from its
+    first bin's lower edge to its last bin's upper edge."""
 
-    The probabilities are formed in place from the CDF values at the edges,
-    read block by block, so no other array of bin length is held; their
-    sum normalizes them.  Raises ContractError on fewer than two edges, on
-    edges that do not increase, and on bins that miss more than 1e-6 of
-    the mass.
+    def __init__(self, edges: np.ndarray):
+        self.edges, self.size = edges, edges.size
+        self._step = quadrature._BLOCK_ENTRIES
+
+    def starts(self) -> range:
+        """The first bin index of each block."""
+        return range(0, self.size - 1, self._step)
+
+    def block(self, start: int) -> np.ndarray:
+        """The edges of the block whose first bin is `start`."""
+        return self.edges[start:start + self._step + 1]
+
+
+class RandomEdges:
+    """Bin edges from lo on, with widths drawn uniformly from [dmin, dmax],
+    up to the first edge at or past hi, as a stream of blocks of
+    quadrature._BLOCK_ENTRIES bins that holds no edge array.
+
+    About 1.3 times the widths needed are drawn (n_est), as
+    dmin + (dmax - dmin) u on the draws u of rng.random, Generator.uniform's
+    arithmetic; the edges are lo plus the running sums of the widths.
+    Construction draws the stream once, block by block, saving the
+    generator's state before each block and the exact running sum; it
+    stops at the block whose edge reaches hi, sets `size` to the number of
+    edges and draws and drops the widths left over, so rng ends where n_est
+    draws leave it.  `block(start)` then draws a block again from its
+    saved state: uniform draws do not depend on how they are chunked and
+    np.cumsum adds in sequence, so the edges are the same floats, on any
+    thread.  The last block is kept, so a stream of one block is never
+    drawn twice.  `random_edges` joins the blocks into one array.
     """
-    n = edges.size - 1
+
+    def __init__(self, rng: np.random.Generator, lo: float, hi: float,
+                 dmin: float, dmax: float):
+        self._lo, self._dmin, self._dmax = lo, dmin, dmax
+        self._step = step = quadrature._BLOCK_ENTRIES
+        self._bit_generator = type(rng.bit_generator)
+        self._marks = []  # (generator state, running sum) of each block
+        self._last = np.array([float(lo)])  # the edges of the last block
+        self.size = 1
+        n_est = int((hi - lo) / ((dmin + dmax) / 2.0) * 1.3) + 16
+        total, drawn = 0.0, 0
+        while drawn < n_est:
+            count = min(step, n_est - drawn)
+            self._marks.append((rng.bit_generator.state, total))
+            sums = self._draw(rng, total, count)
+            drawn += count
+            total = float(sums[-1])
+            if total + lo >= hi or drawn == n_est:  # its last edge
+                sums += lo
+                bins = min(int(np.searchsorted(sums, hi)), count)
+                self._last = sums[:bins + 1]
+                self.size = drawn - count + bins + 1
+                break
+        for left in range(n_est - drawn, 0, -step):  # the unused draws
+            rng.random(min(step, left))
+
+    def _draw(self, rng: np.random.Generator, total: float,
+              count: int) -> np.ndarray:
+        """The running sums of `count` widths drawn after the sum `total`,
+        `total` first."""
+        sums = np.empty(count + 1)
+        sums[0] = total
+        widths = rng.random(out=sums[1:])
+        widths *= self._dmax - self._dmin
+        widths += self._dmin
+        return np.cumsum(sums, out=sums)
+
+    def starts(self) -> range:
+        """The first bin index of each block."""
+        return range(0, self.size - 1, self._step)
+
+    def block(self, start: int) -> np.ndarray:
+        """The edges of the block whose first bin is `start`."""
+        index = start // self._step
+        if index == len(self._marks) - 1:
+            return self._last
+        state, total = self._marks[index]
+        rng = np.random.Generator(self._bit_generator())
+        rng.bit_generator.state = state
+        edges = self._draw(rng, total, self._step)
+        edges += self._lo
+        return edges
+
+
+def _binned_probs(cdf_of: DensityCdf, source: _EdgeArray | RandomEdges
+                  ) -> tuple[np.ndarray, np.ndarray, float]:
+    """The CDF values at the edges of `source`, the bin probabilities of
+    bin_density and the widest bin's width.
+
+    Each block of edges is read from the CDF once, on the pool
+    (quadrature.map_blocks), into the CDF values and, by their
+    differences, the probabilities: the two arrays of bin length.  Their
+    sum then normalizes the probabilities.  Raises ContractError on fewer
+    than two edges, on edges that do not increase, and on bins that miss
+    more than 1e-6 of the mass.
+    """
+    n = source.size - 1
     if n < 1:
         raise ContractError("need at least two bin edges")
-    probs = np.empty(n)
-    delta_max, size = 0.0, quadrature._BLOCK_ENTRIES
-    for start in range(0, n, size):
-        at = edges[start:start + size + 1]
-        widths = np.diff(at)
+    cdf, probs = np.empty(n + 1), np.empty(n)
+
+    def read(start: int) -> float:
+        at = source.block(start)
+        # the widths go where the block's probabilities will
+        widths = np.subtract(at[1:], at[:-1],
+                             out=probs[start:start + at.size - 1])
         if np.any(widths <= 0.0):
             raise ContractError("bin edges must be strictly increasing")
-        delta_max = max(delta_max, float(np.max(widths)))
-        cdf = cdf_of(at)
-        np.subtract(cdf[1:], cdf[:-1], out=probs[start:start + widths.size])
-        if start == 0:
-            first = cdf[0]
-    last = cdf[-1]
+        widest = float(np.max(widths))
+        values = cdf_of(at)
+        first = 0 if start == 0 else 1  # the block before writes its edge
+        cdf[start + first:start + at.size] = values[first:]
+        np.subtract(values[1:], values[:-1], out=widths)
+        return widest
+
+    delta_max = max(quadrature.map_blocks(read, source.starts()))
+    first, last = cdf[0], cdf[-1]
     coverage = last - first
     if coverage < 1.0 - 1e-6:
         raise ContractError(f"bins cover only {coverage:.8f} of the mass")
@@ -355,12 +460,23 @@ def _binned_probs(cdf_of: DensityCdf,
     probs[-1] += 1.0 - last
     np.clip(probs, 0.0, None, out=probs)
     probs /= probs.sum()
-    return probs, delta_max
+    return cdf, probs, delta_max
 
 
-def _cdf_of(density: DensityFn | DensityCdf) -> DensityCdf:
-    """The CDF a caller passed, or a new one of the density it passed."""
-    return density if isinstance(density, DensityCdf) else DensityCdf(density)
+def _binned(density: DensityFn | DensityCdf, source: _EdgeArray | RandomEdges):
+    """The probabilities of bin_density on the edges of `source`, the
+    widest bin's width, and a function of a block's first bin index that
+    gives its bins' error bounds (DensityCdf.bin_errors)."""
+    cdf_of = (density if isinstance(density, DensityCdf)
+              else DensityCdf(density))
+    cdf, probs, delta_max = _binned_probs(cdf_of, source)
+    errors_of = cdf_of.bin_errors(probs)
+
+    def errors(start: int) -> np.ndarray:
+        at = source.block(start)
+        return errors_of(start, at, cdf[start:start + at.size])
+
+    return probs, delta_max, errors
 
 
 def bin_density(density: DensityFn | DensityCdf,
@@ -372,55 +488,56 @@ def bin_density(density: DensityFn | DensityCdf,
     distribution is exactly normalized.  The density may come as the
     DensityCdf a caller already built for it.  Each probability carries the
     error bound of DensityCdf.bin_errors.  The distribution holds three
-    arrays of bin length; binned_sums reduces the same bins to their power
-    sums while holding two.
+    arrays of bin length, and the CDF values at the edges are a fourth
+    until the bounds are formed; binned_sums reduces the same bins to their
+    power sums while holding two.
     """
-    cdf_of, edges = _cdf_of(density), np.asarray(edges, dtype=float)
-    probs, _ = _binned_probs(cdf_of, edges)
-    errors = np.empty(probs.size)
-    for start, block in cdf_of.bin_errors(edges, probs):
-        errors[start:start + block.size] = block
-    return DiscreteDist(edges=edges, probs=probs, prob_errors=errors)
+    source = _EdgeArray(np.asarray(edges, dtype=float))
+    probs, _, errors = _binned(density, source)
+    prob_errors = np.empty(probs.size)
+
+    def fill(start: int) -> None:
+        block = errors(start)
+        prob_errors[start:start + block.size] = block
+
+    quadrature.map_blocks(fill, source.starts())
+    return DiscreteDist(edges=source.edges, probs=probs,
+                        prob_errors=prob_errors)
 
 
-def binned_sums(density: DensityFn | DensityCdf, edges: np.ndarray,
+def binned_sums(density: DensityFn | DensityCdf,
+                edges: np.ndarray | RandomEdges,
                 orders: Iterable[float]) -> "BinnedSums":
     """BinnedSums.of(bin_density(density, edges), orders), folded block by
-    block.
+    block; the edges may come as an array or as a RandomEdges stream.
 
-    Only the edges and the probabilities are held at bin length: each block
-    of quadrature._BLOCK_ENTRIES bins forms its error bounds and adds to
-    every order's sums, so the result equals the distribution's own sums
-    float for float within one block and to the rounding of a blocked sum
-    beyond.
+    Two passes run over blocks of quadrature._BLOCK_ENTRIES bins, each on
+    the pool.  The first reads the CDF at each block's edges into the CDF
+    values and the probabilities; the second forms each block's error
+    bounds from the same CDF values and its share of every order's sums.
+    So the CDF values and the probabilities are the only arrays of bin
+    length: a stream's edges are drawn again in each pass rather than
+    held.  The shares are added in block order, so the result equals the
+    distribution's own sums float for float within one block and to the
+    rounding of a blocked sum beyond, and does not depend on the pool.
     """
-    cdf_of, edges = _cdf_of(density), np.asarray(edges, dtype=float)
-    probs, delta_max = _binned_probs(cdf_of, edges)
+    source = (edges if isinstance(edges, RandomEdges)
+              else _EdgeArray(np.asarray(edges, dtype=float)))
+    probs, delta_max, errors = _binned(density, source)
     return BinnedSums(delta_max=delta_max,
-                      sums=_fold(probs, cdf_of.bin_errors(edges, probs),
-                                 orders))
+                      sums=_fold(probs, source.starts(), errors, orders))
 
 
 def random_edges(rng: np.random.Generator, lo: float, hi: float,
                  dmin: float, dmax: float) -> np.ndarray:
-    """Bin edges from lo on, with widths drawn uniformly from [dmin, dmax],
-    up to the first edge at or past hi.
-
-    About 1.3 times the widths needed are drawn, straight into the edge
-    array with Generator.uniform's arithmetic (dmin + (dmax - dmin) u on
-    the same draws u); the edges are summed in place and the array is cut
-    to its size, so it holds no unused draws.
-    """
-    n_est = int((hi - lo) / ((dmin + dmax) / 2.0) * 1.3) + 16
-    edges = np.empty(n_est + 1)
-    edges[0] = 0.0
-    widths = rng.random(out=edges[1:])
-    widths *= dmax - dmin
-    widths += dmin
-    np.cumsum(edges, out=edges)
-    edges += lo
-    edges.resize(min(int(np.searchsorted(edges, hi)) + 1, edges.size),
-                 refcheck=False)
+    """The edges of RandomEdges(rng, lo, hi, dmin, dmax), its blocks joined
+    into one array of exactly their number (no unused draws behind them)."""
+    stream = RandomEdges(rng, lo, hi, dmin, dmax)
+    edges = np.empty(stream.size)
+    edges[0] = lo
+    for start in stream.starts():
+        block = stream.block(start)
+        edges[start:start + block.size] = block
     return edges
 
 
@@ -441,7 +558,8 @@ class BinnedSums:
     def of(cls, dist: DiscreteDist, orders: Iterable[float]) -> "BinnedSums":
         """The sums of `dist` at each of `orders`, each taken once."""
         return cls(delta_max=dist.delta_max,
-                   sums=_fold(dist.probs, [(0, dist.prob_errors)], orders))
+                   sums=_fold(dist.probs, [0], lambda _: dist.prob_errors,
+                              orders))
 
     def renyi_and_norm(self, order: float) -> tuple[EntropyValue, float]:
         """The Renyi entropy and norm of one order; a ContractError when
@@ -485,8 +603,9 @@ def bin_pair(rng: np.random.Generator, a: DensityFn, b: DensityFn,
     windows = [cdf.coverage_window() for cdf in cdfs]
     if not sum(hi - lo for lo, hi in windows) < cap:
         return None
-    # the edges are an argument only, so they go as soon as their sums return
-    return tuple(binned_sums(cdf, random_edges(rng, lo, hi, dmin, dmax),
+    # each stream is read to its end, and so draws from rng, before the
+    # next one starts
+    return tuple(binned_sums(cdf, RandomEdges(rng, lo, hi, dmin, dmax),
                              orders)
                  for cdf, (lo, hi) in zip(cdfs, windows))
 
@@ -495,13 +614,17 @@ def bin_pair(rng: np.random.Generator, a: DensityFn, b: DensityFn,
 # discrete entropies
 # ---------------------------------------------------------------------------
 
-def _fold(probs: np.ndarray, error_blocks: Iterable[tuple[int, np.ndarray]],
+def _fold(probs: np.ndarray, starts: Iterable[int], errors,
           orders: Iterable[float]) -> dict[float, tuple[EntropyValue, float]]:
     """discrete_renyi_and_norm at each of `orders` of the distribution
-    `probs`, whose error bounds come as (first index, block) pairs that
-    tile it; each block adds to every order's sums and is then dropped.
-    Zero probabilities are left out.  Over one block of all the bins this
-    is discrete_renyi_and_norm itself.
+    `probs`, in blocks: `errors(start)` gives the error bounds of the block
+    of bins from each of `starts` on, and the blocks tile the bins.
+
+    Each block, on the pool (quadrature.map_blocks), forms its share of
+    every order's sums and drops its bounds; the shares are added in block
+    order, so the sums are the same floats on the pool and off it.  Zero
+    probabilities are left out.  Over one block of all the bins this is
+    discrete_renyi_and_norm itself.
     """
     orders = list(dict.fromkeys(orders))
     if any(not order > 0.0 for order in orders):
@@ -509,34 +632,57 @@ def _fold(probs: np.ndarray, error_blocks: Iterable[tuple[int, np.ndarray]],
     finite = [a for a in orders if a != 1.0 and not math.isinf(a)]
     i_top = int(np.argmax(probs))
     p_max = float(probs[i_top])
-    shannon = [0.0, 0.0]  # sum p ln p and its error
-    power = {a: [0.0, 0.0] for a in finite}  # sum (p/p_max)^a, error's dot
-    rise, top_error = -math.inf, 0.0
-    for start, dp in error_blocks:
+
+    def share(start: int):
+        """The block's bound at the largest p if it holds it, and its sums:
+        sum p ln p and its error, max(p + dp), and per finite order
+        sum (p/p_max)^a and its error's dot; None when all p are zero."""
+        dp = errors(start)
         p = probs[start:start + dp.size]
-        if start <= i_top < start + dp.size:
-            top_error = float(dp[i_top - start])
+        top = (float(dp[i_top - start]) if start <= i_top < start + dp.size
+               else None)
         mask = p > 0.0
         if not mask.all():
             p, dp = p[mask], dp[mask]
             if not p.size:
-                continue
+                return top, None
+        shannon = rise = None
         if 1.0 in orders:
             buf = np.log(p)  # the one temporary, for both sums
             buf *= p
-            shannon[0] += float(np.sum(buf))
+            total = float(np.sum(buf))
             np.log(p, out=buf)
             np.abs(buf, out=buf)
             buf += 1.0
-            shannon[1] += float(np.dot(dp, buf))
+            shannon = total, float(np.dot(dp, buf))
         if math.inf in orders:
-            rise = max(rise, float(np.max(p + dp)))
+            rise = float(np.max(p + dp))
+        power = {}
         for a in finite:
             terms = p / p_max
             np.power(terms, a, out=terms)
-            power[a][0] += float(np.sum(terms))
+            core = float(np.sum(terms))
             terms /= p  # p^(a-1) / sum p^a is terms / (p core)
-            power[a][1] += float(np.dot(terms, dp))
+            power[a] = core, float(np.dot(terms, dp))
+        return top, (shannon, rise, power)
+
+    shannon = [0.0, 0.0]  # sum p ln p and its error
+    power = {a: [0.0, 0.0] for a in finite}  # sum (p/p_max)^a, error's dot
+    rise, top_error = -math.inf, 0.0
+    for top, block in quadrature.map_blocks(share, starts):
+        if top is not None:
+            top_error = top
+        if block is None:
+            continue
+        block_shannon, block_rise, block_power = block
+        if block_shannon is not None:
+            shannon[0] += block_shannon[0]
+            shannon[1] += block_shannon[1]
+        if block_rise is not None:
+            rise = max(rise, block_rise)
+        for a, (core, slope) in block_power.items():
+            power[a][0] += core
+            power[a][1] += slope
 
     sums = {}
     for a in orders:
@@ -568,7 +714,7 @@ def discrete_renyi_and_norm(dist: DiscreteDist,
     or the most any other bin may rise above it.  Each bin's |dp| is the
     distribution's prob_errors, propagated to first order.
     """
-    return _fold(dist.probs, [(0, dist.prob_errors)], (alpha,))[alpha]
+    return _fold(dist.probs, [0], lambda _: dist.prob_errors, (alpha,))[alpha]
 
 
 def discrete_norm(dist: DiscreteDist, alpha: float) -> float:

@@ -15,16 +15,19 @@ Practice, SIAM 2013), a lattice from the gap between the trapezoid sum and
 its every-other-node subsample (Trefethen & Weideman, SIAM Rev. 56 (2014)
 385).
 
-The dense kernel sums behind every Fourier transform and tabulated `J` run
-their row blocks on a pool of two threads.  Each block makes the same BLAS
-call on the same shape whichever thread runs it, so the sums do not depend
-on the pool.  Their block size, _BLOCK_ENTRIES, is also read at call time
-by the binning in `entropy` and a smear's captured mass in `measurement`.
+The dense kernel sums behind every Fourier transform and tabulated `J`, and
+the two passes over the bins of `entropy.binned_sums`, run their blocks on
+one pool of two threads (`map_blocks`).  Each block does the same
+arithmetic whichever thread runs it, and its results are taken in block
+order, so the sums do not depend on the pool.  The block size,
+_BLOCK_ENTRIES, is read at call time by those and by a smear's captured
+mass in `measurement`.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
@@ -41,7 +44,7 @@ _MAX_BULK_PANELS = 48  # cap on the bulk panels of one half interval
 # 4e6 entries they took 128 MB and set the peak memory of the Fourier sums,
 # while 2^14 to 2^18 entries ran as fast (the work is trig-bound)
 _BLOCK_ENTRIES = 2 ** 16
-# dense_sum's workers, whatever the CPU count: the most that were measured
+# the pool's workers, whatever the CPU count: the most that were measured
 # (2-core VM, BENCH_21.json), and with two 1 MiB blocks each they keep a
 # Fourier sum's transient at a few MB
 _WORKERS = 2
@@ -50,14 +53,16 @@ _TAIL_COEFFS = 4  # trailing Legendre coefficients read by panel_error
 
 @lru_cache(maxsize=1)
 def _pool() -> ThreadPoolExecutor:
-    """The pool of _WORKERS threads that dense_sum runs its blocks on.
+    """The pool of _WORKERS threads that map_blocks runs blocks on: the
+    row blocks of dense_sum and the bin blocks of entropy.binned_sums.
 
-    NumPy's exp and matmul release the interpreter lock, so the blocks run
-    in parallel.  Created on first use and kept: a pool started per call
+    NumPy's trig functions, matmul, interp, power and log release the
+    interpreter lock, so the blocks run in parallel (the CDF spline's
+    reads do not).  Created on first use and kept: a pool started per call
     made the Fourier-heavy passes 3-12% slower.  Dropped in a forked child,
     whose copy of the pool has no threads behind it.
     """
-    return ThreadPoolExecutor(_WORKERS, "dense_sum")
+    return ThreadPoolExecutor(_WORKERS, "gupcert_blocks")
 
 
 if hasattr(os, "register_at_fork"):  # no fork, and no hook, on Windows
@@ -123,10 +128,10 @@ def dense_sum(kernel, targets: np.ndarray, nodes: np.ndarray,
     block layout; real rows may differ in the last bit when the layout
     changes (the BLAS picks its kernel by block shape).
 
-    Several blocks run on `_pool()`, a single block on the calling thread;
-    both make the same product per block, so the sums are the same floats.
-    `kernel` must not call dense_sum itself: a worker waiting on the pool
-    it belongs to can deadlock it.
+    The blocks go through `map_blocks`, so several run on the pool and a
+    single one on the calling thread; both make the same product per
+    block, so the sums are the same floats.  `kernel` must not call
+    dense_sum itself.
     """
     def products(cut):  # each block is freed once its products are taken
         block = kernel(targets[cut[0]:cut[1], None], nodes[None, :])
@@ -134,10 +139,18 @@ def dense_sum(kernel, targets: np.ndarray, nodes: np.ndarray,
 
     chunk = max(2, _BLOCK_ENTRIES // max(nodes.size, 1))
     cuts = [*range(0, max(targets.size - 1, 1), chunk), targets.size]
-    blocks = list(zip(cuts, cuts[1:]))
-    rows = ([products(blocks[0])] if len(blocks) == 1
-            else list(_pool().map(products, blocks)))
+    rows = map_blocks(products, list(zip(cuts, cuts[1:])))
     return tuple(np.concatenate(col) for col in zip(*rows))
+
+
+def map_blocks(fn, blocks: Sequence) -> list:
+    """[fn(block) for block in blocks], in order: several blocks on
+    `_pool()`, a single one on the calling thread.  `fn` must not call
+    map_blocks itself: a worker waiting on the pool it belongs to can
+    deadlock it."""
+    if len(blocks) < 2:
+        return [fn(block) for block in blocks]
+    return list(_pool().map(fn, blocks))
 
 
 def entropy_sum(weights: np.ndarray, values: np.ndarray) -> float:

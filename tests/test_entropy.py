@@ -195,9 +195,10 @@ class TestBinning:
 
     def test_binning_reads_the_spline_once_per_block_per_pass(
             self, cosine_rep, monkeypatch):
-        # binned_sums reads the CDF at each block's edges twice, for the
-        # probabilities and for their bounds, each time in one evaluation
-        # of the spline's antiderivative: 2 per block of bins
+        # binned_sums reads the CDF at each block's edges once, for the
+        # probabilities, in one evaluation of the spline's antiderivative;
+        # the pass that forms their bounds reuses those CDF values: 1 per
+        # block of bins
         cdf_of = g.DensityCdf(cosine_rep.w_x)
         edges = np.linspace(*cdf_of.coverage_window(), 2501)
         monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", 1000)  # 3 blocks
@@ -205,7 +206,7 @@ class TestBinning:
         monkeypatch.setattr(cdf_of, "_anti",
                             lambda x: calls.append(1) or anti(x))
         g.binned_sums(cdf_of, edges, (1.0, 2.0))
-        assert len(calls) == 2 * 3
+        assert len(calls) == 3
 
     def test_random_edges_draw_uniform_widths(self):
         # the widths are drawn into the edge array as dmin + (dmax - dmin) u,
@@ -219,6 +220,12 @@ class TestBinning:
         widths = np.random.default_rng(8).uniform(dmin, dmax, size=n_est)
         old = lo + np.concatenate([[0.0], np.cumsum(widths)])
         assert edges.tobytes() == old[:edges.size].tobytes()
+
+
+def _joined(stream: g.RandomEdges) -> np.ndarray:
+    """The edges of a stream that was read, each block drawn again, joined."""
+    blocks = [stream.block(start) for start in stream.starts()]
+    return np.concatenate([b[:-1] for b in blocks[:-1]] + blocks[-1:])
 
 
 def _holding_bins(monkeypatch) -> list:
@@ -263,21 +270,58 @@ class TestBinPair:
                           (1.0,)) is None
         held = _holding_bins(monkeypatch)
         g.bin_pair(np.random.default_rng(5), *pair, 0.05, 2.0, (1.0,))
-        assert [edges[0] for _, edges in held] == [lo for lo, _ in windows]
+        assert [stream.block(0)[0] for _, stream in held] == \
+            [lo for lo, _ in windows]
 
     def test_edges_are_random_edges_of_a_then_b(self, cosine_rep,
                                                 monkeypatch):
         # one generator draws the edges of a, then those of b, as two
-        # random_edges calls over the coverage windows would
+        # random_edges calls over the coverage windows would; each stream's
+        # blocks of 50 bins (about 175 and 120 bins in all), drawn again
+        # from their saved states, are those edges
+        monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", 50)
         pair = (cosine_rep.u_k, cosine_rep.w_x)
         held = _holding_bins(monkeypatch)
         rng, own = np.random.default_rng(21), np.random.default_rng(21)
         g.bin_pair(rng, *pair, 0.05, 2.0, (1.0,))
-        for (_, edges), density in zip(held, pair, strict=True):
+        for (_, stream), density in zip(held, pair, strict=True):
             lo, hi = g.DensityCdf(density).coverage_window()
-            assert edges.tobytes() == g.random_edges(own, lo, hi, 0.05,
-                                                     2.0).tobytes()
+            assert _joined(stream).tobytes() == g.random_edges(
+                own, lo, hi, 0.05, 2.0).tobytes()
         assert rng.bit_generator.state == own.bit_generator.state
+        assert all(len(stream.starts()) > 1 for _, stream in held)
+
+    @pytest.mark.parametrize("case", ["inside_a_block", "on_a_block_end",
+                                      "in_the_overdraw_block"])
+    def test_stream_blocks_are_random_edges(self, monkeypatch, case):
+        # in blocks of 1000 bins, a stream's blocks, drawn again from their
+        # saved states, are random_edges byte for byte, and the generator
+        # ends after the same n_est draws, wherever hi falls: inside a
+        # full block (the draws after it are dropped), on the last edge of
+        # a block, or in the short last block that uses up the n_est draws
+        monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", 1000)
+        lo, dmin, dmax = 0.0, 0.05, 2.0
+        hi = {"inside_a_block": 2500.0, "in_the_overdraw_block": 2100.0,
+              "on_a_block_end": g.random_edges(np.random.default_rng(13),
+                                               lo, 3000.0, dmin, dmax)[2000]
+              }[case]
+        n_est = int((hi - lo) / ((dmin + dmax) / 2.0) * 1.3) + 16
+        rng, own = np.random.default_rng(13), np.random.default_rng(13)
+        stream = g.RandomEdges(rng, lo, hi, dmin, dmax)
+        want = g.random_edges(own, lo, hi, dmin, dmax)
+        assert rng.bit_generator.state == own.bit_generator.state
+        assert stream.size == want.size and want[-2] < hi <= want[-1]
+        bins = want.size - 1
+        last = bins - bins % 1000 if bins % 1000 else bins - 1000
+        assert {"inside_a_block": 0 < bins % 1000 and last + 1000 < n_est,
+                "on_a_block_end": bins == 2000 < n_est,
+                "in_the_overdraw_block": last < bins < n_est < last + 1000,
+                }[case]
+        assert stream.starts() == range(0, last + 1, 1000)
+        for start in stream.starts():
+            block = want[start:start + 1001]
+            assert stream.block(start).tobytes() == block.tobytes()
+        assert _joined(stream).tobytes() == want.tobytes()
 
     def test_sums_are_the_discrete_sums_of_the_bins(self, cosine_rep,
                                                      monkeypatch):
@@ -287,8 +331,8 @@ class TestBinPair:
         held = _holding_bins(monkeypatch)
         binned = g.bin_pair(np.random.default_rng(4), cosine_rep.u_k,
                             cosine_rep.w_x, 0.05, 2.0, orders)
-        for sums, (density, edges) in zip(binned, held, strict=True):
-            dist = g.bin_density(density, edges)
+        for sums, (density, stream) in zip(binned, held, strict=True):
+            dist = g.bin_density(density, _joined(stream))
             assert dist.probs.size <= quadrature._BLOCK_ENTRIES
             assert sums.delta_max == dist.delta_max
             assert list(sums.sums) == list(orders)
@@ -303,8 +347,9 @@ class TestBinPair:
         sizes, real = [], entropy.binned_sums
 
         def sizing(density, edges, orders):
-            sizes.append(edges.size - 1)
-            return real(density, edges, orders)
+            sums = real(density, edges, orders)
+            sizes.append(edges.size - 1)  # a stream's size once it was read
+            return sums
 
         monkeypatch.setattr(entropy, "binned_sums", sizing)
         binned = g.bin_pair(np.random.default_rng(5), uniform_rep.u_k,
@@ -313,6 +358,35 @@ class TestBinPair:
         assert sizes[0] > 2_000_000
         for sums in binned:
             assert len(pickle.dumps(sums)) < 4_000
+
+    def test_pooled_binning_is_the_calling_thread_binning(self, uniform_rep,
+                                                         monkeypatch):
+        # the 2.1 M bins of the Cauchy wavenumber distribution, in 33 or
+        # more blocks on the pool, give the sums of the same blocks run one
+        # by one on the calling thread, float for float
+        orders = (1.0, 1.5, 2.0 / 3.0, 4.0, 4.0 / 7.0, math.inf)
+        cdf_of = g.DensityCdf(uniform_rep.u_k)
+        window = cdf_of.coverage_window()
+
+        def sums():
+            stream = g.RandomEdges(np.random.default_rng(5), *window, 0.05,
+                                   2.0)
+            binned = g.binned_sums(cdf_of, stream, orders)
+            return binned, len(stream.starts())
+
+        pool = quadrature._pool()
+        submitted, submit = [], pool.submit
+        monkeypatch.setattr(pool, "submit",
+                            lambda *a: submitted.append(1) or submit(*a))
+        pooled, blocks = sums()
+        assert blocks >= 33 and len(submitted) >= 2 * blocks
+        monkeypatch.setattr(quadrature, "map_blocks",
+                            lambda fn, items: [fn(item) for item in items])
+        submitted.clear()
+        serial, _ = sums()
+        assert not submitted
+        assert pooled.delta_max == serial.delta_max
+        assert pooled.sums == serial.sums
 
     @pytest.mark.parametrize("fixture, rel", [("cosine_rep", 0.0),
                                               ("uniform_rep", 1e-14)],
@@ -397,8 +471,8 @@ class TestDiscreteEntropies:
         probs = np.array([0.25, 0.25, 0.0, 0.0, 0.5])
         errors = np.array([1e-3, 2e-3, 3e-3, 4e-3, 5e-3])
         orders = (1.0, 2.0, 0.5, math.inf)
-        tiled = entropy._fold(probs, [(0, errors[:2]), (2, errors[2:4]),
-                                      (4, errors[4:])], orders)
+        blocks = {0: errors[:2], 2: errors[2:4], 4: errors[4:]}
+        tiled = entropy._fold(probs, blocks, blocks.get, orders)
         held = [0, 1, 4]
         live = g.DiscreteDist(edges=np.arange(4.0), probs=probs[held],
                               prob_errors=errors[held])

@@ -223,10 +223,11 @@ def test_cauchy_cell_holds_one_binned_distribution():
     # uniform_q at beta = 1 has an exactly Cauchy wavenumber density: each
     # binned K distribution takes about 2.1 M bins, 17 MB per array.  The
     # cell bins one density at a time and keeps its sums only, and the sums
-    # are folded block by block from two arrays of that length, the edges
-    # and the probabilities, so the traced peak (about 43 MB) stays below
-    # that of a binning that held the whole distribution with its CDF and
-    # power terms (about 72 MB)
+    # are folded block by block from two arrays of that length, the CDF
+    # values at the edges and the probabilities (the edges are drawn again
+    # block by block, not held), so the traced peak (about 44 MB) stays
+    # below that of a binning that held the whole distribution with its CDF
+    # and power terms (about 72 MB)
     config = RunConfig(beta_grid=[1.0], sigma_grid=[1.0, 10.0],
                        alpha_grid=[1.5, 2.0, 4.0],
                        states=[{"name": "uniform_q"}])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gupcert as g
+from gupcert import transform
 from exact_psi import psi, q0_of, renyi2_x
 
 # shape_args and seed of each catalog state held against its closed forms
@@ -235,6 +236,35 @@ class TestFourier:
                 right, left = transform._psi_sq_pair(mixed, x, x_max)
                 assert np.array_equal(right, want[:x.size])
                 assert np.array_equal(left, want[x.size:])
+
+    @pytest.mark.parametrize("beta", [1e-3, 0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("name", list(_EXACT))
+    def test_phases_are_the_complex_exponential_bit_for_bit(
+            self, monkeypatch, name, beta):
+        # the Fourier kernel writes cos and sin of the phase into one
+        # complex block; on every (x, q) pair an x density sums, and with
+        # the other sign on its final lattice, it is np.exp of the complex
+        # phase bit for bit, signed zeros included (x = 0 against q < 0)
+        pairs, real = [], transform._fourier_sum
+
+        def recording(sign, targets, nodes, *coeffs):
+            pairs.append((sign, targets, nodes))
+            return real(sign, targets, nodes, *coeffs)
+
+        monkeypatch.setattr(transform, "_fourier_sum", recording)
+        shape, seed = _EXACT[name]
+        g.x_density(g.catalog_state(name, g.make_params(beta),
+                                    shape_args=shape, seed=seed))
+        assert pairs and all(sign == 1.0 for sign, _, _ in pairs)
+        assert pairs[0][1][0] == 0.0
+        for k, (_, targets, nodes) in enumerate(pairs):
+            rows = max(2, 2 ** 16 // nodes.size)
+            for sign in (1.0, -1.0) if k == len(pairs) - 1 else (1.0,):
+                for i in range(0, targets.size, rows):
+                    t = targets[i:i + rows, None]
+                    got = transform._phases(sign * t, nodes[None, :])
+                    want = np.exp(sign * 1j * t * nodes[None, :])
+                    assert got.tobytes() == want.tobytes()
 
     def test_fourier_sum_memory_is_block_sized(self):
         # 48 modes at beta = 0.1: 14,037 X nodes against 5,024 rule nodes;
