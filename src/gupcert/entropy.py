@@ -19,13 +19,15 @@ bin_pair does all three for a (wavenumber, position) pair and reduces each
 binned distribution to the BinnedSums the binned checks read.  That
 reduction, binned_sums, makes two passes over blocks of
 quadrature._BLOCK_ENTRIES bins, each on the thread pool of quadrature: the
-first reads the CDF once at every edge, the second forms each block's
-error bounds from those CDF values and folds the block into its sums.
-bin_pair hands it the edges as a RandomEdges stream, which each pass draws
-again, block by block, rather than holds, so of a heavy-tailed density's
-millions of bins only the CDF values and the probabilities are held, while
-bin_density's DiscreteDist, built from the same per-block arithmetic, holds
-the edges, the probabilities and every bin's error bound.
+first reads the CDF once at every edge and keeps those values; a
+normalization step sums the probabilities they give, in slices of fixed
+length; the second forms each block's probabilities again from the kept
+CDF values, divides them by that sum, forms their error bounds and folds
+the block into its sums.  bin_pair hands it the edges as a RandomEdges
+stream, which each pass draws again, block by block, rather than holds, so
+of a heavy-tailed density's millions of bins only the CDF values are held,
+while bin_density's DiscreteDist, built from the same per-block
+arithmetic, holds the edges, the probabilities and every bin's error bound.
 
 Every Renyi entropy, norm and Tsallis entropy of order a reads one power
 sum S_a = sum_j w_j p_j^a (w_j = 1 for bins, tail integrals added for
@@ -57,6 +59,9 @@ from .quadrature import ENTROPY_FLOOR, pchip
 
 _BUMP_PEAK = 4.0  # bound on 15/4, a pair's peak-to-mean interpolation error
 _OUTSIDE_MASS = 3e-7  # mass per side left outside a coverage window
+# bins per slice of the normalization sum: fixed, so that the probabilities
+# do not depend on quadrature._BLOCK_ENTRIES
+_NORM_SLICE = 2 ** 16
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +128,15 @@ def renyi_and_norm(density: DensityFn,
                 tail_exponent=side.exponent)
     err = (density.grid.rule_error(terms) + _VALUE_ULPS * _EPS * alpha * core
            + 0.05 * tail)
-    renyi = EntropyValue(value=log_sum / (1.0 - alpha), differential=True,
-                         est_error=err / (abs(1.0 - alpha) * (core + tail)))
+    value = log_sum / (1.0 - alpha)
+    # an ulp of each step from p_max and the sum to the entropy: ln p_max,
+    # its product with alpha, ln of the sum, their sum and the division
+    log_rest = math.log(core + tail)
+    rounding = _EPS * ((2.0 * abs(log_sum - log_rest) + abs(log_rest)
+                        + abs(log_sum)) / abs(1.0 - alpha) + abs(value))
+    renyi = EntropyValue(value=value, differential=True,
+                         est_error=err / (abs(1.0 - alpha) * (core + tail))
+                         + rounding)
     return renyi, math.exp(log_sum / alpha)
 
 
@@ -232,11 +244,11 @@ class DensityCdf:
             hi = float(x[min(x.size - 1, np.searchsorted(at, 1.0 - frac))])
         return lo, hi
 
-    def bin_errors(self, probs: np.ndarray):
-        """Bound on |dp_i| of the bin probabilities `probs` read from this
-        CDF, one block of bins at a time: returns a function of a block's
-        first bin index, its edges and the CDF values at them, which gives
-        its bins' bounds.
+    def bin_errors(self, bins: int):
+        """Bound on |dp_i| of the probabilities of `bins` bins read from
+        this CDF, one block of bins at a time: returns a function of a
+        block's first bin index, its edges, the CDF values at them and its
+        probabilities, which gives its bins' bounds.
 
         Two error measures grow from left to right; the increase of their
         sum across a bin, with what lies beyond the end edges folded into
@@ -251,8 +263,8 @@ class DensityCdf:
         since every probability is a difference of two CDF values.  The
         CDF values are those the probabilities were formed from, so the
         spline is read once per edge; a block takes nothing but its own
-        slices of the bin-length arrays, so blocks may run in any order and
-        on any thread.
+        edges, CDF values and probabilities, so blocks may run in any order
+        and on any thread.
         """
         density = self.density
         x = density.grid.nodes
@@ -287,10 +299,10 @@ class DensityCdf:
             full += share * (m_left + m_right)
         rule_total = density.grid.integrate(f) + m_left + m_right
         rescale = abs(self.total - rule_total) / self.total
-        total, n = self.total, probs.size
+        total = self.total
 
-        def block_errors(start: int, at: np.ndarray,
-                         cdf: np.ndarray) -> np.ndarray:
+        def block_errors(start: int, at: np.ndarray, cdf: np.ndarray,
+                         probs: np.ndarray) -> np.ndarray:
             grown = np.interp(at, knots, grown_at)
             if tails:
                 # below the window the CDF is the left model's mass and
@@ -304,10 +316,10 @@ class DensityCdf:
             block = np.subtract(grown[1:], grown[:-1])
             if start == 0:
                 block[0] += grown[0]
-            if start + block.size == n:
+            if start + block.size == bins:
                 block[-1] += full - grown[-1]
             block /= total
-            block += probs[start:start + block.size] * rescale
+            block += probs * rescale
             block += cdf[1:] * (_VALUE_ULPS * _EPS)
             return np.clip(block, 0.0, None, out=block)
 
@@ -420,63 +432,96 @@ class RandomEdges:
         return edges
 
 
-def _binned_probs(cdf_of: DensityCdf, source: _EdgeArray | RandomEdges
-                  ) -> tuple[np.ndarray, np.ndarray, float]:
-    """The CDF values at the edges of `source`, the bin probabilities of
-    bin_density and the widest bin's width.
+def _edge_cdf(cdf_of: DensityCdf, source: _EdgeArray | RandomEdges
+              ) -> tuple[np.ndarray, float]:
+    """The CDF values at the edges of `source`, the one array of bin length
+    the binning holds, and the widest bin's width.
 
     Each block of edges is read from the CDF once, on the pool
-    (quadrature.map_blocks), into the CDF values and, by their
-    differences, the probabilities: the two arrays of bin length.  Their
-    sum then normalizes the probabilities.  Raises ContractError on fewer
-    than two edges, on edges that do not increase, and on bins that miss
-    more than 1e-6 of the mass.
+    (quadrature.map_blocks).  Raises ContractError on fewer than two edges,
+    on edges that do not increase, and on bins that miss more than 1e-6 of
+    the mass.
     """
     n = source.size - 1
     if n < 1:
         raise ContractError("need at least two bin edges")
-    cdf, probs = np.empty(n + 1), np.empty(n)
+    cdf = np.empty(n + 1)
 
     def read(start: int) -> float:
         at = source.block(start)
-        # the widths go where the block's probabilities will
-        widths = np.subtract(at[1:], at[:-1],
-                             out=probs[start:start + at.size - 1])
+        widths = np.subtract(at[1:], at[:-1])
         if np.any(widths <= 0.0):
             raise ContractError("bin edges must be strictly increasing")
-        widest = float(np.max(widths))
         values = cdf_of(at)
         first = 0 if start == 0 else 1  # the block before writes its edge
         cdf[start + first:start + at.size] = values[first:]
-        np.subtract(values[1:], values[:-1], out=widths)
-        return widest
+        return float(np.max(widths))
 
     delta_max = max(quadrature.map_blocks(read, source.starts()))
-    first, last = cdf[0], cdf[-1]
-    coverage = last - first
+    coverage = cdf[-1] - cdf[0]
     if coverage < 1.0 - 1e-6:
         raise ContractError(f"bins cover only {coverage:.8f} of the mass")
-    probs[0] += first
-    probs[-1] += 1.0 - last
-    np.clip(probs, 0.0, None, out=probs)
-    probs /= probs.sum()
-    return cdf, probs, delta_max
+    return cdf, delta_max
+
+
+def _binned_probs(cdf: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """The probabilities of bins start to stop - 1, before normalization,
+    from the CDF values `cdf` at all the edges: their differences, with the
+    mass below the first edge and above the last folded into the end bins,
+    clipped at zero.  Each bin's value depends on its two edges alone, so
+    any slicing of the bins gives the same floats."""
+    probs = np.subtract(cdf[start + 1:stop + 1], cdf[start:stop])
+    if start == 0:
+        probs[0] += cdf[0]
+    if stop == cdf.size - 1:
+        probs[-1] += 1.0 - cdf[-1]
+    return np.clip(probs, 0.0, None, out=probs)
+
+
+def _normalization(cdf: np.ndarray) -> tuple[float, int, float]:
+    """The sum of the _binned_probs of the CDF values `cdf`, the index of
+    the largest and its value.  They are formed on the pool in slices of
+    _NORM_SLICE bins, whose sums are added in order, so the sum does not
+    depend on the pool or on the block size of the passes."""
+    n = cdf.size - 1
+
+    def part(start: int) -> tuple[float, int, float]:
+        probs = _binned_probs(cdf, start, min(start + _NORM_SLICE, n))
+        i = int(np.argmax(probs))
+        return float(np.sum(probs)), start + i, float(probs[i])
+
+    total, i_top, top = 0.0, 0, -1.0
+    for part_sum, i, value in quadrature.map_blocks(
+            part, range(0, n, _NORM_SLICE)):
+        total += part_sum
+        if value > top:  # the first of equal largest values, as np.argmax
+            i_top, top = i, value
+    return total, i_top, top
 
 
 def _binned(density: DensityFn | DensityCdf, source: _EdgeArray | RandomEdges):
-    """The probabilities of bin_density on the edges of `source`, the
-    widest bin's width, and a function of a block's first bin index that
-    gives its bins' error bounds (DensityCdf.bin_errors)."""
+    """The widest bin's width, the index and value of the largest
+    probability of bin_density on the edges of `source`, and a function of
+    a block's first bin index that gives its bins' probabilities and error
+    bounds (DensityCdf.bin_errors).
+
+    Only the CDF values at the edges (_edge_cdf) are held; each block's
+    probabilities are formed again from them (_binned_probs) and divided by
+    their sum (_normalization), the same floats in every pass.
+    """
     cdf_of = (density if isinstance(density, DensityCdf)
               else DensityCdf(density))
-    cdf, probs, delta_max = _binned_probs(cdf_of, source)
-    errors_of = cdf_of.bin_errors(probs)
+    cdf, delta_max = _edge_cdf(cdf_of, source)
+    total, i_top, top = _normalization(cdf)
+    errors_of = cdf_of.bin_errors(cdf.size - 1)
 
-    def errors(start: int) -> np.ndarray:
+    def block(start: int) -> tuple[np.ndarray, np.ndarray]:
         at = source.block(start)
-        return errors_of(start, at, cdf[start:start + at.size])
+        probs = _binned_probs(cdf, start, start + at.size - 1)
+        probs /= total
+        return probs, errors_of(start, at, cdf[start:start + at.size], probs)
 
-    return probs, delta_max, errors
+    return delta_max, (i_top, top / total), block
 
 
 def bin_density(density: DensityFn | DensityCdf,
@@ -490,15 +535,16 @@ def bin_density(density: DensityFn | DensityCdf,
     error bound of DensityCdf.bin_errors.  The distribution holds three
     arrays of bin length, and the CDF values at the edges are a fourth
     until the bounds are formed; binned_sums reduces the same bins to their
-    power sums while holding two.
+    power sums while holding only the CDF values.
     """
     source = _EdgeArray(np.asarray(edges, dtype=float))
-    probs, _, errors = _binned(density, source)
-    prob_errors = np.empty(probs.size)
+    _, _, block = _binned(density, source)
+    probs, prob_errors = np.empty(source.size - 1), np.empty(source.size - 1)
 
     def fill(start: int) -> None:
-        block = errors(start)
-        prob_errors[start:start + block.size] = block
+        block_probs, block_errors = block(start)
+        stop = start + block_probs.size
+        probs[start:stop], prob_errors[start:stop] = block_probs, block_errors
 
     quadrature.map_blocks(fill, source.starts())
     return DiscreteDist(edges=source.edges, probs=probs,
@@ -512,10 +558,12 @@ def binned_sums(density: DensityFn | DensityCdf,
     block; the edges may come as an array or as a RandomEdges stream.
 
     Two passes run over blocks of quadrature._BLOCK_ENTRIES bins, each on
-    the pool.  The first reads the CDF at each block's edges into the CDF
-    values and the probabilities; the second forms each block's error
-    bounds from the same CDF values and its share of every order's sums.
-    So the CDF values and the probabilities are the only arrays of bin
+    the pool, with a normalization step between them.  The first reads the
+    CDF at each block's edges into the CDF values; the step sums the
+    probabilities those values give, in fixed slices; the second forms
+    each block's probabilities again from the same CDF values, divides
+    them by that sum, forms their error bounds and adds the block's share
+    of every order's sums.  So the CDF values are the only array of bin
     length: a stream's edges are drawn again in each pass rather than
     held.  The shares are added in block order, so the result equals the
     distribution's own sums float for float within one block and to the
@@ -523,9 +571,9 @@ def binned_sums(density: DensityFn | DensityCdf,
     """
     source = (edges if isinstance(edges, RandomEdges)
               else _EdgeArray(np.asarray(edges, dtype=float)))
-    probs, delta_max, errors = _binned(density, source)
+    delta_max, top, block = _binned(density, source)
     return BinnedSums(delta_max=delta_max,
-                      sums=_fold(probs, source.starts(), errors, orders))
+                      sums=_fold(block, source.starts(), top, orders))
 
 
 def random_edges(rng: np.random.Generator, lo: float, hi: float,
@@ -557,9 +605,7 @@ class BinnedSums:
     @classmethod
     def of(cls, dist: DiscreteDist, orders: Iterable[float]) -> "BinnedSums":
         """The sums of `dist` at each of `orders`, each taken once."""
-        return cls(delta_max=dist.delta_max,
-                   sums=_fold(dist.probs, [0], lambda _: dist.prob_errors,
-                              orders))
+        return cls(delta_max=dist.delta_max, sums=_fold_dist(dist, orders))
 
     def renyi_and_norm(self, order: float) -> tuple[EntropyValue, float]:
         """The Renyi entropy and norm of one order; a ContractError when
@@ -614,38 +660,38 @@ def bin_pair(rng: np.random.Generator, a: DensityFn, b: DensityFn,
 # discrete entropies
 # ---------------------------------------------------------------------------
 
-def _fold(probs: np.ndarray, starts: Iterable[int], errors,
+def _fold(block, starts: Iterable[int], top: tuple[int, float],
           orders: Iterable[float]) -> dict[float, tuple[EntropyValue, float]]:
-    """discrete_renyi_and_norm at each of `orders` of the distribution
-    `probs`, in blocks: `errors(start)` gives the error bounds of the block
-    of bins from each of `starts` on, and the blocks tile the bins.
+    """discrete_renyi_and_norm at each of `orders` of a distribution given
+    in blocks: `block(start)` gives the probabilities and error bounds of
+    the block of bins from each of `starts` on, the blocks tile the bins,
+    and `top` is the index and value of the largest probability.
 
     Each block, on the pool (quadrature.map_blocks), forms its share of
-    every order's sums and drops its bounds; the shares are added in block
-    order, so the sums are the same floats on the pool and off it.  Zero
-    probabilities are left out.  Over one block of all the bins this is
-    discrete_renyi_and_norm itself.
+    every order's sums and drops its bins; the shares are added in block
+    order, so the sums are the same floats on the pool and off it.  Every
+    sum is an elementwise product summed by np.sum, which does not depend
+    on the BLAS threads.  Zero probabilities are left out.  Over one block
+    of all the bins this is discrete_renyi_and_norm itself.
     """
     orders = list(dict.fromkeys(orders))
     if any(not order > 0.0 for order in orders):
         raise InvalidParameterError("alpha must be positive")
     finite = [a for a in orders if a != 1.0 and not math.isinf(a)]
-    i_top = int(np.argmax(probs))
-    p_max = float(probs[i_top])
+    i_top, p_max = top
 
     def share(start: int):
         """The block's bound at the largest p if it holds it, and its sums:
         sum p ln p and its error, max(p + dp), and per finite order
-        sum (p/p_max)^a and its error's dot; None when all p are zero."""
-        dp = errors(start)
-        p = probs[start:start + dp.size]
-        top = (float(dp[i_top - start]) if start <= i_top < start + dp.size
-               else None)
+        sum (p/p_max)^a and its error's sum; None when all p are zero."""
+        p, dp = block(start)
+        bound = (float(dp[i_top - start]) if start <= i_top < start + dp.size
+                 else None)
         mask = p > 0.0
         if not mask.all():
             p, dp = p[mask], dp[mask]
             if not p.size:
-                return top, None
+                return bound, None
         shannon = rise = None
         if 1.0 in orders:
             buf = np.log(p)  # the one temporary, for both sums
@@ -654,7 +700,8 @@ def _fold(probs: np.ndarray, starts: Iterable[int], errors,
             np.log(p, out=buf)
             np.abs(buf, out=buf)
             buf += 1.0
-            shannon = total, float(np.dot(dp, buf))
+            buf *= dp
+            shannon = total, float(np.sum(buf))
         if math.inf in orders:
             rise = float(np.max(p + dp))
         power = {}
@@ -663,18 +710,19 @@ def _fold(probs: np.ndarray, starts: Iterable[int], errors,
             np.power(terms, a, out=terms)
             core = float(np.sum(terms))
             terms /= p  # p^(a-1) / sum p^a is terms / (p core)
-            power[a] = core, float(np.dot(terms, dp))
-        return top, (shannon, rise, power)
+            terms *= dp
+            power[a] = core, float(np.sum(terms))
+        return bound, (shannon, rise, power)
 
     shannon = [0.0, 0.0]  # sum p ln p and its error
-    power = {a: [0.0, 0.0] for a in finite}  # sum (p/p_max)^a, error's dot
+    power = {a: [0.0, 0.0] for a in finite}  # sum (p/p_max)^a, error's sum
     rise, top_error = -math.inf, 0.0
-    for top, block in quadrature.map_blocks(share, starts):
-        if top is not None:
-            top_error = top
-        if block is None:
+    for bound, block_sums in quadrature.map_blocks(share, starts):
+        if bound is not None:
+            top_error = bound
+        if block_sums is None:
             continue
-        block_shannon, block_rise, block_power = block
+        block_shannon, block_rise, block_power = block_sums
         if block_shannon is not None:
             shannon[0] += block_shannon[0]
             shannon[1] += block_shannon[1]
@@ -714,7 +762,15 @@ def discrete_renyi_and_norm(dist: DiscreteDist,
     or the most any other bin may rise above it.  Each bin's |dp| is the
     distribution's prob_errors, propagated to first order.
     """
-    return _fold(dist.probs, [0], lambda _: dist.prob_errors, (alpha,))[alpha]
+    return _fold_dist(dist, (alpha,))[alpha]
+
+
+def _fold_dist(dist: DiscreteDist, orders: Iterable[float]
+               ) -> dict[float, tuple[EntropyValue, float]]:
+    """_fold over the bins of `dist` as one block."""
+    i_top = int(np.argmax(dist.probs))
+    return _fold(lambda _: (dist.probs, dist.prob_errors), [0],
+                 (i_top, float(dist.probs[i_top])), orders)
 
 
 def discrete_norm(dist: DiscreteDist, alpha: float) -> float:

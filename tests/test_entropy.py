@@ -1,5 +1,6 @@
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -359,6 +360,24 @@ class TestBinPair:
         for sums in binned:
             assert len(pickle.dumps(sums)) < 4_000
 
+    def test_cauchy_binning_holds_one_bin_length_array(self, uniform_rep):
+        # of the 2.1 M bins of the Cauchy wavenumber distribution only the
+        # CDF values at the edges are held: the traced peak of binned_sums
+        # is that array and a few block-sized transients per worker (about
+        # 23 MB), where holding the probabilities too took about 39 MB
+        cdf_of = g.DensityCdf(uniform_rep.u_k)
+        window = cdf_of.coverage_window()
+        tracemalloc.start()
+        try:
+            stream = g.RandomEdges(np.random.default_rng(5), *window, 0.05,
+                                   2.0)
+            g.binned_sums(cdf_of, stream, (1.0, 2.0, 2.0 / 3.0, math.inf))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stream.size > 2_000_000
+        assert peak < 8 * stream.size + 16 * 8 * quadrature._BLOCK_ENTRIES
+
     def test_pooled_binning_is_the_calling_thread_binning(self, uniform_rep,
                                                          monkeypatch):
         # the 2.1 M bins of the Cauchy wavenumber distribution, in 33 or
@@ -471,8 +490,9 @@ class TestDiscreteEntropies:
         probs = np.array([0.25, 0.25, 0.0, 0.0, 0.5])
         errors = np.array([1e-3, 2e-3, 3e-3, 4e-3, 5e-3])
         orders = (1.0, 2.0, 0.5, math.inf)
-        blocks = {0: errors[:2], 2: errors[2:4], 4: errors[4:]}
-        tiled = entropy._fold(probs, blocks, blocks.get, orders)
+        blocks = {0: (probs[:2], errors[:2]), 2: (probs[2:4], errors[2:4]),
+                  4: (probs[4:], errors[4:])}
+        tiled = entropy._fold(blocks.get, blocks, (4, 0.5), orders)
         held = [0, 1, 4]
         live = g.DiscreteDist(edges=np.arange(4.0), probs=probs[held],
                               prob_errors=errors[held])

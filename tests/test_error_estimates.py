@@ -6,7 +6,9 @@ auxiliary state `uniform_q` has closed forms on both sides of the
 pushforward: H(Q) = ln(2 q0), an exactly Cauchy K density of scale
 1/sqrt(beta) (H(K) = ln(4 pi / sqrt(beta)), Renyi entropies from
 integral (1 + t^2)^-alpha dt = sqrt(pi) Gamma(alpha - 1/2) / Gamma(alpha)),
-and the correction 2 ln 2.  `raised_cosine_q` has <k^2> = 1/beta.  The
+a position density sin^2(q0 x) / (pi q0 x^2) (Renyi entropies from the
+integrals of sinc^6 and sinc^8, 11 pi / 20 and 151 pi / 315) and the
+correction 2 ln 2.  `raised_cosine_q` has <k^2> = 1/beta.  The
 Gaussian state saturates H(Q) + H(X) = ln(e pi).  Binned probabilities are
 checked bin by bin against the Gaussian and Cauchy CDFs.
 """
@@ -57,6 +59,18 @@ def test_cauchy_renyi(flat, alpha):
                  - gammaln(alpha))
     r = g.diff_renyi(rep.u_k, alpha)
     _sound_and_sharp(r.value, log_power / (1.0 - alpha), r.est_error)
+
+
+@pytest.mark.parametrize("alpha, exact", [
+    (3.0, lambda q0: -0.5 * math.log(11.0 * q0 ** 2 / (20.0 * math.pi ** 2))),
+    (4.0, lambda q0: -math.log(151.0 * q0 ** 3 / (315.0 * math.pi ** 3)) / 3.0),
+], ids=["3", "4"])
+def test_flat_position_renyi(flat, alpha, exact):
+    # the error is a few ulps, which the rounding of ln p_max, of ln of
+    # the power sum and of the final division account for
+    beta, rep = flat
+    r = g.diff_renyi(rep.w_x, alpha)
+    _sound_and_sharp(r.value, exact(g.make_params(beta).q0), r.est_error)
 
 
 @pytest.mark.parametrize("beta", [1e-3, 0.1, 1.0, 10.0])

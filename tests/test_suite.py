@@ -223,11 +223,11 @@ def test_cauchy_cell_holds_one_binned_distribution():
     # uniform_q at beta = 1 has an exactly Cauchy wavenumber density: each
     # binned K distribution takes about 2.1 M bins, 17 MB per array.  The
     # cell bins one density at a time and keeps its sums only, and the sums
-    # are folded block by block from two arrays of that length, the CDF
-    # values at the edges and the probabilities (the edges are drawn again
-    # block by block, not held), so the traced peak (about 44 MB) stays
-    # below that of a binning that held the whole distribution with its CDF
-    # and power terms (about 72 MB)
+    # are folded block by block from one array of that length, the CDF
+    # values at the edges (the edges are drawn again and the probabilities
+    # formed again block by block, not held), so the traced peak (about
+    # 29 MB) stays below that of a binning that also held the probabilities
+    # (about 44 MB)
     config = RunConfig(beta_grid=[1.0], sigma_grid=[1.0, 10.0],
                        alpha_grid=[1.5, 2.0, 4.0],
                        states=[{"name": "uniform_q"}])
@@ -238,7 +238,7 @@ def test_cauchy_cell_holds_one_binned_distribution():
     finally:
         tracemalloc.stop()
     assert len(records) == 83
-    assert peak < 60e6
+    assert peak < 32e6
 
 
 def test_narrow_smear_cell_stays_lean():
