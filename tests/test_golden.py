@@ -19,7 +19,7 @@ them, so that a regeneration states how far it moved the reports.
 The file was recorded under OpenBLAS's default threads, and the test
 passes only there.  OpenBLAS splits a long dot product over its threads,
 so with OPENBLAS_NUM_THREADS=1 the last bits of a few long sums differ and
-the test fails first at `verify_uniform_q` line 6, on `est_error` (and the
+the test fails first at `verify_uniform_q` line 9, on `est_error` (and the
 `tolerance` derived from it).
 """
 
