@@ -605,7 +605,10 @@ class BinnedSums:
     @classmethod
     def of(cls, dist: DiscreteDist, orders: Iterable[float]) -> "BinnedSums":
         """The sums of `dist` at each of `orders`, each taken once."""
-        return cls(delta_max=dist.delta_max, sums=_fold_dist(dist, orders))
+        i_top = int(np.argmax(dist.probs))
+        return cls(delta_max=dist.delta_max,
+                   sums=_fold(lambda _: (dist.probs, dist.prob_errors), [0],
+                              (i_top, float(dist.probs[i_top])), orders))
 
     def renyi_and_norm(self, order: float) -> tuple[EntropyValue, float]:
         """The Renyi entropy and norm of one order; a ContractError when
@@ -762,15 +765,7 @@ def discrete_renyi_and_norm(dist: DiscreteDist,
     or the most any other bin may rise above it.  Each bin's |dp| is the
     distribution's prob_errors, propagated to first order.
     """
-    return _fold_dist(dist, (alpha,))[alpha]
-
-
-def _fold_dist(dist: DiscreteDist, orders: Iterable[float]
-               ) -> dict[float, tuple[EntropyValue, float]]:
-    """_fold over the bins of `dist` as one block."""
-    i_top = int(np.argmax(dist.probs))
-    return _fold(lambda _: (dist.probs, dist.prob_errors), [0],
-                 (i_top, float(dist.probs[i_top])), orders)
+    return BinnedSums.of(dist, (alpha,)).sums[alpha]
 
 
 def discrete_norm(dist: DiscreteDist, alpha: float) -> float:
