@@ -631,7 +631,7 @@ def bin_pair(rng: np.random.Generator, a: DensityFn, b: DensityFn,
     reduced to its sums (binned_sums) and its edges are dropped; only then
     are the edges of b drawn and b binned.  So at most one binned
     distribution is held at a time: for a heavy-tailed density that is
-    millions of bins, whose edges and probabilities are the only arrays of
+    millions of bins, whose CDF values at the edges are the only array of
     that length.
     None, with the generator untouched, when the two windows together would
     take tens of millions of bins at these widths (very heavy tails).  The
