@@ -16,9 +16,8 @@ from .core import (CATALOG_NAMES, DensityFn, DiscreteDist, Domain, Grid,
 from .entropy import (BinnedSums, DensityCdf, EntropyValue, RandomEdges,
                       alpha_log, alpha_norm, bin_density, bin_pair,
                       binned_sums, density_cdf, diff_renyi, diff_shannon,
-                      discrete_norm, discrete_renyi, discrete_renyi_and_norm,
-                      discrete_tsallis, mc_diff_shannon, random_edges,
-                      renyi_and_norm)
+                      discrete_norm, discrete_renyi, discrete_tsallis,
+                      random_edges, renyi_and_norm)
 from .errors import (ConfigError, ContractError, DegenerateStateError,
                      DomainError, GupcertError, InvalidParameterError,
                      MomentDivergenceError, NormDivergenceError,
@@ -36,7 +35,7 @@ from .relations import (LN_E_PI, LinearizationReport, RelationReport,
                         conjugate_order, correction_linearization_check,
                         correction_term, kappa, robertson_margin)
 from .transform import (RepresentationBundle, bundle, density_q_to_k,
-                        fourier_q_to_x, fourier_x_to_q, jacobian, k_of_q,
-                        q_density, q_of_k, x_density)
+                        fourier_q_to_x, jacobian, k_of_q, q_density, q_of_k,
+                        x_density)
 
 __version__ = "0.1.0"

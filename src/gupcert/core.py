@@ -63,7 +63,8 @@ class MinLengthParams:
 
 def make_params(beta: float) -> MinLengthParams:
     """Validate beta; the auxiliary half-width q0 follows from it."""
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta)):
+    if isinstance(beta, bool) or not (isinstance(beta, (int, float))
+                                      and math.isfinite(beta)):
         raise InvalidParameterError(f"beta must be finite, got {beta!r}")
     if beta < 0.0:
         raise InvalidParameterError(f"beta must be nonnegative, got {beta}")

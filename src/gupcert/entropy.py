@@ -1,4 +1,4 @@
-"""Differential and discrete entropy functionals, norms, binning, MC oracle.
+"""Differential and discrete entropy functionals, norms and binning.
 
 Differential entropies are quadrature sums over the density's own grid plus
 closed-form contributions of the fitted tail models where a model extends a
@@ -13,21 +13,15 @@ own errors, from the CDF spline and the tail models, which the discrete
 functionals propagate to first order.  Acceptance thresholds elsewhere
 reference these estimates rather than absolute truth.
 
-Binning has one path: a DensityCdf gives a density's coverage window,
-random_edges lays random-width bins over it and bin_density reads them;
-bin_pair does all three for a (wavenumber, position) pair and reduces each
-binned distribution to the BinnedSums the binned checks read.  That
-reduction, binned_sums, makes two passes over blocks of
-quadrature._BLOCK_ENTRIES bins, each on the thread pool of quadrature: the
-first reads the CDF once at every edge and keeps those values; a
-normalization step sums the probabilities they give, in slices of fixed
-length; the second forms each block's probabilities again from the kept
-CDF values, divides them by that sum, forms their error bounds and folds
-the block into its sums.  bin_pair hands it the edges as a RandomEdges
-stream, which each pass draws again, block by block, rather than holds, so
-of a heavy-tailed density's millions of bins only the CDF values are held,
-while bin_density's DiscreteDist, built from the same per-block
-arithmetic, holds the edges, the probabilities and every bin's error bound.
+Binning has one path in the library: bin_pair lays random-width bins
+over the coverage windows of a (wavenumber, position) pair as RandomEdges
+streams and folds each through binned_sums, in two passes over blocks of
+bins on the thread pool of quadrature, into the BinnedSums the binned
+checks read.  Of a heavy-tailed density's millions of bins only the CDF
+values at the edges are held.  bin_density, random_edges, density_cdf and
+the discrete_* functions serve only tests, demos and the bench tracer:
+bin_density fills a DiscreteDist by the same per-block arithmetic, and
+BinnedSums.of reduces a DiscreteDist, filled so or built by hand.
 
 Every Renyi entropy, norm and Tsallis entropy of order a reads one power
 sum S_a = sum_j w_j p_j^a (w_j = 1 for bins, tail integrals added for
@@ -55,7 +49,7 @@ from . import quadrature
 from .core import (_EPS, _VALUE_ULPS, DensityFn, DiscreteDist,
                    EntropyValue)
 from .errors import ContractError, InvalidParameterError, NormDivergenceError
-from .quadrature import ENTROPY_FLOOR, pchip
+from .quadrature import ENTROPY_FLOOR
 
 _BUMP_PEAK = 4.0  # bound on 15/4, a pair's peak-to-mean interpolation error
 _OUTSIDE_MASS = 3e-7  # mass per side left outside a coverage window
@@ -594,9 +588,10 @@ class BinnedSums:
     """What the binned checks read of one binned distribution: its widest
     bin and, per order, the Renyi entropy and norm of one power sum.
 
-    `sums` maps each order to discrete_renyi_and_norm(dist, order) of the
-    distribution it was built from (order 1: the Shannon entropy and norm
-    1), so it holds no array of bin length.
+    `sums` maps each order to the Renyi entropy and norm (_fold) of the
+    bins (order 1: the Shannon entropy and norm 1), so it holds no array of
+    bin length.  bin_pair folds a RandomEdges stream into them through
+    binned_sums, and `of` reduces a DiscreteDist.
     """
 
     delta_max: float
@@ -633,11 +628,11 @@ def bin_pair(rng: np.random.Generator, a: DensityFn, b: DensityFn,
     distribution is held at a time: for a heavy-tailed density that is
     millions of bins, whose CDF values at the edges are the only array of
     that length.
-    None, with the generator untouched, when the two windows together would
-    take tens of millions of bins at these widths (very heavy tails).  The
-    windows there come from tail-model quantiles, so that is decided before
-    any spline is built: a window end the CDF gives is a grid node, and the
-    grid bounds the span from below.
+    None, with the generator untouched, when the two windows together span
+    4e6 mean widths (dmin + dmax)/2 or more, 4 M bins over both at the mean
+    width (very heavy tails).  The windows there come from tail-model
+    quantiles, so that is decided before any spline is built: a window end
+    the CDF gives is a grid node, and the grid bounds the span from below.
     """
     cap = 4e6 * (dmin + dmax) / 2.0
     least = 0.0
@@ -665,17 +660,21 @@ def bin_pair(rng: np.random.Generator, a: DensityFn, b: DensityFn,
 
 def _fold(block, starts: Iterable[int], top: tuple[int, float],
           orders: Iterable[float]) -> dict[float, tuple[EntropyValue, float]]:
-    """discrete_renyi_and_norm at each of `orders` of a distribution given
-    in blocks: `block(start)` gives the probabilities and error bounds of
-    the block of bins from each of `starts` on, the blocks tile the bins,
-    and `top` is the index and value of the largest probability.
+    """The Renyi entropy and norm at each of `orders` of a distribution
+    given in blocks: `block(start)` gives the probabilities and error
+    bounds dp of the block of bins from each of `starts` on, the blocks
+    tile the bins, and `top` is the index and value of the largest p.
+
+    Errors are first order in dp: ln sum p^a, taken relative to the
+    largest p, has a sum p^(a-1) |dp| / sum p^a and the entropy that over
+    |1 - a|; order 1 has sum |dp| (1 + |ln p|), and order inf, relative to
+    max p, the larger of its bound and the most any bin may rise above it.
 
     Each block, on the pool (quadrature.map_blocks), forms its share of
     every order's sums and drops its bins; the shares are added in block
     order, so the sums are the same floats on the pool and off it.  Every
     sum is an elementwise product summed by np.sum, which does not depend
-    on the BLAS threads.  Zero probabilities are left out.  Over one block
-    of all the bins this is discrete_renyi_and_norm itself.
+    on the BLAS threads.  Zero probabilities are left out.
     """
     orders = list(dict.fromkeys(orders))
     if any(not order > 0.0 for order in orders):
@@ -753,30 +752,15 @@ def _fold(block, starts: Iterable[int], top: tuple[int, float],
     return sums
 
 
-def discrete_renyi_and_norm(dist: DiscreteDist,
-                            alpha: float) -> tuple[EntropyValue, float]:
-    """Renyi entropy and ||p||_alpha of one order from one power sum.
-
-    Both are functions of ln sum_j p_j**alpha, taken relative to the
-    largest p, whose error is alpha sum p^(alpha-1) |dp| / sum p^alpha; the
-    entropy's error is that over |1 - alpha|.  alpha = 1 gives the Shannon
-    entropy -sum p ln p, with error sum |dp| (1 + |ln p|), and norm 1;
-    alpha = inf -ln max p and max p, whose error is the largest bin's own
-    or the most any other bin may rise above it.  Each bin's |dp| is the
-    distribution's prob_errors, propagated to first order.
-    """
-    return BinnedSums.of(dist, (alpha,)).sums[alpha]
-
-
 def discrete_norm(dist: DiscreteDist, alpha: float) -> float:
     """||p||_alpha = (sum p_j^alpha)^(1/alpha), from the power sum taken
     relative to the largest probability."""
-    return discrete_renyi_and_norm(dist, alpha)[1]
+    return BinnedSums.of(dist, (alpha,)).sums[alpha][1]
 
 
 def discrete_renyi(dist: DiscreteDist, alpha: float) -> EntropyValue:
     """Renyi entropy of a binned distribution; alpha = 1 gives Shannon."""
-    return discrete_renyi_and_norm(dist, alpha)[0]
+    return BinnedSums.of(dist, (alpha,)).sums[alpha][0]
 
 
 def discrete_tsallis(dist: DiscreteDist, alpha: float) -> EntropyValue:
@@ -810,62 +794,3 @@ def alpha_log(y: float, nu: float) -> float:
     if math.isinf(nu):  # y**(1-nu) falls to 0 above y = 1 and grows below
         return 0.0 if y >= 1.0 else -math.inf
     return math.expm1((1.0 - nu) * math.log(y)) / (1.0 - nu)
-
-
-# ---------------------------------------------------------------------------
-# Monte-Carlo oracle
-# ---------------------------------------------------------------------------
-
-def mc_diff_shannon(density: DensityFn, n_samples: int, seed: int) -> EntropyValue:
-    """Monte-Carlo Shannon entropy by inverse-CDF sampling on the grid.
-
-    Kept deliberately independent of the quadrature path: samples are drawn
-    from the interpolated CDF and scored with -ln p at the sampled points.
-    The estimate's standard error is reported as est_error; it is a
-    cross-check oracle, not a production estimator.
-    """
-    if n_samples < 2:
-        raise ContractError("need at least two samples")
-    rng = np.random.default_rng(seed)
-    x, p = density.grid.nodes, np.clip(density.values, 0.0, None)
-    # refine the mesh before inverting: the inverse interpolant's implied
-    # sampling density then tracks the scored density to higher order
-    shape = pchip(x, p)
-    for _ in range(2):
-        x = np.sort(np.concatenate([x, 0.5 * (x[:-1] + x[1:])]))
-    p = np.clip(shape(x), 0.0, None)
-    anti = pchip(x, p).antiderivative()
-    cdf_nodes = anti(x) - anti(x[0])
-    m_left, m_right = density.tail_masses
-    total = m_left + cdf_nodes[-1] + m_right
-
-    u = rng.random(n_samples) * total
-    log_p = np.empty(n_samples)
-
-    in_left = u < m_left
-    in_right = u > m_left + cdf_nodes[-1]
-    mid = ~(in_left | in_right)
-
-    # window samples: invert the monotone piecewise CDF numerically; flat
-    # stretches (zero-density regions) carry no mass and are dropped so the
-    # inverse interpolant has finite slopes
-    cu = m_left + cdf_nodes
-    keep = np.concatenate([[True], np.diff(cu) > 1e-14 * total])
-    inv = pchip(cu[keep], x[keep])
-    xs = inv(u[mid])
-    dens = pchip(x, p)(xs)
-    log_p[mid] = np.log(np.clip(dens, ENTROPY_FLOOR, None))
-
-    # tail samples: invert the mean-envelope power law analytically
-    for mask, side, sign in ((in_left, density.tail_left, -1.0),
-                             (in_right, density.tail_right, 1.0)):
-        if side is None or not np.any(mask):
-            continue
-        residual = u[mask] if sign < 0 else total - u[mask]
-        t = side.quantile_beyond(np.clip(residual, 1e-300, None))
-        log_p[mask] = np.log(side.coeff) - side.exponent * np.log(t)
-
-    values = -log_p
-    mean = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / math.sqrt(n_samples))
-    return EntropyValue(value=mean, differential=True, est_error=se)

@@ -32,7 +32,6 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.special import eval_legendre, roots_legendre
 
 ENTROPY_FLOOR = 1e-300  # below this a density value is treated as exact zero
@@ -160,13 +159,6 @@ def entropy_sum(weights: np.ndarray, values: np.ndarray) -> float:
     if not np.any(mask):
         return 0.0
     return float(-np.sum(weights[mask] * p[mask] * np.log(p[mask])))
-
-
-def pchip(x: np.ndarray, y: np.ndarray) -> PchipInterpolator:
-    # image grids span many decades; silence spurious overflow in the
-    # monotone slope blend, the interpolant itself stays finite
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return PchipInterpolator(x, y)
 
 
 @lru_cache(maxsize=16)

@@ -22,8 +22,9 @@ rows of the degenerate pair (1, 1), read them in any order and take none
 twice.  A check builds only the rows it returns, from one power sum per
 density and order: one helper builds every "first + second >= bound" row,
 one a norm, Renyi-sum or Tsallis-sum row and its swapped twin.  The binned
-sums are taken when the bins are (entropy.bin_pair, BinnedSums.of), so no
-check holds or reads a bin.
+sums are taken when the bins are drawn (entropy.bin_pair folds each
+RandomEdges stream through entropy.binned_sums), so no check holds or reads
+a bin.
 """
 
 from __future__ import annotations

@@ -98,8 +98,7 @@ class RunConfig:
                                   f"keys but {', '.join(_STATE_KEYS)}")
             args, seed = spec.get("shape_args") or [], spec.get("seed")
             if not (isinstance(args, (list, tuple)) and all(map(_finite, args))
-                    and (seed is None or isinstance(seed, numbers.Integral)
-                         and seed >= 0)):
+                    and (seed is None or _seed(seed))):
                 raise ConfigError(f"state {spec!r} needs a list of numbers "
                                   "as shape_args and an integer seed >= 0")
             try:
@@ -113,7 +112,7 @@ class RunConfig:
             raise ConfigError(f"bins keys must be among {', '.join(_BINS)}")
         dmin, dmax, seed = self.binning
         if not (_finite(dmin) and _finite(dmax) and 0 < dmin <= dmax
-                and isinstance(seed, numbers.Integral) and seed >= 0):
+                and _seed(seed)):
             raise ConfigError("bins need 0 < delta_min <= delta_max and an "
                               "integer seed >= 0")
         if self.format not in ("json", "csv"):
@@ -132,6 +131,11 @@ class RunConfig:
 def _finite(value) -> bool:
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and math.isfinite(value))
+
+
+def _seed(value) -> bool:
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= 0)
 
 
 def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> RunConfig:

@@ -172,13 +172,6 @@ def fourier_q_to_x(state: PureState, x_grid: Grid) -> np.ndarray:
     return _fourier_sum(1.0, x, q, coeff)[0]
 
 
-def fourier_x_to_q(psi: np.ndarray, x_grid: Grid, q_grid: Grid) -> np.ndarray:
-    """phi at the nodes of q_grid by quadrature of psi against e^{-iqx} on
-    x_grid; no renormalization."""
-    coeff = x_grid.weights * np.asarray(psi, dtype=complex)
-    return _fourier_sum(-1.0, q_grid.nodes, x_grid.nodes, coeff)[0]
-
-
 # ---------------------------------------------------------------------------
 # X grids: step and extent
 # ---------------------------------------------------------------------------

@@ -114,6 +114,8 @@ class TestVerify:
         '"seed": 1}]}',
         '{"bins": {"delta_mim": 0.5}}',
         '{"bins": {"seed": 1.7}}',
+        '{"bins": {"seed": true}}',
+        '{"states": [{"name": "random_fourier_q", "seed": true}]}',
         '{"states": [{"name": "random_fourier_q", "shape_args": [4], '
         '"seed": 1}, {"name": "random_fourier_q", "shape_args": [8], '
         '"seed": 1}]}',
@@ -137,6 +139,7 @@ class TestVerify:
             "inverted_bins", "text_bins_seed", "text_tolerance",
             "tolerance_override", "numeric_output_path", "margin_offset",
             "unknown_state_key", "unknown_bins_key", "fractional_bins_seed",
+            "bool_bins_seed", "bool_state_seed",
             "repeated_state", "repeated_sigma", "fractional_modes",
             "extra_width", "flat_state_args", "cosine_state_args",
             "method_key", "property_key", "negative_beta", "zero_sigma",

@@ -95,7 +95,7 @@ CASES = {
                          g.ContractError, "nonnegative"),
     "renyi_order": (lambda s: g.renyi_and_norm(_density(_FLAT), 0.0),
                     g.InvalidParameterError, "positive"),
-    "discrete_renyi_order": (lambda s: g.discrete_renyi_and_norm(_DIST, -1.0),
+    "discrete_renyi_order": (lambda s: g.discrete_renyi(_DIST, -1.0),
                              g.InvalidParameterError, "positive"),
     "binned_sums_order": (lambda s: g.BinnedSums.of(_DIST, (2.0,))
                           .renyi_and_norm(3.0),
@@ -105,8 +105,6 @@ CASES = {
     "bin_edges": (lambda s: g.bin_density(_density(_FLAT),
                                           np.array([-1.0, 0.5, 0.0, 1.0])),
                   g.ContractError, "strictly increasing"),
-    "mc_samples": (lambda s: g.mc_diff_shannon(_density(_FLAT), 1, 0),
-                   g.ContractError, "two samples"),
     "acceptance_table": (lambda s: g.custom_acceptance(np.arange(3.0),
                                                        np.full(3, 0.5)),
                          g.InvalidParameterError, ">= 4 points"),
@@ -114,6 +112,8 @@ CASES = {
                        g.InvalidParameterError, "must be positive"),
     "sf_bound_beta": (lambda s: g.s_f_gaussian_bound(1.0, 0.0),
                       g.InvalidParameterError, "must be positive"),
+    "params_bool": (lambda s: g.make_params(True),
+                    g.InvalidParameterError, "finite, got True"),
     "q_to_k_domain": (lambda s: g.density_q_to_k(_density(_FLAT),
                                                  g.make_params(1.0)),
                       g.ContractError, "Q-tagged"),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import gupcert as g
 from conftest import random_discrete
 from gupcert import entropy, quadrature
+from oracles import mc_diff_shannon
 
 
 def uniform_density(length, n=801):
@@ -326,8 +327,8 @@ class TestBinPair:
 
     def test_sums_are_the_discrete_sums_of_the_bins(self, cosine_rep,
                                                      monkeypatch):
-        # each entry is discrete_renyi_and_norm of the same bins, float for
-        # float, Shannon at order 1 and the sup limits at order inf
+        # each entry is the one-block BinnedSums.of of the same bins, float
+        # for float, Shannon at order 1 and the sup limits at order inf
         orders = (1.0, 1.5, 0.75, 2.0, 2.0 / 3.0, 4.0, 4.0 / 7.0, math.inf)
         held = _holding_bins(monkeypatch)
         binned = g.bin_pair(np.random.default_rng(4), cosine_rep.u_k,
@@ -339,7 +340,7 @@ class TestBinPair:
             assert list(sums.sums) == list(orders)
             for order in orders:
                 assert sums.renyi_and_norm(order) == \
-                    g.discrete_renyi_and_norm(dist, order)
+                    g.BinnedSums.of(dist, (order,)).renyi_and_norm(order)
 
     def test_cauchy_sums_hold_no_bin_length_array(self, uniform_rep,
                                                   monkeypatch):
@@ -473,7 +474,7 @@ class TestDiscreteEntropies:
         probs = np.array([0.5, 0.498, 0.002])
         dist = g.DiscreteDist(edges=np.arange(4.0), probs=probs,
                               prob_errors=np.array([1e-3, 4e-3, 1e-3]))
-        r, norm = g.discrete_renyi_and_norm(dist, math.inf)
+        r, norm = g.BinnedSums.of(dist, (math.inf,)).renyi_and_norm(math.inf)
         assert norm == 0.5 and r.value == -math.log(0.5)
         # the 0.498 bin may rise 2e-3 above max p, more than 0.5 may move
         assert r.est_error == pytest.approx(2e-3 / 0.5, rel=1e-9)
@@ -498,7 +499,8 @@ class TestDiscreteEntropies:
                               prob_errors=errors[held])
         for order in orders:
             (renyi, norm), (want, want_norm) = (
-                tiled[order], g.discrete_renyi_and_norm(live, order))
+                tiled[order],
+                g.BinnedSums.of(live, (order,)).renyi_and_norm(order))
             assert norm == pytest.approx(want_norm, rel=1e-15)
             assert renyi.value == pytest.approx(want.value, rel=1e-15)
             assert renyi.est_error == pytest.approx(want.est_error, rel=1e-15)
@@ -594,18 +596,22 @@ class TestBinningLemma:
 
 
 class TestMonteCarlo:
+    def test_needs_two_samples(self):
+        with pytest.raises(g.ContractError, match="two samples"):
+            mc_diff_shannon(uniform_density(1.0, n=5), 1, 0)
+
     def test_gaussian(self, gauss_rep_small_beta):
         h = g.diff_shannon(gauss_rep_small_beta.v_q)
-        mc = g.mc_diff_shannon(gauss_rep_small_beta.v_q, 400_000, seed=7)
+        mc = mc_diff_shannon(gauss_rep_small_beta.v_q, 400_000, seed=7)
         assert abs(mc.value - h.value) <= 4.0 * mc.est_error
 
     def test_uniform_zero_variance(self, uniform_rep):
-        mc = g.mc_diff_shannon(uniform_rep.v_q, 50_000, seed=3)
+        mc = mc_diff_shannon(uniform_rep.v_q, 50_000, seed=3)
         assert mc.value == pytest.approx(math.log(math.pi), abs=1e-9)
         assert mc.est_error < 1e-12
 
     def test_cauchy(self, uniform_rep):
-        mc = g.mc_diff_shannon(uniform_rep.u_k, 400_000, seed=5)
+        mc = mc_diff_shannon(uniform_rep.u_k, 400_000, seed=5)
         assert abs(mc.value - math.log(4 * math.pi)) <= 4.0 * mc.est_error
 
     def test_position_tails(self, uniform_rep):
@@ -614,5 +620,5 @@ class TestMonteCarlo:
         # the tail models
         d = uniform_rep.w_x
         assert min(d.tail_masses) > 2e-4
-        mc = g.mc_diff_shannon(d, 200_000, seed=3)
+        mc = mc_diff_shannon(d, 200_000, seed=3)
         assert abs(mc.value - g.diff_shannon(d).value) <= 2.0 * mc.est_error

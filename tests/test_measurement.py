@@ -7,8 +7,9 @@ from scipy.special import erfc
 
 import gupcert as g
 from gupcert import measurement
-from gupcert.quadrature import composite_rule, pchip
+from gupcert.quadrature import composite_rule
 from gupcert.tails import TailSide
+from oracles import pchip
 
 
 def _raised_cosine2():

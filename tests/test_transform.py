@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import gupcert as g
 from gupcert import transform
 from exact_psi import psi, q0_of, renyi2_x
+from oracles import fourier_x_to_q, pchip
 
 # shape_args and seed of each catalog state held against its closed forms
 _EXACT = {"uniform_q": ((), None), "raised_cosine_q": ((), None),
@@ -138,7 +139,7 @@ class TestFourier:
         st_ = g.catalog_state("truncated_gaussian_q", p, shape_args=[1.0])
         grid = g.x_density(st_).grid
         psi = g.fourier_q_to_x(st_, grid)
-        back = g.fourier_x_to_q(psi, grid, st_.grid)
+        back = fourier_x_to_q(psi, grid, st_.grid)
         err2 = st_.grid.integrate(np.abs(back - st_.amplitudes) ** 2)
         assert math.sqrt(err2) < 1e-6
 
@@ -155,7 +156,7 @@ class TestFourier:
         st_ = g.catalog_state(name, params_1, shape_args=shape, seed=seed)
         w = g.x_density(st_)
         psi = g.fourier_q_to_x(st_, w.grid)
-        back = g.fourier_x_to_q(psi, w.grid, st_.grid)
+        back = fourier_x_to_q(psi, w.grid, st_.grid)
         err2 = st_.grid.integrate(np.abs(back - st_.amplitudes) ** 2)
         floor = math.sqrt(max(w.tail_mass_bound, 1e-18))
         assert math.sqrt(err2) < max(8.0 * floor, 1e-6)
@@ -301,7 +302,6 @@ class TestFourier:
         st_ = g.catalog_state("truncated_gaussian_q", p_small, shape_args=[1.0])
         v = g.q_density(st_)
         u = g.density_q_to_k(v, p_small)
-        from gupcert.quadrature import pchip
         interp = pchip(v.grid.nodes, v.values)
         sel = np.abs(u.grid.nodes) < 20.0
         diff = np.abs(u.values[sel] - interp(u.grid.nodes[sel]))
