@@ -14,6 +14,7 @@ states and densities can safely be evaluated in parallel.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -23,8 +24,8 @@ import numpy as np
 
 from .errors import (ContractError, DegenerateStateError,
                      InvalidParameterError, MomentDivergenceError)
-from .quadrature import (ENTROPY_FLOOR, entropy_sum, lattice_error,
-                         panel_error, symmetric_rule)
+from .quadrature import (ENTROPY_FLOOR, lattice_error, panel_error,
+                         symmetric_rule)
 from .tails import TailSide, outside_masses
 
 NORM_TOL = 1e-8          # DensityFn normalization defect tolerance
@@ -61,10 +62,26 @@ class MinLengthParams:
         return math.pi / (2.0 * math.sqrt(self.beta)) if self.deformed else math.inf
 
 
+def _finite(value) -> bool:
+    """A real number, not a bool, that is finite as a float: an integer too
+    large for a float is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _seed(value) -> bool:
+    """An integer >= 0 that is not a bool."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= 0)
+
+
 def make_params(beta: float) -> MinLengthParams:
     """Validate beta; the auxiliary half-width q0 follows from it."""
-    if isinstance(beta, bool) or not (isinstance(beta, (int, float))
-                                      and math.isfinite(beta)):
+    if not _finite(beta):
         raise InvalidParameterError(f"beta must be finite, got {beta!r}")
     if beta < 0.0:
         raise InvalidParameterError(f"beta must be nonnegative, got {beta}")
@@ -407,7 +424,7 @@ def _entropy_probe(state: PureState) -> float:
     """H(Q) + H(K) pulled back to the Q grid; drives resolution doubling."""
     v = state.density_values()
     w = state.grid.weights
-    hq = entropy_sum(w, v)
+    hq = DensityFn(grid=state.grid, values=v).shannon.value
     beta = state.params.beta
     if beta == 0.0:
         return 2.0 * hq
@@ -436,6 +453,7 @@ def check_catalog_args(name: str, shape_args: Sequence[float],
                        seed: Optional[int]) -> None:
     """Reject arguments that the named catalog state would not use as given.
 
+    shape_args must be finite numbers and a seed an integer >= 0.
     uniform_q and raised_cosine_q take no shape_args, truncated_gaussian_q
     exactly one width s > 0, and random_fourier_q at most one whole mode
     count m >= 1 and a seed to draw from; any other shape_args would be
@@ -443,6 +461,11 @@ def check_catalog_args(name: str, shape_args: Sequence[float],
     """
     if name not in CATALOG_NAMES:
         raise InvalidParameterError(f"unknown catalog state {name!r}")
+    if not all(map(_finite, shape_args)):
+        raise InvalidParameterError("shape_args must be finite numbers")
+    if not (seed is None or _seed(seed)):
+        raise InvalidParameterError(f"seed must be an integer >= 0, got "
+                                    f"{seed!r}")
     n = len(shape_args)
     if name in ("uniform_q", "raised_cosine_q") and n:
         raise InvalidParameterError(f"{name} takes no shape_args")
@@ -533,7 +556,6 @@ def _shannon(density: DensityFn) -> EntropyValue:
     w, p = density.grid.weights, density.values
     live = p > ENTROPY_FLOOR
     log_p = np.log(np.clip(p, ENTROPY_FLOOR, None))
-    # entropy_sum's value and product order, with the logarithms above
     grid_part = float(-np.sum(w[live] * p[live] * log_p[live]))
     tail = 0.0
     if density.tail_mass_bound > 0.0:

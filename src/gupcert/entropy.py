@@ -18,10 +18,11 @@ over the coverage windows of a (wavenumber, position) pair as RandomEdges
 streams and folds each through binned_sums, in two passes over blocks of
 bins on the thread pool of quadrature, into the BinnedSums the binned
 checks read.  Of a heavy-tailed density's millions of bins only the CDF
-values at the edges are held.  bin_density, random_edges, density_cdf and
-the discrete_* functions serve only tests, demos and the bench tracer:
-bin_density fills a DiscreteDist by the same per-block arithmetic, and
-BinnedSums.of reduces a DiscreteDist, filled so or built by hand.
+values at the edges are held; the first pass reads them and takes from
+them the probabilities' sum, the second folds the bins.  bin_density,
+random_edges, density_cdf and the discrete_* functions serve only tests,
+demos and the bench tracer: bin_density fills a DiscreteDist by the same
+per-block arithmetic, and BinnedSums.of reduces a DiscreteDist.
 
 Every Renyi entropy, norm and Tsallis entropy of order a reads one power
 sum S_a = sum_j w_j p_j^a (w_j = 1 for bins, tail integrals added for
@@ -53,9 +54,6 @@ from .quadrature import ENTROPY_FLOOR
 
 _BUMP_PEAK = 4.0  # bound on 15/4, a pair's peak-to-mean interpolation error
 _OUTSIDE_MASS = 3e-7  # mass per side left outside a coverage window
-# bins per slice of the normalization sum: fixed, so that the probabilities
-# do not depend on quadrature._BLOCK_ENTRIES
-_NORM_SLICE = 2 ** 16
 
 
 # ---------------------------------------------------------------------------
@@ -427,21 +425,25 @@ class RandomEdges:
 
 
 def _edge_cdf(cdf_of: DensityCdf, source: _EdgeArray | RandomEdges
-              ) -> tuple[np.ndarray, float]:
+              ) -> tuple[np.ndarray, float, float, tuple[int, float]]:
     """The CDF values at the edges of `source`, the one array of bin length
-    the binning holds, and the widest bin's width.
+    the binning holds, the widest bin's width, the sum of the bins'
+    _binned_probs and the index and value of the largest.
 
     Each block of edges is read from the CDF once, on the pool
-    (quadrature.map_blocks).  Raises ContractError on fewer than two edges,
-    on edges that do not increase, and on bins that miss more than 1e-6 of
-    the mass.
+    (quadrature.map_blocks), and forms its bins' probabilities from those
+    values.  Before the clip at zero they telescope to exactly 1, so their
+    sum is 1 plus what the clip adds, summed exactly by math.fsum: it does
+    not depend on the blocks or the pool.  Raises ContractError on fewer
+    than two edges, on edges that do not increase, and on bins that miss
+    more than 1e-6 of the mass.
     """
     n = source.size - 1
     if n < 1:
         raise ContractError("need at least two bin edges")
     cdf = np.empty(n + 1)
 
-    def read(start: int) -> float:
+    def read(start: int) -> tuple[float, np.ndarray, int, float]:
         at = source.block(start)
         widths = np.subtract(at[1:], at[:-1])
         if np.any(widths <= 0.0):
@@ -449,48 +451,36 @@ def _edge_cdf(cdf_of: DensityCdf, source: _EdgeArray | RandomEdges
         values = cdf_of(at)
         first = 0 if start == 0 else 1  # the block before writes its edge
         cdf[start + first:start + at.size] = values[first:]
-        return float(np.max(widths))
+        probs, clipped = _binned_probs(values, start == 0,
+                                        start + at.size == cdf.size)
+        i = int(np.argmax(probs))
+        return float(np.max(widths)), clipped, start + i, float(probs[i])
 
-    delta_max = max(quadrature.map_blocks(read, source.starts()))
+    parts = quadrature.map_blocks(read, source.starts())
     coverage = cdf[-1] - cdf[0]
     if coverage < 1.0 - 1e-6:
         raise ContractError(f"bins cover only {coverage:.8f} of the mass")
-    return cdf, delta_max
+    total = 1.0 + math.fsum(x for part in parts for x in part[1])
+    _, _, i_top, top = max(parts, key=lambda part: part[3])  # the first
+    return cdf, max(part[0] for part in parts), total, (i_top, top)
 
 
-def _binned_probs(cdf: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """The probabilities of bins start to stop - 1, before normalization,
-    from the CDF values `cdf` at all the edges: their differences, with the
-    mass below the first edge and above the last folded into the end bins,
-    clipped at zero.  Each bin's value depends on its two edges alone, so
-    any slicing of the bins gives the same floats."""
-    probs = np.subtract(cdf[start + 1:stop + 1], cdf[start:stop])
-    if start == 0:
+def _binned_probs(cdf: np.ndarray, first: bool,
+                  last: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The probabilities of the bins between the edges whose CDF values are
+    `cdf`, before normalization, and what their clip at zero added: the
+    differences of those values, with the mass below the first edge folded
+    into the first bin when the run holds the first bin and the mass above
+    the last edge into the last when it holds the last, clipped at zero.
+    Each bin's value depends on its two edges alone, so any run of the bins
+    gives the same floats."""
+    probs = np.subtract(cdf[1:], cdf[:-1])
+    if first:
         probs[0] += cdf[0]
-    if stop == cdf.size - 1:
+    if last:
         probs[-1] += 1.0 - cdf[-1]
-    return np.clip(probs, 0.0, None, out=probs)
-
-
-def _normalization(cdf: np.ndarray) -> tuple[float, int, float]:
-    """The sum of the _binned_probs of the CDF values `cdf`, the index of
-    the largest and its value.  They are formed on the pool in slices of
-    _NORM_SLICE bins, whose sums are added in order, so the sum does not
-    depend on the pool or on the block size of the passes."""
-    n = cdf.size - 1
-
-    def part(start: int) -> tuple[float, int, float]:
-        probs = _binned_probs(cdf, start, min(start + _NORM_SLICE, n))
-        i = int(np.argmax(probs))
-        return float(np.sum(probs)), start + i, float(probs[i])
-
-    total, i_top, top = 0.0, 0, -1.0
-    for part_sum, i, value in quadrature.map_blocks(
-            part, range(0, n, _NORM_SLICE)):
-        total += part_sum
-        if value > top:  # the first of equal largest values, as np.argmax
-            i_top, top = i, value
-    return total, i_top, top
+    clipped = -probs[probs < 0.0]
+    return np.clip(probs, 0.0, None, out=probs), clipped
 
 
 def _binned(density: DensityFn | DensityCdf, source: _EdgeArray | RandomEdges):
@@ -501,19 +491,20 @@ def _binned(density: DensityFn | DensityCdf, source: _EdgeArray | RandomEdges):
 
     Only the CDF values at the edges (_edge_cdf) are held; each block's
     probabilities are formed again from them (_binned_probs) and divided by
-    their sum (_normalization), the same floats in every pass.
+    the sum _edge_cdf took, the same floats in every pass.
     """
     cdf_of = (density if isinstance(density, DensityCdf)
               else DensityCdf(density))
-    cdf, delta_max = _edge_cdf(cdf_of, source)
-    total, i_top, top = _normalization(cdf)
+    cdf, delta_max, total, (i_top, top) = _edge_cdf(cdf_of, source)
     errors_of = cdf_of.bin_errors(cdf.size - 1)
 
     def block(start: int) -> tuple[np.ndarray, np.ndarray]:
         at = source.block(start)
-        probs = _binned_probs(cdf, start, start + at.size - 1)
+        values = cdf[start:start + at.size]
+        probs, _ = _binned_probs(values, start == 0,
+                                 start + at.size == cdf.size)
         probs /= total
-        return probs, errors_of(start, at, cdf[start:start + at.size], probs)
+        return probs, errors_of(start, at, values, probs)
 
     return delta_max, (i_top, top / total), block
 
@@ -523,13 +514,13 @@ def bin_density(density: DensityFn | DensityCdf,
     """Interval probabilities of a density, out-of-range mass folded inward.
 
     The edges must capture at least 1 - 1e-6 of the mass; what little lies
-    outside is folded into the first and last bins so the discrete
-    distribution is exactly normalized.  The density may come as the
-    DensityCdf a caller already built for it.  Each probability carries the
-    error bound of DensityCdf.bin_errors.  The distribution holds three
-    arrays of bin length, and the CDF values at the edges are a fourth
-    until the bounds are formed; binned_sums reduces the same bins to their
-    power sums while holding only the CDF values.
+    outside is folded into the first and last bins, and the CDF differences
+    clipped at zero are divided by their sum, 1 plus what the clip added.
+    The density may come as the DensityCdf a caller already built for it.
+    Each probability carries the error bound of DensityCdf.bin_errors.  The
+    distribution holds three arrays of bin length, and the CDF values at
+    the edges are a fourth until the bounds are formed; binned_sums reduces
+    the same bins to their power sums while holding only the CDF values.
     """
     source = _EdgeArray(np.asarray(edges, dtype=float))
     _, _, block = _binned(density, source)
@@ -552,14 +543,14 @@ def binned_sums(density: DensityFn | DensityCdf,
     block; the edges may come as an array or as a RandomEdges stream.
 
     Two passes run over blocks of quadrature._BLOCK_ENTRIES bins, each on
-    the pool, with a normalization step between them.  The first reads the
-    CDF at each block's edges into the CDF values; the step sums the
-    probabilities those values give, in fixed slices; the second forms
-    each block's probabilities again from the same CDF values, divides
-    them by that sum, forms their error bounds and adds the block's share
-    of every order's sums.  So the CDF values are the only array of bin
-    length: a stream's edges are drawn again in each pass rather than
-    held.  The shares are added in block order, so the result equals the
+    the pool.  The first reads the CDF at each block's edges into the CDF
+    values and takes from them what the clip of its probabilities at zero
+    adds to their sum, and its largest probability; the second forms each
+    block's probabilities again from the same CDF values, divides them by
+    the sum, forms their error bounds and adds the block's share of every
+    order's sums.  So the CDF values are the only array of bin length: a
+    stream's edges are drawn again in each pass rather than held.  The
+    shares are added in block order, so the result equals the
     distribution's own sums float for float within one block and to the
     rounding of a blocked sum beyond, and does not depend on the pool.
     """

@@ -16,7 +16,7 @@ its every-other-node subsample (Trefethen & Weideman, SIAM Rev. 56 (2014)
 385).
 
 The dense kernel sums behind every Fourier transform and tabulated `J`, and
-the passes over the bins of `entropy.binned_sums`, run their blocks on
+the two passes over the bins of `entropy.binned_sums`, run their blocks on
 one pool of two threads (`map_blocks`).  Each block does the same
 arithmetic whichever thread runs it, and its results are taken in block
 order, so the sums do not depend on the pool.  The block size,
@@ -150,15 +150,6 @@ def map_blocks(fn, blocks: Sequence) -> list:
     if len(blocks) < 2:
         return [fn(block) for block in blocks]
     return list(_pool().map(fn, blocks))
-
-
-def entropy_sum(weights: np.ndarray, values: np.ndarray) -> float:
-    """-sum(w * p * ln p) with the 0 ln 0 := 0 convention."""
-    p = np.asarray(values, dtype=float)
-    mask = p > ENTROPY_FLOOR
-    if not np.any(mask):
-        return 0.0
-    return float(-np.sum(weights[mask] * p[mask] * np.log(p[mask])))
 
 
 @lru_cache(maxsize=16)

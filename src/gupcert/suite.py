@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 import zlib
 from contextlib import contextmanager
@@ -31,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import relations as rel
-from .core import (BOX_STATES, CATALOG_NAMES, catalog_state,
+from .core import (BOX_STATES, CATALOG_NAMES, _finite, _seed, catalog_state,
                    check_catalog_args, make_params)
 from .entropy import bin_pair, diff_shannon
 from .errors import (ConfigError, GupcertError, InvalidParameterError,
@@ -96,13 +95,12 @@ class RunConfig:
                 raise ConfigError(f"state {spec!r} must name one of "
                                   f"{', '.join(CATALOG_NAMES)} and have no "
                                   f"keys but {', '.join(_STATE_KEYS)}")
-            args, seed = spec.get("shape_args") or [], spec.get("seed")
-            if not (isinstance(args, (list, tuple)) and all(map(_finite, args))
-                    and (seed is None or _seed(seed))):
+            args = spec.get("shape_args") or []
+            if not isinstance(args, (list, tuple)):
                 raise ConfigError(f"state {spec!r} needs a list of numbers "
-                                  "as shape_args and an integer seed >= 0")
+                                  "as shape_args")
             try:
-                check_catalog_args(spec["name"], args, seed)
+                check_catalog_args(spec["name"], args, spec.get("seed"))
             except InvalidParameterError as exc:
                 raise ConfigError(f"state {spec!r}: {exc}") from exc
         names = [spec["name"] for spec in self.states]
@@ -126,16 +124,6 @@ class RunConfig:
         """(delta_min, delta_max, seed) of the random bin edges."""
         bins = {**_BINS, **self.bins}
         return bins["delta_min"], bins["delta_max"], bins["seed"]
-
-
-def _finite(value) -> bool:
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _seed(value) -> bool:
-    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= 0)
 
 
 def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> RunConfig:

@@ -133,6 +133,9 @@ class TestVerify:
         '{"states": []}',
         '{"format": "xml"}',
         '[1, 2]',
+        '{"beta_grid": [1' + '0' * 400 + ']}',
+        '{"states": [{"name": "truncated_gaussian_q", "shape_args": [1'
+        + '0' * 400 + ']}]}',
     ], ids=["empty_grid", "scalar_grid", "text_in_grid", "infinite_alpha",
             "unknown_state", "unnamed_state", "unseeded_state",
             "widthless_state_beta0", "text_shape_args", "negative_seed",
@@ -143,7 +146,8 @@ class TestVerify:
             "repeated_state", "repeated_sigma", "fractional_modes",
             "extra_width", "flat_state_args", "cosine_state_args",
             "method_key", "property_key", "negative_beta", "zero_sigma",
-            "alpha_below_one", "no_states", "unknown_format", "json_array"])
+            "alpha_below_one", "no_states", "unknown_format", "json_array",
+            "huge_int_beta", "huge_int_shape_arg"])
     def test_invalid_config_exit_two(self, tmp_path, capsys, monkeypatch,
                                      text):
         monkeypatch.chdir(tmp_path)  # a report, if any, lands here
@@ -377,7 +381,11 @@ class TestShowState:
         ["--name", "bogus", "--beta", "1.0"],
         ["--name", "random_fourier_q", "--beta", "1.0", "--shape-args", "6"],
         ["--name", "uniform_q", "--beta", "0.0"],
-    ], ids=["unknown", "unseeded", "box_at_beta_zero"])
+        ["--name", "random_fourier_q", "--beta", "1.0", "--seed", "-1"],
+        ["--name", "truncated_gaussian_q", "--beta", "1.0",
+         "--shape-args", "inf"],
+    ], ids=["unknown", "unseeded", "box_at_beta_zero", "negative_seed",
+            "infinite_width"])
     def test_unbuildable_state_is_a_config_error(self, args, capsys):
         assert main(["show-state"] + args) == 2
         err = capsys.readouterr().err

@@ -114,6 +114,17 @@ CASES = {
                       g.InvalidParameterError, "must be positive"),
     "params_bool": (lambda s: g.make_params(True),
                     g.InvalidParameterError, "finite, got True"),
+    "params_huge_int": (lambda s: g.make_params(10 ** 400),
+                        g.InvalidParameterError, "beta must be finite"),
+    "catalog_negative_seed": (lambda s: g.catalog_state(
+        "random_fourier_q", g.make_params(1.0), seed=-1),
+        g.InvalidParameterError, "seed must be an integer >= 0, got -1"),
+    "catalog_bool_seed": (lambda s: g.catalog_state(
+        "random_fourier_q", g.make_params(1.0), seed=True),
+        g.InvalidParameterError, "seed must be an integer >= 0, got True"),
+    "catalog_infinite_width": (lambda s: g.catalog_state(
+        "truncated_gaussian_q", g.make_params(1.0), shape_args=(math.inf,)),
+        g.InvalidParameterError, "shape_args must be finite"),
     "q_to_k_domain": (lambda s: g.density_q_to_k(_density(_FLAT),
                                                  g.make_params(1.0)),
                       g.ContractError, "Q-tagged"),

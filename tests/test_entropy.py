@@ -13,6 +13,21 @@ from gupcert import entropy, quadrature
 from oracles import mc_diff_shannon
 
 
+EPS = np.finfo(float).eps
+
+
+def spike_density() -> g.DensityFn:
+    """The unit mass on the middle node of a 61-node lattice over [-3, 3]:
+    the cubic spline through it rings, so the CDF falls across some bins."""
+    nodes = np.linspace(-3.0, 3.0, 61)
+    w = np.full(61, 0.1)
+    w[0] = w[-1] = 0.05
+    values = np.zeros(61)
+    values[30] = 10.0
+    grid = g.Grid(nodes=nodes, weights=w, domain_tag=g.Domain.X)
+    return g.DensityFn(grid=grid, values=values)
+
+
 def uniform_density(length, n=801):
     nodes = np.linspace(0.0, length, n)
     w = np.full(n, length / (n - 1))
@@ -175,16 +190,22 @@ class TestBinning:
             assert edges[-2] < hi <= edges[-1]
         assert rng.random() == old_rng.random()
 
-    @pytest.mark.parametrize("fixture", ["uniform_rep", "cosine_rep"])
+    @pytest.mark.parametrize("fixture", ["uniform_rep", "cosine_rep",
+                                         "spike"])
     def test_bin_errors_do_not_depend_on_the_block(self, fixture, request,
                                                    monkeypatch):
         # the probabilities and bin_errors run the same arithmetic bin by
         # bin in blocks of bins, each block's CDF values read in one pass:
         # any block size, one block for all bins included, gives the same
         # floats.  uniform_q's K window ends in tail-model bins on both
-        # sides; raised_cosine_q's has none.
-        rep = request.getfixturevalue(fixture)
-        for density in (rep.u_k, rep.w_x):
+        # sides; raised_cosine_q's has none.  The spike's CDF falls on some
+        # bins, whose differences the clip at zero raises.
+        if fixture == "spike":
+            densities = (spike_density(),)
+        else:
+            rep = request.getfixturevalue(fixture)
+            densities = (rep.u_k, rep.w_x)
+        for density in densities:
             cdf_of = g.DensityCdf(density)
             edges = np.linspace(*cdf_of.coverage_window(), 2001)
             results = []
@@ -194,6 +215,10 @@ class TestBinning:
                 results.append((cdf_of(edges).tobytes(), dist.probs.tobytes(),
                                 dist.prob_errors.tobytes()))
             assert results[1:] == results[:1] * 3
+        if fixture == "spike":
+            assert np.any(np.diff(cdf_of(edges)) < 0.0)
+            assert np.all(dist.probs >= 0.0)
+            assert abs(float(np.sum(dist.probs)) - 1.0) <= 4 * EPS
 
     def test_binning_reads_the_spline_once_per_block_per_pass(
             self, cosine_rep, monkeypatch):
@@ -383,7 +408,8 @@ class TestBinPair:
                                                          monkeypatch):
         # the 2.1 M bins of the Cauchy wavenumber distribution, in 33 or
         # more blocks on the pool, give the sums of the same blocks run one
-        # by one on the calling thread, float for float
+        # by one on the calling thread, float for float; the two passes
+        # submit each block once each
         orders = (1.0, 1.5, 2.0 / 3.0, 4.0, 4.0 / 7.0, math.inf)
         cdf_of = g.DensityCdf(uniform_rep.u_k)
         window = cdf_of.coverage_window()
@@ -399,7 +425,7 @@ class TestBinPair:
         monkeypatch.setattr(pool, "submit",
                             lambda *a: submitted.append(1) or submit(*a))
         pooled, blocks = sums()
-        assert blocks >= 33 and len(submitted) >= 2 * blocks
+        assert blocks >= 33 and len(submitted) == 2 * blocks
         monkeypatch.setattr(quadrature, "map_blocks",
                             lambda fn, items: [fn(item) for item in items])
         submitted.clear()

@@ -146,15 +146,27 @@ def test_verify_cell_takes_each_shannon_entropy_once(monkeypatch, alpha_grid):
     # Beckner and smeared Renyi rows are those Shannon rows, so an order of
     # 1 takes none again.  The binned smeared pair is summed at order 1
     # only when a pair is degenerate.  The spies sit on the functional that
-    # fills DensityFn.shannon and on the sums of each binned distribution.
+    # fills DensityFn.shannon and on the sums of each binned distribution;
+    # the entropies that pick a catalog state's resolution, taken while the
+    # state is built, are not the cell's and are left out.
     from gupcert import core
 
     taken = []  # holding every argument keeps the ids unique
+    building = []
     real_shannon = core._shannon
     real_sums = entropy.binned_sums
+    real_build = core._build_catalog_state
+
+    def build(*args):
+        building.append(True)
+        try:
+            return real_build(*args)
+        finally:
+            building.pop()
 
     def shannon(dens):
-        taken.append(dens)
+        if not building:
+            taken.append(dens)
         return real_shannon(dens)
 
     def discrete(density, edges, orders):
@@ -163,6 +175,7 @@ def test_verify_cell_takes_each_shannon_entropy_once(monkeypatch, alpha_grid):
         return real_sums(density, edges, orders)
 
     monkeypatch.setattr(core, "_shannon", shannon)
+    monkeypatch.setattr(core, "_build_catalog_state", build)
     monkeypatch.setattr(entropy, "binned_sums", discrete)
     config = RunConfig(beta_grid=[1.0], sigma_grid=[0.5, 2.0],
                        alpha_grid=alpha_grid,
