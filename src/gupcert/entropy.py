@@ -461,7 +461,8 @@ def _edge_cdf(cdf_of: DensityCdf, source: _EdgeArray | RandomEdges
     if coverage < 1.0 - 1e-6:
         raise ContractError(f"bins cover only {coverage:.8f} of the mass")
     total = 1.0 + math.fsum(x for part in parts for x in part[1])
-    _, _, i_top, top = max(parts, key=lambda part: part[3])  # the first
+    # the first of equal largest values, as np.argmax
+    _, _, i_top, top = max(parts, key=lambda part: part[3])
     return cdf, max(part[0] for part in parts), total, (i_top, top)
 
 
