@@ -117,9 +117,9 @@ class Grid:
         object.__setattr__(self, "weights", _freeze(np.asarray(self.weights, float)))
         if self.nodes.ndim != 1 or self.nodes.shape != self.weights.shape:
             raise ContractError("grid nodes and weights must be matching 1-d vectors")
-        if np.any(np.diff(self.nodes) <= 0.0):
+        if not np.all(np.diff(self.nodes) > 0.0):
             raise ContractError("grid nodes must be strictly increasing")
-        if np.any(self.weights <= 0.0):
+        if not np.all(self.weights > 0.0):
             raise ContractError("grid weights must be positive")
         n = self.panel_nodes
         if n != 0 and not (n >= 4 and self.nodes.size % n == 0):
@@ -163,12 +163,12 @@ class DensityFn:
         object.__setattr__(self, "values", _freeze(np.asarray(self.values, float)))
         if self.values.shape != self.grid.nodes.shape:
             raise ContractError("density values must match the grid")
-        if np.any(self.values < -1e-12):
+        if not np.all(self.values >= -1e-12):
             raise ContractError("density values must be nonnegative")
-        if self.tail_mass_bound < 0.0:
+        if not self.tail_mass_bound >= 0.0:
             raise ContractError("tail_mass_bound must be nonnegative")
         defect = abs(self.grid.integrate(self.values) + self.tail_mass_bound - 1.0)
-        if defect > NORM_TOL:
+        if not defect <= NORM_TOL:
             raise ContractError(
                 f"density not normalized: quadrature + tail misses 1 by {defect:.3e}")
 
@@ -223,12 +223,12 @@ class DiscreteDist:
             raise ContractError("probability errors must match the "
                                 "probabilities and be nonnegative")
         widths = np.diff(self.edges)  # read once, for the check and delta_max
-        if np.any(widths <= 0.0):
+        if not np.all(widths > 0.0):
             raise ContractError("bin edges must be strictly increasing")
         object.__setattr__(self, "delta_max", float(np.max(widths)))
-        if np.any(self.probs < 0.0):
+        if not np.all(self.probs >= 0.0):
             raise ContractError("bin probabilities must be nonnegative")
-        if abs(float(np.sum(self.probs)) - 1.0) > 1e-10:
+        if not abs(float(np.sum(self.probs)) - 1.0) <= 1e-10:
             raise ContractError("bin probabilities must sum to one")
 
 

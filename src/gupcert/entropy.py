@@ -15,14 +15,13 @@ reference these estimates rather than absolute truth.
 
 Binning has one path in the library: bin_pair lays random-width bins
 over the coverage windows of a (wavenumber, position) pair as RandomEdges
-streams and folds each through binned_sums, in two passes over blocks of
+streams and folds each through binned_sums, in one pass over blocks of
 bins on the thread pool of quadrature, into the BinnedSums the binned
-checks read.  Of a heavy-tailed density's millions of bins only the CDF
-values at the edges are held; the first pass reads them and takes from
-them the probabilities' sum, the second folds the bins.  bin_density,
-random_edges, density_cdf and the discrete_* functions serve only tests,
-demos and the bench tracer: bin_density fills a DiscreteDist by the same
-per-block arithmetic, and BinnedSums.of reduces a DiscreteDist.
+checks read.  Each block reads the CDF at its edges and folds its own
+bins, so of a heavy-tailed density's millions of bins none is held.
+bin_density, random_edges, density_cdf and the discrete_* functions serve
+only tests, demos and the bench tracer: bin_density fills a DiscreteDist
+by the same per-block arithmetic, and BinnedSums.of reduces a DiscreteDist.
 
 Every Renyi entropy, norm and Tsallis entropy of order a reads one power
 sum S_a = sum_j w_j p_j^a (w_j = 1 for bins, tail integrals added for
@@ -136,20 +135,23 @@ def _sup_renyi(density: DensityFn) -> tuple[EntropyValue, float]:
     """R_inf = -ln sup p and ||p||_inf = sup p, read at the largest node.
 
     That node can only under-read the supremum, so the error adds the rise
-    of the parabola through it and its two neighbours over their span.
+    of the parabola through it and its two neighbours over their span; on
+    fewer than three nodes the linear interpolant peaks at a node, with no
+    rise.
     """
     x, p = density.grid.nodes, density.values
     i = int(np.argmax(p))
     p_max = float(p[i])
-    j = min(max(i, 1), p.size - 2)  # the middle of the three nodes
-    (x0, x1, x2), (y0, y1, y2) = x[j - 1:j + 2], p[j - 1:j + 2]
-    slope = (y1 - y0) / (x1 - x0)
-    curv = ((y2 - y1) / (x2 - x1) - slope) / (x2 - x0)
     rise = 0.0
-    if curv < 0.0:
-        top = min(max(0.5 * (x0 + x1 - slope / curv), x0), x2)
-        rise = max(0.0, float(y0 + (top - x0) * (slope + curv * (top - x1)))
-                   - p_max)
+    if p.size >= 3:
+        j = min(max(i, 1), p.size - 2)  # the middle of the three nodes
+        (x0, x1, x2), (y0, y1, y2) = x[j - 1:j + 2], p[j - 1:j + 2]
+        slope = (y1 - y0) / (x1 - x0)
+        curv = ((y2 - y1) / (x2 - x1) - slope) / (x2 - x0)
+        if curv < 0.0:
+            top = min(max(0.5 * (x0 + x1 - slope / curv), x0), x2)
+            peak = float(y0 + (top - x0) * (slope + curv * (top - x1)))
+            rise = max(0.0, peak - p_max)
     return (EntropyValue(value=-math.log(p_max), differential=True,
                          est_error=rise / p_max + _VALUE_ULPS * _EPS), p_max)
 
@@ -240,7 +242,7 @@ class DensityCdf:
         """Bound on |dp_i| of the probabilities of `bins` bins read from
         this CDF, one block of bins at a time: returns a function of a
         block's first bin index, its edges, the CDF values at them and its
-        probabilities, which gives its bins' bounds.
+        probabilities before normalization, which gives its bins' bounds.
 
         Two error measures grow from left to right; the increase of their
         sum across a bin, with what lies beyond the end edges folded into
@@ -337,9 +339,12 @@ def density_cdf(density: DensityFn, points: np.ndarray) -> np.ndarray:
 class _EdgeArray:
     """Bin edges held in one array, read as a RandomEdges stream is: in
     blocks of quadrature._BLOCK_ENTRIES bins, each block's edges from its
-    first bin's lower edge to its last bin's upper edge."""
+    first bin's lower edge to its last bin's upper edge.  Raises
+    ContractError on fewer than two edges."""
 
     def __init__(self, edges: np.ndarray):
+        if edges.size < 2:
+            raise ContractError("need at least two bin edges")
         self.edges, self.size = edges, edges.size
         self._step = quadrature._BLOCK_ENTRIES
 
@@ -367,12 +372,18 @@ class RandomEdges:
     draws leave it.  `block(start)` then draws a block again from its
     saved state: uniform draws do not depend on how they are chunked and
     np.cumsum adds in sequence, so the edges are the same floats, on any
-    thread.  The last block is kept, so a stream of one block is never
-    drawn twice.  `random_edges` joins the blocks into one array.
+    thread.  The last block is kept, so a stream read once (binned_sums)
+    draws each block twice in all, and a stream of one block once.
+    `random_edges` joins the blocks into one array.
     """
 
     def __init__(self, rng: np.random.Generator, lo: float, hi: float,
                  dmin: float, dmax: float):
+        if not (lo < hi and math.isfinite(hi - lo)
+                and 0.0 < dmin <= dmax < math.inf):
+            raise InvalidParameterError(
+                "random edges need finite lo < hi and 0 < dmin <= dmax, got "
+                f"{lo!r}, {hi!r}, {dmin!r}, {dmax!r}")
         self._lo, self._dmin, self._dmax = lo, dmin, dmax
         self._step = step = quadrature._BLOCK_ENTRIES
         self._bit_generator = type(rng.bit_generator)
@@ -424,48 +435,6 @@ class RandomEdges:
         return edges
 
 
-def _edge_cdf(cdf_of: DensityCdf, source: _EdgeArray | RandomEdges
-              ) -> tuple[np.ndarray, float, float, tuple[int, float]]:
-    """The CDF values at the edges of `source`, the one array of bin length
-    the binning holds, the widest bin's width, the sum of the bins'
-    _binned_probs and the index and value of the largest.
-
-    Each block of edges is read from the CDF once, on the pool
-    (quadrature.map_blocks), and forms its bins' probabilities from those
-    values.  Before the clip at zero they telescope to exactly 1, so their
-    sum is 1 plus what the clip adds, summed exactly by math.fsum: it does
-    not depend on the blocks or the pool.  Raises ContractError on fewer
-    than two edges, on edges that do not increase, and on bins that miss
-    more than 1e-6 of the mass.
-    """
-    n = source.size - 1
-    if n < 1:
-        raise ContractError("need at least two bin edges")
-    cdf = np.empty(n + 1)
-
-    def read(start: int) -> tuple[float, np.ndarray, int, float]:
-        at = source.block(start)
-        widths = np.subtract(at[1:], at[:-1])
-        if np.any(widths <= 0.0):
-            raise ContractError("bin edges must be strictly increasing")
-        values = cdf_of(at)
-        first = 0 if start == 0 else 1  # the block before writes its edge
-        cdf[start + first:start + at.size] = values[first:]
-        probs, clipped = _binned_probs(values, start == 0,
-                                        start + at.size == cdf.size)
-        i = int(np.argmax(probs))
-        return float(np.max(widths)), clipped, start + i, float(probs[i])
-
-    parts = quadrature.map_blocks(read, source.starts())
-    coverage = cdf[-1] - cdf[0]
-    if coverage < 1.0 - 1e-6:
-        raise ContractError(f"bins cover only {coverage:.8f} of the mass")
-    total = 1.0 + math.fsum(x for part in parts for x in part[1])
-    # the first of equal largest values, as np.argmax
-    _, _, i_top, top = max(parts, key=lambda part: part[3])
-    return cdf, max(part[0] for part in parts), total, (i_top, top)
-
-
 def _binned_probs(cdf: np.ndarray, first: bool,
                   last: bool) -> tuple[np.ndarray, np.ndarray]:
     """The probabilities of the bins between the edges whose CDF values are
@@ -484,30 +453,44 @@ def _binned_probs(cdf: np.ndarray, first: bool,
     return np.clip(probs, 0.0, None, out=probs), clipped
 
 
-def _binned(density: DensityFn | DensityCdf, source: _EdgeArray | RandomEdges):
-    """The widest bin's width, the index and value of the largest
-    probability of bin_density on the edges of `source`, and a function of
-    a block's first bin index that gives its bins' probabilities and error
-    bounds (DensityCdf.bin_errors).
+def _binned(density: DensityFn | DensityCdf, source: _EdgeArray | RandomEdges,
+            fold) -> tuple[float, float, list]:
+    """The widest bin's width, the normalization Z of bin_density on the
+    edges of `source` and, in block order, fold(start, x, dx) of each block.
 
-    Only the CDF values at the edges (_edge_cdf) are held; each block's
-    probabilities are formed again from them (_binned_probs) and divided by
-    the sum _edge_cdf took, the same floats in every pass.
+    One pass runs over the blocks on the pool (quadrature.map_blocks): each
+    draws its edges, reads the CDF at them once and forms its bins'
+    probabilities before normalization, x (_binned_probs), and their
+    bounds dx (DensityCdf.bin_errors), for fold to reduce or store.  Before
+    the clip at zero the x telescope to exactly 1, so Z = sum x is 1 plus
+    what the clip adds, summed exactly by math.fsum whatever the blocks.
+    Raises ContractError on edges that are not finite and increasing and
+    on bins that miss more than 1e-6 of the mass.
     """
     cdf_of = (density if isinstance(density, DensityCdf)
               else DensityCdf(density))
-    cdf, delta_max, total, (i_top, top) = _edge_cdf(cdf_of, source)
-    errors_of = cdf_of.bin_errors(cdf.size - 1)
+    bins = source.size - 1
+    errors_of = cdf_of.bin_errors(bins)
 
-    def block(start: int) -> tuple[np.ndarray, np.ndarray]:
+    def read(start: int):
         at = source.block(start)
-        values = cdf[start:start + at.size]
-        probs, _ = _binned_probs(values, start == 0,
-                                 start + at.size == cdf.size)
-        probs /= total
-        return probs, errors_of(start, at, values, probs)
+        widths = np.subtract(at[1:], at[:-1])
+        if not (np.all(widths > 0.0) and np.all(np.isfinite(at))):
+            raise ContractError("bin edges must be finite and strictly "
+                                "increasing")
+        values = cdf_of(at)
+        x, clipped = _binned_probs(values, start == 0,
+                                   start + widths.size == bins)
+        return (float(np.max(widths)), clipped, values[[0, -1]],
+                fold(start, x, errors_of(start, at, values, x)))
 
-    return delta_max, (i_top, top / total), block
+    parts = quadrature.map_blocks(read, source.starts())
+    coverage = parts[-1][2][1] - parts[0][2][0]
+    if not coverage >= 1.0 - 1e-6:
+        raise ContractError(f"bins cover only {coverage:.8f} of the mass")
+    total = 1.0 + math.fsum(c for part in parts for c in part[1])
+    return (max(part[0] for part in parts), total,
+            [part[3] for part in parts])
 
 
 def bin_density(density: DensityFn | DensityCdf,
@@ -519,20 +502,17 @@ def bin_density(density: DensityFn | DensityCdf,
     clipped at zero are divided by their sum, 1 plus what the clip added.
     The density may come as the DensityCdf a caller already built for it.
     Each probability carries the error bound of DensityCdf.bin_errors.  The
-    distribution holds three arrays of bin length, and the CDF values at
-    the edges are a fourth until the bounds are formed; binned_sums reduces
-    the same bins to their power sums while holding only the CDF values.
+    distribution holds three arrays of bin length, filled block by block;
+    binned_sums reduces the same bins to their power sums and holds none.
     """
     source = _EdgeArray(np.asarray(edges, dtype=float))
-    _, _, block = _binned(density, source)
     probs, prob_errors = np.empty(source.size - 1), np.empty(source.size - 1)
 
-    def fill(start: int) -> None:
-        block_probs, block_errors = block(start)
-        stop = start + block_probs.size
-        probs[start:stop], prob_errors[start:stop] = block_probs, block_errors
+    def fill(start: int, x: np.ndarray, dx: np.ndarray) -> None:
+        probs[start:start + x.size], prob_errors[start:start + x.size] = x, dx
 
-    quadrature.map_blocks(fill, source.starts())
+    _, total, _ = _binned(density, source, fill)
+    probs /= total
     return DiscreteDist(edges=source.edges, probs=probs,
                         prob_errors=prob_errors)
 
@@ -543,23 +523,21 @@ def binned_sums(density: DensityFn | DensityCdf,
     """BinnedSums.of(bin_density(density, edges), orders), folded block by
     block; the edges may come as an array or as a RandomEdges stream.
 
-    Two passes run over blocks of quadrature._BLOCK_ENTRIES bins, each on
-    the pool.  The first reads the CDF at each block's edges into the CDF
-    values and takes from them what the clip of its probabilities at zero
-    adds to their sum, and its largest probability; the second forms each
-    block's probabilities again from the same CDF values, divides them by
-    the sum, forms their error bounds and adds the block's share of every
-    order's sums.  So the CDF values are the only array of bin length: a
-    stream's edges are drawn again in each pass rather than held.  The
-    shares are added in block order, so the result equals the
-    distribution's own sums float for float within one block and to the
-    rounding of a blocked sum beyond, and does not depend on the pool.
+    Each block of quadrature._BLOCK_ENTRIES bins, read once (_binned),
+    folds its own share of every order's sums (_share) and _fold combines
+    the shares with the normalization, so no array of bin length is held:
+    a stream's blocks are drawn again as they are read.  The shares are
+    combined in block order, so the result equals the distribution's own
+    sums float for float within one block and to the rounding of a blocked
+    sum beyond, and does not depend on the pool.
     """
     source = (edges if isinstance(edges, RandomEdges)
               else _EdgeArray(np.asarray(edges, dtype=float)))
-    delta_max, top, block = _binned(density, source)
+    orders = _orders(orders)
+    delta_max, total, shares = _binned(
+        density, source, lambda _, x, dx: _share(x, dx, orders))
     return BinnedSums(delta_max=delta_max,
-                      sums=_fold(block, source.starts(), top, orders))
+                      sums=_fold(shares, total, orders))
 
 
 def random_edges(rng: np.random.Generator, lo: float, hi: float,
@@ -592,10 +570,10 @@ class BinnedSums:
     @classmethod
     def of(cls, dist: DiscreteDist, orders: Iterable[float]) -> "BinnedSums":
         """The sums of `dist` at each of `orders`, each taken once."""
-        i_top = int(np.argmax(dist.probs))
+        orders = _orders(orders)
         return cls(delta_max=dist.delta_max,
-                   sums=_fold(lambda _: (dist.probs, dist.prob_errors), [0],
-                              (i_top, float(dist.probs[i_top])), orders))
+                   sums=_fold([_share(dist.probs, dist.prob_errors, orders)],
+                              1.0, orders))
 
     def renyi_and_norm(self, order: float) -> tuple[EntropyValue, float]:
         """The Renyi entropy and norm of one order; a ContractError when
@@ -650,96 +628,96 @@ def bin_pair(rng: np.random.Generator, a: DensityFn, b: DensityFn,
 # discrete entropies
 # ---------------------------------------------------------------------------
 
-def _fold(block, starts: Iterable[int], top: tuple[int, float],
-          orders: Iterable[float]) -> dict[float, tuple[EntropyValue, float]]:
-    """The Renyi entropy and norm at each of `orders` of a distribution
-    given in blocks: `block(start)` gives the probabilities and error
-    bounds dp of the block of bins from each of `starts` on, the blocks
-    tile the bins, and `top` is the index and value of the largest p.
-
-    Errors are first order in dp: ln sum p^a, taken relative to the
-    largest p, has a sum p^(a-1) |dp| / sum p^a and the entropy that over
-    |1 - a|; order 1 has sum |dp| (1 + |ln p|), and order inf, relative to
-    max p, the larger of its bound and the most any bin may rise above it.
-
-    Each block, on the pool (quadrature.map_blocks), forms its share of
-    every order's sums and drops its bins; the shares are added in block
-    order, so the sums are the same floats on the pool and off it.  Every
-    sum is an elementwise product summed by np.sum, which does not depend
-    on the BLAS threads.  Zero probabilities are left out.
-    """
+def _orders(orders: Iterable[float]) -> list[float]:
+    """The distinct orders, each positive (else InvalidParameterError)."""
     orders = list(dict.fromkeys(orders))
     if any(not order > 0.0 for order in orders):
         raise InvalidParameterError("alpha must be positive")
-    finite = [a for a in orders if a != 1.0 and not math.isinf(a)]
-    i_top, p_max = top
+    return orders
 
-    def share(start: int):
-        """The block's bound at the largest p if it holds it, and its sums:
-        sum p ln p and its error, max(p + dp), and per finite order
-        sum (p/p_max)^a and its error's sum; None when all p are zero."""
-        p, dp = block(start)
-        bound = (float(dp[i_top - start]) if start <= i_top < start + dp.size
-                 else None)
-        mask = p > 0.0
-        if not mask.all():
-            p, dp = p[mask], dp[mask]
-            if not p.size:
-                return bound, None
-        shannon = rise = None
-        if 1.0 in orders:
-            buf = np.log(p)  # the one temporary, for both sums
-            buf *= p
-            total = float(np.sum(buf))
-            np.log(p, out=buf)
-            np.abs(buf, out=buf)
-            buf += 1.0
-            buf *= dp
-            shannon = total, float(np.sum(buf))
-        if math.inf in orders:
-            rise = float(np.max(p + dp))
-        power = {}
-        for a in finite:
-            terms = p / p_max
-            np.power(terms, a, out=terms)
-            core = float(np.sum(terms))
-            terms /= p  # p^(a-1) / sum p^a is terms / (p core)
-            terms *= dp
-            power[a] = core, float(np.sum(terms))
-        return bound, (shannon, rise, power)
 
-    shannon = [0.0, 0.0]  # sum p ln p and its error
-    power = {a: [0.0, 0.0] for a in finite}  # sum (p/p_max)^a, error's sum
-    rise, top_error = -math.inf, 0.0
-    for bound, block_sums in quadrature.map_blocks(share, starts):
-        if bound is not None:
-            top_error = bound
-        if block_sums is None:
-            continue
-        block_shannon, block_rise, block_power = block_sums
-        if block_shannon is not None:
-            shannon[0] += block_shannon[0]
-            shannon[1] += block_shannon[1]
-        if block_rise is not None:
-            rise = max(rise, block_rise)
-        for a, (core, slope) in block_power.items():
-            power[a][0] += core
-            power[a][1] += slope
-
+def _share(x: np.ndarray, dx: np.ndarray, orders: list[float]):
+    """One block's share of _fold's sums, from its probabilities x,
+    normalized or not, and their bounds dx: its largest x, m, the dx of
+    the first such bin and per order: sum x ln x, sum dx (1 + |ln x|) and
+    sum dx at order 1, max(x + dx) and max dx at inf, and the sums of
+    (x/m)^a and (x/m)^a dx / x at a finite a.  None when all x are zero;
+    zero x are left out.  Every sum is np.sum of an elementwise product,
+    which does not depend on the BLAS threads.
+    """
+    i = int(np.argmax(x))
+    m, top_error = float(x[i]), float(dx[i])
+    if not m > 0.0:
+        return None
+    mask = x > 0.0
+    if not mask.all():
+        x, dx = x[mask], dx[mask]
     sums = {}
     for a in orders:
         if a == 1.0:
-            sums[a] = EntropyValue(value=-shannon[0], differential=False,
-                                   est_error=shannon[1]), 1.0
+            buf = np.log(x)  # the one temporary, for both sums
+            buf *= x
+            total = float(np.sum(buf))
+            np.log(x, out=buf)
+            np.abs(buf, out=buf)
+            buf += 1.0
+            buf *= dx
+            sums[a] = total, float(np.sum(buf)), float(np.sum(dx))
         elif math.isinf(a):
-            err = max(rise - p_max, top_error) / p_max
+            sums[a] = float(np.max(x + dx)), float(np.max(dx))
+        else:
+            terms = x / m
+            np.power(terms, a, out=terms)
+            core = float(np.sum(terms))
+            terms /= x  # x^(a-1) dx, in the unit m^a
+            terms *= dx
+            sums[a] = core, float(np.sum(terms))
+    return m, top_error, sums
+
+
+def _fold(shares: list, total: float,
+          orders: list[float]) -> dict[float, tuple[EntropyValue, float]]:
+    """The Renyi entropy and norm at each of `orders` of p = x / Z, Z =
+    `total`, from the _share of each block of bins, in block order.
+
+    M, the largest x, is the first largest of the blocks' m, as np.argmax;
+    (m/M)^a brings a block's power sums to the unit M, so
+    ln sum p^a = a ln(M/Z) + ln sum (x/M)^a, and since sum x = Z the
+    Shannon entropy is -(1/Z) sum x ln x + ln Z.  At Z = 1 each is the
+    float of the sum taken of p, a power sum only within one block.
+
+    Errors are first order in dp: ln sum p^a, taken relative to the largest
+    p, has a sum p^(a-1) |dp| / sum p^a (Z times its sum in x) and the
+    entropy that over |1 - a|; order 1 has sum |dp| (1 + |ln p|), at most
+    sum |dp| (1 + |ln x|) + ln Z sum |dp|; and order inf, relative to
+    max p, the larger of its bound and the most any bin may rise above it,
+    in x at most max(x + dx) + (Z - 1) max dx - M.
+    """
+    shares = [share for share in shares if share is not None]
+    top, top_error, _ = max(shares, key=lambda share: share[0])
+    p_max = top / total
+    sums = {}
+    for a in orders:
+        parts = [block[a] for _, _, block in shares]
+        if a == 1.0:
+            xlnx, err, spread = (sum(column) for column in zip(*parts))
+            sums[a] = EntropyValue(
+                value=-xlnx / total + math.log(total), differential=False,
+                est_error=err + math.log(total) * spread), 1.0
+        elif math.isinf(a):
+            rise, widest = (max(column) for column in zip(*parts))
+            err = max(rise + (total - 1.0) * widest - top,
+                      total * top_error) / top
             sums[a] = EntropyValue(value=-math.log(p_max), differential=False,
                                    est_error=err), p_max
         else:
-            core, slope = power[a]
+            scales = [(m / top) ** a for m, _, _ in shares]
+            core, slope = (sum(s * c for s, c in zip(scales, column))
+                           for column in zip(*parts))
             log_sum = a * math.log(p_max) + math.log(core)
             renyi = EntropyValue(value=log_sum / (1.0 - a), differential=False,
-                                 est_error=a / abs(1.0 - a) * slope / core)
+                                 est_error=a / abs(1.0 - a) * total * slope
+                                 / core)
             sums[a] = renyi, math.exp(log_sum / a)
     return sums
 

@@ -16,7 +16,7 @@ its every-other-node subsample (Trefethen & Weideman, SIAM Rev. 56 (2014)
 385).
 
 The dense kernel sums behind every Fourier transform and tabulated `J`, and
-the two passes over the bins of `entropy.binned_sums`, run their blocks on
+the one pass over the bins of `entropy.binned_sums`, run their blocks on
 one pool of two threads (`map_blocks`).  Each block does the same
 arithmetic whichever thread runs it, and its results are taken in block
 order, so the sums do not depend on the pool.  The block size,

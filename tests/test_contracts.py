@@ -125,6 +125,48 @@ CASES = {
     "catalog_infinite_width": (lambda s: g.catalog_state(
         "truncated_gaussian_q", g.make_params(1.0), shape_args=(math.inf,)),
         g.InvalidParameterError, "shape_args must be finite"),
+    "grid_nan_node": (lambda s: g.Grid(nodes=np.array([0.0, math.nan, 2.0]),
+                                       weights=np.ones(3), domain_tag=Domain.Q),
+                      g.ContractError, "strictly increasing"),
+    "grid_nan_weight": (lambda s: g.Grid(nodes=np.arange(3.0),
+                                         weights=np.array([1.0, math.nan, 1.0]),
+                                         domain_tag=Domain.Q),
+                        g.ContractError, "weights must be positive"),
+    "density_nan_value": (lambda s: _density([1.0, 1.0, math.nan, 1.0, 1.0]),
+                          g.ContractError, "nonnegative"),
+    "density_nan_tail_bound": (lambda s: _density(_FLAT,
+                                                  tail_mass_bound=math.nan),
+                               g.ContractError, "tail_mass_bound"),
+    "dist_nan_prob": (lambda s: g.DiscreteDist(np.arange(3.0),
+                                               np.array([math.nan, 1.0])),
+                      g.ContractError, "nonnegative"),
+    "dist_nan_edge": (lambda s: g.DiscreteDist(np.array([0.0, math.nan, 2.0]),
+                                               np.array([0.5, 0.5])),
+                      g.ContractError, "strictly increasing"),
+    "binned_sums_nan_edge": (lambda s: g.binned_sums(
+        _density(_FLAT), np.array([-1.0, math.nan, 1.0]), (1.0,)),
+        g.ContractError, "finite and strictly increasing"),
+    "binned_sums_infinite_edge": (lambda s: g.binned_sums(
+        _density(_FLAT), np.array([-1.0, 0.0, math.inf]), (1.0,)),
+        g.ContractError, "finite and strictly increasing"),
+    "bin_density_nan_edge": (lambda s: g.bin_density(
+        _density(_FLAT), np.array([-1.0, math.nan, 1.0])),
+        g.ContractError, "finite and strictly increasing"),
+    "random_edges_zero_width": (lambda s: g.RandomEdges(
+        np.random.default_rng(0), 0.0, 1.0, 0.0, 0.0),
+        g.InvalidParameterError, "0 < dmin <= dmax"),
+    "random_edges_infinite_hi": (lambda s: g.RandomEdges(
+        np.random.default_rng(0), 0.0, math.inf, 0.05, 2.0),
+        g.InvalidParameterError, "finite lo < hi"),
+    "random_edges_nan_dmin": (lambda s: g.RandomEdges(
+        np.random.default_rng(0), 0.0, 1.0, math.nan, 2.0),
+        g.InvalidParameterError, "0 < dmin <= dmax"),
+    "random_edges_negative_dmin": (lambda s: g.RandomEdges(
+        np.random.default_rng(0), 0.0, 1.0, -0.5, 2.0),
+        g.InvalidParameterError, "0 < dmin <= dmax"),
+    "random_edges_dmin_above_dmax": (lambda s: g.random_edges(
+        np.random.default_rng(0), 0.0, 1.0, 2.0, 0.05),
+        g.InvalidParameterError, "0 < dmin <= dmax"),
     "q_to_k_domain": (lambda s: g.density_q_to_k(_density(_FLAT),
                                                  g.make_params(1.0)),
                       g.ContractError, "Q-tagged"),
