@@ -117,10 +117,10 @@ class Grid:
         object.__setattr__(self, "weights", _freeze(np.asarray(self.weights, float)))
         if self.nodes.ndim != 1 or self.nodes.shape != self.weights.shape:
             raise ContractError("grid nodes and weights must be matching 1-d vectors")
-        if not np.all(np.diff(self.nodes) > 0.0):
-            raise ContractError("grid nodes must be strictly increasing")
-        if not np.all(self.weights > 0.0):
-            raise ContractError("grid weights must be positive")
+        if not np.all(np.diff(self.nodes) > 0.0) or not np.all(np.isfinite(self.nodes)):
+            raise ContractError("grid nodes must be finite and strictly increasing")
+        if not np.all((self.weights > 0.0) & (self.weights < np.inf)):
+            raise ContractError("grid weights must be positive and finite")
         n = self.panel_nodes
         if n != 0 and not (n >= 4 and self.nodes.size % n == 0):
             raise ContractError("panel_nodes must be 0 or at least 4 and "
@@ -223,8 +223,8 @@ class DiscreteDist:
             raise ContractError("probability errors must match the "
                                 "probabilities and be nonnegative")
         widths = np.diff(self.edges)  # read once, for the check and delta_max
-        if not np.all(widths > 0.0):
-            raise ContractError("bin edges must be strictly increasing")
+        if not np.all(widths > 0.0) or not np.all(np.isfinite(self.edges)):
+            raise ContractError("bin edges must be finite and strictly increasing")
         object.__setattr__(self, "delta_max", float(np.max(widths)))
         if not np.all(self.probs >= 0.0):
             raise ContractError("bin probabilities must be nonnegative")

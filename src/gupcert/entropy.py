@@ -17,8 +17,9 @@ Binning has one path in the library: bin_pair lays random-width bins
 over the coverage windows of a (wavenumber, position) pair as RandomEdges
 streams and folds each through binned_sums, in one pass over blocks of
 bins on the thread pool of quadrature, into the BinnedSums the binned
-checks read.  Each block reads the CDF at its edges and folds its own
-bins, so of a heavy-tailed density's millions of bins none is held.
+checks read.  Each block's edges are drawn once, as the pool takes it,
+and it reads the CDF at them and folds its own bins, so of a heavy-tailed
+density's millions of bins none is held.
 bin_density, random_edges, density_cdf and the discrete_* functions serve
 only tests, demos and the bench tracer: bin_density fills a DiscreteDist
 by the same per-block arithmetic, and BinnedSums.of reduces a DiscreteDist.
@@ -238,11 +239,11 @@ class DensityCdf:
             hi = float(x[min(x.size - 1, np.searchsorted(at, 1.0 - frac))])
         return lo, hi
 
-    def bin_errors(self, bins: int):
-        """Bound on |dp_i| of the probabilities of `bins` bins read from
-        this CDF, one block of bins at a time: returns a function of a
-        block's first bin index, its edges, the CDF values at them and its
-        probabilities before normalization, which gives its bins' bounds.
+    def bin_errors(self):
+        """Bound on |dp_i| of the probabilities of bins read from this CDF,
+        one block at a time: returns a function of a block's edges, the CDF
+        values at them, its probabilities before normalization and whether
+        it holds the first and the last bin, which gives its bins' bounds.
 
         Two error measures grow from left to right; the increase of their
         sum across a bin, with what lies beyond the end edges folded into
@@ -295,8 +296,8 @@ class DensityCdf:
         rescale = abs(self.total - rule_total) / self.total
         total = self.total
 
-        def block_errors(start: int, at: np.ndarray, cdf: np.ndarray,
-                         probs: np.ndarray) -> np.ndarray:
+        def block_errors(at: np.ndarray, cdf: np.ndarray, probs: np.ndarray,
+                         first: bool, last: bool) -> np.ndarray:
             grown = np.interp(at, knots, grown_at)
             if tails:
                 # below the window the CDF is the left model's mass and
@@ -308,9 +309,9 @@ class DensityCdf:
                 grown[below] += share * (total * cdf[below] - m_left)
                 grown[above] += share * (m_right - total * (1.0 - cdf[above]))
             block = np.subtract(grown[1:], grown[:-1])
-            if start == 0:
+            if first:
                 block[0] += grown[0]
-            if start + block.size == bins:
+            if last:
                 block[-1] += full - grown[-1]
             block /= total
             block += probs * rescale
@@ -336,25 +337,14 @@ def density_cdf(density: DensityFn, points: np.ndarray) -> np.ndarray:
     return DensityCdf(density)(points)
 
 
-class _EdgeArray:
-    """Bin edges held in one array, read as a RandomEdges stream is: in
-    blocks of quadrature._BLOCK_ENTRIES bins, each block's edges from its
-    first bin's lower edge to its last bin's upper edge.  Raises
-    ContractError on fewer than two edges."""
-
-    def __init__(self, edges: np.ndarray):
-        if edges.size < 2:
-            raise ContractError("need at least two bin edges")
-        self.edges, self.size = edges, edges.size
-        self._step = quadrature._BLOCK_ENTRIES
-
-    def starts(self) -> range:
-        """The first bin index of each block."""
-        return range(0, self.size - 1, self._step)
-
-    def block(self, start: int) -> np.ndarray:
-        """The edges of the block whose first bin is `start`."""
-        return self.edges[start:start + self._step + 1]
+def _edge_blocks(edges: np.ndarray) -> list:
+    """The (edges, last) blocks of an edge array, cut as a RandomEdges
+    stream yields them; ContractError on fewer than two edges."""
+    if edges.size < 2:
+        raise ContractError("need at least two bin edges")
+    step = quadrature._BLOCK_ENTRIES
+    return [(edges[start:start + step + 1], start + step >= edges.size - 1)
+            for start in range(0, edges.size - 1, step)]
 
 
 class RandomEdges:
@@ -364,17 +354,13 @@ class RandomEdges:
 
     About 1.3 times the widths needed are drawn (n_est), as
     dmin + (dmax - dmin) u on the draws u of rng.random, Generator.uniform's
-    arithmetic; the edges are lo plus the running sums of the widths.
-    Construction draws the stream once, block by block, saving the
-    generator's state before each block and the exact running sum; it
-    stops at the block whose edge reaches hi, sets `size` to the number of
-    edges and draws and drops the widths left over, so rng ends where n_est
-    draws leave it.  `block(start)` then draws a block again from its
-    saved state: uniform draws do not depend on how they are chunked and
-    np.cumsum adds in sequence, so the edges are the same floats, on any
-    thread.  The last block is kept, so a stream read once (binned_sums)
-    draws each block twice in all, and a stream of one block once.
-    `random_edges` joins the blocks into one array.
+    arithmetic; the edges are lo plus the running sums of the widths, the
+    sum carried exactly from block to block.  Iterating draws each block
+    once, in order, and yields its edges (its first bin's lower edge to its
+    last bin's upper edge) and whether it holds the last bin, the one whose
+    edge reaches hi; the widths left over are drawn and dropped before that
+    block is yielded, so rng ends where n_est draws leave it.  A stream is
+    read once: iterating it again raises ContractError.
     """
 
     def __init__(self, rng: np.random.Generator, lo: float, hi: float,
@@ -384,55 +370,32 @@ class RandomEdges:
             raise InvalidParameterError(
                 "random edges need finite lo < hi and 0 < dmin <= dmax, got "
                 f"{lo!r}, {hi!r}, {dmin!r}, {dmax!r}")
-        self._lo, self._dmin, self._dmax = lo, dmin, dmax
-        self._step = step = quadrature._BLOCK_ENTRIES
-        self._bit_generator = type(rng.bit_generator)
-        self._marks = []  # (generator state, running sum) of each block
-        self._last = np.array([float(lo)])  # the edges of the last block
-        self.size = 1
+        self._args, self._read = (rng, lo, hi, dmin, dmax), False
+
+    def __iter__(self):
+        if self._read:
+            raise ContractError("a RandomEdges stream is read once")
+        self._read = True
+        rng, lo, hi, dmin, dmax = self._args
+        step = quadrature._BLOCK_ENTRIES
         n_est = int((hi - lo) / ((dmin + dmax) / 2.0) * 1.3) + 16
-        total, drawn = 0.0, 0
-        while drawn < n_est:
-            count = min(step, n_est - drawn)
-            self._marks.append((rng.bit_generator.state, total))
-            sums = self._draw(rng, total, count)
-            drawn += count
+        total = 0.0
+        for start in range(0, n_est, step):
+            sums = np.empty(min(step, n_est - start) + 1)
+            sums[0] = total
+            widths = rng.random(out=sums[1:])
+            widths *= dmax - dmin
+            widths += dmin
+            np.cumsum(sums, out=sums)
             total = float(sums[-1])
-            if total + lo >= hi or drawn == n_est:  # its last edge
-                sums += lo
-                bins = min(int(np.searchsorted(sums, hi)), count)
-                self._last = sums[:bins + 1]
-                self.size = drawn - count + bins + 1
-                break
-        for left in range(n_est - drawn, 0, -step):  # the unused draws
-            rng.random(min(step, left))
-
-    def _draw(self, rng: np.random.Generator, total: float,
-              count: int) -> np.ndarray:
-        """The running sums of `count` widths drawn after the sum `total`,
-        `total` first."""
-        sums = np.empty(count + 1)
-        sums[0] = total
-        widths = rng.random(out=sums[1:])
-        widths *= self._dmax - self._dmin
-        widths += self._dmin
-        return np.cumsum(sums, out=sums)
-
-    def starts(self) -> range:
-        """The first bin index of each block."""
-        return range(0, self.size - 1, self._step)
-
-    def block(self, start: int) -> np.ndarray:
-        """The edges of the block whose first bin is `start`."""
-        index = start // self._step
-        if index == len(self._marks) - 1:
-            return self._last
-        state, total = self._marks[index]
-        rng = np.random.Generator(self._bit_generator())
-        rng.bit_generator.state = state
-        edges = self._draw(rng, total, self._step)
-        edges += self._lo
-        return edges
+            sums += lo
+            if total + lo >= hi or start + step >= n_est:  # its last edge
+                for left in range(n_est - start - step, 0, -step):
+                    rng.random(min(step, left))
+                bins = min(int(np.searchsorted(sums, hi)), sums.size - 1)
+                yield sums[:bins + 1], True
+                return
+            yield sums, False
 
 
 def _binned_probs(cdf: np.ndarray, first: bool,
@@ -453,38 +416,37 @@ def _binned_probs(cdf: np.ndarray, first: bool,
     return np.clip(probs, 0.0, None, out=probs), clipped
 
 
-def _binned(density: DensityFn | DensityCdf, source: _EdgeArray | RandomEdges,
+def _binned(density: DensityFn | DensityCdf, blocks: Iterable,
             fold) -> tuple[float, float, list]:
     """The widest bin's width, the normalization Z of bin_density on the
-    edges of `source` and, in block order, fold(start, x, dx) of each block.
+    (edges, last) `blocks` and, in block order, fold(x, dx) of each block.
 
-    One pass runs over the blocks on the pool (quadrature.map_blocks): each
-    draws its edges, reads the CDF at them once and forms its bins'
-    probabilities before normalization, x (_binned_probs), and their
-    bounds dx (DensityCdf.bin_errors), for fold to reduce or store.  Before
-    the clip at zero the x telescope to exactly 1, so Z = sum x is 1 plus
-    what the clip adds, summed exactly by math.fsum whatever the blocks.
+    One pass runs over the blocks on the pool (quadrature.map_blocks),
+    which takes them from `blocks` as it goes: each reads the CDF at its
+    edges once and forms its bins' probabilities before normalization, x
+    (_binned_probs), and their bounds dx (DensityCdf.bin_errors), for fold
+    to reduce or keep.  Before the clip at zero the x telescope to exactly
+    1, so Z = sum x is 1 plus what the clip adds, summed exactly by
+    math.fsum whatever the blocks.
     Raises ContractError on edges that are not finite and increasing and
     on bins that miss more than 1e-6 of the mass.
     """
     cdf_of = (density if isinstance(density, DensityCdf)
               else DensityCdf(density))
-    bins = source.size - 1
-    errors_of = cdf_of.bin_errors(bins)
+    errors_of = cdf_of.bin_errors()
 
-    def read(start: int):
-        at = source.block(start)
+    def read(block):
+        index, (at, last) = block
         widths = np.subtract(at[1:], at[:-1])
         if not (np.all(widths > 0.0) and np.all(np.isfinite(at))):
             raise ContractError("bin edges must be finite and strictly "
                                 "increasing")
         values = cdf_of(at)
-        x, clipped = _binned_probs(values, start == 0,
-                                   start + widths.size == bins)
+        x, clipped = _binned_probs(values, index == 0, last)
         return (float(np.max(widths)), clipped, values[[0, -1]],
-                fold(start, x, errors_of(start, at, values, x)))
+                fold(x, errors_of(at, values, x, index == 0, last)))
 
-    parts = quadrature.map_blocks(read, source.starts())
+    parts = quadrature.map_blocks(read, enumerate(blocks))
     coverage = parts[-1][2][1] - parts[0][2][0]
     if not coverage >= 1.0 - 1e-6:
         raise ContractError(f"bins cover only {coverage:.8f} of the mass")
@@ -502,19 +464,15 @@ def bin_density(density: DensityFn | DensityCdf,
     clipped at zero are divided by their sum, 1 plus what the clip added.
     The density may come as the DensityCdf a caller already built for it.
     Each probability carries the error bound of DensityCdf.bin_errors.  The
-    distribution holds three arrays of bin length, filled block by block;
+    distribution holds three arrays of bin length, its blocks' joined;
     binned_sums reduces the same bins to their power sums and holds none.
     """
-    source = _EdgeArray(np.asarray(edges, dtype=float))
-    probs, prob_errors = np.empty(source.size - 1), np.empty(source.size - 1)
-
-    def fill(start: int, x: np.ndarray, dx: np.ndarray) -> None:
-        probs[start:start + x.size], prob_errors[start:start + x.size] = x, dx
-
-    _, total, _ = _binned(density, source, fill)
+    edges = np.asarray(edges, dtype=float)
+    _, total, parts = _binned(density, _edge_blocks(edges),
+                              lambda x, dx: (x, dx))
+    probs, prob_errors = (np.concatenate(column) for column in zip(*parts))
     probs /= total
-    return DiscreteDist(edges=source.edges, probs=probs,
-                        prob_errors=prob_errors)
+    return DiscreteDist(edges=edges, probs=probs, prob_errors=prob_errors)
 
 
 def binned_sums(density: DensityFn | DensityCdf,
@@ -526,16 +484,16 @@ def binned_sums(density: DensityFn | DensityCdf,
     Each block of quadrature._BLOCK_ENTRIES bins, read once (_binned),
     folds its own share of every order's sums (_share) and _fold combines
     the shares with the normalization, so no array of bin length is held:
-    a stream's blocks are drawn again as they are read.  The shares are
+    a stream's blocks are drawn as the pool takes them.  The shares are
     combined in block order, so the result equals the distribution's own
     sums float for float within one block and to the rounding of a blocked
     sum beyond, and does not depend on the pool.
     """
-    source = (edges if isinstance(edges, RandomEdges)
-              else _EdgeArray(np.asarray(edges, dtype=float)))
+    blocks = (edges if isinstance(edges, RandomEdges)
+              else _edge_blocks(np.asarray(edges, dtype=float)))
     orders = _orders(orders)
     delta_max, total, shares = _binned(
-        density, source, lambda _, x, dx: _share(x, dx, orders))
+        density, blocks, lambda x, dx: _share(x, dx, orders))
     return BinnedSums(delta_max=delta_max,
                       sums=_fold(shares, total, orders))
 
@@ -544,13 +502,9 @@ def random_edges(rng: np.random.Generator, lo: float, hi: float,
                  dmin: float, dmax: float) -> np.ndarray:
     """The edges of RandomEdges(rng, lo, hi, dmin, dmax), its blocks joined
     into one array of exactly their number (no unused draws behind them)."""
-    stream = RandomEdges(rng, lo, hi, dmin, dmax)
-    edges = np.empty(stream.size)
-    edges[0] = lo
-    for start in stream.starts():
-        block = stream.block(start)
-        edges[start:start + block.size] = block
-    return edges
+    blocks = iter(RandomEdges(rng, lo, hi, dmin, dmax))
+    first, _ = next(blocks)
+    return np.concatenate([first] + [edges[1:] for edges, _ in blocks])
 
 
 @dataclass(frozen=True)
@@ -594,10 +548,9 @@ def bin_pair(rng: np.random.Generator, a: DensityFn, b: DensityFn,
     Both windows are found first, one CDF spline per density, which then
     reads that density's bins.  rng draws the edges of a, a is binned and
     reduced to its sums (binned_sums) and its edges are dropped; only then
-    are the edges of b drawn and b binned.  So at most one binned
-    distribution is held at a time: for a heavy-tailed density that is
-    millions of bins, whose CDF values at the edges are the only array of
-    that length.
+    are the edges of b drawn and b binned.  No array of bin length is
+    held, for a heavy-tailed density's millions of bins: each stream's
+    blocks are drawn as binned_sums folds them.
     None, with the generator untouched, when the two windows together span
     4e6 mean widths (dmin + dmax)/2 or more, 4 M bins over both at the mean
     width (very heavy tails).  The windows there come from tail-model

@@ -17,9 +17,10 @@ its every-other-node subsample (Trefethen & Weideman, SIAM Rev. 56 (2014)
 
 The dense kernel sums behind every Fourier transform and tabulated `J`, and
 the one pass over the bins of `entropy.binned_sums`, run their blocks on
-one pool of two threads (`map_blocks`).  Each block does the same
-arithmetic whichever thread runs it, and its results are taken in block
-order, so the sums do not depend on the pool.  The block size,
+one pool of two threads (`map_blocks`), which takes the blocks as the
+pool frees up.  Each block does the same arithmetic whichever thread runs
+it, and its results are taken in block order, so the sums do not depend
+on the pool.  The block size,
 _BLOCK_ENTRIES, is read at call time by those and by a smear's captured
 mass in `measurement`.
 """
@@ -27,9 +28,10 @@ mass in `measurement`.
 from __future__ import annotations
 
 import os
-from collections.abc import Sequence
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
+from itertools import chain, islice
 
 import numpy as np
 from scipy.special import eval_legendre, roots_legendre
@@ -138,18 +140,35 @@ def dense_sum(kernel, targets: np.ndarray, nodes: np.ndarray,
 
     chunk = max(2, _BLOCK_ENTRIES // max(nodes.size, 1))
     cuts = [*range(0, max(targets.size - 1, 1), chunk), targets.size]
-    rows = map_blocks(products, list(zip(cuts, cuts[1:])))
+    rows = map_blocks(products, zip(cuts, cuts[1:]))
     return tuple(np.concatenate(col) for col in zip(*rows))
 
 
-def map_blocks(fn, blocks: Sequence) -> list:
+def map_blocks(fn, blocks: Iterable) -> list:
     """[fn(block) for block in blocks], in order: several blocks on
-    `_pool()`, a single one on the calling thread.  `fn` must not call
-    map_blocks itself: a worker waiting on the pool it belongs to can
-    deadlock it."""
-    if len(blocks) < 2:
-        return [fn(block) for block in blocks]
-    return list(_pool().map(fn, blocks))
+    `_pool()`, a single one on the calling thread.  A block is taken from
+    `blocks` as a result is, at most 3 * _WORKERS submitted and not yet
+    taken, so a stream drawn on the calling thread overlaps the work and
+    is never held whole.  (With _WORKERS + 1 the workers idled while the
+    calling thread waited for a core: Fourier sums ran about 5% slower on
+    2 cores.)  A block's error cancels the queued blocks and propagates, as
+    from Executor.map.  `fn` must not call map_blocks itself: a worker
+    waiting on the pool it belongs to can deadlock it."""
+    blocks = iter(blocks)
+    head = list(islice(blocks, 2))
+    if len(head) < 2:
+        return [fn(block) for block in head]
+    pool, queued, results = _pool(), [], []
+    try:
+        for block in chain(head, blocks):
+            queued.append(pool.submit(fn, block))
+            if len(queued) >= 3 * _WORKERS:
+                results.append(queued.pop(0).result())
+        results.extend(future.result() for future in queued)
+    finally:
+        for future in queued:  # a no-op on the futures already done
+            future.cancel()
+    return results
 
 
 @lru_cache(maxsize=16)

@@ -35,6 +35,12 @@ def _state(nodes, amplitudes):
                        params=g.make_params(1.0), profile=_flat)
 
 
+def _read_twice(stream):
+    """Iterate a stream to its end, then again."""
+    for _ in range(2):
+        list(stream)
+
+
 _FLAT = np.full(5, 1.0)  # a unit-mass density on _grid(5)
 _DIST = g.DiscreteDist(np.arange(3.0), np.array([0.5, 0.5]))
 
@@ -132,6 +138,14 @@ CASES = {
                                          weights=np.array([1.0, math.nan, 1.0]),
                                          domain_tag=Domain.Q),
                         g.ContractError, "weights must be positive"),
+    "grid_infinite_node": (lambda s: g.Grid(nodes=np.array([0.0, 1.0, math.inf]),
+                                            weights=np.ones(3),
+                                            domain_tag=Domain.Q),
+                           g.ContractError, "finite and strictly increasing"),
+    "grid_infinite_weight": (lambda s: g.Grid(
+        nodes=np.arange(3.0), weights=np.array([1.0, math.inf, 1.0]),
+        domain_tag=Domain.Q),
+        g.ContractError, "weights must be positive and finite"),
     "density_nan_value": (lambda s: _density([1.0, 1.0, math.nan, 1.0, 1.0]),
                           g.ContractError, "nonnegative"),
     "density_nan_tail_bound": (lambda s: _density(_FLAT,
@@ -143,6 +157,9 @@ CASES = {
     "dist_nan_edge": (lambda s: g.DiscreteDist(np.array([0.0, math.nan, 2.0]),
                                                np.array([0.5, 0.5])),
                       g.ContractError, "strictly increasing"),
+    "dist_infinite_edge": (lambda s: g.DiscreteDist(
+        np.array([0.0, 1.0, math.inf]), np.array([0.5, 0.5])),
+        g.ContractError, "finite and strictly increasing"),
     "binned_sums_nan_edge": (lambda s: g.binned_sums(
         _density(_FLAT), np.array([-1.0, math.nan, 1.0]), (1.0,)),
         g.ContractError, "finite and strictly increasing"),
@@ -167,6 +184,9 @@ CASES = {
     "random_edges_dmin_above_dmax": (lambda s: g.random_edges(
         np.random.default_rng(0), 0.0, 1.0, 2.0, 0.05),
         g.InvalidParameterError, "0 < dmin <= dmax"),
+    "random_edges_read_twice": (lambda s: _read_twice(g.RandomEdges(
+        np.random.default_rng(0), 0.0, 1.0, 0.05, 2.0)),
+        g.ContractError, "read once"),
     "q_to_k_domain": (lambda s: g.density_q_to_k(_density(_FLAT),
                                                  g.make_params(1.0)),
                       g.ContractError, "Q-tagged"),

@@ -252,14 +252,26 @@ class TestBinning:
         assert edges.tobytes() == old[:edges.size].tobytes()
 
 
-def _joined(stream: g.RandomEdges) -> np.ndarray:
-    """The edges of a stream that was read, each block drawn again, joined."""
-    blocks = [stream.block(start) for start in stream.starts()]
+class _Recorded(g.RandomEdges):
+    """A RandomEdges stream that keeps, in `blocks`, the (edges, last)
+    blocks it yields, as it yields them."""
+
+    def __iter__(self):
+        self.blocks = []
+        for block in super().__iter__():
+            self.blocks.append(block)
+            yield block
+
+
+def _joined(stream: _Recorded) -> np.ndarray:
+    """The edges of the blocks a stream yielded, joined."""
+    blocks = [edges for edges, _ in stream.blocks]
     return np.concatenate([b[:-1] for b in blocks[:-1]] + blocks[-1:])
 
 
 def _holding_bins(monkeypatch) -> list:
-    """The (density, edges) of every binned_sums call from here on, held."""
+    """The (density, edges) of every binned_sums call from here on, held;
+    the streams bin_pair draws from here on are _Recorded."""
     held, real = [], entropy.binned_sums
 
     def holding(density, edges, orders):
@@ -267,6 +279,7 @@ def _holding_bins(monkeypatch) -> list:
         return real(density, edges, orders)
 
     monkeypatch.setattr(entropy, "binned_sums", holding)
+    monkeypatch.setattr(entropy, "RandomEdges", _Recorded)
     return held
 
 
@@ -300,15 +313,15 @@ class TestBinPair:
                           (1.0,)) is None
         held = _holding_bins(monkeypatch)
         g.bin_pair(np.random.default_rng(5), *pair, 0.05, 2.0, (1.0,))
-        assert [stream.block(0)[0] for _, stream in held] == \
+        assert [stream.blocks[0][0][0] for _, stream in held] == \
             [lo for lo, _ in windows]
 
     def test_edges_are_random_edges_of_a_then_b(self, cosine_rep,
                                                 monkeypatch):
         # one generator draws the edges of a, then those of b, as two
         # random_edges calls over the coverage windows would; each stream's
-        # blocks of 50 bins (about 175 and 120 bins in all), drawn again
-        # from their saved states, are those edges
+        # blocks of 50 bins (about 175 and 120 bins in all), as the stream
+        # yielded them, are those edges, and only its last holds the last bin
         monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", 50)
         pair = (cosine_rep.u_k, cosine_rep.w_x)
         held = _holding_bins(monkeypatch)
@@ -318,17 +331,20 @@ class TestBinPair:
             lo, hi = g.DensityCdf(density).coverage_window()
             assert _joined(stream).tobytes() == g.random_edges(
                 own, lo, hi, 0.05, 2.0).tobytes()
+            assert [last for _, last in stream.blocks] == \
+                [False] * (len(stream.blocks) - 1) + [True]
         assert rng.bit_generator.state == own.bit_generator.state
-        assert all(len(stream.starts()) > 1 for _, stream in held)
+        assert all(len(stream.blocks) > 1 for _, stream in held)
 
     @pytest.mark.parametrize("case", ["inside_a_block", "on_a_block_end",
                                       "in_the_overdraw_block"])
     def test_stream_blocks_are_random_edges(self, monkeypatch, case):
-        # in blocks of 1000 bins, a stream's blocks, drawn again from their
-        # saved states, are random_edges byte for byte, and the generator
-        # ends after the same n_est draws, wherever hi falls: inside a
-        # full block (the draws after it are dropped), on the last edge of
-        # a block, or in the short last block that uses up the n_est draws
+        # in blocks of 1000 bins, a stream's blocks, each drawn once, are
+        # random_edges byte for byte, only the last flagged as holding the
+        # last bin, and the generator ends after the same n_est draws,
+        # wherever hi falls: inside a full block (the draws after it are
+        # dropped), on the last edge of a block, or in the short last block
+        # that uses up the n_est draws
         monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", 1000)
         lo, dmin, dmax = 0.0, 0.05, 2.0
         hi = {"inside_a_block": 2500.0, "in_the_overdraw_block": 2100.0,
@@ -337,20 +353,22 @@ class TestBinPair:
               }[case]
         n_est = int((hi - lo) / ((dmin + dmax) / 2.0) * 1.3) + 16
         rng, own = np.random.default_rng(13), np.random.default_rng(13)
-        stream = g.RandomEdges(rng, lo, hi, dmin, dmax)
+        stream = _Recorded(rng, lo, hi, dmin, dmax)
+        blocks = list(stream)
         want = g.random_edges(own, lo, hi, dmin, dmax)
         assert rng.bit_generator.state == own.bit_generator.state
-        assert stream.size == want.size and want[-2] < hi <= want[-1]
+        assert want[-2] < hi <= want[-1]
         bins = want.size - 1
         last = bins - bins % 1000 if bins % 1000 else bins - 1000
         assert {"inside_a_block": 0 < bins % 1000 and last + 1000 < n_est,
                 "on_a_block_end": bins == 2000 < n_est,
                 "in_the_overdraw_block": last < bins < n_est < last + 1000,
                 }[case]
-        assert stream.starts() == range(0, last + 1, 1000)
-        for start in stream.starts():
-            block = want[start:start + 1001]
-            assert stream.block(start).tobytes() == block.tobytes()
+        starts = range(0, last + 1, 1000)
+        assert len(blocks) == len(starts)
+        for start, (edges, is_last) in zip(starts, blocks):
+            assert edges.tobytes() == want[start:start + 1001].tobytes()
+            assert is_last == (start == last)
         assert _joined(stream).tobytes() == want.tobytes()
 
     def test_sums_are_the_discrete_sums_of_the_bins(self, cosine_rep,
@@ -374,26 +392,22 @@ class TestBinPair:
                                                   monkeypatch):
         # uniform_q at beta = 1: the Cauchy wavenumber side takes millions
         # of bins, and its sums keep a few floats per order
-        sizes, real = [], entropy.binned_sums
-
-        def sizing(density, edges, orders):
-            sums = real(density, edges, orders)
-            sizes.append(edges.size - 1)  # a stream's size once it was read
-            return sums
-
-        monkeypatch.setattr(entropy, "binned_sums", sizing)
+        held = _holding_bins(monkeypatch)
         binned = g.bin_pair(np.random.default_rng(5), uniform_rep.u_k,
                             uniform_rep.w_x, 0.05, 2.0,
                             (1.0, 2.0, 2.0 / 3.0, math.inf))
-        assert sizes[0] > 2_000_000
+        assert sum(edges.size - 1 for edges, _ in held[0][1].blocks) > \
+            2_000_000
         for sums in binned:
             assert len(pickle.dumps(sums)) < 4_000
 
     def test_cauchy_binning_holds_no_bin_length_array(self, uniform_rep):
         # of the 2.1 M bins of the Cauchy wavenumber distribution no array
         # is held: the traced peak of binned_sums is a few block-sized
-        # transients per worker (about 9 MB), whatever the bin count, where
-        # holding the CDF values at the edges took about 23 MB
+        # transients per worker and the blocks of edges queued for the pool
+        # (about 11.7 MB), whatever the bin count, where holding the CDF
+        # values at the edges took about 23 MB.  The same stream drawn
+        # again on its own counts the bins
         cdf_of = g.DensityCdf(uniform_rep.u_k)
         window = cdf_of.coverage_window()
         tracemalloc.start()
@@ -404,7 +418,8 @@ class TestBinPair:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert stream.size > 2_000_000
+        twin = g.RandomEdges(np.random.default_rng(5), *window, 0.05, 2.0)
+        assert sum(edges.size - 1 for edges, _ in twin) > 2_000_000
         assert peak < 24 * 8 * quadrature._BLOCK_ENTRIES
 
     def test_pooled_binning_is_the_calling_thread_binning(self, uniform_rep,
@@ -418,10 +433,9 @@ class TestBinPair:
         window = cdf_of.coverage_window()
 
         def sums():
-            stream = g.RandomEdges(np.random.default_rng(5), *window, 0.05,
-                                   2.0)
+            stream = _Recorded(np.random.default_rng(5), *window, 0.05, 2.0)
             binned = g.binned_sums(cdf_of, stream, orders)
-            return binned, len(stream.starts())
+            return binned, len(stream.blocks)
 
         pool = quadrature._pool()
         submitted, submit = [], pool.submit

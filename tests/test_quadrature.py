@@ -1,4 +1,6 @@
 import multiprocessing
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -118,6 +120,62 @@ def test_pooled_sums_equal_the_serial_block_loop(data, monkeypatch, rows):
         assert not submitted
         assert all(np.array_equal(a, b[:rows + 1]) for a, b in zip(
             one, _serial_blocks(kernel, t[:rows + 1], n, coeffs, rows)))
+
+
+def _counted(blocks: int, drawn: list):
+    """The blocks 0 .. blocks-1, each appended to `drawn` as it is drawn."""
+    for block in range(blocks):
+        drawn.append(block)
+        yield block
+
+
+def test_map_draws_blocks_as_results_are_taken():
+    # each fn call starts with at most 3 * _WORKERS blocks drawn beyond the
+    # results taken, of which the finished calls are an upper bound:
+    # Executor.map draws all 20 blocks before it takes a result
+    drawn, finished, ahead = [], [], []
+
+    def slow(block):
+        ahead.append(len(drawn) - len(finished))
+        time.sleep(0.01)
+        finished.append(block)
+        return 2 * block
+
+    got = quadrature.map_blocks(slow, _counted(20, drawn))
+    assert got == [2 * block for block in range(20)]
+    assert len(ahead) == 20 and max(ahead) <= 3 * quadrature._WORKERS
+
+
+def test_map_stops_at_a_raising_block():
+    # the error of block 4 propagates once its result is taken, before any
+    # block past the window behind it is drawn
+    drawn = []
+
+    def failing(block):
+        if block == 4:
+            raise ValueError("block 4")
+        time.sleep(0.01)
+        return block
+
+    with pytest.raises(ValueError, match="block 4"):
+        quadrature.map_blocks(failing, _counted(20, drawn))
+    assert len(drawn) <= 4 + 3 * quadrature._WORKERS
+
+
+def test_map_runs_one_block_on_the_calling_thread(monkeypatch):
+    pool = quadrature._pool()
+    submitted, submit = [], pool.submit
+    monkeypatch.setattr(pool, "submit",
+                        lambda *a: submitted.append(1) or submit(*a))
+    threads = []
+
+    def record(block):
+        threads.append(threading.current_thread())
+        return block + 1
+
+    assert quadrature.map_blocks(record, _counted(1, [])) == [1]
+    assert quadrature.map_blocks(record, _counted(0, [])) == []
+    assert not submitted and threads == [threading.current_thread()]
 
 
 def _x_density_in_child(conn, state):

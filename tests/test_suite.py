@@ -237,9 +237,10 @@ def test_cauchy_cell_holds_one_binned_distribution():
     # binned K distribution takes about 2.1 M bins, 17 MB per array.  The
     # cell bins one density at a time and keeps its sums only, and the sums
     # are folded block by block as each block's CDF values are read (the
-    # edges are drawn again as they are read, not held), so no array of
-    # that length is held and the traced peak (about 14 MB) stays below
-    # that of a binning that held the CDF values at the edges (about 29 MB)
+    # edges are drawn once, as the pool takes each block, not held), so no
+    # array of that length is held and the traced peak (about 17 MB) stays
+    # below that of a binning that held the CDF values at the edges (about
+    # 29 MB)
     config = RunConfig(beta_grid=[1.0], sigma_grid=[1.0, 10.0],
                        alpha_grid=[1.5, 2.0, 4.0],
                        states=[{"name": "uniform_q"}])
